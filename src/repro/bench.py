@@ -132,7 +132,7 @@ def bench_mp_scaling(
 
     result: dict = {
         "kind": "workload", "unit": "s", "backend": "mp",
-        "cost_mode": cost_mode, "ingest_mode": "worker", "workers": {},
+        "cost_mode": cost_mode, "workers": {},
     }
     total = 0.0
     messages = 0

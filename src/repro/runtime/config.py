@@ -20,7 +20,6 @@ PARTITION_FAILOVER_MODES = ("quorum", "naive")
 LINK_POLICIES = ("fair", "edf")
 BACKENDS = ("sim", "mp")
 MP_COST_MODES = ("sleep", "spin", "none")
-MP_INGEST_MODES = ("worker", "coordinator")
 
 
 @dataclass
@@ -36,10 +35,6 @@ class EngineConfig:
         nodes / workers_per_node: cluster shape.  Workers model vCPUs.
         quantum: minimum re-scheduling grain in seconds (paper default 1 ms).
         use_query_semantics: disable for the Fig. 15 ablation.
-        generate_contexts: build PCs/RCs and run profiling.  Defaults to on
-            for Cameo and off for the baselines; ``None`` keeps that
-            default, an explicit bool overrides it (Fig. 12 measures the
-            cost of turning it on).
         local_delay / remote_delay: message transit times within a node and
             across nodes (clients count as remote).
         network_jitter_sigma: lognormal jitter on transit times (0 =
@@ -147,15 +142,6 @@ class EngineConfig:
             ``docs/architecture.md``), making scaling genuinely CPU-bound
             on hosts with at least one core per worker, ``"none"`` skips
             cost realization (pure runtime-overhead measurement).
-        mp_ingest_mode: who replays the captured ingest trace:
-            ``"worker"`` (default) forks each worker with its shard of the
-            trace and a per-worker ``IngestDriver`` replays it against the
-            local clock — the coordinator stays out of the data path and
-            acts as pure control plane (heartbeats, fail-over, quiescence,
-            metrics merge), retaining the full ledger only for fail-over
-            replay; ``"coordinator"`` streams every entry through
-            ``INGEST`` frames from the parent process (the PR 6 behaviour,
-            useful when a single pacing clock must arbitrate sources).
         mp_poll_interval: upper bound (seconds) on every mp poll tick —
             the worker's idle ``conn_wait`` and the coordinator's
             heartbeat-draining wait are both capped by it.  Smaller values
@@ -189,7 +175,6 @@ class EngineConfig:
     workers_per_node: int = 4
     quantum: float = 0.001
     use_query_semantics: bool = True
-    generate_contexts: Optional[bool] = None
     local_delay: float = 0.00002
     remote_delay: float = 0.0005
     network_jitter_sigma: float = 0.0
@@ -219,7 +204,6 @@ class EngineConfig:
     shed_slack: float = 0.0
     backend: str = "sim"
     mp_cost_mode: str = "sleep"
-    mp_ingest_mode: str = "worker"
     mp_poll_interval: float = 0.02
     mp_loss_rate: float = 0.0
     mp_realtime: bool = True
@@ -236,11 +220,6 @@ class EngineConfig:
         if self.mp_cost_mode not in MP_COST_MODES:
             raise ValueError(
                 f"unknown mp cost mode {self.mp_cost_mode!r}; expected {MP_COST_MODES}"
-            )
-        if self.mp_ingest_mode not in MP_INGEST_MODES:
-            raise ValueError(
-                f"unknown mp ingest mode {self.mp_ingest_mode!r}; "
-                f"expected {MP_INGEST_MODES}"
             )
         if self.mp_poll_interval <= 0:
             raise ValueError("mp poll interval must be positive")
@@ -316,9 +295,8 @@ class EngineConfig:
 
     @property
     def contexts_enabled(self) -> bool:
-        """Whether PCs/RCs are generated (see ``generate_contexts``)."""
-        if self.generate_contexts is not None:
-            return self.generate_contexts
+        """Whether PCs/RCs are generated and costs profiled: on for Cameo,
+        off for the baselines (which carry no deadlines to schedule by)."""
         return self.scheduler == "cameo"
 
     @property

@@ -5,10 +5,11 @@ coordinator replays a deterministically captured ingest trace into the
 workers, which exchange framed, batched messages over multiprocessing
 pipes through a :class:`~repro.runtime.mp.transport.ProcessTransport`
 implementing the same ingest/deliver/route/reply surface as the simulated
-:class:`~repro.runtime.transport.Transport`.  The wall-clock variant of
-:class:`~repro.runtime.recovery.ReliableDelivery` (per-channel sequence
-numbers, cumulative acks, go-back-N retransmission) is the reliability
-layer over those channels.  See ``docs/architecture.md`` ("Process
+:class:`~repro.runtime.transport.Transport`.  The reliability layer over
+those channels is :mod:`repro.runtime.delivery` — the one go-back-N core
+both backends run — under a wall-clock driver
+(:class:`~repro.runtime.mp.reliable.MpReliableDelivery`) where the sim has
+a kernel-timed one.  See ``docs/architecture.md`` ("Process
 backend") for the frame format, the ack flow, the FIFO-order argument and
 the determinism caveats relative to the sim backend.
 """

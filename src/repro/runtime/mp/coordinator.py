@@ -1,5 +1,5 @@
 """Coordinator of the mp backend: spawn, watch, collect — and feed only
-when it must.
+after a fail-over.
 
 The coordinator is the parent process.  It creates the full pipe mesh
 (coordinator <-> worker plus worker <-> worker, all before forking so
@@ -7,13 +7,11 @@ every process inherits its ends), forks one worker per configured node,
 watches heartbeats for failures, and finally collects and merges every
 worker's :class:`~repro.metrics.collectors.MetricsHub`.
 
-In the default worker-ingest mode (``mp_ingest_mode="worker"``) each
-worker inherits its shard of the sequenced trace through fork and replays
-it locally, so the coordinator is **pure control plane**: no data ever
-flows through the parent during normal operation.  In coordinator-replay
-mode (``"coordinator"``) the parent streams every entry through
-``INGEST`` frames, paced or flooded.  With ``mp_cost_mode="spin"`` a
-calibration barrier sits between READY and START: the coordinator
+Each worker inherits its shard of the sequenced trace through fork and
+replays it locally, so the coordinator is **pure control plane**: no data
+flows through the parent during normal operation.  With
+``mp_cost_mode="spin"`` a calibration barrier sits between READY and
+START: the coordinator
 broadcasts ``CALIBRATE`` once every worker is up, and starts the epoch
 only after every ``CAL_DONE`` — forcing the per-worker spin-rate
 measurements to overlap so they price in deployment-level CPU contention.
@@ -21,16 +19,16 @@ measurements to overlap so they price in deployment-level CPU contention.
 Ingest durability (the upstream-backup story): every trace entry carries
 a per-source sequence number and stays in the coordinator's ledger until
 the owning worker's heartbeat reports a processed watermark at or past it
-— in worker-ingest mode the ledger starts out holding the *whole* trace
-and only ever shrinks (it is the fail-over reserve, not a send queue).
+— the ledger starts out holding the *whole* trace and only ever shrinks
+(it is the fail-over reserve, not a send queue).
 When a worker dies, the dead node's operators are reassigned round-robin
 to the survivors and a ``REWIRE`` frame announces the new placement to
 everyone (senders re-incarnate their channels with a reset + replay).
-The un-acked ledger suffix of every moved source then reaches its new
-owner through ``INGEST`` frames: coordinator mode replays it directly,
-worker mode splices it into the feed queue (removing it from the ledger
-first — the feed re-appends as it ships) so pacing and chunking apply to
-the replay too.  Messages that had been *admitted* to the dead node's
+The un-acked ledger suffix of every moved source (the dead owner held it
+in its fork-inherited shard) then reaches its new owner through ``INGEST``
+frames: it is spliced into the feed queue (removing it from the ledger
+first — the feed re-appends as it ships) so the survivor receives it
+paced and chunked.  Messages that had been *admitted* to the dead node's
 mailboxes but not processed are re-sent by their upstream's go-back-N
 buffer; in-flight window state of moved operators is rebuilt from
 scratch — the same at-least-once contract as the sim backend's recovery
@@ -158,7 +156,6 @@ class MpCoordinator:
         self._n = config.nodes
         #: live placement view (address -> node), updated on fail-over
         self._op_node = self._initial_placement()
-        self._worker_ingest = config.mp_ingest_mode == "worker"
         #: sequenced trace: (trace_time, entry) pairs + final seq per source
         self._timed, self._last_seq = sequence_trace(trace)
         self.info: dict = {}
@@ -204,12 +201,9 @@ class MpCoordinator:
                 end_i, end_j = ctx.Pipe(duplex=True)
                 peer_ends[i][j] = end_i
                 peer_ends[j][i] = end_j
-        # worker-ingest mode: each worker inherits its trace shard through
-        # fork (no pickling, copy-on-write pages) and replays it locally
-        shards = (
-            shard_by_owner(self._timed, self._source_owner, self._n)
-            if self._worker_ingest else {}
-        )
+        # each worker inherits its trace shard through fork (no pickling,
+        # copy-on-write pages) and replays it locally
+        shards = shard_by_owner(self._timed, self._source_owner, self._n)
         # every pipe end worker i inherits but does not own — it must
         # close them on startup so a dead peer's ends actually reach
         # zero holders and writes to it raise instead of blocking (see
@@ -308,10 +302,9 @@ class MpCoordinator:
             send_frame(conn, START, epoch)
 
         # ingest ledger: retain every sequenced entry until the owner's
-        # heartbeat watermark passes it.  Coordinator mode additionally
-        # queues everything for INGEST-frame replay; worker mode feeds
-        # nothing (workers own their shards) — the feed queue only fills
-        # on fail-over, with the moved sources' ledger remainders.
+        # heartbeat watermark passes it.  Workers own their shards, so the
+        # feed queue only fills on fail-over, with the moved sources'
+        # ledger remainders.
         pending: deque = deque()
         last_seq = self._last_seq
         ledger: dict[tuple, deque] = {}
@@ -319,11 +312,8 @@ class MpCoordinator:
         for src_key in last_seq:
             ledger[src_key] = deque()
             acked[src_key] = -1
-        if self._worker_ingest:
-            for _trace_time, entry in self._timed:
-                ledger[entry[0]].append(entry)
-        else:
-            pending.extend(self._timed)
+        for _trace_time, entry in self._timed:
+            ledger[entry[0]].append(entry)
 
         alive = set(range(self._n))
         now = 0.0
@@ -417,7 +407,6 @@ class MpCoordinator:
             "survivors": sorted(alive),
             "forced_stop": forced_stop,
             "cost_mode": config.mp_cost_mode,
-            "ingest_mode": config.mp_ingest_mode,
             "spin_rates": spin_rates,
             "reports": {node: stats for node, (_, stats) in reports.items()},
             "fifo_violations": sum(
@@ -571,21 +560,13 @@ class MpCoordinator:
             _, job, stage, index = src_key
             if OpAddress(job, stage, index) not in mapping:
                 continue
-            replays = [e for e in ledger[src_key] if e[1] > acked[src_key]]
-            if self._worker_ingest:
-                # the dead owner held these in its fork-inherited shard;
-                # splice them into the feed queue (clearing the ledger
-                # first — _feed re-appends as it ships) so the survivor
-                # receives them as paced/chunked INGEST frames
-                ledger[src_key].clear()
-                spliced.extend((entry[2], entry) for entry in replays)
-                continue
-            conn = conns[self._source_owner(src_key)]
-            for start in range(0, len(replays), _INGEST_CHUNK):
-                try:
-                    send_frame(conn, INGEST, replays[start:start + _INGEST_CHUNK])
-                except (BrokenPipeError, OSError):
-                    break
+            # the dead owner held these in its fork-inherited shard;
+            # splice them into the feed queue (clearing the ledger first —
+            # _feed re-appends as it ships) so the survivor receives them
+            # as paced/chunked INGEST frames
+            spliced.extend(
+                (e[2], e) for e in ledger[src_key] if e[1] > acked[src_key])
+            ledger[src_key].clear()
         if spliced:
             merged = sorted(
                 list(pending) + spliced,

@@ -11,11 +11,10 @@ Runs the same two phases every mp run needs:
 2. **Replay** — :class:`~repro.runtime.mp.coordinator.MpCoordinator`
    sequences the trace (per-source seqs), forks the workers and replays
    it, paced against the wall clock (``mp_realtime=True``) or flooded as
-   fast as the workers drain it (benchmarks).  Replay location is
-   ``mp_ingest_mode``: ``"worker"`` shards the trace by source owner and
-   each worker's :class:`~repro.runtime.mp.ingest.IngestDriver` replays
-   its fork-inherited shard locally (coordinator = pure control plane);
-   ``"coordinator"`` streams every entry through ``INGEST`` frames.
+   fast as the workers drain it (benchmarks).  The trace is sharded by
+   source owner and each worker's :class:`~repro.runtime.mp.ingest.
+   IngestDriver` replays its fork-inherited shard locally (coordinator =
+   pure control plane).
 
 After :meth:`run`, ``.metrics`` holds the merged
 :class:`~repro.metrics.collectors.MetricsHub` of every worker and

@@ -32,8 +32,8 @@ CALIBRATE  c -> w     ``None`` — run the spin-cost calibration *now*
 CAL_DONE   w -> c     ``(node_id, spin_rate)`` — calibration finished
 START      c -> w     ``epoch`` — shared wall-clock base (CLOCK_MONOTONIC)
 INGEST     c -> w     list of ``(src_key, seq, trace_time, times, values,
-                      keys, sorted)`` ingest entries (coordinator-replay
-                      mode and fail-over shard replay)
+                      keys, sorted)`` ingest entries (fail-over shard
+                      replay)
 HB         w -> c     ``(node_id, idle, ingest_acks, processed_total)``
 CLOCK      c -> w     ``None`` — clock-sync probe; the worker answers
                       immediately (sent between the calibration barrier

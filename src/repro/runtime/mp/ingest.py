@@ -8,20 +8,15 @@ upstream-backup story is built on: workers deduplicate replay overlap by
 it, heartbeats report contiguous *processed* watermarks over it, and the
 coordinator's ledger trims against those watermarks.
 
-Who replays the sequenced trace is ``EngineConfig.mp_ingest_mode``:
-
-* ``"worker"`` (default) — :func:`shard_by_owner` splits the trace by the
-  node owning each source (placement is a pure function of the config, so
-  the split is computed once in the parent and inherited through fork),
-  and a per-worker :class:`IngestDriver` replays its shard against the
-  local clock.  The coordinator never touches the data path; it keeps the
-  full ledger only so fail-over can re-feed a dead worker's shard
-  remainder to the source's new owner.
-* ``"coordinator"`` — the parent process streams every entry through
-  ``INGEST`` frames (the original behaviour; a single pacing clock).
-
-Either way the entries reaching ``ProcessTransport.on_ingest`` are
-identical, so dedupe, watermarking and fail-over replay are mode-blind.
+The workers replay the sequenced trace themselves: :func:`shard_by_owner`
+splits it by the node owning each source (placement is a pure function of
+the config, so the split is computed once in the parent and inherited
+through fork), and a per-worker :class:`IngestDriver` replays its shard
+against the local clock.  The coordinator never touches the data path; it
+keeps the full ledger only so fail-over can re-feed a dead worker's shard
+remainder to the source's new owner through ``INGEST`` frames.  Entries
+reach ``ProcessTransport.on_ingest`` in the same shape either way, so
+dedupe and watermarking do not care where they came from.
 """
 
 from __future__ import annotations

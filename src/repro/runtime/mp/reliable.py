@@ -1,28 +1,26 @@
-"""Wall-clock reliable delivery for the process backend.
+"""Wall-clock driver of the channel protocol for the process backend.
 
-The same state machine as the simulated
-:class:`~repro.runtime.recovery.ReliableDelivery` — per-channel sequence
-numbers, cumulative ``(admitted, processed)`` acknowledgements, in-order
-admission with out-of-order buffering, duplicate suppression, and
-go-back-N retransmission under capped exponential backoff — but driven by
-the wall clock and split across processes: the sender half lives in the
-producing worker, the receiver half in the consuming worker, and the two
-exchange information only through ``DATA`` frame entries.
+The protocol itself — sequence numbers, cumulative ``(admitted,
+processed)`` acks, in-order admission, duplicate suppression, go-back-N
+under capped exponential backoff — is :mod:`repro.runtime.delivery`,
+shared with the simulated :class:`~repro.runtime.recovery.
+ReliableDelivery`.  This driver splits a channel across processes: its
+``SenderHalf`` lives in the producing worker, its ``ReceiverHalf`` in the
+consuming worker, and the two exchange information only through ``DATA``
+frame entries.  A channel is ``(msg.sender, msg.target)``, the key the
+simulated driver uses.
 
-There is no event heap in a worker, so retransmit timers are polled: the
-dispatch loop calls :meth:`due_retransmits` every iteration and bounds its
-idle wait by :meth:`next_deadline`.
-
-A channel is identified by ``(msg.sender, msg.target)`` — exactly the key
-the simulated layer uses — so the per-channel FIFO guarantee (§4.3) is
-enforced end to end: the receiver admits messages to mailboxes strictly
-in sequence order, and every admission asserts ``seq == next_admit``
-(:attr:`fifo_violations` counts violations; it must stay zero).
+What is wall-clock here: a worker has no event heap, so the dispatch loop
+polls :meth:`due_retransmits` every iteration and bounds its idle wait by
+:meth:`next_deadline`; cumulative acks are coalesced per channel between
+flushes (:meth:`drain_acks`); fail-over re-keys channels when the
+coordinator announces a re-placement.  In-order admission is structural
+in the receiver half; the run-time check that it held end to end is the
+transport's admission audit (``ProcessTransport.fifo_violations``).
 
 Loss injection (``mp_loss_rate``) drops incoming data entries *before*
-the receiver half sees them, simulating a lossy network over the real
-(reliable, FIFO) pipes — the knob that lets tests prove the go-back-N
-path works across real process boundaries.
+the receiver half sees them — a lossy network over the real (reliable,
+FIFO) pipes, so tests can prove go-back-N across process boundaries.
 """
 
 from __future__ import annotations
@@ -30,42 +28,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.dataflow.messages import Message
-
-
-class _SenderState:
-    """Sender half of one channel (lives in the producing process).
-
-    Invariant (same as the sim layer): ``unacked`` holds exactly the
-    contiguous range ``(processed_w, next_seq)``."""
-
-    __slots__ = (
-        "next_seq", "unacked", "admitted_w", "processed_w",
-        "rto", "deadline", "retransmit_count",
-    )
-
-    def __init__(self, rto: float):
-        self.next_seq = 0
-        self.unacked: dict[int, Message] = {}
-        self.admitted_w = -1
-        self.processed_w = -1
-        self.rto = rto
-        self.deadline: Optional[float] = None  # armed retransmit instant
-        self.retransmit_count = 0
-
-    def needs_retransmit(self) -> bool:
-        return self.next_seq - 1 > self.admitted_w and bool(self.unacked)
-
-
-class _ReceiverState:
-    """Receiver half of one channel (lives in the consuming process)."""
-
-    __slots__ = ("next_admit", "watermark", "processed", "pending")
-
-    def __init__(self):
-        self.next_admit = 0
-        self.watermark = -1
-        self.processed: set[int] = set()
-        self.pending: dict[int, Message] = {}
+from repro.runtime.delivery import (
+    ACK,
+    ADMIT,
+    DUPLICATE,
+    ReceiverHalf,
+    SenderHalf,
+    check_rto,
+)
 
 
 class MpReliableDelivery:
@@ -73,20 +43,17 @@ class MpReliableDelivery:
 
     def __init__(self, clock: Callable[[], float], rto: float, rto_cap: float,
                  metrics, loss_rate: float = 0.0, loss_rng=None):
-        if rto <= 0 or rto_cap < rto:
-            raise ValueError("need 0 < rto <= rto_cap")
+        check_rto(rto, rto_cap)
         self._clock = clock
-        self._rto_initial = rto
+        self._rto = rto
         self._rto_cap = rto_cap
         self._metrics = metrics
         self._loss_rate = loss_rate
         self._loss_rng = loss_rng
-        self._senders: dict[tuple, _SenderState] = {}
-        self._receivers: dict[tuple, _ReceiverState] = {}
+        self._senders: dict[tuple, SenderHalf] = {}
+        self._receivers: dict[tuple, ReceiverHalf] = {}
         #: channels whose cumulative ack changed since the last drain
         self._ack_dirty: set[tuple] = set()
-        #: admissions where seq != next_admit (must stay 0; see module doc)
-        self.fifo_violations = 0
         #: span recorder (None = tracing off: zero hot-path residue)
         self._tracer = None
 
@@ -98,73 +65,45 @@ class MpReliableDelivery:
     # sender side
     # ------------------------------------------------------------------
 
-    def _sender(self, key: tuple) -> _SenderState:
-        state = self._senders.get(key)
-        if state is None:
-            state = _SenderState(self._rto_initial)
-            self._senders[key] = state
-        return state
-
     def send(self, msg: Message) -> Message:
         """Assign the channel sequence number and retain for retransmit."""
-        state = self._sender((msg.sender, msg.target))
-        msg.seq = state.next_seq
-        state.next_seq += 1
-        state.unacked[msg.seq] = msg
-        if state.deadline is None:
-            state.deadline = self._clock() + state.rto
+        key = (msg.sender, msg.target)
+        sender = self._senders.get(key)
+        if sender is None:
+            sender = self._senders[key] = SenderHalf(self._rto, self._rto_cap)
+        sender.assign(msg)
+        if sender.deadline is None:
+            sender.arm(self._clock())
         if self._tracer is not None:
             self._tracer.on_transmit(msg, self._clock())
         return msg
 
     def on_ack(self, key: tuple, admitted: int, processed: int) -> None:
-        state = self._senders.get(key)
-        if state is None:
-            return
-        progressed = False
-        if processed > state.processed_w:
-            for seq in range(state.processed_w + 1, processed + 1):
-                state.unacked.pop(seq, None)
-            state.processed_w = processed
-            progressed = True
-        if admitted > state.admitted_w:
-            state.admitted_w = admitted
-            progressed = True
-        if progressed:
-            # fresh news: restart the backoff clock
-            state.rto = self._rto_initial
-            state.deadline = (
-                self._clock() + state.rto if state.needs_retransmit() else None
-            )
+        sender = self._senders.get(key)
+        if sender is not None:
+            sender.on_ack(admitted, processed)
+            if sender.deadline is None:
+                sender.arm(self._clock())
 
     def due_retransmits(self, now: float) -> list[Message]:
-        """Go-back-N replays for every channel whose timer expired.
-
-        Doubles the channel's RTO (capped) and re-arms.  The caller
-        enqueues the returned messages on the appropriate outboxes."""
-        replays: list[Message] = []
-        for state in self._senders.values():
-            if state.deadline is None or now < state.deadline:
+        """Go-back-N replays for every channel whose timer expired; the
+        caller enqueues them on the appropriate outboxes."""
+        due: list[Message] = []
+        tracer = self._tracer
+        for sender in self._senders.values():
+            if sender.deadline is None or now < sender.deadline:
                 continue
-            if not state.needs_retransmit():
-                state.rto = self._rto_initial
-                state.deadline = None
-                continue
-            tracer = self._tracer
-            for seq in range(state.admitted_w + 1, state.next_seq):
-                msg = state.unacked.get(seq)
-                if msg is not None:
-                    state.retransmit_count += 1
-                    self._metrics.retransmissions += 1
-                    if tracer is not None:
-                        # stall since the last wire attempt, then the
-                        # replay itself becomes the new last attempt
-                        tracer.on_retransmit(msg, now)
-                        tracer.on_transmit(msg, now)
-                    replays.append(msg)
-            state.rto = min(state.rto * 2.0, self._rto_cap)
-            state.deadline = now + state.rto
-        return replays
+            replays, _stall = sender.expire(now)
+            self._metrics.retransmissions += len(replays)
+            if tracer is not None:
+                for msg in replays:
+                    # stall since the last wire attempt, then the
+                    # replay itself becomes the new last attempt
+                    tracer.on_retransmit(msg, now)
+                    tracer.on_transmit(msg, now)
+            due.extend(replays)
+            sender.arm(now)
+        return due
 
     def next_deadline(self) -> Optional[float]:
         """Earliest armed retransmit instant (bounds the idle wait)."""
@@ -176,23 +115,18 @@ class MpReliableDelivery:
     def reset_sender(self, key: tuple) -> Optional[tuple[int, list[Message]]]:
         """Fail-over: the channel's receiver died with its node.
 
-        Rolls delivery knowledge back to the processed watermark (admitted
-        -but-unprocessed messages died in the lost mailboxes) and returns
+        Rolls delivery knowledge back to the sender's own processed
+        watermark — all a worker knows of a dead peer (admitted-but-
+        unprocessed messages died in the lost mailboxes) — and returns
         ``(base_seq, replays)``: the new admission base the caller must
         announce to the operator's new home with a ``reset`` entry, and
         the unprocessed suffix to replay after it."""
-        state = self._senders.get(key)
-        if state is None:
+        sender = self._senders.get(key)
+        if sender is None:
             return None
-        state.admitted_w = state.processed_w
-        state.rto = self._rto_initial
-        state.deadline = self._clock() + state.rto if state.needs_retransmit() else None
-        replays = [
-            state.unacked[seq]
-            for seq in range(state.processed_w + 1, state.next_seq)
-            if seq in state.unacked
-        ]
-        return state.processed_w + 1, replays
+        sender.rollback(sender.processed_w)
+        sender.arm(self._clock())
+        return sender.processed_w + 1, sender.unadmitted()
 
     def sender_channels_to(self, targets: set) -> list[tuple]:
         """Channel keys whose destination operator is in ``targets``."""
@@ -207,57 +141,32 @@ class MpReliableDelivery:
     # receiver side
     # ------------------------------------------------------------------
 
-    def _receiver(self, key: tuple) -> _ReceiverState:
-        state = self._receivers.get(key)
-        if state is None:
-            state = _ReceiverState()
-            self._receivers[key] = state
-        return state
-
     def on_data(self, msg: Message) -> list[Message]:
-        """One incoming data entry; returns messages admitted *in order*.
-
-        Applies loss injection first (the simulated lossy network), then
-        the same dedupe / in-order admission logic as the sim layer."""
+        """One incoming data entry (after loss injection); returns the
+        messages admitted *in order*."""
         if self._loss_rate > 0 and self._loss_rng.random() < self._loss_rate:
             self._metrics.messages_lost_network += 1
             return []
         key = (msg.sender, msg.target)
-        state = self._receiver(key)
-        seq = msg.seq
-        if seq <= state.watermark or seq in state.processed:
+        receiver = self._receivers.get(key)
+        if receiver is None:
+            receiver = self._receivers[key] = ReceiverHalf()
+        verdict = receiver.on_data(msg)
+        if verdict & DUPLICATE:
             self._metrics.duplicates_dropped += 1
-            self._ack_dirty.add(key)  # refresh the sender's cumulative view
-            return []
-        if seq < state.next_admit:
-            # already sitting in the mailbox awaiting processing
-            self._metrics.duplicates_dropped += 1
-            return []
-        if seq != state.next_admit:
-            state.pending[seq] = msg  # out of order: hold for the gap
-            return []
-        admitted = [msg]
-        state.next_admit = seq + 1
-        while True:
-            nxt = state.next_admit
-            if nxt in state.processed:
-                state.next_admit = nxt + 1  # processed before a reset
-            elif nxt in state.pending:
-                admitted.append(state.pending.pop(nxt))
-                state.next_admit = nxt + 1
-            else:
-                break
-        self._ack_dirty.add(key)
+        if verdict & ACK:
+            self._ack_dirty.add(key)
+        admitted = []
+        if verdict & ADMIT:
+            while msg is not None:
+                admitted.append(msg)
+                msg = receiver.advance()
         return admitted
 
     def install_reset(self, key: tuple, base_seq: int) -> None:
         """A sender re-incarnated the channel (fail-over): admit from
         ``base_seq``, treating everything below it as processed."""
-        state = self._receiver(key)
-        state.pending.clear()
-        state.processed.clear()
-        state.next_admit = base_seq
-        state.watermark = base_seq - 1
+        self._receivers.setdefault(key, ReceiverHalf()).reset(base_seq)
         self._ack_dirty.add(key)
 
     def drop_receivers_from(self, senders: set) -> None:
@@ -269,46 +178,34 @@ class MpReliableDelivery:
 
     def on_processed(self, msg: Message) -> None:
         """Final disposition of a message (executed or dropped)."""
-        state = self._receivers.get((msg.sender, msg.target))
-        if state is None:
-            return
-        seq = msg.seq
-        if seq == state.watermark + 1:
-            state.watermark = seq
-            processed = state.processed
-            while state.watermark + 1 in processed:
-                state.watermark += 1
-                processed.remove(state.watermark)
-        else:
-            state.processed.add(seq)
-        self._ack_dirty.add((msg.sender, msg.target))
+        key = (msg.sender, msg.target)
+        receiver = self._receivers.get(key)
+        if receiver is not None:
+            receiver.on_processed(msg.seq)
+            self._ack_dirty.add(key)
 
     def drain_acks(self) -> list[tuple]:
         """Coalesced cumulative acks since the last drain: one
         ``(channel_key, admitted, processed)`` triple per dirty channel."""
         acks = []
         for key in self._ack_dirty:
-            state = self._receivers.get(key)
-            if state is not None:
-                acks.append((key, state.next_admit - 1, state.watermark))
+            receiver = self._receivers.get(key)
+            if receiver is not None:
+                acks.append((key, *receiver.cumulative_ack()))
         self._ack_dirty.clear()
         return acks
 
     # -- introspection -------------------------------------------------
 
     def idle(self) -> bool:
-        """No unacked sends, no buffered receives, no pending acks."""
+        """Nothing outstanding, no buffered receives, no pending acks."""
         return (
-            all(not s.unacked for s in self._senders.values())
+            not self._ack_dirty
+            and all(s.outstanding == 0 for s in self._senders.values())
             and all(not r.pending for r in self._receivers.values())
-            and not self._ack_dirty
         )
 
     def outstanding_total(self) -> int:
-        """Unacked in-flight messages across all sender channels (the
-        telemetry bus's retransmit-pressure sensor)."""
-        return sum(len(s.unacked) for s in self._senders.values())
-
-    @property
-    def channel_count(self) -> int:
-        return len(self._senders) + len(self._receivers)
+        """Σ :attr:`SenderHalf.outstanding` across this worker's sender
+        channels (the telemetry bus's retransmit-pressure sensor)."""
+        return sum(s.outstanding for s in self._senders.values())

@@ -11,17 +11,17 @@ batching that keeps the hot send path at one syscall per quantum instead
 of one per message.
 
 Ingestion entries carry a per-source sequence number and arrive either
-from the local :class:`~repro.runtime.mp.ingest.IngestDriver`
-(worker-ingest mode) or from the coordinator's ``INGEST`` frames
-(coordinator-replay mode and fail-over shard replay); the transport
+from the local :class:`~repro.runtime.mp.ingest.IngestDriver` or, after a
+fail-over, from the coordinator's ``INGEST`` frames; the transport
 deduplicates replay overlap after a fail-over and reports per-source
 processed watermarks back in heartbeats so the coordinator can trim its
 durable ledger.
 
-Every admission to a mailbox passes the per-channel FIFO audit: a
-sequence number at or below the previously admitted one on the same
-channel counts as a violation (the run reports the counter; it must stay
-zero — in-order admission is enforced by the reliable layer's receiver).
+Every admission to a mailbox passes the per-channel FIFO audit, the one
+run-time check of §4.3 order on this backend: a sequence number at or
+below the previously admitted one on the same channel counts as a
+violation (the run reports the counter; it must stay zero — in-order
+admission is structural in the channel protocol's receiver half).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Each worker rebuilds the *entire* topology locally (placement is a pure
 function of the config, so every process derives the same wiring) but
 executes only the operators placed on its node.  The dispatch loop is the
 wall-clock analogue of :class:`~repro.runtime.node.NodeRuntime`: pump the
-local ingest shard (worker-ingest mode), pop an operator from the run
+local ingest shard, pop an operator from the run
 queue in the scheduler's order, run its messages for a quantum, requeue,
 and between quanta drain the pipes, retransmit expired channels, flush
 the outboxes (one binary ``DATA`` frame per destination — the amortized
@@ -437,10 +437,7 @@ class MpWorker:
             "busy_time": self._busy_time,
             "messages": self._messages,
             "spin_rate": self.spin_rate,
-            "fifo_violations": (
-                self.transport.fifo_violations + self._reliable.fifo_violations
-            ),
-            "channel_count": self._reliable.channel_count,
+            "fifo_violations": self.transport.fifo_violations,
             "stage_rescales": self._stage_rescales,
             "keys_moved": self._keys_moved,
         }

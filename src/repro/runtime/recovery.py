@@ -5,12 +5,11 @@ This module turns the fault *model* of :mod:`repro.sim.faults` into a
 runs at a simulation instant through the kernel's ordinary scheduling
 primitives, and all randomness comes from the injector's named stream):
 
-* :class:`ReliableDelivery` — per-channel sequence numbers, cumulative
-  acknowledgements and capped-exponential-backoff retransmission over the
-  lossy network.  The receiver side admits messages to operator mailboxes
-  strictly in sequence order (out-of-order arrivals are buffered), so the
-  per-channel FIFO guarantee the PROGRESSMAP regression depends on (§4.3)
-  survives arbitrary loss and retransmission patterns.
+* :class:`ReliableDelivery` — the kernel-timed driver of the channel
+  protocol in :mod:`repro.runtime.delivery` (go-back-N with in-order
+  admission: the per-channel FIFO guarantee the PROGRESSMAP regression
+  depends on, §4.3).  The state machine lives there, once, for both
+  backends; this class supplies the lossy simulated network under it.
 * :class:`FailureDetector` — heartbeat-based: every node deposits a
   heartbeat each ``interval``; a monitor sweep declares a node failed
   after ``timeout`` seconds of silence and notices it again once
@@ -52,94 +51,63 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.dataflow.messages import Message
+from repro.runtime.delivery import (
+    ACK,
+    ADMIT,
+    DUPLICATE,
+    ReceiverHalf,
+    SenderHalf,
+    check_rto,
+)
 from repro.runtime.topology import OperatorRuntime, _format_address
 
 INF = float("inf")
 
 
-class _ChannelState:
-    """Both endpoints of one reliable channel (sender and inbox).
+class _Channel:
+    """One reliable channel as the simulation hosts it: the endpoints'
+    runtimes, the order clamp and both protocol halves.  One process
+    simulates both ends, but the halves exchange information only through
+    delayed, lossy ack events and the control-plane roll-backs."""
 
-    The two ends live in one object because the simulation hosts both,
-    but they exchange information only through delayed, lossy ack events:
-    sender-visible fields (``admitted_w``, ``processed_w``) are updated
-    exclusively by :meth:`ReliableDelivery._on_ack`, never directly from
-    receiver state.
-
-    Invariant: ``unacked`` holds exactly the contiguous sequence range
-    ``(released_w, next_seq)`` — entries are appended at the top and only
-    a prefix is released.  Without state retention ``released_w`` tracks
-    ``processed_w`` (cumulative processed-acks release immediately); with
-    retention (``state_recovery != "none"``) release is additionally
-    capped by ``stable_w``, the highest sequence covered by a checkpoint
-    of the receiver, so processed-but-uncheckpointed messages stay
-    replayable.
-    """
-
-    __slots__ = (
-        "src_rt", "dst_rt", "channel",
-        # -- sender side --
-        "next_seq", "unacked", "admitted_w", "processed_w",
-        "stable_w", "released_w",
-        "rto", "timer_armed", "timer_epoch", "timer_armed_at",
-        "backoff_time", "retransmit_count",
-        # -- receiver side --
-        "next_admit", "watermark", "processed", "pending",
-    )
+    __slots__ = ("src_rt", "dst_rt", "channel", "sender", "receiver")
 
     def __init__(self, src_rt: Optional[OperatorRuntime],
-                 dst_rt: OperatorRuntime, channel, rto: float):
+                 dst_rt: OperatorRuntime, channel, sender: SenderHalf):
         self.src_rt = src_rt          # None = ingestion client (remote)
         self.dst_rt = dst_rt
         self.channel = channel        # FifoChannel: per-channel order clamp
-        self.next_seq = 0
-        self.unacked: dict[int, Message] = {}
-        self.admitted_w = -1          # highest seq the sender knows reached a mailbox
-        self.processed_w = -1         # highest seq the sender knows was processed
-        self.stable_w = -1            # highest seq covered by a receiver checkpoint
-        self.released_w = -1          # highest seq released from ``unacked``
-        self.rto = rto
-        self.timer_armed = False
-        self.timer_epoch = 0
-        self.timer_armed_at = 0.0     # instant the live timer was armed
-        self.backoff_time = 0.0       # Σ stalls before retransmitting expiries
-        self.retransmit_count = 0     # go-back-N replays on this channel
-        self.next_admit = 0           # next seq the inbox will admit
-        self.watermark = -1           # cumulative processed (receiver truth)
-        self.processed: set[int] = set()  # processed out of order, > watermark
-        self.pending: dict[int, Message] = {}  # arrived out of order
+        self.sender = sender
+        self.receiver = ReceiverHalf()
 
     @property
     def src_node(self) -> int:
         # clients are remote machines (node id -1 never matches a node)
         return self.src_rt.node_id if self.src_rt is not None else -1
 
-    def needs_retransmit(self) -> bool:
-        """True while some sent message has not reached a mailbox."""
-        return self.next_seq - 1 > self.admitted_w and bool(self.unacked)
-
 
 class ReliableDelivery:
-    """Ack/retransmit channel layer between the transport's endpoints.
+    """Kernel-timed driver of the channel protocol (:mod:`.delivery`).
 
+    Everything here is simulation: loss, partition and bandwidth draws,
+    the ``FifoChannel`` clamp, retransmit timers and acks as kernel events.
     Installed only when the run has a non-empty fault schedule; without it
-    the transport keeps its original fire-and-forget delivery, so
-    zero-fault runs stay bit-identical.
+    the transport keeps its fire-and-forget delivery, so zero-fault runs
+    stay bit-identical.
     """
 
     def __init__(self, sim, metrics, injector, delay_model,
                  node_down: Callable[[int], bool],
                  rto: float, rto_cap: float):
-        if rto <= 0 or rto_cap < rto:
-            raise ValueError("need 0 < rto <= rto_cap")
+        check_rto(rto, rto_cap)
         self._sim = sim
         self._metrics = metrics
         self._injector = injector
         self._delay_model = delay_model
         self._node_down = node_down
-        self._rto_initial = rto
+        self._rto = rto
         self._rto_cap = rto_cap
-        self._states: dict[tuple, _ChannelState] = {}
+        self._channels: dict[tuple, _Channel] = {}
         self._admit: Optional[Callable] = None
         self._tracer = None
         self._bandwidth = None
@@ -181,39 +149,30 @@ class ReliableDelivery:
     # sender side
     # ------------------------------------------------------------------
 
-    def _state(self, sender_key, src_rt: Optional[OperatorRuntime],
-               dst_rt: OperatorRuntime, channel) -> _ChannelState:
-        key = (sender_key, dst_rt.address)
-        state = self._states.get(key)
-        if state is None:
-            state = _ChannelState(src_rt, dst_rt, channel, self._rto_initial)
-            self._states[key] = state
-        return state
-
     def send(self, src_rt: Optional[OperatorRuntime], dst_rt: OperatorRuntime,
              channel, msg: Message) -> None:
         """Hand one freshly-built message to the reliable channel."""
-        state = self._state(msg.sender, src_rt, dst_rt, channel)
-        msg.seq = state.next_seq
-        state.next_seq += 1
-        if msg.seq > state.released_w:
-            # (a rolled-back sender may re-emit sequences a receiver
-            # checkpoint already covers — pure duplicates, not retained)
-            state.unacked[msg.seq] = msg
+        key = (msg.sender, dst_rt.address)
+        ch = self._channels.get(key)
+        if ch is None:
+            ch = self._channels[key] = _Channel(
+                src_rt, dst_rt, channel,
+                SenderHalf(self._rto, self._rto_cap, self._retain))
+        if ch.sender.assign(msg):
             self._unacked_count += 1
             if self._unacked_count > self.unacked_peak:
                 self.unacked_peak = self._unacked_count
-        self._transmit(state, msg)
-        self._arm_timer(state)
+        self._transmit(ch, msg)
+        self._arm(ch)
 
-    def _transmit(self, state: _ChannelState, msg: Message) -> None:
+    def _transmit(self, ch: _Channel, msg: Message) -> None:
         """One attempt to push ``msg`` over the wire (may be lost)."""
         sim = self._sim
         if self._tracer is not None:
             # a wire attempt regardless of loss: the span's next retransmit
             # gap is measured from this instant
             self._tracer.on_transmit(msg, sim.now)
-        src_node, dst_node = state.src_node, state.dst_rt.node_id
+        src_node, dst_node = ch.src_node, ch.dst_rt.node_id
         if self._injector.severs(src_node, dst_node):
             # partition: there is no wire — the frame vanishes before any
             # loss draw, so the RNG stream is untouched by the cut
@@ -231,126 +190,72 @@ class ReliableDelivery:
                 sim.now, src_node, dst_node, msg.tuple_count,
                 INF if pc is None else pc.deadline,
             )
-        arrival = state.channel.deliver_time(sim.now, transit)
-        sim.schedule_at_fast(arrival, self._arrive, state, msg)
+        arrival = ch.channel.deliver_time(sim.now, transit)
+        sim.schedule_at_fast(arrival, self._arrive, ch, msg)
 
-    def _arm_timer(self, state: _ChannelState) -> None:
-        if state.timer_armed or not state.needs_retransmit():
-            return
-        state.timer_armed = True
-        state.timer_armed_at = self._sim.now
-        self._sim.schedule_fast(state.rto, self._on_timer, state,
-                                state.timer_epoch)
+    def _arm(self, ch: _Channel) -> None:
+        """Arm the retransmit timer as a kernel event — after the frames
+        are on the wire, so it follows their arrivals in same-instant order."""
+        sender = ch.sender
+        if sender.arm(self._sim.now):
+            self._sim.schedule_fast(sender.rto, self._on_timer, ch,
+                                    sender.generation)
 
-    def _on_timer(self, state: _ChannelState, epoch: int) -> None:
-        if epoch != state.timer_epoch:
-            return  # superseded by an ack-driven reset
-        state.timer_armed = False
-        if not state.needs_retransmit():
-            state.rto = self._rto_initial
-            return
+    def _on_timer(self, ch: _Channel, generation: int) -> None:
+        sender = ch.sender
+        if generation != sender.generation:
+            return  # superseded by an ack or a roll-back
+        now = self._sim.now
+        replays, stall = sender.expire(now)
         # the channel sat on this timer the whole arming-to-expiry stall:
         # charge the backoff *time* (not just a count) so attribution can
         # blame recovery delay on the right channel
-        now = self._sim.now
-        stall = now - state.timer_armed_at
-        state.backoff_time += stall
         self._metrics.retransmit_backoff_time += stall
         tracer = self._tracer
-        # go-back-N: replay every sent-but-unadmitted message in seq order
-        for seq in range(state.admitted_w + 1, state.next_seq):
-            msg = state.unacked.get(seq)
-            if msg is not None:
-                self._metrics.retransmissions += 1
-                state.retransmit_count += 1
-                if tracer is not None:
-                    tracer.on_retransmit(msg, now)
-                self._transmit(state, msg)
-        state.rto = min(state.rto * 2.0, self._rto_cap)
-        self._arm_timer(state)
+        for msg in replays:
+            self._metrics.retransmissions += 1
+            if tracer is not None:
+                tracer.on_retransmit(msg, now)
+            self._transmit(ch, msg)
+        self._arm(ch)
 
-    def _on_ack(self, state: _ChannelState, admitted: int, processed: int) -> None:
+    def _on_ack(self, ch: _Channel, admitted: int, processed: int) -> None:
         """Sender learns of receiver progress (fires after the ack delay)."""
-        progressed = False
-        if processed > state.processed_w:
-            state.processed_w = processed
-            self._release(state)
-            progressed = True
-        if admitted > state.admitted_w:
-            state.admitted_w = admitted
-            progressed = True
-        if progressed:
-            # fresh news: restart the backoff clock
-            state.timer_epoch += 1
-            state.timer_armed = False
-            state.rto = self._rto_initial
-            self._arm_timer(state)
-
-    def _release(self, state: _ChannelState) -> None:
-        """Drop the releasable prefix of ``unacked``: processed sequences,
-        additionally capped by checkpoint stability under retention."""
-        bound = state.processed_w
-        if self._retain and state.stable_w < bound:
-            bound = state.stable_w
-        while state.released_w < bound:
-            state.released_w += 1
-            if state.unacked.pop(state.released_w, None) is not None:
-                self._unacked_count -= 1
+        self._unacked_count -= ch.sender.on_ack(admitted, processed)
+        self._arm(ch)
 
     # ------------------------------------------------------------------
     # receiver side
     # ------------------------------------------------------------------
 
-    def _arrive(self, state: _ChannelState, msg: Message) -> None:
-        if self._node_down(state.dst_rt.node_id):
+    def _arrive(self, ch: _Channel, msg: Message) -> None:
+        dst_rt = ch.dst_rt
+        if self._node_down(dst_rt.node_id):
             # fail-stop target: the transmission evaporates, no ack — the
             # sender's timer keeps the message alive until fail-over
             self._metrics.messages_dropped_down += 1
             return
-        seq = msg.seq
-        if seq <= state.watermark or seq in state.processed:
+        receiver = ch.receiver
+        verdict = receiver.on_data(msg)
+        if verdict & DUPLICATE:
             self._metrics.duplicates_dropped += 1
-            self._send_ack(state)  # refresh the sender's cumulative view
-            return
-        if seq < state.next_admit:
-            # already sitting in the mailbox awaiting processing
-            self._metrics.duplicates_dropped += 1
-            return
-        if seq != state.next_admit:
-            state.pending[seq] = msg  # out of order: hold for the gap
-            return
-        self._admit(state.dst_rt, msg, None)
-        state.next_admit = seq + 1
-        while True:
-            nxt = state.next_admit
-            if nxt in state.processed:
-                state.next_admit = nxt + 1  # processed before a crash reset
-            elif nxt in state.pending:
-                self._admit(state.dst_rt, state.pending.pop(nxt), None)
-                state.next_admit = nxt + 1
-            else:
-                break
-        self._send_ack(state)
+        if verdict & ADMIT:
+            while msg is not None:
+                self._admit(dst_rt, msg, None)
+                msg = receiver.advance()
+        if verdict & ACK:
+            self._send_ack(ch)
 
     def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
         """Final disposition of a message (executed, shed, or poison)."""
-        state = self._states.get((msg.sender, op_rt.address))
-        if state is None:
-            return
-        seq = msg.seq
-        if seq == state.watermark + 1:
-            state.watermark = seq
-            processed = state.processed
-            while state.watermark + 1 in processed:
-                state.watermark += 1
-                processed.remove(state.watermark)
-        else:
-            state.processed.add(seq)
-        self._send_ack(state)
+        ch = self._channels.get((msg.sender, op_rt.address))
+        if ch is not None:
+            ch.receiver.on_processed(msg.seq)
+            self._send_ack(ch)
 
-    def _send_ack(self, state: _ChannelState) -> None:
+    def _send_ack(self, ch: _Channel) -> None:
         """Cumulative (admitted, processed) ack back to the sender."""
-        src_node, dst_node = state.src_node, state.dst_rt.node_id
+        src_node, dst_node = ch.src_node, ch.dst_rt.node_id
         if self._injector.severs(dst_node, src_node):
             self._metrics.acks_dropped_partition += 1
             return
@@ -360,90 +265,71 @@ class ReliableDelivery:
         delay = self._injector.inflate_transit(
             self._delay_model.delay(dst_node, src_node)
         )
-        self._sim.schedule_fast(delay, self._on_ack, state,
-                                state.next_admit - 1, state.watermark)
+        admitted, processed = ch.receiver.cumulative_ack()
+        self._sim.schedule_fast(delay, self._on_ack, ch, admitted, processed)
 
     # ------------------------------------------------------------------
     # crash hooks (driven by the RecoveryManager)
     # ------------------------------------------------------------------
 
     def on_node_crash(self, node_id: int) -> None:
-        """Roll receiver state of channels into ``node_id`` back to the
+        """Roll receivers of channels into ``node_id`` back to their
         processed watermark: admitted-but-unprocessed messages died with
         the node's mailboxes and must be re-admitted on replay."""
-        for state in self._states.values():
-            if state.dst_rt.node_id == node_id:
-                state.pending.clear()
-                state.next_admit = state.watermark + 1
+        for ch in self._channels.values():
+            if ch.dst_rt.node_id == node_id:
+                receiver = ch.receiver
+                receiver.reset(receiver.watermark + 1, receiver.processed)
 
     def on_failover(self, op_rt: OperatorRuntime) -> None:
         """The cluster announced ``op_rt``'s old node dead: senders roll
-        their delivery knowledge back to the processed watermark and
-        resume retransmission toward the operator's new home."""
-        for state in self._states.values():
-            if state.dst_rt is op_rt:
-                state.admitted_w = state.watermark
-                state.timer_epoch += 1
-                state.timer_armed = False
-                state.rto = self._rto_initial
-                self._arm_timer(state)
+        back to the receiver's processed watermark (the announcement
+        carries it) and retransmit toward the operator's new home."""
+        for _sender, ch in self.channels_into(op_rt):
+            ch.sender.rollback(ch.receiver.watermark)
+            self._arm(ch)
 
     # ------------------------------------------------------------------
     # checkpoint support (driven by the CheckpointManager)
     # ------------------------------------------------------------------
 
     def channels_into(self, op_rt: OperatorRuntime):
-        """Yield ``(sender_key, state)`` for every channel into ``op_rt``."""
-        for (sender, _dst), state in self._states.items():
-            if state.dst_rt is op_rt:
-                yield sender, state
+        """Yield ``(sender_key, channel)`` for every channel into ``op_rt``."""
+        for (sender, _dst), ch in self._channels.items():
+            if ch.dst_rt is op_rt:
+                yield sender, ch
 
     def channels_from(self, op_rt: OperatorRuntime):
-        """Yield ``(dst_address, state)`` for every channel out of ``op_rt``."""
-        for (_sender, dst), state in self._states.items():
-            if state.src_rt is op_rt:
-                yield dst, state
+        """Yield ``(dst_address, channel)`` for every channel out of ``op_rt``."""
+        for (_sender, dst), ch in self._channels.items():
+            if ch.src_rt is op_rt:
+                yield dst, ch
 
-    def mark_stable(self, op_rt: OperatorRuntime, stable_by_sender: dict) -> None:
-        """A checkpoint of ``op_rt`` covers all effects through the given
-        per-sender watermarks: retained buffers may truncate up to them."""
-        for sender, state in self.channels_into(op_rt):
-            stable = stable_by_sender.get(sender)
-            if stable is not None and stable > state.stable_w:
-                state.stable_w = stable
-                self._release(state)
+    def mark_stable(self, op_rt: OperatorRuntime) -> None:
+        """A checkpoint of ``op_rt`` just covered all effects through its
+        receivers' watermarks: retained buffers may truncate up to them."""
+        for _sender, ch in self.channels_into(op_rt):
+            self._unacked_count -= ch.sender.mark_stable(ch.receiver.watermark)
 
     def rollback_receiver(self, op_rt: OperatorRuntime, ckpt_channels: dict) -> int:
         """Roll every channel into ``op_rt`` back to its checkpoint frontier.
 
         ``ckpt_channels`` maps sender key to ``(watermark, processed_set)``
         as recorded at checkpoint time (channels absent from the map roll
-        back to pristine).  The sender-visible fields roll back too — the
-        fail-over announcement is the control-plane event that carries the
-        rollback to the senders, the one case besides ``_on_ack`` allowed
-        to touch them.  Returns the number of processed messages whose
-        effects were lost and must be replayed."""
+        back to pristine).  The senders roll back too: the fail-over
+        announcement carries the roll-back to them.  Returns the number of
+        processed messages whose effects were lost and must be replayed."""
         replayed = 0
-        for sender, state in self.channels_into(op_rt):
+        for sender, ch in self.channels_into(op_rt):
             watermark, processed = ckpt_channels.get(sender, (-1, frozenset()))
-            replayed += (state.watermark - watermark)
-            replayed += len(state.processed) - len(processed)
-            # receiver side: delivery frontier back to the checkpoint (the
-            # processed set is restored because the snapshot state already
-            # contains those messages' effects — replay must skip them)
-            state.watermark = watermark
-            state.processed = set(processed)
-            state.pending.clear()
-            state.next_admit = watermark + 1
-            # sender side: resume go-back-N from the checkpoint frontier
-            if state.admitted_w > watermark:
-                state.admitted_w = watermark
-            if state.processed_w > watermark:
-                state.processed_w = watermark
-            state.timer_epoch += 1
-            state.timer_armed = False
-            state.rto = self._rto_initial
-            self._arm_timer(state)
+            receiver = ch.receiver
+            replayed += receiver.watermark - watermark
+            replayed += len(receiver.processed) - len(processed)
+            # the processed set is restored because the snapshot state
+            # already contains those messages' effects — replay skips them
+            receiver.reset(watermark + 1, processed)
+            ch.sender.rollback_processed(watermark)
+            self._arm(ch)
         return replayed
 
     def rollback_sender_seqs(self, op_rt: OperatorRuntime, out_seqs: dict) -> None:
@@ -455,32 +341,20 @@ class ReliableDelivery:
         already processed, and recovery is exactly-once.  Stale buffered
         copies of the rolled-back range are dropped — the re-emission
         supersedes them."""
-        for dst, state in self.channels_from(op_rt):
-            next_seq = out_seqs.get(dst, 0)
-            if next_seq < state.next_seq:
-                for seq in range(next_seq, state.next_seq):
-                    if state.unacked.pop(seq, None) is not None:
-                        self._unacked_count -= 1
-                state.next_seq = next_seq
+        for dst, ch in self.channels_from(op_rt):
+            self._unacked_count -= ch.sender.rewind(out_seqs.get(dst, 0))
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def channel_count(self) -> int:
-        return len(self._states)
-
     def unacked_total(self) -> int:
-        """Messages retained in retransmit buffers (not yet processed)."""
-        return sum(len(s.unacked) for s in self._states.values())
+        """Messages retained in retransmit buffers (replay sources under a
+        retention mode included)."""
+        return sum(len(ch.sender.unacked) for ch in self._channels.values())
 
     def outstanding_total(self) -> int:
-        """Messages sent but not yet acknowledged as *processed* — the
-        live backlog.  Unlike :meth:`unacked_total` this ignores buffers
-        a retention mode keeps purely as replay sources, so it reaches
-        zero at quiescence even under ``state_recovery="replay"``."""
-        return sum(
-            s.next_seq - 1 - s.processed_w for s in self._states.values()
-        )
+        """Σ :attr:`SenderHalf.outstanding` — the live backlog, zero at
+        quiescence even under ``state_recovery="replay"``."""
+        return sum(ch.sender.outstanding for ch in self._channels.values())
 
     def backoff_by_channel(self) -> dict[str, dict]:
         """Per-channel retransmit accounting, for channels that backed off.
@@ -490,13 +364,14 @@ class ReliableDelivery:
         the go-back-N replay count — the per-channel decomposition of
         ``MetricsHub.retransmit_backoff_time``."""
         report: dict[str, dict] = {}
-        for (sender, dst), state in self._states.items():
-            if state.backoff_time == 0.0 and state.retransmit_count == 0:
+        for (sender_key, dst), ch in self._channels.items():
+            sender = ch.sender
+            if sender.backoff_time == 0.0 and sender.retransmit_count == 0:
                 continue
-            label = f"{_format_address(sender)} -> {_format_address(dst)}"
+            label = f"{_format_address(sender_key)} -> {_format_address(dst)}"
             report[label] = {
-                "backoff_time": state.backoff_time,
-                "retransmissions": state.retransmit_count,
+                "backoff_time": sender.backoff_time,
+                "retransmissions": sender.retransmit_count,
             }
         return report
 
@@ -585,18 +460,18 @@ class CheckpointManager:
     def checkpoint_op(self, op_rt: OperatorRuntime) -> None:
         """Snapshot one operator and truncate buffers it no longer needs."""
         state_bytes = op_rt.operator.state_snapshot()
-        channels = {}
-        stable = {}
-        for sender, ch in self._reliable.channels_into(op_rt):
-            channels[sender] = (ch.watermark, frozenset(ch.processed))
-            stable[sender] = ch.watermark
-        out_seqs = {dst: ch.next_seq for dst, ch in self._reliable.channels_from(op_rt)}
+        channels = {
+            sender: (ch.receiver.watermark, frozenset(ch.receiver.processed))
+            for sender, ch in self._reliable.channels_into(op_rt)
+        }
+        out_seqs = {dst: ch.sender.next_seq
+                    for dst, ch in self._reliable.channels_from(op_rt)}
         self._checkpoints[op_rt.address] = _OperatorCheckpoint(
             self._sim.now, state_bytes, channels, out_seqs
         )
         self._metrics.checkpoints_taken += 1
         self._metrics.checkpoint_bytes += len(state_bytes)
-        self._reliable.mark_stable(op_rt, stable)
+        self._reliable.mark_stable(op_rt)
 
     # ------------------------------------------------------------------
     # crash / restore (driven by the RecoveryManager)

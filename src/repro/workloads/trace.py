@@ -168,7 +168,7 @@ class ArrivalTrace:
         """Split into per-owner subtraces (shardable trace iteration).
 
         ``owner_by_source[i]`` names the shard owning source ``i`` — the
-        same owner function the mp backend's worker-ingest mode uses to
+        same owner function the mp backend's worker ingestion uses to
         split its captured trace (placement of the source's first
         operator).  Each subtrace preserves global time order and
         per-source arrival order, and the shards partition the arrivals

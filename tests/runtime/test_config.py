@@ -24,7 +24,6 @@ class TestValidation:
         ("starvation_aging", -0.1),
         ("backend", "threads"),
         ("mp_cost_mode", "burn"),
-        ("mp_ingest_mode", "client"),
         ("mp_poll_interval", 0.0),
         ("mp_poll_interval", -0.01),
         ("mp_loss_rate", 1.0),
@@ -37,21 +36,16 @@ class TestValidation:
     def test_mp_knob_defaults(self):
         config = EngineConfig()
         assert config.mp_cost_mode == "sleep"
-        assert config.mp_ingest_mode == "worker"
         assert config.mp_poll_interval > 0
 
 
 class TestContextsEnabled:
-    def test_cameo_defaults_on(self):
+    def test_cameo_on(self):
         assert EngineConfig(scheduler="cameo").contexts_enabled
 
-    def test_baselines_default_off(self):
+    def test_baselines_off(self):
         assert not EngineConfig(scheduler="fifo").contexts_enabled
         assert not EngineConfig(scheduler="orleans").contexts_enabled
-
-    def test_explicit_override(self):
-        assert EngineConfig(scheduler="fifo", generate_contexts=True).contexts_enabled
-        assert not EngineConfig(scheduler="cameo", generate_contexts=False).contexts_enabled
 
 
 def test_total_workers():

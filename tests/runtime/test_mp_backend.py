@@ -9,7 +9,8 @@ backend exactly, for every scheduler.
 Reliability: with receiver-side loss injected over the real pipes, the
 go-back-N layer must retransmit until every message is admitted exactly
 once, in order (FIFO audit stays zero) — same aggregates as the loss-free
-sim run.
+sim run.  The audit itself is shown to be live: re-ordered admissions trip
+it.
 
 Fail-over: killing a worker process mid-run must be detected by heartbeat
 staleness, its operators reassigned to the survivor, the unacked ingest
@@ -25,6 +26,8 @@ from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine, make_engine
 from repro.runtime.mp.engine import MpStreamEngine
+from repro.runtime.mp.reliable import MpReliableDelivery
+from repro.runtime.mp.transport import ProcessTransport
 
 
 def _small_mix() -> TenantMix:
@@ -78,35 +81,22 @@ def _sim_aggregates(scheduler: str) -> dict:
 
 
 class TestSimParity:
-    """1-worker parity matrix: every (cost mode, ingest mode) combination
-    must reproduce the sim backend's completion aggregates exactly — how a
-    sampled cost is realized in wall time (sleep vs calibrated spin) and
-    who replays the trace (per-worker shard vs coordinator INGEST frames)
-    may change wall-clock timing, never the logical outcome."""
+    """1-worker parity matrix: either cost mode must reproduce the sim
+    backend's completion aggregates exactly — how a sampled cost is
+    realized in wall time (sleep vs calibrated spin) may change wall-clock
+    timing, never the logical outcome."""
 
     @pytest.mark.parametrize("scheduler", ("cameo", "orleans", "fifo"))
-    @pytest.mark.parametrize("cost_mode,ingest_mode", [
-        ("sleep", "worker"),
-        ("sleep", "coordinator"),
-        ("spin", "worker"),
-        ("spin", "coordinator"),
-    ])
-    def test_one_worker_matches_sim_aggregates(
-        self, scheduler, cost_mode, ingest_mode
-    ):
+    @pytest.mark.parametrize("cost_mode", ("sleep", "spin"))
+    def test_one_worker_matches_sim_aggregates(self, scheduler, cost_mode):
         mp = run_tenant_mix(
             scheduler, _small_mix(), duration=2.0, drain=1.0, nodes=1, seed=3,
-            config_overrides={
-                "backend": "mp",
-                "mp_cost_mode": cost_mode,
-                "mp_ingest_mode": ingest_mode,
-            },
+            config_overrides={"backend": "mp", "mp_cost_mode": cost_mode},
         )
         assert _aggregates(mp) == _sim_aggregates(scheduler)
         assert mp.info["fifo_violations"] == 0
         assert not mp.info["forced_stop"]
         assert mp.info["cost_mode"] == cost_mode
-        assert mp.info["ingest_mode"] == ingest_mode
         # real execution produced real latencies
         for name in mp.metrics.job_names:
             assert all(lat > 0 for lat in mp.metrics.job(name).latencies)
@@ -126,6 +116,35 @@ class TestLossyChannels:
         assert not mp.info["forced_stop"]
         # loss is fully masked: same completion aggregates as the clean sim
         assert _aggregates(mp) == _aggregates(sim)
+
+
+class TestFifoAudit:
+    def test_reordered_admission_trips_the_audit(self, monkeypatch):
+        """``info["fifo_violations"]`` is a live check, not a constant.
+        Reading every ``DATA`` frame back to front alone changes nothing:
+        the receiver half buffers the early arrivals and admits the batch
+        in sequence order.  A reliable layer that then hands that batch to
+        the transport back to front (the forked workers inherit both
+        patches) is caught by the admission audit and reported."""
+        on_entries = ProcessTransport.on_entries
+        on_data = MpReliableDelivery.on_data
+        monkeypatch.setattr(
+            ProcessTransport, "on_entries",
+            lambda self, entries: on_entries(self, entries[::-1]),
+        )
+        config = {"backend": "mp", "mp_realtime": False, "mp_cost_mode": "none"}
+        mp = run_tenant_mix("cameo", _small_mix(), duration=2.0, drain=1.0,
+                            nodes=2, seed=3, config_overrides=config)
+        assert not mp.info["forced_stop"]
+        assert mp.info["fifo_violations"] == 0
+        monkeypatch.setattr(
+            MpReliableDelivery, "on_data",
+            lambda self, msg: list(on_data(self, msg))[::-1],
+        )
+        mp = run_tenant_mix("cameo", _small_mix(), duration=2.0, drain=1.0,
+                            nodes=2, seed=3, config_overrides=config)
+        assert not mp.info["forced_stop"]
+        assert mp.info["fifo_violations"] > 0
 
 
 class TestFailOver:
@@ -167,8 +186,8 @@ class TestFailOver:
         With ``mp_realtime=False`` each worker floods its fork-inherited
         trace shard as fast as it can absorb it, so when node 1 dies a
         large swath of its shard is already in flight — admitted but not
-        yet covered by a heartbeat watermark.  The coordinator (which in
-        worker-ingest mode holds the full ledger purely for this moment)
+        yet covered by a heartbeat watermark.  The coordinator (which
+        holds the full ledger purely for this moment)
         must splice every moved source's un-acked ledger remainder into
         the feed queue and stream it to the survivor.  Delivery is
         at-least-once: entries the dead worker admitted but never
@@ -195,7 +214,6 @@ class TestFailOver:
         assert node_id == 1
         assert detect_time > crash_time
         assert engine.info["survivors"] == [0]
-        assert engine.info["ingest_mode"] == "worker"
         assert not engine.info["forced_stop"]
         assert engine.info["fifo_violations"] == 0
         # the survivor kept executing replayed ingest after the rewire

@@ -1,10 +1,9 @@
 """Unit tests for the mp backend's wire layer.
 
 Frames round-trip over a *real* multiprocessing pipe (the exact transport
-the workers use), and the wall-clock reliable-delivery state machine is
-driven directly with a fake clock: sequence assignment, cumulative acks,
-go-back-N on timeout with capped backoff, out-of-order buffering,
-duplicate suppression, and channel reset after fail-over.
+the workers use), and the wall-clock driver of the channel protocol is
+driven directly with a fake clock: per-channel keying, deadline polling,
+ack coalescing, loss injection, and channel reset after fail-over.
 """
 
 from __future__ import annotations
@@ -208,118 +207,79 @@ def channel():
     return clock, metrics, reliable
 
 
-class TestReliableSender:
+class TestMpDriver:
+    """What is wall-clock in :class:`MpReliableDelivery`: channel keying,
+    deadline polling, ack coalescing, loss injection and the fail-over
+    re-keying.  The protocol state machine it drives is tested in
+    ``test_delivery.py``."""
+
     def test_sequences_are_per_channel(self, channel):
         _, _, reliable = channel
         assert reliable.send(_message("a", "b")).seq == 0
         assert reliable.send(_message("a", "b")).seq == 1
         assert reliable.send(_message("a", "c")).seq == 0
 
-    def test_cumulative_ack_releases_prefix(self, channel):
-        _, _, reliable = channel
-        for _ in range(4):
-            reliable.send(_message("a", "b"))
-        reliable.on_ack(("a", "b"), admitted=3, processed=1)
-        state = reliable._senders[("a", "b")]
-        assert sorted(state.unacked) == [2, 3]
-        assert state.processed_w == 1 and state.admitted_w == 3
-        # everything admitted: no retransmit armed
-        assert reliable.next_deadline() is None
-
-    def test_go_back_n_on_timeout_with_backoff(self, channel):
+    def test_timers_are_polled_per_channel(self, channel):
         clock, metrics, reliable = channel
-        for _ in range(3):
-            reliable.send(_message("a", "b"))
-        assert reliable.due_retransmits(0.05) == []  # not due yet
-        replays = reliable.due_retransmits(0.11)
-        assert [m.seq for m in replays] == [0, 1, 2]
-        assert metrics.retransmissions == 3
-        # RTO doubled: next replay due at 0.11 + 0.2
-        assert reliable.due_retransmits(0.25) == []
-        assert [m.seq for m in reliable.due_retransmits(0.32)] == [0, 1, 2]
-        # backoff is capped
-        state = reliable._senders[("a", "b")]
-        for now in (1.0, 2.0, 3.0, 4.0):
-            reliable.due_retransmits(now)
-        assert state.rto == 0.8
-
-    def test_partial_ack_replays_only_unadmitted_suffix(self, channel):
-        _, _, reliable = channel
-        for _ in range(4):
-            reliable.send(_message("a", "b"))
-        reliable.on_ack(("a", "b"), admitted=1, processed=1)
-        replays = reliable.due_retransmits(0.5)
-        assert [m.seq for m in replays] == [2, 3]
-
-    def test_progress_resets_backoff(self, channel):
-        _, _, reliable = channel
-        for _ in range(2):
-            reliable.send(_message("a", "b"))
-        reliable.due_retransmits(0.2)   # rto -> 0.2
-        reliable.due_retransmits(0.5)   # rto -> 0.4
+        reliable.send(_message("a", "b"))
+        clock.now = 0.04
+        reliable.send(_message("a", "c"))
+        assert reliable.next_deadline() == 0.1  # the earliest armed channel
+        assert reliable.due_retransmits(0.05) == []  # nothing due yet
+        replays = reliable.due_retransmits(0.11)  # only a->b is due
+        assert [(m.target, m.seq) for m in replays] == [("b", 0)]
+        assert metrics.retransmissions == 1
+        # a->b backed off to 0.11 + 0.2; a->c still waits for 0.04 + 0.1
+        assert reliable.next_deadline() == pytest.approx(0.14)
+        clock.now = 0.12
         reliable.on_ack(("a", "b"), admitted=0, processed=0)
-        assert reliable._senders[("a", "b")].rto == 0.1
+        reliable.on_ack(("a", "c"), admitted=0, processed=0)
+        assert reliable.next_deadline() is None  # everything admitted
+        assert reliable.due_retransmits(5.0) == []
+
+    def test_acks_are_coalesced_per_channel_between_drains(self, channel):
+        _, metrics, reliable = channel
+        for seq in range(3):
+            assert [m.seq for m in reliable.on_data(_message("a", "b", seq=seq))] == [seq]
+        reliable.on_processed(_message("a", "b", seq=0))
+        reliable.on_processed(_message("a", "b", seq=1))
+        assert reliable.drain_acks() == [(("a", "b"), 2, 1)]  # one, the latest
+        assert reliable.drain_acks() == []  # nothing new
+        # a duplicate of processed work re-dirties the channel so the
+        # sender's view is refreshed
+        assert list(reliable.on_data(_message("a", "b", seq=0))) == []
+        assert metrics.duplicates_dropped == 1
+        assert reliable.drain_acks() == [(("a", "b"), 2, 1)]
 
     def test_reset_sender_returns_unprocessed_suffix(self, channel):
         _, _, reliable = channel
         for _ in range(5):
             reliable.send(_message("a", "b"))
         reliable.on_ack(("a", "b"), admitted=4, processed=2)
+        assert reliable.next_deadline() is None
         base_seq, replays = reliable.reset_sender(("a", "b"))
         assert base_seq == 3
         assert [m.seq for m in replays] == [3, 4]
+        assert reliable.next_deadline() is not None  # replaying again
+        assert reliable.reset_sender(("a", "z")) is None
         assert reliable.sender_channels_to({"b"}) == [("a", "b")]
         reliable.forget_sender(("a", "b"))
         assert reliable.sender_channels_to({"b"}) == []
 
-
-class TestReliableReceiver:
-    def test_in_order_admission_and_acks(self, channel):
+    def test_install_reset_moves_admission_base_and_acks(self, channel):
         _, _, reliable = channel
-        assert [m.seq for m in reliable.on_data(_message("a", "b", seq=0))] == [0]
-        assert [m.seq for m in reliable.on_data(_message("a", "b", seq=1))] == [1]
-        reliable.on_processed(_message("a", "b", seq=0))
-        acks = reliable.drain_acks()
-        assert acks == [(("a", "b"), 1, 0)]
-        assert reliable.drain_acks() == []  # coalesced: nothing new
-
-    def test_out_of_order_buffered_until_gap_fills(self, channel):
-        _, _, reliable = channel
-        assert reliable.on_data(_message("a", "b", seq=2)) == []
-        assert reliable.on_data(_message("a", "b", seq=1)) == []
-        admitted = reliable.on_data(_message("a", "b", seq=0))
-        assert [m.seq for m in admitted] == [0, 1, 2]
-
-    def test_duplicates_dropped_and_reacked(self, channel):
-        _, metrics, reliable = channel
         reliable.on_data(_message("a", "b", seq=0))
-        reliable.on_processed(_message("a", "b", seq=0))
         reliable.drain_acks()
-        assert reliable.on_data(_message("a", "b", seq=0)) == []
-        assert metrics.duplicates_dropped == 1
-        # the duplicate re-dirties the channel so the ack is refreshed
-        assert reliable.drain_acks() == [(("a", "b"), 0, 0)]
-
-    def test_out_of_order_processing_watermark(self, channel):
-        _, _, reliable = channel
-        for seq in range(3):
-            reliable.on_data(_message("a", "b", seq=seq))
-        reliable.on_processed(_message("a", "b", seq=2))
-        reliable.on_processed(_message("a", "b", seq=0))
-        reliable.on_processed(_message("a", "b", seq=1))
-        assert reliable.drain_acks() == [(("a", "b"), 2, 2)]
-
-    def test_install_reset_moves_admission_base(self, channel):
-        _, _, reliable = channel
-        reliable.on_data(_message("a", "b", seq=0))
         reliable.install_reset(("a", "b"), base_seq=5)
-        assert reliable.on_data(_message("a", "b", seq=4)) == []  # below base
+        assert reliable.drain_acks() == [(("a", "b"), 4, 4)]
+        assert list(reliable.on_data(_message("a", "b", seq=4))) == []  # below base
         assert [m.seq for m in reliable.on_data(_message("a", "b", seq=5))] == [5]
 
     def test_drop_receivers_from_forgets_sender_side_state(self, channel):
         _, _, reliable = channel
         reliable.on_data(_message("a", "b", seq=0))
         reliable.drop_receivers_from({"a"})
+        assert reliable.drain_acks() == []  # no one left to ack
         # the reborn sender restarts its sequence space from zero
         assert [m.seq for m in reliable.on_data(_message("a", "b", seq=0))] == [0]
 
@@ -335,13 +295,25 @@ class TestReliableReceiver:
             clock, rto=0.1, rto_cap=0.8, metrics=metrics,
             loss_rate=0.5, loss_rng=_AlwaysLose(),
         )
-        assert reliable.on_data(_message("a", "b", seq=0)) == []
+        assert list(reliable.on_data(_message("a", "b", seq=0))) == []
         assert metrics.messages_lost_network == 1
+        assert reliable.drain_acks() == []  # the receiver half never saw it
 
     def test_idle_accounting(self, channel):
         _, _, reliable = channel
         assert reliable.idle()
         reliable.send(_message("a", "b"))
-        assert not reliable.idle()
+        assert not reliable.idle() and reliable.outstanding_total() == 1
         reliable.on_ack(("a", "b"), admitted=0, processed=0)
+        assert reliable.idle() and reliable.outstanding_total() == 0
+        reliable.on_data(_message("a", "b", seq=1))  # buffered behind a gap
+        assert not reliable.idle()
+        reliable.on_data(_message("a", "b", seq=0))
+        assert not reliable.idle()  # an ack is pending
+        reliable.drain_acks()
         assert reliable.idle()
+
+    def test_rejects_bad_rto(self):
+        with pytest.raises(ValueError):
+            MpReliableDelivery(_FakeClock(), rto=0.5, rto_cap=0.1,
+                               metrics=MetricsHub())

@@ -2,9 +2,10 @@
 crash fail-over, deadline shedding and exception injection.
 
 The channel-layer property test drives :class:`ReliableDelivery` directly
-over a lossy link (no engine) and asserts the §4.3 per-channel FIFO
-guarantee survives arbitrary loss and retransmission; the rest exercise
-the full engine under small fault schedules.
+over a link whose losses the fault injector draws (no engine) and asserts
+the §4.3 per-channel FIFO guarantee survives them; the protocol state
+machine itself is tested in ``test_delivery.py``.  The rest exercise the
+full engine under small fault schedules.
 """
 
 from __future__ import annotations
