@@ -142,16 +142,25 @@ class EventBatch:
         batch.times_sorted = times_sorted
         return batch
 
-    def select(self, mask: np.ndarray) -> "EventBatch":
-        """A new batch with only rows where ``mask`` is True."""
+    def select(self, rows: np.ndarray) -> "EventBatch":
+        """A new batch (owning its arrays) of the rows a boolean mask marks
+        True, or of the rows an integer index array names, in its order —
+        an increasing index keeps ``times_sorted`` truthful."""
         return EventBatch._raw(
-            self.logical_times[mask],
-            self.values[mask],
-            self.keys[mask],
+            self.logical_times[rows],
+            self.values[rows],
+            self.keys[rows],
             arrival_time=self.arrival_time,
             source_id=self.source_id,
             times_sorted=self.times_sorted,
         )
+
+    def partition(self, parallelism: int) -> list["EventBatch"]:
+        """Split for a key-partitioned hand-off: part ``j`` holds the rows
+        with ``key % parallelism == j`` (the rule state is split by on
+        rescale) in input order — one modulo, one index gather per part."""
+        part = self.keys % parallelism
+        return [self.select((part == j).nonzero()[0]) for j in range(parallelism)]
 
     @staticmethod
     def from_events(events: Sequence[Event], arrival_time: float = 0.0, source_id: int = 0) -> "EventBatch":

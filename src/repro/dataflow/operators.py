@@ -44,6 +44,17 @@ AGGREGATES = ("sum", "count", "mean", "max", "min")
 WINDOW_RESULT_EPS = 1e-9
 
 
+def _dense_keys(keys: np.ndarray) -> bool:
+    """Whether all keys lie in ``[0, 2**20)``, where ``np.bincount`` groups
+    them — one reduction: viewed unsigned, negative int64 keys exceed it."""
+    return int(keys.view(np.uint64).max()) < 1 << 20
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a sorted array."""
+    return np.concatenate(([0], (ordered[1:] != ordered[:-1]).nonzero()[0] + 1))
+
+
 @dataclass
 class Emission:
     """One output of an operator invocation.
@@ -205,12 +216,15 @@ class MapOperator(Operator):
             if msg.batch is None:
                 return []
             return [Emission(msg.batch, self._safe_progress(msg), msg.t)]
-        out = EventBatch(
-            msg.batch.logical_times,
-            np.asarray(self._fn(msg.batch.values), dtype=np.float64),
-            msg.batch.keys,
-            arrival_time=msg.batch.arrival_time,
-            source_id=msg.batch.source_id,
+        batch = msg.batch
+        values = np.asarray(self._fn(batch.values), dtype=np.float64)
+        if values.shape != batch.values.shape:
+            raise ValueError("map function must return one value per event")
+        # times and keys pass through untouched, so does the sortedness hint
+        out = EventBatch._raw(
+            batch.logical_times, values, batch.keys,
+            arrival_time=batch.arrival_time, source_id=batch.source_id,
+            times_sorted=batch.times_sorted,
         )
         self.triggers += 1
         return [Emission(out, self._safe_progress(msg), msg.t)]
@@ -342,53 +356,44 @@ class WindowedAggregateOperator(Operator):
     ) -> None:
         state = self._windows.get(window_end)
         if state is None:
-            state = _WindowState()
-            self._windows[window_end] = state
+            state = self._windows[window_end] = _WindowState()
         need_minmax = self.agg in ("max", "min")
-        if keys.size and keys.min() >= 0 and keys.max() < 1 << 20:
-            counts = np.bincount(keys)
-            sums = np.bincount(keys, weights=values)
-            present = np.flatnonzero(counts)
+        if _dense_keys(keys):
+            per_key = np.bincount(keys)
+            groups = per_key.nonzero()[0]
+            counts = per_key[groups]
+            sums = np.bincount(keys, weights=values)[groups]
             if need_minmax:
-                maxs = np.full(len(counts), -np.inf)
-                mins = np.full(len(counts), np.inf)
+                maxs = np.full(len(per_key), -np.inf)
+                mins = np.full_like(maxs, np.inf)
                 np.maximum.at(maxs, keys, values)
                 np.minimum.at(mins, keys, values)
-                maxs_l, mins_l = maxs.tolist(), mins.tolist()
-            accumulators = state.accumulators
-            counts_l, sums_l = counts.tolist(), sums.tolist()
-            for key in present.tolist():
-                accumulator = accumulators.get(key)
-                if accumulator is None:
-                    accumulator = _Accumulator()
-                    accumulators[key] = accumulator
-                accumulator.sum += sums_l[key]
-                accumulator.count += counts_l[key]
-                if need_minmax:
-                    accumulator.max = max(accumulator.max, maxs_l[key])
-                    accumulator.min = min(accumulator.min, mins_l[key])
+                maxs, mins = maxs[groups], mins[groups]
         else:
             # arbitrary (large / negative) keys: sort-based grouping
             order = np.argsort(keys, kind="stable")
             k_sorted, v_sorted = keys[order], values[order]
-            boundary = np.empty(len(k_sorted), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = k_sorted[1:] != k_sorted[:-1]
-            starts = np.flatnonzero(boundary)
+            starts = _run_starts(k_sorted)
+            groups = k_sorted[starts]
+            counts = np.diff(starts, append=len(keys))
             sums = np.add.reduceat(v_sorted, starts)
-            maxs = np.maximum.reduceat(v_sorted, starts)
-            mins = np.minimum.reduceat(v_sorted, starts)
-            counts = np.diff(np.append(starts, len(v_sorted)))
-            for i, start in enumerate(starts):
-                accumulator = state.accumulators.get(int(k_sorted[start]))
-                if accumulator is None:
-                    accumulator = _Accumulator()
-                    state.accumulators[int(k_sorted[start])] = accumulator
-                accumulator.sum += float(sums[i])
-                accumulator.count += int(counts[i])
-                accumulator.max = max(accumulator.max, float(maxs[i]))
-                accumulator.min = min(accumulator.min, float(mins[i]))
-        state.tuple_count += int(keys.size)
+            if need_minmax:
+                maxs = np.maximum.reduceat(v_sorted, starts)
+                mins = np.minimum.reduceat(v_sorted, starts)
+        accumulators = state.accumulators
+        groups = groups.tolist()
+        for key, count, total in zip(groups, counts.tolist(), sums.tolist()):
+            accumulator = accumulators.get(key)
+            if accumulator is None:
+                accumulator = accumulators[key] = _Accumulator()
+            accumulator.sum += total
+            accumulator.count += count
+        if need_minmax:
+            for key, high, low in zip(groups, maxs.tolist(), mins.tolist()):
+                accumulator = accumulators[key]
+                accumulator.max = max(accumulator.max, high)
+                accumulator.min = min(accumulator.min, low)
+        state.tuple_count += len(keys)
         if arrival > state.max_arrival:
             state.max_arrival = arrival
 
@@ -465,30 +470,48 @@ class WindowedJoinOperator(Operator):
         return self._emit_complete_windows()
 
     def _absorb(self, batch: EventBatch, side: int) -> None:
+        """Per window replica: cut the on-time rows into one contiguous run
+        per window end, then count each run's int64 keys into its table."""
         p = batch.logical_times
         slide, size = self.window.slide, self.window.size
         first_end = (np.floor(p / slide) + 1.0) * slide
         for k in range(self.window.window_count_containing()):
-            ends = first_end + k * slide
+            ends, keys = first_end + k * slide, batch.keys
             in_window = p >= ends - size
-            live = ends > self._emitted_through
-            mask = in_window & live
-            self.late_tuples += int((in_window & ~live).sum())
-            if not mask.any():
+            mask = in_window & (ends > self._emitted_through)
+            kept = np.count_nonzero(mask)
+            self.late_tuples += np.count_nonzero(in_window) - kept
+            if kept == 0:
                 continue
-            # grouped per-(end, key) counts via one pass over unique pairs
-            pairs = np.stack([ends[mask], batch.keys[mask].astype(np.float64)], axis=1)
-            unique_pairs, counts = np.unique(pairs, axis=0, return_counts=True)
-            for (window_end, key), count in zip(unique_pairs, counts):
-                state = self._windows.get(float(window_end))
-                if state is None:
-                    state = _JoinWindowState()
-                    self._windows[float(window_end)] = state
-                table = state.left if side == 0 else state.right
-                key = int(key)
-                table[key] = table.get(key, 0) + int(count)
-                if batch.arrival_time > state.max_arrival:
-                    state.max_arrival = batch.arrival_time
+            if kept < len(p):
+                ends, keys = ends[mask], keys[mask]
+            if not batch.times_sorted:
+                order = np.argsort(ends, kind="stable")
+                ends, keys = ends[order], keys[order]
+            # ends are non-decreasing now: a window is a run of equal ends
+            starts = _run_starts(ends).tolist()
+            for lo, hi in zip(starts, starts[1:] + [kept]):
+                self._count_keys(
+                    float(ends[lo]), keys[lo:hi], side, batch.arrival_time
+                )
+
+    def _count_keys(
+        self, window_end: float, keys: np.ndarray, side: int, arrival: float
+    ) -> None:
+        state = self._windows.get(window_end)
+        if state is None:
+            state = self._windows[window_end] = _JoinWindowState()
+        table = state.left if side == 0 else state.right
+        if _dense_keys(keys):
+            per_key = np.bincount(keys)
+            groups = per_key.nonzero()[0]
+            counts = per_key[groups]
+        else:
+            groups, counts = np.unique(keys, return_counts=True)
+        for key, count in zip(groups.tolist(), counts.tolist()):
+            table[key] = table.get(key, 0) + count
+        if arrival > state.max_arrival:
+            state.max_arrival = arrival
 
     def _emit_complete_windows(self) -> list[Emission]:
         if self.progress is None:

@@ -219,22 +219,9 @@ class ProcessTransport:
     def route_emissions(self, src_rt: OperatorRuntime, trigger: Message,
                         emissions: list[Emission]) -> None:
         for route in src_rt.routes:
-            links = route.links
-            if route.active != len(links):
-                # stage rescale: only the leading ``active`` instances
-                # receive data; keys repartition modulo the active count
-                links = links[: route.active]
-            if route.key_partitioned and len(links) > 1:
-                parallelism = len(links)
-                for emission in emissions:
-                    partition = emission.batch.keys % parallelism
-                    for j, link in enumerate(links):
-                        sub = emission.batch.select(partition == j)
-                        self._send(src_rt, link, sub, emission, trigger)
-            else:
-                for emission in emissions:
-                    for link in links:
-                        self._send(src_rt, link, emission.batch, emission, trigger)
+            for emission in emissions:
+                for link, part in route.fan_out(emission.batch):
+                    self._send(src_rt, link, part, emission, trigger)
 
     def _send(self, src_rt: OperatorRuntime, link: tuple, batch: EventBatch,
               emission: Emission, trigger: Message) -> None:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import repeat
+from typing import Any, Iterable, Optional
 
 from repro.core.converter import ContextConverter
 from repro.core.progress_map import make_progress_map
 from repro.core.scheduler import Mailbox
+from repro.dataflow.events import EventBatch
 from repro.dataflow.graph import StageSpec
 from repro.dataflow.jobs import JobSpec
 from repro.dataflow.operators import (
@@ -47,9 +49,9 @@ class Route:
 
     ``active`` is the number of leading targets currently receiving data.
     It equals ``len(targets)`` at construction and only diverges when the
-    lifecycle controller rescales the destination stage: the transport
-    partitions keys modulo ``active`` instead of the built parallelism, so
-    a stage can shrink or grow back without rewiring any channels."""
+    lifecycle controller rescales the destination stage: keys partition
+    modulo ``active`` instead of the built parallelism, so a stage can
+    shrink or grow back without rewiring any channels."""
 
     dst_stage: StageSpec
     targets: list["OperatorRuntime"]
@@ -60,6 +62,17 @@ class Route:
     def __post_init__(self) -> None:
         if self.active < 0:
             self.active = len(self.targets)
+
+    def fan_out(self, batch: EventBatch) -> Iterable[tuple[tuple, EventBatch]]:
+        """``(link, sub-batch)`` per instance currently receiving data:
+        instance ``j``'s share of the keys on a key-partitioned edge, the
+        whole batch otherwise."""
+        links = self.links
+        if self.active != len(links):
+            links = links[: self.active]
+        if self.key_partitioned and len(links) > 1:
+            return zip(links, batch.partition(len(links)))
+        return zip(links, repeat(batch))
 
 
 class OperatorRuntime:

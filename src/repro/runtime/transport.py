@@ -243,37 +243,9 @@ class Transport:
         worker: Worker,
     ) -> None:
         for route in src_rt.routes:
-            links = route.links
-            if route.active != len(links):
-                # stage rescale: only the leading ``active`` instances
-                # receive data; keys repartition modulo the active count
-                links = links[: route.active]
-            if route.key_partitioned and len(links) > 1:
-                parallelism = len(links)
-                if parallelism == 2:
-                    for emission in emissions:
-                        batch = emission.batch
-                        mask = batch.keys % 2 == 0
-                        self._send(
-                            src_rt, links[0], batch.select(mask),
-                            emission, trigger, worker,
-                        )
-                        self._send(
-                            src_rt, links[1], batch.select(~mask),
-                            emission, trigger, worker,
-                        )
-                    continue
-                for emission in emissions:
-                    partition = emission.batch.keys % parallelism
-                    for j, link in enumerate(links):
-                        sub = emission.batch.select(partition == j)
-                        self._send(src_rt, link, sub, emission, trigger, worker)
-            else:
-                for emission in emissions:
-                    for link in links:
-                        self._send(
-                            src_rt, link, emission.batch, emission, trigger, worker
-                        )
+            for emission in emissions:
+                for link, part in route.fan_out(emission.batch):
+                    self._send(src_rt, link, part, emission, trigger, worker)
 
     def _send(
         self,

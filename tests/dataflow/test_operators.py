@@ -18,6 +18,7 @@ from repro.dataflow.operators import (
     WindowedJoinOperator,
 )
 from repro.dataflow.windows import WindowSpec
+from repro.state.store import _Accumulator
 
 ADDR = OpAddress("job", "stage", 0)
 
@@ -85,6 +86,24 @@ class TestMapFilter:
         assert len(out) == 1
         assert len(out[0].batch) == 0
         assert out[0].progress == 9.0
+
+    def test_map_keeps_the_sortedness_hint(self):
+        op = wired(MapOperator(ADDR, lambda v: v * 2))
+        for hint in (True, False):
+            batch = EventBatch([1.0, 2.0], values=[3.0, 4.0], keys=[5, 6],
+                               arrival_time=7.0, source_id=3, times_sorted=hint)
+            out = op.on_message(msg(batch), now=0.0)[0].batch
+            assert out.times_sorted is hint
+            # times and keys are passed through, not copied or re-validated
+            assert out.logical_times is batch.logical_times
+            assert out.keys is batch.keys
+            assert list(out.values) == [6.0, 8.0]
+            assert (out.arrival_time, out.source_id) == (7.0, 3)
+
+    def test_map_rejects_a_function_that_changes_the_row_count(self):
+        op = wired(MapOperator(ADDR, lambda v: v[:1]))
+        with pytest.raises(ValueError):
+            op.on_message(msg(EventBatch([1.0, 2.0])), now=0.0)
 
     def test_filter_keeps_matching_rows(self):
         op = wired(FilterOperator(ADDR, lambda v: v > 1.5))
@@ -212,6 +231,38 @@ class TestWindowedAggregate:
         for pair in got:
             assert got[pair] == pytest.approx(expected[pair])
 
+    @pytest.mark.parametrize("agg", ["sum", "count", "mean", "max", "min"])
+    @pytest.mark.parametrize("branch", ["bincount", "sort"])
+    def test_update_window_matches_accumulator_loop(self, agg, branch):
+        """The vectorised per-window fold against one ``_Accumulator.add``
+        per event, over two calls into the same window."""
+        rng = np.random.default_rng(1)
+        op = self.make(agg=agg)
+        reference = {}
+        for call in range(2):
+            n = 3000
+            keys = rng.integers(0, 40, n)
+            if branch == "sort":
+                keys = keys * (2**40 + 1) - 2**44  # negative and > 2**20
+            values = rng.normal(size=n)
+            op._update_window(10.0, keys, values, arrival=float(call))
+            for key, value in zip(keys.tolist(), values.tolist()):
+                reference.setdefault(key, _Accumulator()).add(value)
+        state = op._windows[10.0]
+        assert state.tuple_count == 6000
+        assert state.max_arrival == 1.0
+        assert sorted(state.accumulators) == sorted(reference)
+        for key, expected in reference.items():
+            accumulator = state.accumulators[key]
+            assert accumulator.count == expected.count
+            # a per-batch partial sum is added to the running one, so sums
+            # agree with the per-event loop up to rounding; the rest exactly
+            assert accumulator.sum == pytest.approx(expected.sum)
+            if agg in ("sum", "mean"):
+                assert accumulator.result(agg) == pytest.approx(expected.result(agg))
+            else:
+                assert accumulator.result(agg) == expected.result(agg)
+
 
 class TestWindowedJoin:
     def make(self):
@@ -241,6 +292,21 @@ class TestWindowedJoin:
         assert len(out[0].batch) == 0
         assert out[0].progress == 10.0
 
+    def test_adjacent_keys_above_2_53_stay_distinct(self):
+        """Keys are folded as int64: a float64 detour would merge 2**53
+        and 2**53 + 1 into one bucket (any hash-valued key is this big)."""
+        low, high = 2**53, 2**53 + 1
+        op = self.make()
+        op.on_message(msg(EventBatch([1.0, 2.0, 3.0], keys=[low, high, high]),
+                          p=3.0, channel=0), now=0.0)
+        op.on_message(msg(EventBatch([4.0, 5.0, 6.0], keys=[high, low, low]),
+                          p=6.0, channel=1), now=0.0)
+        op.on_message(msg(EventBatch([11.0], keys=[0]), p=11.0, channel=0), now=0.0)
+        out = op.on_message(msg(EventBatch([11.0], keys=[0]), p=11.0, channel=1), now=0.0)
+        assert len(out) == 1
+        assert out[0].batch.keys.tolist() == [low, high]
+        assert out[0].batch.values.tolist() == [2.0, 2.0]  # 1x2 and 2x1
+
     def test_requires_channel_sides(self):
         op = WindowedJoinOperator(ADDR, WindowSpec.tumbling(10.0))
         op.wire_inputs(2)
@@ -251,6 +317,95 @@ class TestWindowedJoin:
         op = WindowedJoinOperator(ADDR, WindowSpec.tumbling(10.0))
         with pytest.raises(ValueError):
             op.set_channel_sides([0, 2])
+
+
+class _JoinReference:
+    """Per-event dict model of the windowed join: what ``_absorb`` and the
+    emission must equal, one event and one window at a time."""
+
+    def __init__(self, window):
+        self.window = window
+        self.windows = {}  # end -> [left counts, right counts, max arrival]
+        self.emitted_through = float("-inf")
+        self.late_tuples = 0
+        self.progress = [float("-inf"), float("-inf")]
+
+    def on_message(self, times, keys, side, p, arrival):
+        slide, size = self.window.slide, self.window.size
+        for time, key in zip(times, keys):
+            end = (np.floor(time / slide) + 1.0) * slide
+            for _ in range(self.window.window_count_containing()):
+                if time >= end - size:
+                    if end > self.emitted_through:
+                        state = self.windows.setdefault(end, [{}, {}, float("-inf")])
+                        state[side][key] = state[side].get(key, 0) + 1
+                        state[2] = max(state[2], arrival)
+                    else:
+                        self.late_tuples += 1
+                end += slide
+        self.progress[side] = max(self.progress[side], p)
+        emitted = []
+        for end in sorted(e for e in self.windows if e <= min(self.progress)):
+            left, right, arrival = self.windows.pop(end)
+            matched = sorted(set(left) & set(right))
+            emitted.append((end, arrival, matched,
+                            [float(left[k] * right[k]) for k in matched]))
+            self.emitted_through = max(self.emitted_through, end)
+        return emitted
+
+
+_join_keys = st.one_of(
+    st.integers(0, 6), st.integers(-3, 3), st.integers(2**20, 2**20 + 3),
+    st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1]),
+)
+_join_message = st.tuples(
+    st.lists(st.tuples(st.integers(0, 240), _join_keys), min_size=0, max_size=25),
+    st.integers(0, 1),  # side
+    st.booleans(),      # sorted times (with the hint) or shuffled
+)
+
+
+@given(
+    messages=st.lists(_join_message, min_size=1, max_size=12),
+    slide=st.sampled_from([2.0, 5.0]),
+    mult=st.integers(min_value=1, max_value=3),
+    shuffle_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_join_fold_matches_per_event_reference(messages, slide, mult, shuffle_seed):
+    """The window-sliced join fold against a per-event dict model: sorted
+    and unsorted batches, tumbling and sliding windows, both sides, late
+    tuples after an emission, small / negative / huge keys."""
+    window = WindowSpec(size=slide * mult, slide=slide)
+    op = WindowedJoinOperator(ADDR, window)
+    op.wire_inputs(2)
+    op.set_channel_sides([0, 1])
+    reference = _JoinReference(window)
+    rng = np.random.default_rng(shuffle_seed)
+    progress = [0.0, 0.0]
+    for arrival, (events, side, in_order) in enumerate(messages):
+        # quarter-second logical times; progress only moves forward, so an
+        # event behind an emitted window is a late tuple
+        times = np.array([quarter / 4.0 for quarter, _ in events])
+        keys = np.array([key for _, key in events], dtype=np.int64)
+        order = np.argsort(times, kind="stable") if in_order else rng.permutation(len(times))
+        times, keys = times[order], keys[order]
+        progress[side] = max([progress[side], *times.tolist()])
+        batch = EventBatch(times, None, keys, arrival_time=float(arrival),
+                           times_sorted=in_order)
+        out = op.on_message(
+            msg(batch, p=progress[side], t=float(arrival), channel=side), now=0.0)
+        expected = reference.on_message(
+            times.tolist(), keys.tolist(), side, progress[side], float(arrival))
+        assert [
+            (e.progress, e.arrival, e.batch.keys.tolist(), e.batch.values.tolist())
+            for e in out
+        ] == expected
+        assert op.late_tuples == reference.late_tuples
+        assert {
+            end: [state.left, state.right, state.max_arrival]
+            for end, state in op._windows.items()
+        } == reference.windows
 
 
 class TestSink:
