@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli fig08a --out results/
     python -m repro.cli fig08a --backend mp --duration 5
     python -m repro.cli all
-    python -m repro.cli bench --label pr2 --compare BENCH_seed.json
     python -m repro.cli topology --ls 2 --ba 1 --nodes 2
     python -m repro.cli faults --scheduler cameo --shed
     python -m repro.cli faults --scenario ext_partition --describe
@@ -16,31 +15,34 @@ Usage::
     python -m repro.cli checkpoint --interval 0.5
 
 Each figure runs with its benchmark defaults and prints the same table the
-corresponding ``benchmarks/test_figNN_*.py`` archives.  ``bench`` runs the
-hot-path benchmark-regression harness (see :mod:`repro.bench`).
-``topology`` builds an engine for a tenant mix and dumps the wiring plan
-(operators, placements, channels, reply routes) as JSON.  ``faults`` drives
-a mix through the canonical crash+loss schedule (see
-:mod:`repro.sim.faults`) and dumps the fault/recovery counters.
-``trace`` runs a scenario with the observability plane enabled and emits
-a Perfetto-loadable Chrome-trace JSON, a flat JSONL event log, and (with
-``--attribution``) the deadline-miss slack-thief tables (see
-:mod:`repro.obs` and ``docs/observability.md``).  ``state`` drives a
-healthy mix and dumps every operator's keyed-state footprint (windows,
-keys, approximate bytes) from the state layer.  ``checkpoint`` drives the
-canonical crash schedule with checkpointed state recovery on and dumps
-the checkpoint inventory plus the recovery counters.
+corresponding ``benchmarks/test_figNN_*.py`` archives.  The sub-commands
+(``topology``, ``faults``, ``state``, ``checkpoint``, ``trace``) build one
+tenant mix under a named scenario — healthy, or one of the fault schedules
+of :mod:`repro.sim.faults` — and print JSON; each one's ``--help`` says what
+it drives and dumps, ``docs/observability.md`` what ``trace`` writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import pathlib
 import sys
 import time
 
 from repro import experiments
+from repro.experiments.common import TenantMix, build_tenant_mix
+from repro.experiments.ext_checkpoint import CHECKPOINT_INTERVAL, make_crash_schedule
+from repro.experiments.ext_faults import make_fault_schedule
+from repro.experiments.ext_partition import make_partition_schedule
+from repro.metrics.export import result_to_json
+from repro.obs.attribution import attribute, render_attribution
+from repro.obs.export import jsonl_events, write_chrome_trace
+from repro.obs.schema import validate_chrome_trace
+from repro.runtime.invariants import check_single_instance
+from repro.runtime.placement import PLACEMENTS
+from repro.runtime.topology import _format_address
 
 RUNNERS = {
     "fig01": experiments.run_fig01,
@@ -69,301 +71,197 @@ RUNNERS = {
     "ext_partition": experiments.run_ext_partition,
 }
 
+#: topology/faults/state/checkpoint drive the job factories' own 8 sources
+#: per job (``TenantMix`` defaults to 4), BA at one message per 3 s
+WIDE_SOURCES = {"ls_sources": 8, "ba_sources": 8, "ba_msg_rate": 3.0}
 
-def topology_main(argv: list[str]) -> int:
-    """Build an engine for a tenant mix and dump its wiring plan as JSON."""
-    from repro.runtime.config import EngineConfig
-    from repro.runtime.engine import StreamEngine
-    from repro.runtime.placement import PLACEMENTS
-    from repro.workloads.tenants import (
-        make_bulk_analytics_job,
-        make_latency_sensitive_job,
-    )
 
-    parser = argparse.ArgumentParser(
-        prog="repro.cli topology",
-        description="Dump the wiring plan (operators, placements, channels, "
-                    "reply routes) the TopologyBuilder produces for a mix.",
-    )
-    parser.add_argument("--ls", type=int, default=2,
+def _parser(command, **defaults) -> argparse.ArgumentParser:
+    """The parser of sub-command ``<name>_main`` (its docstring is the help
+    text) over the options every tenant-mix command shares; ``defaults`` are
+    the command's own."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--ls", type=int, default=None,
                         help="latency-sensitive job count (default 2)")
-    parser.add_argument("--ba", type=int, default=1,
+    parent.add_argument("--ba", type=int, default=None,
                         help="bulk-analytics job count (default 1)")
-    parser.add_argument("--nodes", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=2,
+    parent.add_argument("--nodes", type=int, default=None,
+                        help="node count (default: 2, or what the scenario's "
+                             "fault schedule needs)")
+    parent.add_argument("--workers", type=int, default=2,
                         help="workers per node (default 2)")
-    parser.add_argument("--scheduler", default="cameo",
+    parent.add_argument("--scheduler", default="cameo",
                         choices=["cameo", "fifo", "orleans"])
-    parser.add_argument("--placement", default="round_robin",
-                        choices=list(PLACEMENTS))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON dump to FILE")
-    args = parser.parse_args(argv)
+    parent.add_argument("--duration", type=float,
+                        help="driven seconds (default %(default)s)")
+    parent.add_argument("--seed", type=int, help="(default %(default)s)")
+    parent.add_argument("--out", default=None, metavar="FILE",
+                        help="also write the JSON output to FILE")
+    parser = argparse.ArgumentParser(
+        prog=f"repro.cli {command.__name__.removesuffix('_main')}",
+        description=command.__doc__, parents=[parent])
+    parser.set_defaults(**defaults)
+    return parser
 
-    jobs = [make_latency_sensitive_job(f"ls{i}") for i in range(args.ls)]
-    jobs += [make_bulk_analytics_job(f"ba{i}") for i in range(args.ba)]
-    if not jobs:
+
+#: scenario -> (what it is, fault schedule factory, default node count,
+#: config overrides): the one definition every sub-command reads
+SCENARIOS = {
+    "mix": ("a healthy tenant mix", None, 2, {}),
+    "fig08a": ("the Fig. 8a multi-tenant operating point (4 LS + 4 BA jobs)",
+               None, 2, {}),
+    "ext_faults": ("the canonical crash+loss schedule", make_fault_schedule, 3, {}),
+    "ext_checkpoint": (
+        "the crash schedule with checkpointed state recovery on",
+        make_crash_schedule, 2,
+        {"state_recovery": "checkpoint", "checkpoint_interval": CHECKPOINT_INTERVAL}),
+    "ext_partition": (
+        "the two-cut partition schedule with quorum fail-over",
+        make_partition_schedule, 3,
+        {"state_recovery": "replay", "partition_failover": "quorum"}),
+}
+SCENARIO_HELP = "; ".join(f"{name} = {entry[0]}" for name, entry in SCENARIOS.items())
+
+
+def _scenario(name: str, duration: float) -> tuple:
+    """A named scenario's (fault schedule, default node count, config
+    overrides)."""
+    _, make_schedule, nodes, overrides = SCENARIOS[name]
+    return make_schedule(duration) if make_schedule else None, nodes, overrides
+
+
+def _build(parser, args, mix: dict, scenario: str = "mix", **overrides):
+    """The scenario's engine for a parsed command line: ``--ls`` + ``--ba``
+    jobs (default 2 + 1) of the ``mix`` fields placed, source drivers
+    installed, not yet run."""
+    mix = TenantMix(**{"ls_count": 2, "ba_count": 1, **mix})
+    if args.ls is not None:
+        mix.ls_count = args.ls
+    if args.ba is not None:
+        mix.ba_count = args.ba
+    if mix.ls_count + mix.ba_count < 1:
         parser.error("need at least one job (--ls/--ba)")
-    engine = StreamEngine(
-        EngineConfig(scheduler=args.scheduler, nodes=args.nodes,
-                     workers_per_node=args.workers,
-                     placement=args.placement, seed=args.seed),
-        jobs,
+    schedule, nodes, config = _scenario(scenario, args.duration)
+    nodes = nodes if args.nodes is None else args.nodes
+    if schedule is not None:
+        try:
+            schedule.validate_cluster(nodes)
+        except ValueError as exc:  # the scenario needs a bigger cluster
+            parser.error(str(exc))
+    return build_tenant_mix(
+        args.scheduler, mix, duration=args.duration, nodes=nodes,
+        workers_per_node=args.workers, seed=args.seed,
+        config_overrides={**config, "fault_schedule": schedule, **overrides},
     )
-    text = json.dumps(engine.describe_topology(), indent=2, sort_keys=True)
+
+
+def _emit(payload, out=None) -> int:
+    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
+    if out:
+        pathlib.Path(out).write_text(text + "\n")
     return 0
 
 
-def faults_main(argv: list[str]) -> int:
-    """Run a tenant mix under a deterministic fault schedule and dump the
-    fault/recovery counters plus the injected-fault timeline as JSON."""
-    from repro.experiments.ext_faults import make_fault_schedule
-    from repro.experiments.ext_partition import make_partition_schedule
-    from repro.runtime.config import EngineConfig
-    from repro.runtime.engine import StreamEngine
-    from repro.workloads.arrivals import (
-        FixedBatchSize,
-        PeriodicArrivals,
-        drive_all_sources,
-    )
-    from repro.workloads.tenants import (
-        make_bulk_analytics_job,
-        make_latency_sensitive_job,
-    )
+def topology_main(argv: list[str]) -> int:
+    """Build an engine for a tenant mix and dump the wiring plan (operators,
+    placements, channels, reply routes) the TopologyBuilder produces as JSON."""
+    parser = _parser(topology_main, duration=1.0, seed=1)
+    parser.add_argument("--placement", default="round_robin",
+                        choices=list(PLACEMENTS))
+    args = parser.parse_args(argv)
+    engine = _build(parser, args, WIDE_SOURCES, placement=args.placement)
+    return _emit(engine.describe_topology(), args.out)
 
-    parser = argparse.ArgumentParser(
-        prog="repro.cli faults",
-        description="Drive a tenant mix through a deterministic fault "
-                    "schedule and report fault/recovery counters.",
-    )
+
+def faults_main(argv: list[str]) -> int:
+    """Drive a tenant mix through a deterministic fault schedule (+5s drain)
+    and dump the fault/recovery counters plus the injected-fault timeline as
+    JSON."""
+    parser = _parser(faults_main, duration=30.0, seed=4)
     parser.add_argument("--scenario", default="ext_faults",
                         choices=["ext_faults", "ext_partition"],
-                        help="ext_faults = the canonical crash+loss schedule; "
-                             "ext_partition = the two-cut partition schedule "
-                             "with quorum fail-over (default: ext_faults)")
+                        help=SCENARIO_HELP + " (default: ext_faults)")
     parser.add_argument("--describe", action="store_true",
                         help="print the schedule itself (windows, rates, "
                              "partition groups) as JSON and exit without "
                              "running anything")
-    parser.add_argument("--ls", type=int, default=2,
-                        help="latency-sensitive job count (default 2)")
-    parser.add_argument("--ba", type=int, default=1,
-                        help="bulk-analytics job count (default 1)")
-    parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="workers per node (default 2)")
-    parser.add_argument("--scheduler", default="cameo",
-                        choices=["cameo", "fifo", "orleans"])
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="driven seconds (default 30; +5s drain)")
-    parser.add_argument("--seed", type=int, default=4)
     parser.add_argument("--shed", action="store_true",
                         help="enable deadline-aware load shedding")
     parser.add_argument("--failover", default="quorum",
                         choices=["quorum", "naive"],
                         help="partition fail-over mode under ext_partition "
                              "(default quorum)")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON report to FILE")
     args = parser.parse_args(argv)
 
-    if args.scenario == "ext_partition":
-        schedule = make_partition_schedule(args.duration)
-    else:
-        schedule = make_fault_schedule(args.duration)
     if args.describe:
-        text = json.dumps(schedule.describe(), indent=2, sort_keys=True)
-        print(text)
-        if args.out:
-            pathlib.Path(args.out).write_text(text + "\n")
-        return 0
-    jobs = [make_latency_sensitive_job(f"ls{i}") for i in range(args.ls)]
-    jobs += [make_bulk_analytics_job(f"ba{i}") for i in range(args.ba)]
-    if not jobs:
-        parser.error("need at least one job (--ls/--ba)")
-    engine = StreamEngine(
-        EngineConfig(scheduler=args.scheduler, nodes=args.nodes,
-                     workers_per_node=args.workers, seed=args.seed,
-                     fault_schedule=schedule, shed_expired=args.shed,
-                     partition_failover=args.failover,
-                     state_recovery="replay"
-                     if args.scenario == "ext_partition" else "none",
-                     record_completion_timeline=args.scenario
-                     == "ext_partition"),
-        jobs,
-    )
-    for job in jobs:
-        rate = 1.0 if job.group == "LS" else 1 / 3.0
-        drive_all_sources(engine, job, lambda s, i, r=rate: PeriodicArrivals(r),
-                          sizer=FixedBatchSize(1000), until=args.duration)
+        schedule = _scenario(args.scenario, args.duration)[0]
+        return _emit(schedule.describe(), args.out)
+    partitioned = args.scenario == "ext_partition"
+    engine = _build(parser, args, WIDE_SOURCES, args.scenario,
+                    shed_expired=args.shed, partition_failover=args.failover,
+                    record_completion_timeline=partitioned)
     engine.run(until=args.duration + 5.0)
     report = {
         "scenario": args.scenario,
         "scheduler": args.scheduler,
         "shed_expired": args.shed,
-        "schedule": schedule.describe(),
+        "schedule": engine.config.fault_schedule.describe(),
         "fault_report": engine.metrics.fault_report(),
         "detection_latencies": engine.metrics.detection_latencies(),
         "timeline": list(engine.fault_timeline.events),
     }
-    if args.scenario == "ext_partition" and args.failover == "quorum":
-        from repro.runtime.invariants import check_single_instance
-
+    if partitioned and args.failover == "quorum":
         report["invariant"] = check_single_instance(engine)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-    return 0
+    return _emit(report, args.out)
 
 
 def state_main(argv: list[str]) -> int:
-    """Drive a healthy tenant mix briefly and dump every operator's
-    keyed-state footprint (the ``repro state`` subcommand)."""
-    from repro.runtime.config import EngineConfig
-    from repro.runtime.engine import StreamEngine
-    from repro.runtime.topology import _format_address
-    from repro.workloads.arrivals import (
-        FixedBatchSize,
-        PeriodicArrivals,
-        drive_all_sources,
-    )
-    from repro.workloads.tenants import (
-        make_bulk_analytics_job,
-        make_latency_sensitive_job,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro.cli state",
-        description="Dump per-operator keyed-state footprints (windows, "
-                    "keys, approximate bytes) after a short driven run.",
-    )
-    parser.add_argument("--ls", type=int, default=2,
-                        help="latency-sensitive job count (default 2)")
-    parser.add_argument("--ba", type=int, default=1,
-                        help="bulk-analytics job count (default 1)")
-    parser.add_argument("--nodes", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="workers per node (default 2)")
-    parser.add_argument("--scheduler", default="cameo",
-                        choices=["cameo", "fifo", "orleans"])
-    parser.add_argument("--duration", type=float, default=6.0,
-                        help="driven seconds (default 6; no drain, so open "
-                             "windows stay visible)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON dump to FILE")
+    """Drive a healthy tenant mix briefly (no drain, so open windows stay
+    visible) and dump every operator's keyed-state footprint (windows, keys,
+    approximate bytes) as JSON."""
+    parser = _parser(state_main, duration=6.0, seed=1)
     args = parser.parse_args(argv)
-
-    jobs = [make_latency_sensitive_job(f"ls{i}") for i in range(args.ls)]
-    jobs += [make_bulk_analytics_job(f"ba{i}") for i in range(args.ba)]
-    if not jobs:
-        parser.error("need at least one job (--ls/--ba)")
-    engine = StreamEngine(
-        EngineConfig(scheduler=args.scheduler, nodes=args.nodes,
-                     workers_per_node=args.workers, seed=args.seed),
-        jobs,
-    )
-    for job in jobs:
-        rate = 1.0 if job.group == "LS" else 1 / 3.0
-        drive_all_sources(engine, job, lambda s, i, r=rate: PeriodicArrivals(r),
-                          sizer=FixedBatchSize(1000), until=args.duration)
+    engine = _build(parser, args, WIDE_SOURCES)
     engine.run(until=args.duration)
     operators = {}
-    totals = {"state_bytes": 0, "pending_windows": 0, "keys": 0}
     for op_rt in engine.operator_runtimes:
         store = op_rt.operator.state_store
-        if store is None:
-            continue
-        size = store.approx_size()
-        windows = store.pending_window_count
-        keys = store.key_count()
-        operators[_format_address(op_rt.address)] = {
-            "node": op_rt.node_id,
-            "kind": type(store).__name__,
-            "pending_windows": windows,
-            "keys": keys,
-            "approx_bytes": size,
-            "emitted_through": store.emitted_through,
-            "snapshot_bytes": len(store.snapshot()),
-        }
-        totals["state_bytes"] += size
-        totals["pending_windows"] += windows
-        totals["keys"] += keys
-    report = {"operators": operators, "totals": totals}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-    return 0
+        if store is not None:
+            operators[_format_address(op_rt.address)] = {
+                "node": op_rt.node_id,
+                "kind": type(store).__name__,
+                "pending_windows": store.pending_window_count,
+                "keys": store.key_count(),
+                "approx_bytes": store.approx_size(),
+                "emitted_through": store.emitted_through,
+                "snapshot_bytes": len(store.snapshot()),
+            }
+    totals = {
+        total: sum(entry[field] for entry in operators.values())
+        for total, field in (("state_bytes", "approx_bytes"), ("keys", "keys"),
+                             ("pending_windows", "pending_windows"))
+    }
+    return _emit({"operators": operators, "totals": totals}, args.out)
 
 
 def checkpoint_main(argv: list[str]) -> int:
-    """Drive the canonical crash schedule with checkpointed state recovery
-    and dump the checkpoint inventory plus the recovery counters."""
-    from repro.experiments.ext_checkpoint import make_crash_schedule
-    from repro.runtime.config import EngineConfig
-    from repro.runtime.engine import StreamEngine
-    from repro.workloads.arrivals import (
-        FixedBatchSize,
-        PeriodicArrivals,
-        drive_all_sources,
-    )
-    from repro.workloads.tenants import (
-        make_bulk_analytics_job,
-        make_latency_sensitive_job,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro.cli checkpoint",
-        description="Drive a crash schedule with state_recovery=checkpoint "
-                    "and report the checkpoint inventory and recovery "
-                    "counters.",
-    )
-    parser.add_argument("--ls", type=int, default=2,
-                        help="latency-sensitive job count (default 2)")
-    parser.add_argument("--ba", type=int, default=1,
-                        help="bulk-analytics job count (default 1)")
-    parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="workers per node (default 2)")
-    parser.add_argument("--scheduler", default="cameo",
-                        choices=["cameo", "fifo", "orleans"])
-    parser.add_argument("--duration", type=float, default=20.0,
-                        help="driven seconds (default 20; +5s drain)")
+    """Drive the canonical crash schedule (+5s drain) with checkpointed
+    state recovery and dump the checkpoint inventory plus the recovery
+    counters as JSON."""
+    parser = _parser(checkpoint_main, nodes=3, duration=20.0, seed=4)
     parser.add_argument("--interval", type=float, default=1.0,
                         help="checkpoint cadence in seconds (default 1.0)")
     parser.add_argument("--mode", default="checkpoint",
                         choices=["checkpoint", "replay"],
                         help="state recovery mode (default checkpoint)")
-    parser.add_argument("--seed", type=int, default=4)
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON report to FILE")
     args = parser.parse_args(argv)
-
-    jobs = [make_latency_sensitive_job(f"ls{i}") for i in range(args.ls)]
-    jobs += [make_bulk_analytics_job(f"ba{i}") for i in range(args.ba)]
-    if not jobs:
-        parser.error("need at least one job (--ls/--ba)")
-    schedule = make_crash_schedule(args.duration)
-    engine = StreamEngine(
-        EngineConfig(scheduler=args.scheduler, nodes=args.nodes,
-                     workers_per_node=args.workers, seed=args.seed,
-                     fault_schedule=schedule, state_recovery=args.mode,
-                     checkpoint_interval=args.interval
-                     if args.mode == "checkpoint" else 0.0),
-        jobs,
+    engine = _build(
+        parser, args, WIDE_SOURCES, "ext_checkpoint", state_recovery=args.mode,
+        checkpoint_interval=args.interval if args.mode == "checkpoint" else 0.0,
     )
-    for job in jobs:
-        rate = 1.0 if job.group == "LS" else 1 / 3.0
-        drive_all_sources(engine, job, lambda s, i, r=rate: PeriodicArrivals(r),
-                          sizer=FixedBatchSize(1000), until=args.duration)
     engine.run(until=args.duration + 5.0)
-    report = {
+    return _emit({
         "mode": args.mode,
         "scheduler": args.scheduler,
         "fault_report": engine.metrics.fault_report(),
@@ -371,66 +269,29 @@ def checkpoint_main(argv: list[str]) -> int:
         "unacked_peak": engine.reliable.unacked_peak,
         "unacked_final": engine.reliable.unacked_total(),
         "timeline": list(engine.fault_timeline.events),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-    return 0
+    }, args.out)
 
 
 def trace_main(argv: list[str]) -> int:
-    """Run a scenario with tracing on; emit Chrome-trace JSON + JSONL logs
-    (see ``docs/observability.md``) and optionally the deadline-miss
-    attribution table."""
-    from repro.experiments.common import TenantMix, run_tenant_mix
-    from repro.obs.attribution import attribute, render_attribution
-    from repro.obs.export import jsonl_events, write_chrome_trace
-    from repro.obs.schema import validate_chrome_trace
-
-    parser = argparse.ArgumentParser(
-        prog="repro.cli trace",
-        description="Run a (possibly faulted) tenant-mix scenario with the "
-                    "observability plane on and export a Perfetto-loadable "
-                    "Chrome-trace JSON plus a flat JSONL event log.",
-    )
+    """Run a (possibly faulted) tenant-mix scenario (+5s drain) with the
+    observability plane on; write a Perfetto-loadable Chrome-trace JSON plus a
+    flat JSONL event log (see docs/observability.md) into the --out directory
+    (default: traces/) and optionally print the deadline-miss attribution
+    table."""
+    parser = _parser(trace_main, duration=12.0, seed=4, out="traces")
     parser.add_argument("scenario", nargs="?", default="mix",
-                        choices=["mix", "fig08a", "ext_faults",
-                                 "ext_checkpoint", "ext_partition"],
-                        help="mix = healthy tenant mix; fig08a = the Fig. 8a "
-                             "multi-tenant operating point (4 LS + 4 BA "
-                             "jobs); ext_faults = the canonical crash+loss "
-                             "schedule; ext_checkpoint = the crash schedule "
-                             "with checkpointed state recovery on; "
-                             "ext_partition = the two-cut partition schedule "
-                             "with quorum fail-over (default: mix)")
+                        choices=list(SCENARIOS),
+                        help=SCENARIO_HELP + " (default: mix)")
     parser.add_argument("--backend", default="sim", choices=["sim", "mp"],
                         help="sim = discrete-event simulation (default); mp "
                              "= real worker processes with wall-clock spans "
                              "merged across process boundaries (supports "
                              "mix, fig08a and ext_faults)")
-    parser.add_argument("--ls", type=int, default=None,
-                        help="latency-sensitive job count "
-                             "(default 2; 4 under fig08a)")
-    parser.add_argument("--ba", type=int, default=None,
-                        help="bulk-analytics job count "
-                             "(default 1; 4 under fig08a)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="node count (default: 2, or 3 under ext_faults)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="workers per node (default 2)")
-    parser.add_argument("--scheduler", default="cameo",
-                        choices=["cameo", "fifo", "orleans"])
-    parser.add_argument("--duration", type=float, default=12.0,
-                        help="driven seconds (default 12; +5s drain)")
-    parser.add_argument("--seed", type=int, default=4)
     parser.add_argument("--shed", action="store_true",
                         help="enable deadline-aware load shedding")
     parser.add_argument("--sample-interval", type=float, default=0.05,
                         help="scheduler sampling cadence in simulated "
                              "seconds (default 0.05)")
-    parser.add_argument("--out", default="traces", metavar="DIR",
-                        help="output directory (default: traces/)")
     parser.add_argument("--attribution", action="store_true",
                         help="print the deadline-miss attribution table")
     parser.add_argument("--precision", type=int, default=3)
@@ -449,73 +310,14 @@ def trace_main(argv: list[str]) -> int:
         "trace_sample_interval": args.sample_interval,
         "shed_expired": args.shed,
     }
-    nodes = args.nodes
-    fault_schedule = None
-    if args.scenario == "ext_faults":
-        from repro.experiments.ext_faults import make_fault_schedule
-
-        fault_schedule = make_fault_schedule(args.duration)
-        nodes = 3 if nodes is None else nodes
-    elif args.scenario == "ext_checkpoint":
-        from repro.experiments.ext_checkpoint import (
-            CHECKPOINT_INTERVAL,
-            make_crash_schedule,
-        )
-
-        overrides["fault_schedule"] = make_crash_schedule(args.duration)
-        overrides["state_recovery"] = "checkpoint"
-        overrides["checkpoint_interval"] = CHECKPOINT_INTERVAL
-    elif args.scenario == "ext_partition":
-        from repro.experiments.ext_partition import make_partition_schedule
-
-        overrides["fault_schedule"] = make_partition_schedule(args.duration)
-        overrides["state_recovery"] = "replay"
-        overrides["partition_failover"] = "quorum"
-        nodes = 3 if nodes is None else nodes
-    nodes = 2 if nodes is None else nodes
-    if args.scenario == "fig08a":
-        # the Fig. 8a operating point: 4 LS + 4 BA tenants, BA driven hard
-        ls_count = 4 if args.ls is None else args.ls
-        ba_count = 4 if args.ba is None else args.ba
-        mix = TenantMix(ls_count=ls_count, ba_count=ba_count,
-                        ba_msg_rate=20.0)
-    else:
-        mix = TenantMix(ls_count=2 if args.ls is None else args.ls,
-                        ba_count=1 if args.ba is None else args.ba)
-
     if args.backend == "mp":
-        # the mp realization of the scenario: same jobs and drivers, real
-        # worker processes.  Built by hand (not run_tenant_mix) because
-        # crash windows become hard SIGKILLs scheduled on the engine, and
-        # losses become mp_loss_rate (see experiments/ext_faults.py).
-        from repro.runtime.config import EngineConfig
-        from repro.runtime.engine import make_engine
-
         overrides["backend"] = "mp"
         overrides["mp_telemetry_interval"] = max(args.sample_interval, 0.01)
-        if fault_schedule is not None and fault_schedule.losses:
-            overrides["mp_loss_rate"] = max(
-                entry.rate for entry in fault_schedule.losses
-            )
-        config = EngineConfig(
-            scheduler=args.scheduler, nodes=nodes,
-            workers_per_node=args.workers, seed=args.seed, **overrides,
-        )
-        jobs = mix.build_jobs()
-        engine = make_engine(config, jobs)
-        mix.install_drivers(engine, jobs, args.duration)
-        if fault_schedule is not None:
-            for crash in fault_schedule.crashes:
-                engine.kill_at(crash.node, crash.start)
-        engine.run(until=args.duration + 5.0)
-    else:
-        if fault_schedule is not None:
-            overrides["fault_schedule"] = fault_schedule
-        engine = run_tenant_mix(
-            args.scheduler, mix, duration=args.duration, nodes=nodes,
-            workers_per_node=args.workers, seed=args.seed,
-            config_overrides=overrides,
-        )
+    # the Fig. 8a operating point: 4 LS + 4 BA tenants, BA driven hard
+    mix = ({"ls_count": 4, "ba_count": 4, "ba_msg_rate": 20.0}
+           if args.scenario == "fig08a" else {})
+    engine = _build(parser, args, mix, args.scenario, **overrides)
+    engine.run(until=args.duration + 5.0)
 
     directory = pathlib.Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
@@ -554,7 +356,7 @@ def trace_main(argv: list[str]) -> int:
     telemetry = getattr(engine, "telemetry", None)
     if telemetry is not None:
         summary["telemetry"] = telemetry.summary()
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary)
     if args.attribution:
         report = attribute(engine.tracer, engine.metrics)
         print()
@@ -562,23 +364,20 @@ def trace_main(argv: list[str]) -> int:
     return 0
 
 
+SUBCOMMANDS = {
+    "topology": topology_main,
+    "faults": faults_main,
+    "state": state_main,
+    "checkpoint": checkpoint_main,
+    "trace": trace_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "topology":
-        return topology_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return faults_main(argv[1:])
-    if argv and argv[0] == "state":
-        return state_main(argv[1:])
-    if argv and argv[0] == "checkpoint":
-        return checkpoint_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Regenerate figures from the Cameo (NSDI 2021) reproduction.",
@@ -621,20 +420,15 @@ def main(argv: list[str] | None = None) -> int:
     # forward --backend/--duration only to runners that take them, and
     # reject --backend for figures that don't (silent fallback to sim
     # would misreport what was measured)
-    import inspect
-
     for name in names:
         runner = RUNNERS[name]
         accepted = inspect.signature(runner).parameters
         kwargs = {}
-        if args.backend is not None:
-            if "backend" not in accepted:
-                parser.error(f"{name} does not support --backend")
-            kwargs["backend"] = args.backend
-        if args.duration is not None:
-            if "duration" not in accepted:
-                parser.error(f"{name} does not support --duration")
-            kwargs["duration"] = args.duration
+        for flag in ("backend", "duration"):
+            if getattr(args, flag) is not None:
+                if flag not in accepted:
+                    parser.error(f"{name} does not support --{flag}")
+                kwargs[flag] = getattr(args, flag)
         started = time.perf_counter()
         result = runner(**kwargs)
         elapsed = time.perf_counter() - started
@@ -646,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"{result.name}.txt").write_text(text + "\n")
             if args.json:
-                from repro.metrics.export import result_to_json
-
                 (directory / f"{result.name}.json").write_text(
                     result_to_json(result) + "\n"
                 )

@@ -38,10 +38,15 @@ class GaussianNoiseInjector:
         return max(0.0, cost + float(self._rng.normal(0.0, self._sigma)))
 
 
+#: EWMA weight of one online cost measurement
+PROFILER_ALPHA = 0.2
+
+
 class CostProfiler:
     """EWMA of per-message execution cost, keyed by operator address."""
 
-    def __init__(self, alpha: float = 0.2, noise: Optional[GaussianNoiseInjector] = None):
+    def __init__(self, alpha: float = PROFILER_ALPHA,
+                 noise: Optional[GaussianNoiseInjector] = None):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self._alpha = alpha

@@ -21,6 +21,10 @@ from collections import deque
 from typing import Optional
 
 
+#: observation window (points) of the PROGRESSMAP regression
+PROGRESS_WINDOW = 64
+
+
 class ProgressMap:
     """Interface: update with observations, map progress to wall-clock time."""
 
@@ -52,7 +56,7 @@ class LinearProgressMap(ProgressMap):
     which is the production setting the paper describes).
     """
 
-    def __init__(self, window: int = 64, min_points: int = 2):
+    def __init__(self, window: int = PROGRESS_WINDOW, min_points: int = 2):
         if window < 2:
             raise ValueError("regression window must hold at least 2 points")
         self._window = window
@@ -106,10 +110,10 @@ class LinearProgressMap(ProgressMap):
         return alpha * p + gamma
 
 
-def make_progress_map(time_domain: str, window: int = 64) -> ProgressMap:
+def make_progress_map(time_domain: str) -> ProgressMap:
     """Factory keyed by the job's time domain (§4.3)."""
     if time_domain == "ingestion":
         return IdentityProgressMap()
     if time_domain == "event":
-        return LinearProgressMap(window=window)
+        return LinearProgressMap()
     raise ValueError(f"unknown time domain {time_domain!r}")

@@ -27,6 +27,10 @@ from __future__ import annotations
 from repro.core.context import PriorityContext
 
 
+#: lateness (seconds) tolerated before a message is shed
+SHED_SLACK = 0.0
+
+
 class DeadlineShedder:
     """Drop-decision off a message's :class:`PriorityContext`.
 
@@ -36,7 +40,7 @@ class DeadlineShedder:
 
     __slots__ = ("slack",)
 
-    def __init__(self, slack: float = 0.0):
+    def __init__(self, slack: float = SHED_SLACK):
         if slack < 0:
             raise ValueError("shedding slack must be non-negative")
         self.slack = slack

@@ -73,6 +73,9 @@ class TenantMix:
     tuples_per_msg: int = 1000
     ls_latency: float = LS_LATENCY_TARGET
     ba_latency: float = BA_LATENCY_TARGET
+    #: multiplier on the BA stages' per-message cost (coarse-grained bulk
+    #: messages, the §2 setting the fault experiments run under)
+    ba_cost_scale: float = 1.0
 
     def build_jobs(self) -> list[JobSpec]:
         ls = [
@@ -83,7 +86,8 @@ class TenantMix:
         ]
         ba = [
             make_bulk_analytics_job(
-                f"ba{i}", source_count=self.ba_sources, latency_constraint=self.ba_latency
+                f"ba{i}", source_count=self.ba_sources, latency_constraint=self.ba_latency,
+                cost_scale=self.ba_cost_scale,
             )
             for i in range(self.ba_count)
         ]
@@ -114,22 +118,35 @@ class TenantMix:
                 )
 
 
-def run_tenant_mix(
+def build_tenant_mix(
     scheduler: str,
     mix: TenantMix,
     duration: float = 30.0,
-    drain: float = 5.0,
     nodes: int = 2,
     workers_per_node: int = 2,
     seed: int = 1,
     config_overrides: Optional[dict] = None,
-    ls_arrivals: Optional[Callable[[str, int], ArrivalProcess]] = None,
-    ba_arrivals: Optional[Callable[[str, int], ArrivalProcess]] = None,
-    ls_sizer: Optional[BatchSizer] = None,
-    ba_sizer: Optional[BatchSizer] = None,
+    **drivers,
 ) -> StreamEngine:
-    """Run one multi-tenant configuration to completion; returns the engine."""
+    """Build one multi-tenant configuration — config, jobs, source drivers
+    (``drivers`` goes to :meth:`TenantMix.install_drivers`) — without
+    running it, for callers that must touch the engine first.
+
+    A ``fault_schedule`` override on ``backend="mp"`` is realised with *real*
+    faults: crash windows become hard SIGKILLs of the worker process at the
+    window start (the mp backend has no rejoin — kills are permanent,
+    strictly harsher than the sim's bounded outage) and channel loss becomes
+    ``mp_loss_rate`` (the receiver drops cross-pipe frames; go-back-N
+    retransmits).  Delay spikes have no mp analogue and are skipped."""
     overrides = dict(config_overrides or {})
+    kills = ()
+    schedule = overrides.get("fault_schedule")
+    if overrides.get("backend") == "mp" and schedule is not None:
+        del overrides["fault_schedule"]
+        overrides["mp_loss_rate"] = max(
+            (entry.rate for entry in schedule.losses), default=0.0
+        )
+        kills = schedule.crashes
     config = EngineConfig(
         scheduler=scheduler,
         nodes=nodes,
@@ -141,13 +158,47 @@ def run_tenant_mix(
     # backend="mp" (via config_overrides) swaps in the process-backed engine;
     # the sim default goes through the same factory and stays bit-identical
     engine = make_engine(config, jobs)
-    mix.install_drivers(
-        engine, jobs, duration,
-        ls_arrivals=ls_arrivals, ba_arrivals=ba_arrivals,
-        ls_sizer=ls_sizer, ba_sizer=ba_sizer,
-    )
+    for crash in kills:
+        engine.kill_at(crash.node, crash.start)
+    mix.install_drivers(engine, jobs, duration, **drivers)
+    return engine
+
+
+def run_tenant_mix(
+    scheduler: str,
+    mix: TenantMix,
+    duration: float = 30.0,
+    drain: float = 5.0,
+    **build,
+) -> StreamEngine:
+    """Run one multi-tenant configuration to completion; returns the engine
+    (``build`` goes to :func:`build_tenant_mix`)."""
+    engine = build_tenant_mix(scheduler, mix, duration, **build)
     engine.run(until=duration + drain)
     return engine
+
+
+def ls_outcome(engine: StreamEngine, expected: int) -> dict:
+    """LS deadline success over the *analytic* expected output count, so an
+    output that never materialises — starved, lost, or shed — is a miss."""
+    on_time = sum(j.on_time_count() for j in engine.metrics.jobs_in_group("LS"))
+    return {
+        "success": min(1.0, on_time / expected),
+        "on_time": on_time,
+        "expected": expected,
+        "p99": engine.metrics.group_summary("LS").p99,
+    }
+
+
+def recovery_time(engine: StreamEngine, crash_at: float) -> float:
+    """Seconds after the (first) crash until LS outputs last violated their
+    constraint (0 = the SLO was never broken after the crash)."""
+    worst = 0.0
+    for job in engine.metrics.jobs_in_group("LS"):
+        for t, latency in zip(job.output_times, job.latencies):
+            if t >= crash_at and latency > job.latency_constraint:
+                worst = max(worst, t - crash_at)
+    return worst
 
 
 def group_row(engine: StreamEngine, group: str, duration: float) -> dict:

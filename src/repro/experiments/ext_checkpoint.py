@@ -31,25 +31,23 @@ state recovery is not paid for with missed deadlines.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
-from repro.runtime.config import EngineConfig
-from repro.runtime.engine import StreamEngine
+from repro.experiments.common import (
+    ExperimentResult,
+    TenantMix,
+    ls_outcome,
+    recovery_time,
+    run_tenant_mix,
+)
 from repro.sim.faults import ChannelLoss, CrashWindow, FaultSchedule
-from repro.workloads.arrivals import (
-    FixedBatchSize,
-    PeriodicArrivals,
-    drive_all_sources,
-)
-from repro.workloads.tenants import (
-    make_bulk_analytics_job,
-    make_latency_sensitive_job,
-)
 
 #: crash instant — the reference point for recovery time
 CRASH_AT = 8.0
 
 #: snapshot cadence of the ``checkpoint`` variant (seconds)
 CHECKPOINT_INTERVAL = 1.0
+
+MIX = TenantMix(ls_count=2, ba_count=2, ls_sources=2, ba_sources=2,
+                ba_msg_rate=3.0, ba_cost_scale=20.0)
 
 
 def make_crash_schedule(duration: float = 20.0) -> FaultSchedule:
@@ -58,39 +56,6 @@ def make_crash_schedule(duration: float = 20.0) -> FaultSchedule:
         crashes=[CrashWindow(node=1, start=CRASH_AT, end=CRASH_AT + 6.0)],
         losses=[ChannelLoss(rate=0.01, scope="remote", end=duration)],
     )
-
-
-def _build_and_drive(scheduler: str, duration: float, seed: int, schedule,
-                     state_recovery: str, interval: float) -> StreamEngine:
-    ls_jobs = [make_latency_sensitive_job(f"ls{i}", source_count=2)
-               for i in range(2)]
-    ba_jobs = [make_bulk_analytics_job(f"ba{i}", source_count=2, cost_scale=20.0)
-               for i in range(2)]
-    engine = StreamEngine(
-        EngineConfig(scheduler=scheduler, nodes=3, workers_per_node=2,
-                     seed=seed, fault_schedule=schedule,
-                     state_recovery=state_recovery,
-                     checkpoint_interval=interval),
-        ls_jobs + ba_jobs,
-    )
-    for job in ls_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    for job in ba_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1 / 3.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    return engine
-
-
-def _recovery_time(engine: StreamEngine) -> float:
-    """Seconds after the crash until LS outputs last violated their
-    constraint (0 = the SLO was never broken after the crash)."""
-    worst = 0.0
-    for job in engine.metrics.jobs_in_group("LS"):
-        for t, latency in zip(job.output_times, job.latencies):
-            if t >= CRASH_AT and latency > job.latency_constraint:
-                worst = max(worst, t - CRASH_AT)
-    return worst
 
 
 def run_ext_checkpoint(
@@ -110,7 +75,7 @@ def run_ext_checkpoint(
     )
     schedule_proto = make_crash_schedule(duration)
     # analytic expected LS outputs: one per driven tumbling window per job
-    expected = int(duration // 1.0) * 2
+    expected = int(duration // 1.0) * MIX.ls_count
     variants = {
         "checkpoint": ("checkpoint", CHECKPOINT_INTERVAL, schedule_proto),
         "replay only": ("replay", 0.0, schedule_proto),
@@ -118,26 +83,22 @@ def run_ext_checkpoint(
         "no faults": ("none", 0.0, None),
     }
     for label, (mode, interval, schedule) in variants.items():
-        engine = _build_and_drive(scheduler, duration, seed, schedule,
-                                  mode, interval)
-        engine.run(until=duration + drain)
-        ls_jobs = engine.metrics.jobs_in_group("LS")
-        on_time = sum(j.on_time_count() for j in ls_jobs)
-        success = min(1.0, on_time / expected)
-        p99 = engine.metrics.group_summary("LS").p99
-        recovery = _recovery_time(engine) if schedule is not None else 0.0
+        engine = run_tenant_mix(
+            scheduler, MIX, duration=duration, drain=drain, nodes=3, seed=seed,
+            config_overrides={"fault_schedule": schedule, "state_recovery": mode,
+                              "checkpoint_interval": interval},
+        )
+        outcome = ls_outcome(engine, expected)
+        recovery = recovery_time(engine, CRASH_AT) if schedule is not None else 0.0
         report = engine.metrics.fault_report()
         peak = engine.reliable.unacked_peak if engine.reliable is not None else 0
         result.rows.append([
-            label, success, p99 * 1e3, recovery,
+            label, outcome["success"], outcome["p99"] * 1e3, recovery,
             report["messages_replayed_recovery"], report["checkpoints_taken"],
             report["checkpoint_bytes"] / 1e3, peak, report["retransmissions"],
         ])
         result.extras[label] = {
-            "success": success,
-            "on_time": on_time,
-            "expected": expected,
-            "p99": p99,
+            **outcome,
             "recovery": recovery,
             "unacked_peak": peak,
             "unacked_final": engine.reliable.unacked_total()

@@ -19,20 +19,13 @@ Metrics: LS tail latency, deadline success, and provisioned worker-seconds
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, TenantMix, build_tenant_mix
 from repro.metrics.stats import percentile
-from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine
-from repro.workloads.arrivals import (
-    FixedBatchSize,
-    PeriodicArrivals,
-    RateTimelineArrivals,
-    drive_all_sources,
-)
-from repro.workloads.tenants import (
-    make_bulk_analytics_job,
-    make_latency_sensitive_job,
-)
+from repro.workloads.arrivals import RateTimelineArrivals
+
+MIX = TenantMix(ls_count=4, ba_count=2, ls_latency=0.4, ba_msg_rate=60.0,
+                tuples_per_msg=200)
 
 
 class ReactiveScaler:
@@ -103,29 +96,6 @@ class ReactiveScaler:
         self.engine.sim.schedule(self.interval, self._tick)
 
 
-def _build_and_drive(scheduler: str, duration: float, seed: int):
-    ls_jobs = [
-        make_latency_sensitive_job(f"ls{i}", source_count=4, latency_constraint=0.4)
-        for i in range(4)
-    ]
-    ba_jobs = [make_bulk_analytics_job(f"ba{i}", source_count=4) for i in range(2)]
-    engine = StreamEngine(
-        EngineConfig(scheduler=scheduler, nodes=1, workers_per_node=2, seed=seed),
-        ls_jobs + ba_jobs,
-    )
-    for job in ls_jobs:
-        # burst train: 3 s of heavy ingestion, 2 s of calm
-        drive_all_sources(
-            engine, job,
-            lambda s, i: RateTimelineArrivals([95.0, 95.0, 95.0, 0.0, 0.0]),
-            sizer=FixedBatchSize(200), until=duration,
-        )
-    for job in ba_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1 / 60.0),
-                          sizer=FixedBatchSize(200), until=duration)
-    return engine
-
-
 def run_ext_elasticity(
     duration: float = 30.0,
     seed: int = 23,
@@ -145,7 +115,11 @@ def run_ext_elasticity(
         "cameo static": ("cameo", False),
     }
     for label, (scheduler, reactive) in variants.items():
-        engine = _build_and_drive(scheduler, duration, seed)
+        engine = build_tenant_mix(
+            scheduler, MIX, duration=duration, nodes=1, seed=seed,
+            # burst train: 3 s of heavy ingestion, 2 s of calm
+            ls_arrivals=lambda s, i: RateTimelineArrivals([95.0, 95.0, 95.0, 0.0, 0.0]),
+        )
         scaler = None
         if reactive:
             scaler = ReactiveScaler(engine, until=duration).install()

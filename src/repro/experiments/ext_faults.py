@@ -46,22 +46,20 @@ Success/recovery metrics read identically off the merged hub.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
-from repro.runtime.config import EngineConfig
-from repro.runtime.engine import StreamEngine, make_engine
+from repro.experiments.common import (
+    ExperimentResult,
+    TenantMix,
+    ls_outcome,
+    recovery_time,
+    run_tenant_mix,
+)
 from repro.sim.faults import ChannelLoss, CrashWindow, DelaySpike, FaultSchedule
-from repro.workloads.arrivals import (
-    FixedBatchSize,
-    PeriodicArrivals,
-    drive_all_sources,
-)
-from repro.workloads.tenants import (
-    make_bulk_analytics_job,
-    make_latency_sensitive_job,
-)
 
 #: first crash instant — the reference point for recovery time
 CRASH_AT = 8.0
+
+#: 4 LS jobs beside 4 coarse-message BA jobs
+MIX = TenantMix(ls_count=4, ba_count=4, ba_msg_rate=3.0, ba_cost_scale=50.0)
 
 
 def make_fault_schedule(duration: float = 30.0) -> FaultSchedule:
@@ -77,57 +75,6 @@ def make_fault_schedule(duration: float = 30.0) -> FaultSchedule:
                        factor=4.0, extra=0.6),
         ],
     )
-
-
-def _build_and_drive(scheduler: str, duration: float, seed: int,
-                     schedule, shed: bool, backend: str = "sim") -> StreamEngine:
-    ls_jobs = [make_latency_sensitive_job(f"ls{i}", source_count=4)
-               for i in range(4)]
-    ba_jobs = [make_bulk_analytics_job(f"ba{i}", source_count=4, cost_scale=50.0)
-               for i in range(4)]
-    if backend == "mp":
-        # The same schedule realised with *real* faults: crash windows
-        # become hard SIGKILLs of the worker process at the window start
-        # (the mp backend has no rejoin — kills are permanent, strictly
-        # harsher than the sim's bounded outage), channel loss becomes
-        # ``mp_loss_rate`` (the receiver drops cross-pipe frames; go-back-N
-        # retransmits).  Delay spikes have no mp analogue and are skipped.
-        loss = 0.0
-        if schedule is not None and schedule.losses:
-            loss = max(entry.rate for entry in schedule.losses)
-        engine = make_engine(
-            EngineConfig(scheduler=scheduler, nodes=3, workers_per_node=2,
-                         seed=seed, shed_expired=shed, backend="mp",
-                         mp_loss_rate=loss),
-            ls_jobs + ba_jobs,
-        )
-        if schedule is not None:
-            for crash in schedule.crashes:
-                engine.kill_at(crash.node, crash.start)
-    else:
-        engine = StreamEngine(
-            EngineConfig(scheduler=scheduler, nodes=3, workers_per_node=2,
-                         seed=seed, fault_schedule=schedule, shed_expired=shed),
-            ls_jobs + ba_jobs,
-        )
-    for job in ls_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    for job in ba_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1 / 3.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    return engine
-
-
-def _recovery_time(engine: StreamEngine) -> float:
-    """Seconds after the first crash until LS outputs last violated their
-    constraint (0 = the SLO was never broken after the crash)."""
-    worst = 0.0
-    for job in engine.metrics.jobs_in_group("LS"):
-        for t, latency in zip(job.output_times, job.latencies):
-            if t >= CRASH_AT and latency > job.latency_constraint:
-                worst = max(worst, t - CRASH_AT)
-    return worst
 
 
 def run_ext_faults(
@@ -147,8 +94,7 @@ def run_ext_faults(
     )
     schedule = make_fault_schedule(duration)
     # analytic expected LS outputs: one per driven tumbling window per job
-    ls_window = 1.0
-    expected = int(duration // ls_window) * 4
+    expected = int(duration // 1.0) * MIX.ls_count
     variants = {
         "cameo + shedding": ("cameo", schedule, True),
         "cameo": ("cameo", schedule, False),
@@ -157,29 +103,27 @@ def run_ext_faults(
         "cameo (no faults)": ("cameo", None, False),
     }
     for label, (scheduler, variant_schedule, shed) in variants.items():
-        engine = _build_and_drive(scheduler, duration, seed, variant_schedule,
-                                  shed, backend=backend)
-        engine.run(until=duration + drain)
-        ls_jobs = engine.metrics.jobs_in_group("LS")
-        on_time = sum(j.on_time_count() for j in ls_jobs)
-        success = min(1.0, on_time / expected)
-        p99 = engine.metrics.group_summary("LS").p99
-        recovery = _recovery_time(engine) if variant_schedule is not None else 0.0
+        engine = run_tenant_mix(
+            scheduler, MIX, duration=duration, drain=drain, nodes=3, seed=seed,
+            config_overrides={"backend": backend, "shed_expired": shed,
+                              "fault_schedule": variant_schedule},
+        )
+        outcome = ls_outcome(engine, expected)
+        recovery = (recovery_time(engine, CRASH_AT)
+                    if variant_schedule is not None else 0.0)
         report = engine.metrics.fault_report()
         detect = engine.metrics.mean_detection_latency()
         result.rows.append([
-            label, success, p99 * 1e3, recovery, report["messages_shed"],
-            report["retransmissions"], detect * 1e3 if detect == detect else 0.0,
+            label, outcome["success"], outcome["p99"] * 1e3, recovery,
+            report["messages_shed"], report["retransmissions"],
+            detect * 1e3 if detect == detect else 0.0,
             report["messages_lost_crash"],
         ])
         result.extras[label] = {
-            "success": success,
-            "on_time": on_time,
-            "expected": expected,
-            "p99": p99,
+            **outcome,
             "recovery": recovery,
             "fault_report": report,
             "timeline": list(engine.fault_timeline.events)
-            if getattr(engine, "fault_timeline", None) is not None else [],
+            if engine.fault_timeline is not None else [],
         }
     return result

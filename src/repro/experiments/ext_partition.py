@@ -37,20 +37,10 @@ under contention.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
-from repro.runtime.config import EngineConfig
-from repro.runtime.engine import StreamEngine
+from repro.experiments.common import ExperimentResult, ls_outcome, run_tenant_mix
+from repro.experiments.ext_faults import MIX  # the same tenants, other faults
 from repro.runtime.invariants import check_single_instance
 from repro.sim.faults import FaultSchedule, Partition
-from repro.workloads.arrivals import (
-    FixedBatchSize,
-    PeriodicArrivals,
-    drive_all_sources,
-)
-from repro.workloads.tenants import (
-    make_bulk_analytics_job,
-    make_latency_sensitive_job,
-)
 
 
 def make_partition_schedule(duration: float = 30.0) -> FaultSchedule:
@@ -67,34 +57,6 @@ def make_partition_schedule(duration: float = 30.0) -> FaultSchedule:
                       groups=[(0,)]),
         ],
     )
-
-
-def _build_and_drive(scheduler: str, duration: float, seed: int,
-                     schedule, failover: str = "quorum",
-                     link_capacity=None, link_policy: str = "fair",
-                     ) -> StreamEngine:
-    ls_jobs = [make_latency_sensitive_job(f"ls{i}", source_count=4)
-               for i in range(4)]
-    ba_jobs = [make_bulk_analytics_job(f"ba{i}", source_count=4, cost_scale=50.0)
-               for i in range(4)]
-    engine = StreamEngine(
-        EngineConfig(scheduler=scheduler, nodes=3, workers_per_node=2,
-                     seed=seed, fault_schedule=schedule,
-                     partition_failover=failover,
-                     link_capacity=link_capacity, link_policy=link_policy,
-                     # the fault-free anchor installs no recovery machinery,
-                     # and the config layer rejects a recovery mode without it
-                     state_recovery="replay" if schedule is not None else "none",
-                     record_completion_timeline=True),
-        ls_jobs + ba_jobs,
-    )
-    for job in ls_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    for job in ba_jobs:
-        drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(1 / 3.0),
-                          sizer=FixedBatchSize(1000), until=duration)
-    return engine
 
 
 def run_ext_partition(
@@ -116,7 +78,7 @@ def run_ext_partition(
     )
     schedule = make_partition_schedule(duration)
     # analytic expected LS outputs: one per driven tumbling window per job
-    expected = int(duration // 1.0) * 4
+    expected = int(duration // 1.0) * MIX.ls_count
     variants = {
         "cameo + quorum": ("cameo", schedule, "quorum", None, "fair"),
         "cameo + naive": ("cameo", schedule, "naive", None, "fair"),
@@ -129,18 +91,22 @@ def run_ext_partition(
             ("cameo", schedule, "quorum", link_capacity, "edf"),
     }
     for label, (scheduler, sched, failover, capacity, policy) in variants.items():
-        engine = _build_and_drive(scheduler, duration, seed, sched,
-                                  failover=failover, link_capacity=capacity,
-                                  link_policy=policy)
-        engine.run(until=duration + drain)
-        ls_jobs = engine.metrics.jobs_in_group("LS")
-        on_time = sum(j.on_time_count() for j in ls_jobs)
-        success = min(1.0, on_time / expected)
-        p99 = engine.metrics.group_summary("LS").p99
+        engine = run_tenant_mix(
+            scheduler, MIX, duration=duration, drain=drain, nodes=3, seed=seed,
+            config_overrides={
+                "fault_schedule": sched, "partition_failover": failover,
+                "link_capacity": capacity, "link_policy": policy,
+                # the fault-free anchor installs no recovery machinery, and
+                # the config layer rejects a recovery mode without it
+                "state_recovery": "replay" if sched is not None else "none",
+                "record_completion_timeline": True,
+            },
+        )
         report = engine.metrics.fault_report()
         part = report["partitions"]
+        outcome = ls_outcome(engine, expected)
         result.rows.append([
-            label, success, p99 * 1e3, part["double_spawns"],
+            label, outcome["success"], outcome["p99"] * 1e3, part["double_spawns"],
             part["failovers_suppressed_no_quorum"], part["reconciliations"],
             part["messages_dropped_partition"], report["retransmissions"],
         ])
@@ -150,10 +116,7 @@ def run_ext_partition(
             # on a fenced/dead owner — raise right here if it ever does
             invariant = check_single_instance(engine)
         result.extras[label] = {
-            "success": success,
-            "on_time": on_time,
-            "expected": expected,
-            "p99": p99,
+            **outcome,
             "fault_report": report,
             "invariant": invariant,
             "bandwidth": engine.bandwidth.report()

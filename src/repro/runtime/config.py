@@ -1,8 +1,10 @@
 """Engine configuration.
 
 One dataclass gathers every knob the evaluation sweeps: scheduler choice,
-policy, quantum (§5.2), cluster shape, network delays, profiling noise
-(Fig. 16), and semantics awareness (Fig. 15).
+policy, quantum (§5.2), cluster shape, network jitter, profiling noise
+(Fig. 16), and semantics awareness (Fig. 15).  Values no run ever varies are
+module constants beside the mechanism that owns them; the failure-detection
+and poll cadence both backends share lives here.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ LINK_POLICIES = ("fair", "edf")
 BACKENDS = ("sim", "mp")
 MP_COST_MODES = ("sleep", "spin", "none")
 
+#: failure-detection cadence on both backends: a node silent for
+#: ``FAILURE_TIMEOUT`` is declared dead, so detection latency is bounded by
+#: ``FAILURE_TIMEOUT + HEARTBEAT_INTERVAL`` (seconds)
+HEARTBEAT_INTERVAL = 0.05
+FAILURE_TIMEOUT = 0.2
+#: upper bound (seconds) on every mp poll tick — the worker's idle
+#: ``conn_wait`` and the coordinator's heartbeat-draining wait
+MP_POLL_INTERVAL = 0.02
+
 
 @dataclass
 class EngineConfig:
@@ -35,17 +46,13 @@ class EngineConfig:
         nodes / workers_per_node: cluster shape.  Workers model vCPUs.
         quantum: minimum re-scheduling grain in seconds (paper default 1 ms).
         use_query_semantics: disable for the Fig. 15 ablation.
-        local_delay / remote_delay: message transit times within a node and
-            across nodes (clients count as remote).
         network_jitter_sigma: lognormal jitter on transit times (0 =
             deterministic delays); sigma is in log-space, ~0.3 gives a
             realistic long-tailed network.
         profile_noise_sigma: std-dev of N(0, sigma) perturbation applied to
             profiled costs (Fig. 16).
-        profiler_alpha: EWMA weight for online cost profiling.
         placement: ``"round_robin"`` (collocates tenants, the multi-tenant
             setting) or ``"pack_by_job"``.
-        progress_window: observation window of the PROGRESSMAP regression.
         record_schedule_timeline: keep (time, operator, progress) tuples for
             every message start (Fig. 7c); off by default to save memory.
         record_completion_timeline: keep one (time, job, stage, index,
@@ -67,11 +74,6 @@ class EngineConfig:
             all, keeping fault-free runs bit-identical; a non-empty schedule
             enables reliable delivery (ack/retransmit), heartbeat failure
             detection and crash fail-over (see ``runtime/recovery.py``).
-        heartbeat_interval / failure_timeout: failure-detection cadence — a
-            node silent for ``failure_timeout`` is declared dead (detection
-            latency is bounded by ``failure_timeout + heartbeat_interval``).
-        retransmit_timeout / retransmit_backoff_cap: initial retransmission
-            timer and the cap of its exponential backoff.
         state_recovery: what happens to operator *state* on a crash
             (requires a non-empty fault schedule; ``"none"`` otherwise).
             ``"none"`` keeps the legacy fail-over semantics — evacuated
@@ -110,8 +112,6 @@ class EngineConfig:
             ``"fair"`` (equal shares) or ``"edf"`` (earliest-deadline-
             first per DCoflow — frames with earlier priority-context
             deadlines preempt; frames without contexts queue behind).
-        link_bytes_per_tuple: serialized size per tuple (bytes) used to
-            convert batches to frame sizes for the bandwidth model.
         record_trace: enable the observability plane (``repro.obs``): a
             per-hop message span recorder plus a periodic scheduler
             sampler.  Off by default — with tracing off the runtime holds
@@ -124,7 +124,6 @@ class EngineConfig:
             are dropped at pop time instead of executed (Cameo-only
             graceful degradation; FIFO/Orleans carry no deadlines to shed
             by, so the knob has no effect without contexts).
-        shed_slack: lateness tolerated before shedding (seconds).
         backend: ``"sim"`` (discrete-event simulation, the default) or
             ``"mp"`` (real multiprocessing backend: each node is a worker
             process exchanging framed, batched messages over pipes through
@@ -142,10 +141,6 @@ class EngineConfig:
             ``docs/architecture.md``), making scaling genuinely CPU-bound
             on hosts with at least one core per worker, ``"none"`` skips
             cost realization (pure runtime-overhead measurement).
-        mp_poll_interval: upper bound (seconds) on every mp poll tick —
-            the worker's idle ``conn_wait`` and the coordinator's
-            heartbeat-draining wait are both capped by it.  Smaller values
-            tighten reaction latency at the cost of idle CPU wakeups.
         mp_loss_rate: probability that the mp backend's receiver drops an
             incoming data entry before admission (simulated lossy network
             over the real pipes) — exercises the go-back-N retransmit
@@ -175,36 +170,25 @@ class EngineConfig:
     workers_per_node: int = 4
     quantum: float = 0.001
     use_query_semantics: bool = True
-    local_delay: float = 0.00002
-    remote_delay: float = 0.0005
     network_jitter_sigma: float = 0.0
     profile_noise_sigma: float = 0.0
-    profiler_alpha: float = 0.2
     placement: str = "round_robin"
-    progress_window: int = 64
     record_schedule_timeline: bool = False
     record_completion_timeline: bool = False
     switch_cost: float = 0.0
     starvation_aging: float = 0.0
     source_mailbox_capacity: Optional[int] = None
     fault_schedule: Optional["FaultSchedule"] = None
-    heartbeat_interval: float = 0.05
-    failure_timeout: float = 0.2
-    retransmit_timeout: float = 0.05
-    retransmit_backoff_cap: float = 0.8
     state_recovery: str = "none"
     checkpoint_interval: float = 0.0
     partition_failover: str = "quorum"
     link_capacity: Optional[float] = None
     link_policy: str = "fair"
-    link_bytes_per_tuple: float = 64.0
     record_trace: bool = False
     trace_sample_interval: float = 0.05
     shed_expired: bool = False
-    shed_slack: float = 0.0
     backend: str = "sim"
     mp_cost_mode: str = "sleep"
-    mp_poll_interval: float = 0.02
     mp_loss_rate: float = 0.0
     mp_realtime: bool = True
     mp_wall_timeout: Optional[float] = None
@@ -221,8 +205,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown mp cost mode {self.mp_cost_mode!r}; expected {MP_COST_MODES}"
             )
-        if self.mp_poll_interval <= 0:
-            raise ValueError("mp poll interval must be positive")
         if not 0.0 <= self.mp_loss_rate < 1.0:
             raise ValueError("mp loss rate must be within [0, 1)")
         if self.mp_wall_timeout is not None and self.mp_wall_timeout <= 0:
@@ -235,8 +217,6 @@ class EngineConfig:
             raise ValueError("cluster must have at least one node and one worker")
         if self.quantum < 0:
             raise ValueError("quantum must be non-negative")
-        if self.local_delay < 0 or self.remote_delay < 0:
-            raise ValueError("network delays must be non-negative")
         if self.network_jitter_sigma < 0:
             raise ValueError("network jitter sigma must be non-negative")
         if self.profile_noise_sigma < 0:
@@ -247,14 +227,6 @@ class EngineConfig:
             raise ValueError("starvation aging must be non-negative")
         if self.source_mailbox_capacity is not None and self.source_mailbox_capacity < 1:
             raise ValueError("source mailbox capacity must be >= 1")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if self.failure_timeout < self.heartbeat_interval:
-            raise ValueError("failure timeout must be >= heartbeat interval")
-        if self.retransmit_timeout <= 0:
-            raise ValueError("retransmit timeout must be positive")
-        if self.retransmit_backoff_cap < self.retransmit_timeout:
-            raise ValueError("retransmit backoff cap must be >= the timeout")
         if self.state_recovery not in STATE_RECOVERY_MODES:
             raise ValueError(
                 f"unknown state recovery mode {self.state_recovery!r}; "
@@ -284,12 +256,8 @@ class EngineConfig:
                 f"unknown link policy {self.link_policy!r}; "
                 f"expected {LINK_POLICIES}"
             )
-        if self.link_bytes_per_tuple <= 0:
-            raise ValueError("link bytes per tuple must be positive")
         if self.trace_sample_interval <= 0:
             raise ValueError("trace sample interval must be positive")
-        if self.shed_slack < 0:
-            raise ValueError("shedding slack must be non-negative")
         if self.fault_schedule is not None:
             self.fault_schedule.validate_cluster(self.nodes)
 

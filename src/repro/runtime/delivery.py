@@ -29,6 +29,11 @@ ADMIT = 4      #: the entry is next in order: hand it to the mailbox
 
 INF = float("inf")
 
+#: initial retransmission timer and the cap of its exponential backoff
+#: (seconds) on every engine-built channel, either backend
+RETRANSMIT_TIMEOUT = 0.05
+RETRANSMIT_BACKOFF_CAP = 0.8
+
 
 def check_rto(rto: float, rto_cap: float) -> None:
     """Validate a retransmit timer and the cap of its backoff."""

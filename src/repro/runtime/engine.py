@@ -34,6 +34,7 @@ from repro.metrics.collectors import MetricsHub
 from repro.obs.introspect import SchedulerSampler
 from repro.obs.recorder import TraceRecorder
 from repro.runtime.config import EngineConfig
+from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
 from repro.runtime.lifecycle import OperatorLifecycle
 from repro.runtime.node import NodeRuntime, make_run_queue
 from repro.runtime.recovery import (
@@ -93,22 +94,17 @@ class StreamEngine:
             noise = GaussianNoiseInjector(
                 config.profile_noise_sigma, self.rng.stream("profile-noise")
             )
-        self.profiler = CostProfiler(alpha=config.profiler_alpha, noise=noise)
+        self.profiler = CostProfiler(noise=noise)
         self.policy = policy or make_policy(config.policy, **config.policy_kwargs)
         if config.network_jitter_sigma > 0:
             self._delay_model = JitteredDelay(
-                self.rng.stream("network"),
-                local=config.local_delay,
-                remote=config.remote_delay,
-                sigma=config.network_jitter_sigma,
+                self.rng.stream("network"), sigma=config.network_jitter_sigma
             )
             # jittered transit draws from an RNG stream per call: delays
             # must be sampled at send time, never precomputed
             static_delay = False
         else:
-            self._delay_model = ConstantDelay(
-                local=config.local_delay, remote=config.remote_delay
-            )
+            self._delay_model = ConstantDelay()
             static_delay = True
 
         clock = lambda: self.sim.now  # noqa: E731
@@ -161,8 +157,7 @@ class StreamEngine:
             self.reliable = ReliableDelivery(
                 self.sim, self.metrics, self.fault_injector, self._delay_model,
                 node_down=lambda node_id: nodes[node_id].down,
-                rto=config.retransmit_timeout,
-                rto_cap=config.retransmit_backoff_cap,
+                rto=RETRANSMIT_TIMEOUT, rto_cap=RETRANSMIT_BACKOFF_CAP,
             )
             self.reliable.attach(self.transport.deliver)
             self.transport.attach_reliable(self.reliable)
@@ -173,14 +168,12 @@ class StreamEngine:
         self.bandwidth: Optional[BandwidthModel] = None
         if config.link_capacity is not None:
             self.bandwidth = BandwidthModel(
-                config.link_capacity, config.link_policy,
-                bytes_per_tuple=config.link_bytes_per_tuple,
-                metrics=self.metrics,
+                config.link_capacity, config.link_policy, metrics=self.metrics
             )
             self.transport.attach_bandwidth(self.bandwidth)
             if self.reliable is not None:
                 self.reliable.attach_bandwidth(self.bandwidth)
-        shedder = DeadlineShedder(config.shed_slack) if config.shed_expired else None
+        shedder = DeadlineShedder() if config.shed_expired else None
 
         cost_rng = self.rng.stream("exec-cost")
         for node in self.nodes:
@@ -202,7 +195,6 @@ class StreamEngine:
             self.recovery = RecoveryManager(
                 self.sim, self.nodes, self._ops, self.lifecycle,
                 self.reliable, self.metrics, self.fault_timeline,
-                config.heartbeat_interval, config.failure_timeout,
                 tracer=self.tracer, injector=self.fault_injector,
                 # quorum machinery exists only when the schedule can cut
                 # the fabric; partition-free schedules keep the legacy

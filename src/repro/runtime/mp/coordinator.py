@@ -50,6 +50,7 @@ from multiprocessing.connection import wait as conn_wait
 
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
+from repro.runtime.config import FAILURE_TIMEOUT, MP_POLL_INTERVAL
 from repro.runtime.mp.frames import (
     CAL_DONE,
     CALIBRATE,
@@ -327,7 +328,6 @@ class MpCoordinator:
         realtime = config.mp_realtime
         wall_limit = config.mp_wall_timeout or max(30.0, self._until * 3.0 + 10.0)
         forced_stop = False
-        hb_interval = config.heartbeat_interval
 
         def elapsed() -> float:
             return time.monotonic() - epoch
@@ -354,7 +354,7 @@ class MpCoordinator:
             now = elapsed()
             dead = [
                 i for i in alive
-                if now - last_hb[i] > config.failure_timeout
+                if now - last_hb[i] > FAILURE_TIMEOUT
                 and not procs[i].is_alive()
             ]
             for node_id in dead:
@@ -376,14 +376,11 @@ class MpCoordinator:
             if now > wall_limit:
                 forced_stop = True
                 break
-            timeout = hb_interval
+            timeout = MP_POLL_INTERVAL
             if pending and realtime:
                 timeout = min(timeout, max(0.0, pending[0][0] - elapsed()))
             if timeout > 0:
-                conn_wait(
-                    [conns[i] for i in alive],
-                    timeout=min(timeout, config.mp_poll_interval),
-                )
+                conn_wait([conns[i] for i in alive], timeout=timeout)
 
         for i in alive:
             try:

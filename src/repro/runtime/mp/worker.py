@@ -9,7 +9,7 @@ queue in the scheduler's order, run its messages for a quantum, requeue,
 and between quanta drain the pipes, retransmit expired channels, flush
 the outboxes (one binary ``DATA`` frame per destination — the amortized
 batch) and heartbeat the coordinator.  Every idle wait is capped by
-``EngineConfig.mp_poll_interval``.
+``MP_POLL_INTERVAL``.
 
 Execution cost realization (``mp_cost_mode``): ``"sleep"`` occupies the
 worker in wall-clock time (sleeps overlap across processes, so capacity
@@ -40,6 +40,8 @@ from repro.core.policies import make_policy
 from repro.core.profiler import CostProfiler, GaussianNoiseInjector
 from repro.core.shedding import DeadlineShedder
 from repro.metrics.collectors import MetricsHub
+from repro.runtime.config import HEARTBEAT_INTERVAL, MP_POLL_INTERVAL
+from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
 from repro.runtime.mp.frames import (
     CAL_DONE,
     CALIBRATE,
@@ -122,7 +124,6 @@ class MpWorker:
     def __init__(self, node_id: int, config, jobs: list, policy=None,
                  coord_conn=None, peer_conns=None, shard=None):
         self._node_id = node_id
-        self._config = config
         self._coord = coord_conn
         self._peers = dict(peer_conns or {})
         self._epoch = 0.0
@@ -140,7 +141,7 @@ class MpWorker:
                 config.profile_noise_sigma,
                 rng.stream(f"mp/profile-noise/{node_id}"),
             )
-        self._profiler = CostProfiler(alpha=config.profiler_alpha, noise=noise)
+        self._profiler = CostProfiler(noise=noise)
         self._policy = policy or make_policy(config.policy, **config.policy_kwargs)
 
         # each worker process runs its node serially: one dispatch slot
@@ -165,7 +166,7 @@ class MpWorker:
 
         loss_rng = rng.stream(f"mp/loss/{node_id}") if config.mp_loss_rate > 0 else None
         self._reliable = MpReliableDelivery(
-            self._now, config.retransmit_timeout, config.retransmit_backoff_cap,
+            self._now, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP,
             self.metrics, loss_rate=config.mp_loss_rate, loss_rng=loss_rng,
         )
         self.transport = ProcessTransport(
@@ -180,15 +181,12 @@ class MpWorker:
         self._cost_mode = config.mp_cost_mode
         self._sleep_cost = self._cost_mode == "sleep"
         self.spin_rate = 0.0
-        self._shedder = (
-            DeadlineShedder(config.shed_slack) if config.shed_expired else None
-        )
+        self._shedder = DeadlineShedder() if config.shed_expired else None
         self._ingest = (
             None if shard is None else IngestDriver(shard, config.mp_realtime)
         )
         self._contexts = config.contexts_enabled
         self._quantum = config.quantum
-        self._poll = config.mp_poll_interval
         self._capacity = config.source_mailbox_capacity
         self._record_completions = config.record_completion_timeline
         #: coordinator-announced stage rescales awaiting a quiescent point
@@ -240,7 +238,6 @@ class MpWorker:
                 break
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"expected CALIBRATE/CLOCK/START, got {kind}")
-        interval = self._config.heartbeat_interval
         last_hb = self._now()
         self._tm_last_time = last_hb
         ingest = self._ingest
@@ -265,11 +262,11 @@ class MpWorker:
                 and now - self._tm_last_time >= self._tm_interval
             ):
                 self._sample_telemetry(now)
-            if now - last_hb >= interval:
+            if now - last_hb >= HEARTBEAT_INTERVAL:
                 self._heartbeat(now)
                 last_hb = now
             if not worked:
-                timeout = last_hb + interval - now
+                timeout = last_hb + HEARTBEAT_INTERVAL - now
                 deadline = self._reliable.next_deadline()
                 if deadline is not None:
                     timeout = min(timeout, deadline - now)
@@ -278,7 +275,7 @@ class MpWorker:
                     if due is not None:
                         timeout = min(timeout, due - now)
                 if timeout > 0:
-                    conn_wait(conns, timeout=min(timeout, self._poll))
+                    conn_wait(conns, timeout=min(timeout, MP_POLL_INTERVAL))
         self._report()
 
     def _drain(self, conns, limit: int = 256) -> None:

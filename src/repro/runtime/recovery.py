@@ -51,6 +51,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.dataflow.messages import Message
+from repro.runtime.config import FAILURE_TIMEOUT, HEARTBEAT_INTERVAL
 from repro.runtime.delivery import (
     ACK,
     ADMIT,
@@ -825,8 +826,7 @@ class RecoveryManager:
     """
 
     def __init__(self, sim, nodes: list, ops: dict, lifecycle, reliable,
-                 metrics, timeline, heartbeat_interval: float,
-                 failure_timeout: float, tracer=None,
+                 metrics, timeline, tracer=None,
                  injector=None, partition_mode: Optional[str] = None):
         self._sim = sim
         self._nodes = nodes
@@ -851,14 +851,14 @@ class RecoveryManager:
         lifecycle.on_move = self._record_move
         if partition_mode is None:
             self.detector = FailureDetector(
-                sim, nodes, heartbeat_interval, failure_timeout,
+                sim, nodes, HEARTBEAT_INTERVAL, FAILURE_TIMEOUT,
                 on_failure=self._on_failure, on_alive=self._on_alive,
             )
         else:
             if injector is None:
                 raise ValueError("partition-aware recovery needs the injector")
             self.detector = PartitionAwareFailureDetector(
-                sim, nodes, heartbeat_interval, failure_timeout,
+                sim, nodes, HEARTBEAT_INTERVAL, FAILURE_TIMEOUT,
                 injector, metrics, timeline,
                 quorum=(partition_mode == "quorum"),
                 on_failure=self._on_failure, on_alive=self._on_alive,

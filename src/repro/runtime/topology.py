@@ -340,9 +340,7 @@ class TopologyBuilder:
             latency_constraint=job.latency_constraint,
             own_window=stage.window if stage is not None else None,
             policy=self._policy,
-            progress_map=make_progress_map(
-                job.time_domain, self._config.progress_window
-            ),
+            progress_map=make_progress_map(job.time_domain),
             use_query_semantics=self._config.use_query_semantics,
             source_index=source_index,
         )

@@ -13,6 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: message transit times (seconds) within a node and across nodes (clients
+#: count as remote)
+LOCAL_DELAY = 2e-5
+REMOTE_DELAY = 5e-4
+
+#: serialized size per tuple (bytes): converts batches to frame sizes for
+#: the :class:`BandwidthModel`
+LINK_BYTES_PER_TUPLE = 64.0
+
+
 class DelayModel:
     """Base class: wall-clock transit delay between two cluster nodes."""
 
@@ -24,8 +34,8 @@ class DelayModel:
 class ConstantDelay(DelayModel):
     """Fixed local/remote delays (seconds)."""
 
-    local: float = 0.0
-    remote: float = 0.0005
+    local: float = LOCAL_DELAY
+    remote: float = REMOTE_DELAY
 
     def delay(self, src_node: int, dst_node: int) -> float:
         return self.local if src_node == dst_node else self.remote
@@ -41,8 +51,8 @@ class JitteredDelay(DelayModel):
     def __init__(
         self,
         rng: np.random.Generator,
-        local: float = 0.00005,
-        remote: float = 0.0005,
+        local: float = LOCAL_DELAY,
+        remote: float = REMOTE_DELAY,
         sigma: float = 0.3,
     ):
         if local < 0 or remote < 0:
@@ -180,7 +190,8 @@ class BandwidthModel:
     """
 
     def __init__(self, capacity: float, policy: str = "fair",
-                 bytes_per_tuple: float = 64.0, frame_bytes: float = 256.0,
+                 bytes_per_tuple: float = LINK_BYTES_PER_TUPLE,
+                 frame_bytes: float = 256.0,
                  metrics=None):
         if bytes_per_tuple <= 0:
             raise ValueError("bytes_per_tuple must be positive")

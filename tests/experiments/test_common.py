@@ -1,6 +1,13 @@
 """Tests for the shared experiment harness."""
 
-from repro.experiments.common import ExperimentResult, TenantMix, group_row, run_tenant_mix
+from repro.dataflow.messages import reset_message_ids
+from repro.experiments.common import (
+    ExperimentResult,
+    TenantMix,
+    build_tenant_mix,
+    group_row,
+    run_tenant_mix,
+)
 
 
 class TestTenantMix:
@@ -15,6 +22,16 @@ class TestTenantMix:
         mix = TenantMix(ls_latency=0.5, ba_latency=100.0)
         jobs = mix.build_jobs()
         assert {j.latency_constraint for j in jobs} == {0.5, 100.0}
+
+    def test_ba_cost_scale_reaches_ba_stage_costs(self):
+        plain = TenantMix(ls_count=1, ba_count=1).build_jobs()
+        coarse = TenantMix(ls_count=1, ba_count=1, ba_cost_scale=20.0).build_jobs()
+        for base, scaled in zip(plain, coarse):
+            factor = 20.0 if base.group == "BA" else 1.0
+            for name in base.graph.stage_names:
+                cost, nominal = scaled.graph.stage(name).cost, base.graph.stage(name).cost
+                assert cost.base == nominal.base * factor
+                assert cost.per_tuple == nominal.per_tuple * factor
 
 
 class TestRunTenantMix:
@@ -40,6 +57,20 @@ class TestRunTenantMix:
         engine = run_tenant_mix("cameo", mix, duration=5.0, seed=1,
                                 config_overrides={"quantum": 0.01})
         assert engine.config.quantum == 0.01
+
+    def test_build_then_run_equals_run_tenant_mix(self):
+        mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
+                        ba_msg_rate=5.0)
+        kwargs = dict(duration=4.0, nodes=2, seed=3,
+                      config_overrides={"record_completion_timeline": True})
+        reset_message_ids()
+        ran = run_tenant_mix("cameo", mix, drain=1.0, **kwargs)
+        reset_message_ids()
+        built = build_tenant_mix("cameo", mix, **kwargs)
+        assert built.sim.now == 0.0 and not built.metrics.completion_log
+        built.run(until=5.0)
+        assert built.metrics.completion_log == ran.metrics.completion_log
+        assert len(ran.metrics.completion_log) > 0
 
 
 class TestExperimentResult:

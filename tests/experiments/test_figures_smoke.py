@@ -8,7 +8,9 @@ end at toy scale and produces structurally sound results.
 import math
 
 from repro.experiments import (
+    run_ext_checkpoint,
     run_ext_faults,
+    run_ext_partition,
     run_fig01,
     run_fig02,
     run_fig04,
@@ -145,3 +147,38 @@ def test_ext_faults_smoke():
     # only the shedding variant sheds
     assert result.extras["cameo + shedding"]["fault_report"]["messages_shed"] > 0
     assert result.extras["cameo"]["fault_report"]["messages_shed"] == 0
+
+
+def test_ext_checkpoint_smoke():
+    result = run_ext_checkpoint(duration=12.0, drain=4.0)
+    assert [row[0] for row in result.rows] == [
+        "checkpoint", "replay only", "legacy (state immortal)", "no faults"]
+    rows_are_finite(result)
+    extras = result.extras
+    for label, extra in extras.items():
+        assert 0.0 <= extra["success"] <= 1.0
+        # the single crash window (t=8) opens inside a 12s run
+        assert extra["fault_report"]["crashes"] == (label != "no faults")
+    assert extras["checkpoint"]["fault_report"]["checkpoints_taken"] > 0
+    assert extras["replay only"]["fault_report"]["checkpoints_taken"] == 0
+    # truncation at the checkpoint watermark vs. retaining the full history
+    assert extras["checkpoint"]["unacked_peak"] < extras["replay only"]["unacked_peak"]
+    assert extras["no faults"]["timeline"] == []
+
+
+def test_ext_partition_smoke():
+    result = run_ext_partition(duration=10.0, drain=3.0)
+    assert len(result.rows) == 7
+    rows_are_finite(result)
+    extras = result.extras
+    for label, extra in extras.items():
+        assert 0.0 <= extra["success"] <= 1.0
+        # only the contended-uplink variants install a bandwidth model
+        assert (extra["bandwidth"] is not None) == label.endswith("link)")
+    quorum = extras["cameo + quorum"]
+    assert quorum["fault_report"]["partitions"]["double_spawns"] == 0
+    assert quorum["invariant"]["fence_windows"] == 2
+    assert extras["cameo + naive"]["invariant"] is None
+    assert extras["cameo + naive"]["fault_report"]["partitions"]["double_spawns"] > 0
+    clean = extras["cameo (no partition)"]
+    assert clean["invariant"] is None and clean["timeline"] == []

@@ -260,7 +260,7 @@ def test_deadline_shedding_drops_expired_work():
     # the expired messages are dropped unexecuted
     schedule = FaultSchedule(
         delay_spikes=[DelaySpike(start=1.0, end=2.0, factor=1.0, extra=1.5)])
-    engine = _faulted_engine(schedule, shed_expired=True, shed_slack=0.0)
+    engine = _faulted_engine(schedule, shed_expired=True)
     engine.run(until=6.0)
     shed = engine.metrics.job("ls0").messages_shed
     assert shed > 0

@@ -158,3 +158,82 @@ class TestTraceSubcommand:
         assert schema.main([path]) == 0
         out = capsys.readouterr().out
         assert "ok (" in out
+
+    def test_sim_only_scenario_on_mp_returns_2(self, tmp_path, capsys):
+        args = ["trace", "ext_checkpoint", "--backend", "mp",
+                "--out", str(tmp_path)]
+        assert cli.main(args) == 2
+        assert "no mp realization" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+FAULT_KEYS = {"scenario", "scheduler", "shed_expired", "schedule",
+              "fault_report", "detection_latencies", "timeline"}
+
+
+class TestReportSubcommands:
+    """`repro faults|state|checkpoint` print one JSON report each."""
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["faults", "--duration", "10"], FAULT_KEYS),
+        (["faults", "--scenario", "ext_partition", "--duration", "6"],
+         FAULT_KEYS | {"invariant"}),
+        (["state", "--duration", "3"], {"operators", "totals"}),
+        (["checkpoint", "--duration", "10"],
+         {"mode", "scheduler", "fault_report", "checkpoints", "unacked_peak",
+          "unacked_final", "timeline"}),
+    ], ids=["faults", "faults-ext_partition", "state", "checkpoint"])
+    def test_report_keys_and_out_file(self, argv, keys, tmp_path, capsys):
+        import json
+
+        out_file = tmp_path / "report.json"
+        args = [*argv, "--ls", "1", "--ba", "1", "--out", str(out_file)]
+        assert cli.main(args) == 0
+        out = capsys.readouterr().out
+        assert set(json.loads(out)) == keys
+        assert out_file.read_text() == out
+
+    def test_reports_reflect_the_run(self, capsys):
+        import json
+
+        assert cli.main(["faults", "--ls", "1", "--ba", "1", "--duration", "10",
+                         "--shed"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["shed_expired"] is True
+        assert report["fault_report"]["crashes"] == 2  # t=8 and t=10
+        assert cli.main(["checkpoint", "--ls", "1", "--ba", "1", "--duration",
+                         "10", "--mode", "replay"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "replay"
+        assert report["fault_report"]["checkpoints_taken"] == 0
+
+    @pytest.mark.parametrize("scenario,key", [
+        ("ext_faults", "crashes"), ("ext_partition", "partitions"),
+    ])
+    def test_describe_runs_nothing(self, scenario, key, capsys, monkeypatch):
+        import json
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("--describe must not build an engine")
+
+        monkeypatch.setattr(cli, "build_tenant_mix", no_build)
+        assert cli.main(["faults", "--scenario", scenario, "--describe"]) == 0
+        described = json.loads(capsys.readouterr().out)
+        assert described["enabled"] and described[key]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["faults", "--nodes", "2"],
+         "crash window targets node 2 but the cluster has 2 nodes"),
+        (["faults", "--scenario", "ext_partition", "--nodes", "2"],
+         "partition group references node 2 but the cluster has 2 nodes"),
+        (["checkpoint", "--nodes", "1"],
+         "crash window targets node 1 but the cluster has 1 nodes"),
+        (["trace", "ext_partition", "--nodes", "2"],
+         "partition group references node 2 but the cluster has 2 nodes"),
+    ], ids=["faults", "faults-ext_partition", "checkpoint", "trace"])
+    def test_too_small_cluster_is_a_usage_error(self, argv, message, capsys):
+        # used to escape as a ValueError traceback from EngineConfig
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
