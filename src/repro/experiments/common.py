@@ -178,10 +178,13 @@ def run_tenant_mix(
     return engine
 
 
-def ls_outcome(engine: StreamEngine, expected: int) -> dict:
-    """LS deadline success over the *analytic* expected output count, so an
-    output that never materialises — starved, lost, or shed — is a miss."""
-    on_time = sum(j.on_time_count() for j in engine.metrics.jobs_in_group("LS"))
+def ls_outcome(engine: StreamEngine, duration: float) -> dict:
+    """LS deadline success over the *analytic* expected output count — one
+    per driven 1 s tumbling window per job — so an output that never
+    materialises (starved, lost, or shed) is a miss."""
+    ls_jobs = engine.metrics.jobs_in_group("LS")
+    on_time = sum(j.on_time_count() for j in ls_jobs)
+    expected = int(duration // 1.0) * len(ls_jobs)
     return {
         "success": min(1.0, on_time / expected),
         "on_time": on_time,
