@@ -159,7 +159,12 @@ class EventBatch:
         """Split for a key-partitioned hand-off: part ``j`` holds the rows
         with ``key % parallelism == j`` (the rule state is split by on
         rescale) in input order — one modulo, one index gather per part."""
-        part = self.keys % parallelism
+        if parallelism & (parallelism - 1) == 0:
+            # a power of two: the low bits are the (non-negative) remainder,
+            # for negative keys too (two's complement)
+            part = self.keys & (parallelism - 1)
+        else:
+            part = self.keys % parallelism
         return [self.select((part == j).nonzero()[0]) for j in range(parallelism)]
 
     @staticmethod

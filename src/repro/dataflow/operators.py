@@ -273,6 +273,8 @@ class WindowedAggregateOperator(Operator):
         self.by_key = by_key
         self.state_store = AggregateStateStore()
         self._windows: dict[float, _WindowState] = self.state_store.windows
+        #: windows over each tuple (size / slide); above 1 they share panes
+        self._replicas = window.window_count_containing()
         self.late_tuples = 0
 
     @property
@@ -291,52 +293,97 @@ class WindowedAggregateOperator(Operator):
         return self._emit_complete_windows()
 
     def _absorb(self, batch: EventBatch) -> None:
-        """Vectorised window assignment + grouped accumulation.
+        """Assign the batch to its windows and accumulate it per key.
 
-        Each event at logical time ``p`` falls into the windows ending at
-        ``first_end(p) + k * slide`` for ``k`` in ``0..size/slide - 1``; for
-        every replica ``k`` we do one grouped reduction over (end, key).
+        An event at logical time ``p`` falls into the windows ending at
+        ``first_end(p) + k * slide`` for ``k`` in ``0..size/slide - 1``.
+        Sliding windows share one grouping per pane (:meth:`_absorb_panes`);
+        a tumbling window is its own pane and is grouped here.
         """
-        p = batch.logical_times
         keys = batch.keys if self.by_key else np.zeros(len(batch), dtype=np.int64)
-        values = batch.values
-        slide, size = self.window.slide, self.window.size
+        if self._replicas > 1:
+            self._absorb_panes(batch, keys)
+            return
+        p, values, slide = batch.logical_times, batch.values, self.window.slide
         # the end assignment is monotone in p, so its min/max come from p's
         # min/max — the common one-window case needs no per-element array
         if batch.times_sorted:
             p_min, p_max = float(p[0]), float(p[-1])
         else:
             p_min, p_max = float(p.min()), float(p.max())
-        e0_min = (math.floor(p_min / slide) + 1.0) * slide
-        e0_max = (math.floor(p_max / slide) + 1.0) * slide
-        first_end = None
-        for k in range(self.window.window_count_containing()):
-            e_min = e0_min + k * slide
-            e_max = e0_max + k * slide
-            if k == 0 and e_min == e_max:
-                # fast path: the whole batch falls into one window replica
-                # (k == 0 membership is guaranteed: end - size <= p < end)
-                if e_min > self._emitted_through:
-                    self._update_window(e_min, keys, values, batch.arrival_time)
-                else:
-                    self.late_tuples += len(p)
-                continue
-            if first_end is None:
-                first_end = (np.floor(p / slide) + 1.0) * slide
-            ends = first_end + k * slide
-            if k == 0:
-                mask = ends > self._emitted_through
-                self.late_tuples += int(len(p) - mask.sum())
+        end = (math.floor(p_min / slide) + 1.0) * slide
+        if end == (math.floor(p_max / slide) + 1.0) * slide:
+            if end > self._emitted_through:
+                self._update_window(end, keys, values, batch.arrival_time)
             else:
-                in_window = p >= ends - size
-                live = ends > self._emitted_through
-                mask = in_window & live
-                self.late_tuples += int((in_window & ~live).sum())
-            if not mask.any():
-                continue
-            self._accumulate_groups(
-                ends[mask], keys[mask], values[mask], batch.arrival_time
-            )
+                self.late_tuples += len(p)
+            return
+        ends = (np.floor(p / slide) + 1.0) * slide
+        mask = ends > self._emitted_through
+        kept = np.count_nonzero(mask)
+        self.late_tuples += len(p) - kept
+        if kept == 0:
+            return
+        if kept < len(p):
+            ends, keys, values = ends[mask], keys[mask], values[mask]
+        self._accumulate_groups(ends, keys, values, batch.arrival_time)
+
+    def _absorb_panes(self, batch: EventBatch, keys: np.ndarray) -> None:
+        """Sliding windows: group each tuple once, fold the result often.
+
+        A *pane* is the rows of one slide-wide interval — the rows sharing
+        a ``first_end``.  Every window over a pane takes all of its rows,
+        so the pane is reduced to per-key partials once (:meth:`_group`)
+        and the partials are folded into each covering window
+        (:meth:`_fold`).  The loop is replica-outer, pane-inner: a window
+        then receives its panes latest first, the order in which a
+        regrouping of every replica would add them, and every float sum is
+        bit-identical to that regrouping.  Only a window that starts inside
+        a pane (``size`` not a multiple of ``slide``) groups rows of its
+        own: those at or after its start.
+        """
+        p, values = batch.logical_times, batch.values
+        slide, size = self.window.slide, self.window.size
+        p_min = batch.min_logical_time
+        pane_end = (math.floor(p_min / slide) + 1.0) * slide
+        if pane_end == (math.floor(batch.max_logical_time / slide) + 1.0) * slide:
+            pane_ends, lows, cuts = [pane_end], [p_min], [0, len(p)]
+        else:
+            first_end = (np.floor(p / slide) + 1.0) * slide
+            if not batch.times_sorted:
+                # stable: rows keep their batch order inside a pane
+                order = np.argsort(first_end, kind="stable")
+                first_end, p = first_end[order], p[order]
+                keys, values = keys[order], values[order]
+            starts = _run_starts(first_end)
+            pane_ends = first_end[starts].tolist()
+            lows = (
+                p[starts] if batch.times_sorted else np.minimum.reduceat(p, starts)
+            ).tolist()
+            cuts = starts.tolist() + [len(p)]
+        emitted, arrival = self._emitted_through, batch.arrival_time
+        partials: list = [None] * len(pane_ends)
+        for k in range(self._replicas):
+            for j, pane_end in enumerate(pane_ends):
+                window_end = pane_end + k * slide
+                lo, hi = cuts[j], cuts[j + 1]
+                if k and lows[j] < window_end - size:
+                    # the window starts inside this pane
+                    inside = p[lo:hi] >= window_end - size
+                    rows = np.count_nonzero(inside)
+                    if window_end <= emitted:
+                        self.late_tuples += rows
+                    elif rows:
+                        self._update_window(
+                            window_end, keys[lo:hi][inside], values[lo:hi][inside],
+                            arrival,
+                        )
+                elif window_end <= emitted:
+                    self.late_tuples += hi - lo
+                else:
+                    if partials[j] is None:
+                        partials[j] = self._group(keys[lo:hi], values[lo:hi])
+                    self._fold(window_end, partials[j], hi - lo, arrival)
 
     def _accumulate_groups(
         self,
@@ -354,9 +401,12 @@ class WindowedAggregateOperator(Operator):
     def _update_window(
         self, window_end: float, keys: np.ndarray, values: np.ndarray, arrival: float
     ) -> None:
-        state = self._windows.get(window_end)
-        if state is None:
-            state = self._windows[window_end] = _WindowState()
+        self._fold(window_end, self._group(keys, values), len(keys), arrival)
+
+    def _group(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """Reduce rows to per-key partials ``(keys, counts, sums)`` — plus
+        ``(maxs, mins)`` for a max/min aggregate — as lists, keys ascending.
+        A sum adds a key's values in row order."""
         need_minmax = self.agg in ("max", "min")
         if _dense_keys(keys):
             per_key = np.bincount(keys)
@@ -380,20 +430,31 @@ class WindowedAggregateOperator(Operator):
             if need_minmax:
                 maxs = np.maximum.reduceat(v_sorted, starts)
                 mins = np.minimum.reduceat(v_sorted, starts)
+        partial = (groups.tolist(), counts.tolist(), sums.tolist())
+        if need_minmax:
+            partial += (maxs.tolist(), mins.tolist())
+        return partial
+
+    def _fold(self, window_end: float, partial: tuple, rows: int, arrival: float) -> None:
+        """Add one :meth:`_group` result, covering ``rows`` rows, to the
+        window's accumulators (the window is created on first use)."""
+        state = self._windows.get(window_end)
+        if state is None:
+            state = self._windows[window_end] = _WindowState()
         accumulators = state.accumulators
-        groups = groups.tolist()
-        for key, count, total in zip(groups, counts.tolist(), sums.tolist()):
+        groups = partial[0]
+        for key, count, total in zip(groups, partial[1], partial[2]):
             accumulator = accumulators.get(key)
             if accumulator is None:
                 accumulator = accumulators[key] = _Accumulator()
             accumulator.sum += total
             accumulator.count += count
-        if need_minmax:
-            for key, high, low in zip(groups, maxs.tolist(), mins.tolist()):
+        if len(partial) > 3:
+            for key, high, low in zip(groups, partial[3], partial[4]):
                 accumulator = accumulators[key]
                 accumulator.max = max(accumulator.max, high)
                 accumulator.min = min(accumulator.min, low)
-        state.tuple_count += len(keys)
+        state.tuple_count += rows
         if arrival > state.max_arrival:
             state.max_arrival = arrival
 
@@ -443,6 +504,7 @@ class WindowedJoinOperator(Operator):
         self._channel_sides: list[int] = []
         self.state_store = JoinStateStore()
         self._windows: dict[float, _JoinWindowState] = self.state_store.windows
+        self._replicas = window.window_count_containing()
         self.late_tuples = 0
 
     @property
@@ -475,7 +537,7 @@ class WindowedJoinOperator(Operator):
         p = batch.logical_times
         slide, size = self.window.slide, self.window.size
         first_end = (np.floor(p / slide) + 1.0) * slide
-        for k in range(self.window.window_count_containing()):
+        for k in range(self._replicas):
             ends, keys = first_end + k * slide, batch.keys
             in_window = p >= ends - size
             mask = in_window & (ends > self._emitted_through)

@@ -56,6 +56,7 @@ class JobMetrics:
         self.poison_dropped = 0     # messages dropped after exhausting retries
         self.tuples_ingested = 0
         self.tuples_processed = 0  # tuples consumed at source operators
+        self.late_tuples = 0  # dropped behind an emitted window (set at run end)
         self.source_events: list[tuple[float, int]] = []  # (time, tuples)
         #: per-stage queueing-delay running stats (mailbox wait per message)
         self.queueing: dict[str, RunningStat] = {}

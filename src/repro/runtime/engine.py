@@ -266,6 +266,8 @@ class StreamEngine:
                 self.metrics.record_worker_busy(
                     node.node_id, worker.local_id, worker.busy_time
                 )
+        for job, late in self.plan.late_tuples().items():
+            self.metrics.job(job).late_tuples = late
 
     # ------------------------------------------------------------------
     # elastic worker pools (compat shims over the lifecycle API)

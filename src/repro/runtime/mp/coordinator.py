@@ -99,6 +99,7 @@ def merge_job_metrics(into, other) -> None:
     into.poison_dropped += other.poison_dropped
     into.tuples_ingested += other.tuples_ingested
     into.tuples_processed += other.tuples_processed
+    into.late_tuples += other.late_tuples
     for stage, stat in other.queueing.items():
         into.queueing_stat(stage).merge(stat)
     for stage, stat in other.execution.items():

@@ -430,6 +430,8 @@ class MpWorker:
         if self._tracer is not None or self._telemetry:
             self._flush_obs()  # final drain: REPORT must come last
         self.metrics.record_worker_busy(self._node_id, 0, self._busy_time)
+        for job, late in self._plan.late_tuples().items():
+            self.metrics.job(job).late_tuples = late
         stats = {
             "busy_time": self._busy_time,
             "messages": self._messages,

@@ -216,6 +216,15 @@ class WiringPlan:
     placements: dict[OpAddress, int]
     contexts_enabled: bool
 
+    def late_tuples(self) -> dict[str, int]:
+        """Per job, the tuples its windowed operators dropped because they
+        arrived behind an already emitted window."""
+        late: dict[str, int] = {}
+        for address, op_rt in self.ops.items():
+            if op_rt.operator.is_windowed:
+                late[address.job] = late.get(address.job, 0) + op_rt.operator.late_tuples
+        return late
+
     def describe(self) -> dict:
         """JSON-able dump: operators, placements, channels, reply routes."""
         operators = []

@@ -92,7 +92,7 @@ class TestPartition:
             arrival_time=3.5, source_id=7, times_sorted=True,
         )
 
-    @pytest.mark.parametrize("parallelism", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("parallelism", [1, 2, 3, 4, 5, 8, 16])
     @pytest.mark.parametrize("n", [0, 1, 257])
     def test_parts_hold_exactly_their_keys_in_input_order(self, parallelism, n):
         batch = self.batch(n, seed=parallelism)

@@ -1,5 +1,7 @@
 """Unit tests for dataflow operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from repro.dataflow.operators import (
     SourceOperator,
     WindowedAggregateOperator,
     WindowedJoinOperator,
+    _dense_keys,
+    _run_starts,
 )
 from repro.dataflow.windows import WindowSpec
-from repro.state.store import _Accumulator
+from repro.state.store import _Accumulator, _WindowState
 
 ADDR = OpAddress("job", "stage", 0)
 
@@ -406,6 +410,291 @@ def test_join_fold_matches_per_event_reference(messages, slide, mult, shuffle_se
             end: [state.left, state.right, state.max_arrival]
             for end, state in op._windows.items()
         } == reference.windows
+
+
+class _PerReplicaAggregate(WindowedAggregateOperator):
+    """The fold before panes, kept verbatim as the bit-exact reference:
+    every window replica regroups the rows it covers.  The pane-shared
+    fold must perform the same float additions in the same order."""
+
+    def _absorb(self, batch: EventBatch) -> None:
+        """Vectorised window assignment + grouped accumulation.
+
+        Each event at logical time ``p`` falls into the windows ending at
+        ``first_end(p) + k * slide`` for ``k`` in ``0..size/slide - 1``; for
+        every replica ``k`` we do one grouped reduction over (end, key).
+        """
+        p = batch.logical_times
+        keys = batch.keys if self.by_key else np.zeros(len(batch), dtype=np.int64)
+        values = batch.values
+        slide, size = self.window.slide, self.window.size
+        # the end assignment is monotone in p, so its min/max come from p's
+        # min/max — the common one-window case needs no per-element array
+        if batch.times_sorted:
+            p_min, p_max = float(p[0]), float(p[-1])
+        else:
+            p_min, p_max = float(p.min()), float(p.max())
+        e0_min = (math.floor(p_min / slide) + 1.0) * slide
+        e0_max = (math.floor(p_max / slide) + 1.0) * slide
+        first_end = None
+        for k in range(self.window.window_count_containing()):
+            e_min = e0_min + k * slide
+            e_max = e0_max + k * slide
+            if k == 0 and e_min == e_max:
+                # fast path: the whole batch falls into one window replica
+                # (k == 0 membership is guaranteed: end - size <= p < end)
+                if e_min > self._emitted_through:
+                    self._update_window(e_min, keys, values, batch.arrival_time)
+                else:
+                    self.late_tuples += len(p)
+                continue
+            if first_end is None:
+                first_end = (np.floor(p / slide) + 1.0) * slide
+            ends = first_end + k * slide
+            if k == 0:
+                mask = ends > self._emitted_through
+                self.late_tuples += int(len(p) - mask.sum())
+            else:
+                in_window = p >= ends - size
+                live = ends > self._emitted_through
+                mask = in_window & live
+                self.late_tuples += int((in_window & ~live).sum())
+            if not mask.any():
+                continue
+            self._accumulate_groups(
+                ends[mask], keys[mask], values[mask], batch.arrival_time
+            )
+
+    def _accumulate_groups(
+        self,
+        ends: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        arrival: float,
+    ) -> None:
+        # batches usually fall into one or two windows: split by unique end,
+        # then reduce per key within each window
+        for window_end in np.unique(ends):
+            mask = ends == window_end
+            self._update_window(float(window_end), keys[mask], values[mask], arrival)
+
+    def _update_window(
+        self, window_end: float, keys: np.ndarray, values: np.ndarray, arrival: float
+    ) -> None:
+        state = self._windows.get(window_end)
+        if state is None:
+            state = self._windows[window_end] = _WindowState()
+        need_minmax = self.agg in ("max", "min")
+        if _dense_keys(keys):
+            per_key = np.bincount(keys)
+            groups = per_key.nonzero()[0]
+            counts = per_key[groups]
+            sums = np.bincount(keys, weights=values)[groups]
+            if need_minmax:
+                maxs = np.full(len(per_key), -np.inf)
+                mins = np.full_like(maxs, np.inf)
+                np.maximum.at(maxs, keys, values)
+                np.minimum.at(mins, keys, values)
+                maxs, mins = maxs[groups], mins[groups]
+        else:
+            # arbitrary (large / negative) keys: sort-based grouping
+            order = np.argsort(keys, kind="stable")
+            k_sorted, v_sorted = keys[order], values[order]
+            starts = _run_starts(k_sorted)
+            groups = k_sorted[starts]
+            counts = np.diff(starts, append=len(keys))
+            sums = np.add.reduceat(v_sorted, starts)
+            if need_minmax:
+                maxs = np.maximum.reduceat(v_sorted, starts)
+                mins = np.minimum.reduceat(v_sorted, starts)
+        accumulators = state.accumulators
+        groups = groups.tolist()
+        for key, count, total in zip(groups, counts.tolist(), sums.tolist()):
+            accumulator = accumulators.get(key)
+            if accumulator is None:
+                accumulator = accumulators[key] = _Accumulator()
+            accumulator.sum += total
+            accumulator.count += count
+        if need_minmax:
+            for key, high, low in zip(groups, maxs.tolist(), mins.tolist()):
+                accumulator = accumulators[key]
+                accumulator.max = max(accumulator.max, high)
+                accumulator.min = min(accumulator.min, low)
+        state.tuple_count += len(keys)
+        if arrival > state.max_arrival:
+            state.max_arrival = arrival
+
+
+class _AggregateReference:
+    """Per-event dict model of the windowed aggregate: one event, one
+    window at a time.  Replicas outermost and events by time inside, which
+    is the order the operator creates windows in."""
+
+    def __init__(self, window, by_key):
+        self.window = window
+        self.by_key = by_key
+        self.windows = {}  # end -> {key: [count, sum, max, min]}
+        self.emitted_through = float("-inf")
+        self.late_tuples = 0
+        self.progress = [float("-inf"), float("-inf")]
+
+    def on_message(self, events, channel, p):
+        slide, size = self.window.slide, self.window.size
+        for k in range(self.window.window_count_containing()):
+            for time, key, value in sorted(events, key=lambda event: event[0]):
+                end = (math.floor(time / slide) + 1.0) * slide + k * slide
+                if k and time < end - size:
+                    continue
+                if end <= self.emitted_through:
+                    self.late_tuples += 1
+                    continue
+                cell = self.windows.setdefault(end, {}).setdefault(
+                    key if self.by_key else 0,
+                    [0, 0.0, float("-inf"), float("inf")])
+                cell[0] += 1
+                cell[1] += value
+                cell[2] = max(cell[2], value)
+                cell[3] = min(cell[3], value)
+        self.progress[channel] = max(self.progress[channel], p)
+        emitted = []
+        for end in sorted(e for e in self.windows if e <= min(self.progress)):
+            emitted.append((end, self.windows.pop(end)))
+            self.emitted_through = max(self.emitted_through, end)
+        return emitted
+
+
+_fold_windows = st.sampled_from([
+    (2.0, 2.0), (5.0, 5.0),                  # tumbling
+    (4.0, 2.0), (15.0, 5.0), (2.0, 0.5),     # size a multiple of slide
+    (5.0, 2.0), (1.0, 0.4), (7.5, 5.0),      # not a multiple: masked fall-back
+    (0.3, 0.1),                              # a multiple only up to rounding
+])
+_fold_times = st.one_of(
+    st.integers(0, 240).map(lambda quarter: quarter / 4.0),  # window edges
+    st.floats(0.0, 60.0),
+)
+_fold_message = st.tuples(
+    st.lists(
+        st.tuples(
+            _fold_times,
+            st.integers(0, 6),  # the key when the message is dense-only
+            st.one_of(st.integers(-3, 6), st.integers(2**20, 2**20 + 3)),
+            st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16]),
+                      st.floats(-100.0, 100.0)),
+        ),
+        min_size=0, max_size=25,
+    ),
+    st.booleans(),  # sorted times (with the hint) or shuffled
+    st.booleans(),  # dense keys only (bincount branch) or mixed
+    st.integers(0, 1),  # input channel
+)
+
+
+def _fold_messages(messages, shuffle_seed):
+    """One :class:`Message` per drawn message.  A channel's progress only
+    moves forward, so an event behind an emitted window is a late tuple;
+    windows stay pending (in creation order) while either of the two
+    channels lags."""
+    rng = np.random.default_rng(shuffle_seed)
+    progress = [0.0, 0.0]
+    for arrival, (events, in_order, dense, channel) in enumerate(messages):
+        times = np.array([event[0] for event in events], dtype=np.float64)
+        keys = np.array([event[1 if dense else 2] for event in events], dtype=np.int64)
+        values = np.array([event[3] for event in events], dtype=np.float64)
+        order = np.argsort(times, kind="stable") if in_order else rng.permutation(len(times))
+        progress[channel] = max([progress[channel], *times.tolist()])
+        batch = EventBatch(times[order], values[order], keys[order],
+                           arrival_time=float(arrival), times_sorted=in_order)
+        yield msg(batch, p=progress[channel], t=float(arrival), channel=channel)
+
+
+def _close(value):
+    return pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def _fold_state(op):
+    return op.late_tuples, [
+        (end, state.tuple_count, state.max_arrival,
+         [(key, a.sum, a.count, a.max, a.min) for key, a in state.accumulators.items()])
+        for end, state in op.state_store.windows.items()
+    ]
+
+
+@given(
+    messages=st.lists(_fold_message, min_size=1, max_size=10),
+    window=_fold_windows,
+    agg=st.sampled_from(["sum", "count", "mean", "max", "min"]),
+    by_key=st.booleans(),
+    shuffle_seed=st.integers(0, 2**16),
+)
+@settings(deadline=None)
+def test_pane_fold_is_bit_identical_to_per_replica_fold(
+        messages, window, agg, by_key, shuffle_seed):
+    """The shipped ``_absorb`` against the per-replica regrouping it
+    replaced, after every message: same accumulators (``==`` on floats),
+    same counters, same window-creation order, same emissions, same
+    snapshot bytes."""
+    spec = WindowSpec(*window)
+    op = wired(WindowedAggregateOperator(ADDR, spec, agg, by_key), channels=2)
+    reference = wired(_PerReplicaAggregate(ADDR, spec, agg, by_key), channels=2)
+    for message in _fold_messages(messages, shuffle_seed):
+        got, expected = (
+            [(e.progress, e.arrival, e.batch.logical_times.tolist(),
+              e.batch.keys.tolist(), e.batch.values.tolist())
+             for e in each.on_message(message, now=0.0)]
+            for each in (op, reference)
+        )
+        assert got == expected
+        assert _fold_state(op) == _fold_state(reference)
+        assert op.state_snapshot() == reference.state_snapshot()
+
+
+@given(
+    messages=st.lists(_fold_message, min_size=1, max_size=10),
+    window=_fold_windows,
+    agg=st.sampled_from(["sum", "count", "mean", "max", "min"]),
+    by_key=st.booleans(),
+    shuffle_seed=st.integers(0, 2**16),
+)
+@settings(deadline=None)
+def test_aggregate_fold_matches_per_event_reference(
+        messages, window, agg, by_key, shuffle_seed):
+    """The fold against the per-event model: counts, max/min, late tuples,
+    window-creation order and the emitted windows exactly; sums up to
+    rounding (the model adds event by event, the fold partial by partial —
+    the huge values are left out, they cancel differently)."""
+    spec = WindowSpec(*window)
+    op = wired(WindowedAggregateOperator(ADDR, spec, agg, by_key), channels=2)
+    reference = _AggregateReference(spec, by_key)
+    for message in _fold_messages(messages, shuffle_seed):
+        batch = message.batch
+        batch.values[np.abs(batch.values) > 100.0] = 1.5
+        out = op.on_message(message, now=0.0)
+        emitted = reference.on_message(
+            list(zip(batch.logical_times.tolist(), batch.keys.tolist(),
+                     batch.values.tolist())), message.channel_index, message.p)
+        assert op.late_tuples == reference.late_tuples
+        assert list(op._windows) == list(reference.windows)
+        for end, cells in reference.windows.items():
+            accumulators = op._windows[end].accumulators
+            assert sorted(accumulators) == sorted(cells)
+            assert op._windows[end].tuple_count == sum(c[0] for c in cells.values())
+            for key, (count, total, high, low) in cells.items():
+                a = accumulators[key]
+                assert (a.count, a.sum) == (count, _close(total))
+                if agg in ("max", "min"):
+                    assert (a.max, a.min) == (high, low)
+        assert [e.progress for e in out] == [end for end, _ in emitted]
+        for emission, (_, cells) in zip(out, emitted):
+            assert emission.batch.keys.tolist() == sorted(cells)
+            expected = [
+                {"sum": total, "count": float(count), "mean": total / count,
+                 "max": high, "min": low}[agg]
+                for count, total, high, low in (cells[key] for key in sorted(cells))
+            ]
+            exact = agg in ("count", "max", "min")
+            assert emission.batch.values.tolist() == (
+                expected if exact else [_close(value) for value in expected])
 
 
 class TestSink:

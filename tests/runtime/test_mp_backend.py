@@ -28,6 +28,7 @@ from repro.runtime.engine import StreamEngine, make_engine
 from repro.runtime.mp.engine import MpStreamEngine
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
+from repro.workloads.tenants import make_latency_sensitive_job
 
 
 def _small_mix() -> TenantMix:
@@ -258,3 +259,31 @@ class TestTraceCapture:
         engine.run(until=0.01)
         with pytest.raises(RuntimeError, match="single-shot"):
             engine.run(until=0.01)
+
+
+class TestLateTuples:
+    """``JobMetrics.late_tuples`` sums what the job's windowed operators
+    dropped behind an emitted window, on either backend."""
+
+    @pytest.mark.parametrize("backend", ("sim", "mp"))
+    def test_one_late_batch_is_counted_per_job(self, backend):
+        # size 1 s, slide 0.5 s: every tuple belongs to two windows
+        late_job = make_latency_sensitive_job(
+            "late", source_count=1, latency_constraint=30.0, slide=0.5)
+        clean_job = make_latency_sensitive_job(
+            "clean", source_count=1, latency_constraint=30.0, slide=0.5)
+        engine = make_engine(
+            EngineConfig(backend=backend, nodes=1, workers_per_node=2, seed=5),
+            [late_job, clean_job],
+        )
+        on_time = [(0.5, [0.1, 0.4, 0.9]), (1.5, [1.2, 1.3]), (2.5, [2.1, 2.4])]
+        for job in ("late", "clean"):
+            for when, times in on_time:
+                engine.sim.schedule_at(
+                    when, engine.ingest, job, "source", 0, times, None, [0, 1, 2][:len(times)])
+        # windows up to 2.0 are out by now: three tuples x two windows late
+        engine.sim.schedule_at(
+            3.0, engine.ingest, "late", "source", 0, [0.2, 0.3, 0.6], None, [0, 1, 2])
+        engine.run(until=5.0)
+        assert engine.metrics.job("late").late_tuples == 6
+        assert engine.metrics.job("clean").late_tuples == 0
