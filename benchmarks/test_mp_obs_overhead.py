@@ -21,6 +21,7 @@ import time
 
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.runtime.config import EngineConfig
+from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.worker import MpWorker
 
 
@@ -54,7 +55,9 @@ def test_untraced_worker_has_no_observability_residue():
     worker = MpWorker(0, config, jobs)
     assert worker._tracer is None
     assert worker.transport._tracer is None
-    assert worker._reliable._tracer is None
+    # the channel protocol, not the hook slot (that holds the transport)
+    assert isinstance(worker._delivery, MpReliableDelivery)
+    assert worker._delivery._tracer is None
     assert worker._telemetry is None
     assert worker._tm_interval is None
 
@@ -66,7 +69,7 @@ def test_traced_worker_holds_recorder_and_buffer():
     worker = MpWorker(0, config, jobs)
     assert worker._tracer is not None
     assert worker.transport._tracer is worker._tracer
-    assert worker._reliable._tracer is worker._tracer
+    assert worker._delivery._tracer is worker._tracer
     assert worker._telemetry == []  # telemetry follows record_trace
     assert worker._tm_interval == config.mp_telemetry_interval
 

@@ -275,7 +275,7 @@ class MpSpanRecorder(TraceRecorder):
     """Worker-local recorder of the mp backend (one per worker process).
 
     Same hooks and accumulator semantics as :class:`TraceRecorder`, with
-    two differences imposed by process boundaries:
+    three differences imposed by process boundaries and the wall clock:
 
     * a message admitted here but *sent* elsewhere has no local span yet —
       ``on_admit`` creates a receiver stub (``sent``/``parent`` unknown,
@@ -285,11 +285,17 @@ class MpSpanRecorder(TraceRecorder):
       the dirty set as flat wire tuples for a ``TRACE`` frame (cumulative:
       a span that keeps evolving is simply re-sent and the latest part
       wins per origin).  The spans themselves are retained for the run's
-      lifetime — the same memory behaviour as the sim recorder.
+      lifetime — the same memory behaviour as the sim recorder;
+    * ``exec`` is the *realized* wall time from ``started`` to the read of
+      the worker ``clock`` in :meth:`on_execute_end` (cost realization plus
+      the operator's actual work), not the sampled cost the stats book —
+      children are sent after ``finished``, so chains stay causal; see
+      docs/observability.md "mp semantics".
     """
 
-    def __init__(self):
+    def __init__(self, clock):
         super().__init__()
+        self._clock = clock
         self._dirty: set[int] = set()
 
     def _stub(self, msg) -> None:
@@ -328,7 +334,10 @@ class MpSpanRecorder(TraceRecorder):
 
     def on_execute_end(self, msg, now: float, cost: float,
                        final: bool = True) -> None:
-        super().on_execute_end(msg, now, cost, final)
+        # every started message has a span (on_admit stubs one if need be)
+        now = self._clock.now
+        super().on_execute_end(msg, now, now - self.spans[msg.msg_id].started,
+                               final)
         self._dirty.add(msg.msg_id)
 
     def on_output(self, msg, now: float, latency: float) -> None:

@@ -20,12 +20,11 @@ from repro.runtime.topology import (
     WiringPlan,
 )
 from repro.runtime.transport import Transport
-from repro.runtime.workers import Node, Worker
+from repro.runtime.workers import Worker
 
 __all__ = [
     "EngineConfig",
     "FifoRunQueue",
-    "Node",
     "NodeRuntime",
     "OperatorLifecycle",
     "OperatorRuntime",

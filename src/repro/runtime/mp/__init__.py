@@ -2,10 +2,11 @@
 
 Each node of the configured cluster runs as a real worker process; the
 coordinator replays a deterministically captured ingest trace into the
-workers, which exchange framed, batched messages over multiprocessing
-pipes through a :class:`~repro.runtime.mp.transport.ProcessTransport`
-implementing the same ingest/deliver/route/reply surface as the simulated
-:class:`~repro.runtime.transport.Transport`.  The reliability layer over
+workers, which run the node runtime's dispatch loop on a wall clock and
+exchange framed, batched messages over multiprocessing pipes through a
+:class:`~repro.runtime.mp.transport.ProcessTransport` — the simulated
+:class:`~repro.runtime.transport.Transport` with pipes and outboxes as
+its delivery layer.  The reliability layer over
 those channels is :mod:`repro.runtime.delivery` — the one go-back-N core
 both backends run — under a wall-clock driver
 (:class:`~repro.runtime.mp.reliable.MpReliableDelivery`) where the sim has

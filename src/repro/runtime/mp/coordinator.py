@@ -71,8 +71,7 @@ from repro.runtime.mp.frames import (
 )
 from repro.runtime.mp.ingest import sequence_trace, shard_by_owner
 from repro.runtime.mp.worker import worker_main
-from repro.runtime.placement import Placement
-from repro.runtime.topology import client_key
+from repro.runtime.placement import place_operators
 
 #: max ingest entries per INGEST frame (bounds frame size and fairness)
 _INGEST_CHUNK = 256
@@ -157,7 +156,7 @@ class MpCoordinator:
         self._until = until
         self._n = config.nodes
         #: live placement view (address -> node), updated on fail-over
-        self._op_node = self._initial_placement()
+        self._op_node = place_operators(config, jobs)
         #: sequenced trace: (trace_time, entry) pairs + final seq per source
         self._timed, self._last_seq = sequence_trace(trace)
         self.info: dict = {}
@@ -171,17 +170,6 @@ class MpCoordinator:
         self.telemetry = None
         #: ClockSync from the startup CLOCK exchange (obs plane only)
         self.clock = None
-
-    def _initial_placement(self) -> dict:
-        """Replicate the builder's placement (pure function of config)."""
-        addresses = []
-        for job in self._jobs:
-            for stage_name in job.graph.stage_names:
-                stage = job.graph.stage(stage_name)
-                for index in range(stage.parallelism):
-                    addresses.append(OpAddress(job.name, stage_name, index))
-        placement = Placement(self._config.placement, self._config.nodes)
-        return dict(placement.assign(addresses))
 
     def _source_owner(self, src_key: tuple) -> int:
         _, job, stage, index = src_key

@@ -1,14 +1,15 @@
-"""ProcessTransport: the transport surface inside one worker process.
+"""ProcessTransport: the transport of one worker process.
 
-Implements the same ingest / deliver / route_emissions / send_reply /
-rewire surface as the simulated
-:class:`~repro.runtime.transport.Transport`, but over real pipes: local
-destinations are delivered by direct function call (in-process order *is*
-per-channel FIFO), remote destinations go through the wall-clock reliable
-layer into per-destination **outboxes** that :meth:`flush` ships as one
-``DATA`` frame per destination per dispatch quantum — the amortized
-batching that keeps the hot send path at one syscall per quantum instead
-of one per message.
+A :class:`~repro.runtime.transport.Transport` on the worker's wall clock:
+emission routing, context construction, mailbox admission and RC
+preparation are the inherited code.  What is the pipe's lives here.  The
+transport is its own delivery layer behind the inherited ``_reliable``
+hook: local destinations are delivered by direct function call
+(in-process order *is* per-channel FIFO), remote destinations go through
+the wall-clock reliable layer into per-destination **outboxes** that
+:meth:`flush` ships as one ``DATA`` frame per destination per dispatch
+quantum — the amortized batching that keeps the hot send path at one
+syscall per quantum instead of one per message.
 
 Ingestion entries carry a per-source sequence number and arrive either
 from the local :class:`~repro.runtime.mp.ingest.IngestDriver` or, after a
@@ -26,34 +27,31 @@ admission is structural in the channel protocol's receiver half).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.core.context import PriorityContext
 from repro.dataflow.events import EventBatch
-from repro.dataflow.messages import Message, MessageKind
-from repro.dataflow.operators import Emission, OpAddress
+from repro.dataflow.messages import Message
+from repro.dataflow.operators import OpAddress
 from repro.runtime.mp.frames import DATA, send_frame
 from repro.runtime.topology import OperatorRuntime
+from repro.runtime.transport import Transport
 
 
-class ProcessTransport:
+class ProcessTransport(Transport):
     """Routes messages for one worker process of the mp backend."""
 
-    def __init__(self, node_id: int, plan, jobs: dict, config, metrics,
-                 profiler, reliable, run_queue, clock):
+    def __init__(self, node_id: int, clock, nodes: list, plan, jobs: dict,
+                 metrics, profiler, config, delivery):
+        # no channel table, delay model or link builder: pipes carry what
+        # leaves the process, and :meth:`rewire` re-places by node id
+        super().__init__(clock, nodes, plan, jobs, None, None, True,
+                         metrics, profiler, config, None)
         self._node_id = node_id
-        self._ops = plan.ops
-        self._jobs = jobs
-        self._client_converters = plan.client_converters
-        self._contexts = config.contexts_enabled
-        self._capacity = config.source_mailbox_capacity
-        self._metrics = metrics
-        self._profiler = profiler
-        self._reliable = reliable
-        self._run_queue = run_queue
-        self._clock = clock
+        #: the delivery layer behind the inherited hook is this transport
+        #: (:meth:`send` / :meth:`on_processed`); the channel protocol of
+        #: its remote half is the :class:`MpReliableDelivery` beside it
+        self._reliable = self
+        self._delivery = delivery
         #: node_id -> pending wire entries (flushed as one frame each)
         self._outboxes: dict[int, list] = {}
         self._conns: dict = {}
@@ -64,12 +62,6 @@ class ProcessTransport:
         #: per-channel FIFO audit: (sender, target) -> last admitted seq
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
-        #: span recorder (None = tracing off: zero hot-path residue)
-        self._tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Install the worker's span recorder (observability plane)."""
-        self._tracer = tracer
 
     def attach_conns(self, conns: dict, codecs: dict | None = None) -> None:
         """Bind the peer connections (node_id -> Connection).
@@ -94,7 +86,7 @@ class ProcessTransport:
                 self._ingest_state[src_key] = state
             if seq <= state[0]:
                 # replay overlap after a fail-over: already seen
-                self._metrics.duplicates_dropped += 1
+                self.metrics.duplicates_dropped += 1
                 continue
             state[0] = seq
             self._ingest(src_key, seq, trace_time, logical_times, values,
@@ -103,7 +95,7 @@ class ProcessTransport:
     def _ingest(self, src_key: tuple, seq: int, trace_time: float,
                 logical_times, values, keys, sorted_times: bool) -> None:
         _, job_name, stage_name, source_index = src_key
-        now = self._clock()
+        now = self.sim.now
         job = self._jobs[job_name]
         src_rt = self._ops[OpAddress(job_name, stage_name, source_index)]
         count = len(logical_times)
@@ -139,8 +131,14 @@ class ProcessTransport:
             self._tracer.on_send(msg, -1, now)
         self.deliver(src_rt, msg)
 
-    def note_source_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
-        """Advance the per-source ingest watermark (contiguous processed)."""
+    def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
+        """Final disposition of a message (executed or shed): advance the
+        source's contiguous-processed ingest watermark, or ack the remote
+        channel the message arrived on (local edges carry no seq)."""
+        if not op_rt.is_source:
+            if msg.seq != -1:
+                self._delivery.on_processed(msg)
+            return
         state = self._ingest_state.get(msg.sender)
         if state is None:
             return
@@ -162,39 +160,18 @@ class ProcessTransport:
     # delivery
     # ------------------------------------------------------------------
 
-    def deliver(self, op_rt: OperatorRuntime, msg: Message) -> None:
-        now = self._clock()
+    def deliver(self, op_rt: OperatorRuntime, msg: Message, producer=None) -> None:
         if msg.seq != -1:
             channel = (msg.sender, msg.target)
             last = self._audit.get(channel, -1)
             if msg.seq <= last:
                 self.fifo_violations += 1
             self._audit[channel] = msg.seq
-        if op_rt.is_source:
-            capacity = self._capacity
-            if capacity is not None and (
-                op_rt.blocked or len(op_rt.mailbox) >= capacity
-            ):
-                op_rt.blocked.append(msg)
-                op_rt.job_metrics.backpressure_events += 1
-                return
-            msg.enqueue_time = now
-            op_rt.mailbox.push(msg)
-            job_metrics = op_rt.job_metrics
-            size = len(op_rt.mailbox)
-            if size > job_metrics.max_source_mailbox:
-                job_metrics.max_source_mailbox = size
-        else:
-            msg.enqueue_time = now
-            op_rt.mailbox.push(msg)
-        if self._tracer is not None:
-            # same instant as enqueue_time, so wait = started - admitted
-            self._tracer.on_admit(msg, now)
-        self._run_queue.notify(op_rt, now, None)
+        Transport.deliver(self, op_rt, msg, producer)
 
     def on_entries(self, entries: list) -> None:
         """Handle one incoming ``DATA`` frame's entries."""
-        reliable = self._reliable
+        reliable = self._delivery
         for entry in entries:
             tag = entry[0]
             if tag == "msg":
@@ -213,45 +190,16 @@ class ProcessTransport:
                 self._audit.pop(key, None)
 
     # ------------------------------------------------------------------
-    # emission routing
+    # delivery layer (behind the inherited ``_reliable`` hook)
     # ------------------------------------------------------------------
 
-    def route_emissions(self, src_rt: OperatorRuntime, trigger: Message,
-                        emissions: list[Emission]) -> None:
-        for route in src_rt.routes:
-            for emission in emissions:
-                for link, part in route.fan_out(emission.batch):
-                    self._send(src_rt, link, part, emission, trigger)
-
-    def _send(self, src_rt: OperatorRuntime, link: tuple, batch: EventBatch,
-              emission: Emission, trigger: Message) -> None:
-        dst_rt = link[0]
-        if len(batch) == 0 and not dst_rt.stage.is_windowed:
-            # only windowed operators consume progress heartbeats
-            return
-        now = self._clock()
-        pc: Optional[PriorityContext] = None
-        converter = src_rt.converter
-        if self._contexts and converter is not None:
-            pc = converter.build(
-                p=emission.progress, t=emission.arrival, now=now,
-                target_stage=dst_rt.stage_name,
-                target_window=dst_rt.stage.window,
-                tuple_count=len(batch), inherited=trigger.pc, at_source=False,
-            )
-        out = Message(
-            target=dst_rt.address, batch=batch, p=emission.progress,
-            t=emission.arrival, deps_arrival=emission.arrival,
-            sender=src_rt.address, pc=pc, channel_index=link[2],
-        )
-        if self._tracer is not None:
-            self._tracer.on_send(out, trigger.msg_id, now)
+    def send(self, src_rt, dst_rt: OperatorRuntime, channel, msg: Message) -> None:
         if dst_rt.node_id == self._node_id:
             # in-process call order preserves per-channel FIFO directly
-            self.deliver(dst_rt, out)
+            self.deliver(dst_rt, msg)
             return
-        self._reliable.send(out)
-        self._outbox(dst_rt.node_id).append(("msg", out))
+        self._delivery.send(msg)
+        self._outbox(dst_rt.node_id).append(("msg", msg))
 
     # ------------------------------------------------------------------
     # reply contexts
@@ -259,18 +207,9 @@ class ProcessTransport:
 
     def send_reply(self, op_rt: OperatorRuntime, msg: Message) -> None:
         """PREPAREREPLY at ``op_rt`` → PROCESSCTXFROMREPLY at the sender."""
-        if msg.kind is not MessageKind.DATA or msg.sender is None:
+        rc = self._reply_context(op_rt, msg)
+        if rc is None:
             return
-        if op_rt.converter is None:
-            return
-        rc = op_rt.converter.prepare_reply(self._profiler.estimate(op_rt.address))
-        rc.mailbox_size = len(op_rt.mailbox)
-        enqueue_time = msg.enqueue_time
-        if enqueue_time == enqueue_time:  # not NaN
-            rc.queueing_delay = max(0.0, self._clock() - enqueue_time)
-        self._metrics.total_acks += 1
-        if self._tracer is not None:
-            self._tracer.on_reply(msg, self._clock())
         sender = msg.sender
         if isinstance(sender, tuple) and sender and sender[0] == "client":
             # the client converter that built this source's PCs lives in
@@ -306,7 +245,7 @@ class ProcessTransport:
 
         Cumulative acks are coalesced per channel and piggybacked on the
         same frame as data heading to the channel's sender."""
-        for key, admitted, processed in self._reliable.drain_acks():
+        for key, admitted, processed in self._delivery.drain_acks():
             sender = key[0]
             if isinstance(sender, tuple) and sender and sender[0] == "client":
                 continue  # client acks travel in heartbeats
@@ -350,7 +289,7 @@ class ProcessTransport:
         moved = set(mapping)
         for address, node_id in mapping.items():
             self._ops[address].node_id = node_id
-        reliable = self._reliable
+        reliable = self._delivery
         for key in reliable.sender_channels_to(moved):
             reset = reliable.reset_sender(key)
             if reset is None:

@@ -2,14 +2,19 @@
 
 Each worker rebuilds the *entire* topology locally (placement is a pure
 function of the config, so every process derives the same wiring) but
-executes only the operators placed on its node.  The dispatch loop is the
-wall-clock analogue of :class:`~repro.runtime.node.NodeRuntime`: pump the
-local ingest shard, pop an operator from the run
-queue in the scheduler's order, run its messages for a quantum, requeue,
-and between quanta drain the pipes, retransmit expired channels, flush
-the outboxes (one binary ``DATA`` frame per destination — the amortized
-batch) and heartbeat the coordinator.  Every idle wait is capped by
-``MP_POLL_INTERVAL``.
+executes only the operators placed on its node.  The worker *is* that
+node's :class:`~repro.runtime.node.NodeRuntime`, run on a wall clock: the
+per-message path (back-pressure release, shedding, stats, spans,
+completion, RC replies, emission routing) is the inherited code, and the
+worker supplies the three things a backend owns — the clock
+(:class:`WallClock`), how a sampled cost is spent (:meth:`MpWorker.
+_execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
+ProcessTransport`).  Around it runs the pipe loop: pump the local ingest
+shard, pop an operator from the run queue in the scheduler's order, run
+its messages for a quantum, and between quanta drain the pipes,
+retransmit expired channels, flush the outboxes (one binary ``DATA``
+frame per destination — the amortized batch) and heartbeat the
+coordinator.  Every idle wait is capped by ``MP_POLL_INTERVAL``.
 
 Execution cost realization (``mp_cost_mode``): ``"sleep"`` occupies the
 worker in wall-clock time (sleeps overlap across processes, so capacity
@@ -67,8 +72,9 @@ from repro.runtime.lifecycle import apply_stage_rescale
 from repro.runtime.mp.ingest import IngestDriver
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
-from repro.runtime.node import make_run_queue
+from repro.runtime.node import NodeRuntime, make_run_queue
 from repro.runtime.topology import TopologyBuilder
+from repro.runtime.workers import Worker
 from repro.sim.network import ChannelTable, ConstantDelay
 from repro.sim.rng import RngRegistry
 
@@ -108,87 +114,84 @@ def calibrate_spin_rate(measure: float = 0.6) -> float:
             return iterations / elapsed
 
 
-class _BuilderNode:
-    """Placement slot handed to the topology builder (mailbox factory)."""
+class WallClock:
+    """The worker's kernel: seconds since the coordinator's ``START``
+    epoch.  ``now`` is all of the kernel the shared message path reads."""
 
-    __slots__ = ("node_id", "run_queue")
+    __slots__ = ("epoch",)
 
-    def __init__(self, node_id: int, run_queue):
-        self.node_id = node_id
-        self.run_queue = run_queue
+    def __init__(self):
+        self.epoch = 0.0
+
+    def read(self) -> float:
+        return time.monotonic() - self.epoch
+
+    now = property(read)
 
 
-class MpWorker:
+class MpWorker(NodeRuntime):
     """One node of the cluster, running in its own process."""
 
     def __init__(self, node_id: int, config, jobs: list, policy=None,
                  coord_conn=None, peer_conns=None, shard=None):
-        self._node_id = node_id
+        clock = WallClock()
+        # each worker process runs its node serially: one dispatch slot,
+        # never idle (the pipe loop polls the run queue; nothing wakes it)
+        super().__init__(node_id, make_run_queue(
+            replace(config, workers_per_node=1), clock.read))
+        self.workers = [Worker(node_id=node_id, local_id=0, idle=False)]
+        self._node_id = node_id  # read by name from outside (perfbench)
         self._coord = coord_conn
         self._peers = dict(peer_conns or {})
-        self._epoch = 0.0
         self._stop = False
-        self._busy_time = 0.0
-        self._messages = 0
 
         jobs_by_name = {j.name: j for j in jobs}
-        self._jobs = jobs_by_name
         rng = RngRegistry(config.seed)
-        self._cost_rng = rng.stream(f"mp/exec-cost/{node_id}")
         noise = None
         if config.profile_noise_sigma > 0:
             noise = GaussianNoiseInjector(
                 config.profile_noise_sigma,
                 rng.stream(f"mp/profile-noise/{node_id}"),
             )
-        self._profiler = CostProfiler(noise=noise)
-        self._policy = policy or make_policy(config.policy, **config.policy_kwargs)
+        profiler = CostProfiler(noise=noise)
+        policy = policy or make_policy(config.policy, **config.policy_kwargs)
 
-        # each worker process runs its node serially: one dispatch slot
-        queue_config = replace(config, workers_per_node=1)
-        builder_nodes = [
-            _BuilderNode(i, make_run_queue(queue_config, self._now))
-            for i in range(config.nodes)
-        ]
-        self._run_queue = builder_nodes[node_id].run_queue
         builder = TopologyBuilder(
-            config, jobs_by_name, self._policy, self._profiler,
+            config, jobs_by_name, policy, profiler,
             ChannelTable(), ConstantDelay(local=0.0, remote=0.0), True,
         )
-        self._plan = builder.build(builder_nodes)
+        # the worker stands in every node slot: whatever node an operator
+        # is placed on (or re-placed to by a fail-over this process has not
+        # heard of yet), a message admitted here is run by this run queue
+        nodes = [self] * config.nodes
+        self._plan = builder.build(nodes)
         self._ops = self._plan.ops
 
-        self.metrics = MetricsHub()
+        metrics = MetricsHub()
         for job in jobs:
-            self.metrics.register_job(job.name, job.group, job.latency_constraint)
+            metrics.register_job(job.name, job.group, job.latency_constraint)
         for op_rt in self._ops.values():
-            op_rt.job_metrics = self.metrics.job(op_rt.job.name)
+            op_rt.job_metrics = metrics.job(op_rt.job.name)
 
         loss_rng = rng.stream(f"mp/loss/{node_id}") if config.mp_loss_rate > 0 else None
-        self._reliable = MpReliableDelivery(
-            self._now, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP,
-            self.metrics, loss_rate=config.mp_loss_rate, loss_rng=loss_rng,
+        self._delivery = MpReliableDelivery(
+            clock.read, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP,
+            metrics, loss_rate=config.mp_loss_rate, loss_rng=loss_rng,
         )
         self.transport = ProcessTransport(
-            node_id, self._plan, jobs_by_name, config, self.metrics,
-            self._profiler, self._reliable, self._run_queue, self._now,
+            node_id, clock, nodes, self._plan, jobs_by_name, metrics,
+            profiler, config, self._delivery,
         )
         self._codecs = {peer: DataCodec() for peer in self._peers}
         self._codec_by_conn = {
             conn: self._codecs[peer] for peer, conn in self._peers.items()
         }
         self.transport.attach_conns(self._peers, self._codecs)
-        self._cost_mode = config.mp_cost_mode
-        self._sleep_cost = self._cost_mode == "sleep"
+        self._sleep_cost = config.mp_cost_mode == "sleep"
         self.spin_rate = 0.0
-        self._shedder = DeadlineShedder() if config.shed_expired else None
         self._ingest = (
             None if shard is None else IngestDriver(shard, config.mp_realtime)
         )
-        self._contexts = config.contexts_enabled
-        self._quantum = config.quantum
-        self._capacity = config.source_mailbox_capacity
-        self._record_completions = config.record_completion_timeline
         #: coordinator-announced stage rescales awaiting a quiescent point
         self._pending_rescales: list[tuple[str, str, int]] = []
         self._stage_rescales = 0
@@ -197,7 +200,7 @@ class MpWorker:
         # observability plane (null-collaborator idiom: with tracing and
         # telemetry off every field is None and the hot path sees only
         # dead ``is None`` branches — obs modules are not even imported)
-        self._tracer = None
+        tracer = None
         self._telemetry = None
         self._tm_interval = None
         self._tm_last_time = 0.0
@@ -205,21 +208,25 @@ class MpWorker:
         if config.record_trace:
             from repro.obs.recorder import MpSpanRecorder
 
-            self._tracer = MpSpanRecorder()
-            self.transport.attach_tracer(self._tracer)
-            self._reliable.attach_tracer(self._tracer)
+            tracer = MpSpanRecorder(clock)
+            self.transport.attach_tracer(tracer)
+            self._delivery.attach_tracer(tracer)
         if config.mp_telemetry_enabled:
             self._telemetry = []
             self._tm_interval = config.mp_telemetry_interval
-
-    def _now(self) -> float:
-        return time.monotonic() - self._epoch
+        self.bind(
+            clock, metrics, profiler, rng.stream(f"mp/exec-cost/{node_id}"),
+            config, self.transport, reliable=self.transport,
+            shedder=DeadlineShedder() if config.shed_expired else None,
+            tracer=tracer,
+        )
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
 
     def run(self) -> None:
+        clock = self.sim
         send_frame(self._coord, READY, self._node_id)
         while True:
             kind, payload = recv_frame(self._coord)
@@ -234,11 +241,11 @@ class MpWorker:
                 send_frame(self._coord, CLOCK_ACK,
                            (self._node_id, os.getpid(), time.monotonic()))
             elif kind == START:
-                self._epoch = payload
+                clock.epoch = payload
                 break
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"expected CALIBRATE/CLOCK/START, got {kind}")
-        last_hb = self._now()
+        last_hb = clock.now
         self._tm_last_time = last_hb
         ingest = self._ingest
         conns = [self._coord] + list(self._peers.values())
@@ -246,15 +253,15 @@ class MpWorker:
             self._drain(conns)
             if self._pending_rescales:
                 self._apply_pending_rescales()
-            now = self._now()
+            now = clock.now
             if ingest is not None:
                 ingest.pump(now, self.transport.on_ingest)
-            replays = self._reliable.due_retransmits(now)
+            replays = self._delivery.due_retransmits(now)
             if replays:
                 self.transport.enqueue_retransmits(replays)
             worked = self._dispatch_quantum()
             self._safe_flush()
-            now = self._now()
+            now = clock.now
             if self._stop:
                 break
             if (
@@ -267,7 +274,7 @@ class MpWorker:
                 last_hb = now
             if not worked:
                 timeout = last_hb + HEARTBEAT_INTERVAL - now
-                deadline = self._reliable.next_deadline()
+                deadline = self._delivery.next_deadline()
                 if deadline is not None:
                     timeout = min(timeout, deadline - now)
                 if ingest is not None:
@@ -319,8 +326,8 @@ class MpWorker:
 
     def _idle(self) -> bool:
         return (
-            self._run_queue.pending_operator_count() == 0
-            and self._reliable.idle()
+            self.run_queue.pending_operator_count() == 0
+            and self._delivery.idle()
             and not self.transport.pending_output()
             and not self._pending_rescales
             and (self._ingest is None or self._ingest.exhausted)
@@ -358,16 +365,17 @@ class MpWorker:
         """One telemetry-bus reading (buffered; flushed with heartbeats)."""
         from repro.obs.telemetry import TelemetrySample
 
+        slot = self.workers[0]
         elapsed = now - self._tm_last_time
-        busy_delta = self._busy_time - self._tm_last_busy
+        busy_delta = slot.busy_time - self._tm_last_busy
         self._tm_last_time = now
-        self._tm_last_busy = self._busy_time
+        self._tm_last_busy = slot.busy_time
         busy_frac = 0.0
         if elapsed > 0:
             # busy time books in lumps at completion, so clamp (same as
             # the sim sampler's utilization clamp)
             busy_frac = min(1.0, max(0.0, busy_delta / elapsed))
-        run_queue = self._run_queue
+        run_queue = self.run_queue
         peek = getattr(run_queue, "peek_best_priority", None)
         head = float("nan")
         if peek is not None:
@@ -387,9 +395,9 @@ class MpWorker:
         ingest = self._ingest
         self._telemetry.append(TelemetrySample(
             now, node_id, run_queue.pending_operator_count(), head,
-            busy_frac, self._reliable.outstanding_total(),
+            busy_frac, self._delivery.outstanding_total(),
             0 if ingest is None else ingest.remaining,
-            state_bytes, pending_windows, self._messages,
+            state_bytes, pending_windows, slot.messages_executed,
         ))
 
     def _flush_obs(self) -> None:
@@ -418,7 +426,7 @@ class MpWorker:
         try:
             send_frame(self._coord, HB, (
                 self._node_id, self._idle(),
-                self.transport.ingest_acks(), self._messages,
+                self.transport.ingest_acks(), self.workers[0].messages_executed,
             ))
         except (BrokenPipeError, OSError):
             self._stop = True  # the coordinator is gone: report and exit
@@ -426,15 +434,16 @@ class MpWorker:
     def _report(self) -> None:
         if self._tm_interval is not None:
             # one last reading so short runs still produce a series
-            self._sample_telemetry(self._now())
+            self._sample_telemetry(self.sim.now)
         if self._tracer is not None or self._telemetry:
             self._flush_obs()  # final drain: REPORT must come last
-        self.metrics.record_worker_busy(self._node_id, 0, self._busy_time)
+        slot = self.workers[0]
+        self.metrics.record_worker_busy(self._node_id, 0, slot.busy_time)
         for job, late in self._plan.late_tuples().items():
             self.metrics.job(job).late_tuples = late
         stats = {
-            "busy_time": self._busy_time,
-            "messages": self._messages,
+            "busy_time": slot.busy_time,
+            "messages": slot.messages_executed,
             "spin_rate": self.spin_rate,
             "fifo_violations": self.transport.fifo_violations,
             "stage_rescales": self._stage_rescales,
@@ -446,134 +455,34 @@ class MpWorker:
             pass
 
     # ------------------------------------------------------------------
-    # dispatch (wall-clock analogue of NodeRuntime._run_op)
+    # dispatch: NodeRuntime's message path, one quantum per pipe-loop turn
     # ------------------------------------------------------------------
 
     def _dispatch_quantum(self) -> bool:
-        """Pop one operator and run its messages for a quantum.
-
-        Returns True when any message was executed."""
-        op_rt = self._run_queue.pop(0)
+        """Pop one operator, run it until it is released (mailbox drained,
+        or swapped out at a quantum boundary) and hand control back to the
+        pipe loop.  Returns True when an operator was due."""
+        op_rt = self.run_queue.pop(0)
         if op_rt is None:
             return False
         op_rt.busy = True
-        start = self._now()
-        mailbox = op_rt.mailbox
-        shedder = self._shedder
-        worked = False
-        while True:
-            msg = mailbox.pop()
-            if op_rt.blocked:
-                capacity = self._capacity
-                if capacity is not None and len(mailbox) < capacity:
-                    released = op_rt.blocked.popleft()
-                    release_now = self._now()
-                    released.enqueue_time = release_now
-                    mailbox.push(released)
-                    if self._tracer is not None:
-                        # back-pressure release is this message's admission
-                        self._tracer.on_admit(released, release_now)
-            if shedder is not None:
-                pc = msg.pc
-                if pc is not None and shedder.should_shed(pc, self._now()):
-                    # deadline-aware load shedding, mirrored from the sim
-                    # dispatch loop: the start deadline is unmeetable, so
-                    # executing would only delay messages that can still
-                    # make it; shed work still acks (at-least-once intact)
-                    job_metrics = op_rt.job_metrics
-                    job_metrics.messages_shed += 1
-                    job_metrics.tuples_shed += msg.tuple_count
-                    if self._tracer is not None:
-                        self._tracer.on_shed(msg, op_rt, self._now())
-                    if op_rt.is_source:
-                        self.transport.note_source_processed(op_rt, msg)
-                    elif msg.seq != -1:
-                        self._reliable.on_processed(msg)
-                    worked = True
-                    if len(mailbox) == 0:
-                        op_rt.busy = False
-                        return worked
-                    continue
-            self._execute(op_rt, msg)
-            worked = True
-            if len(mailbox) == 0:
-                op_rt.busy = False
-                return worked
-            now = self._now()
-            if now - start >= self._quantum:
-                if self._run_queue.should_swap(op_rt):
-                    op_rt.busy = False
-                    self._run_queue.requeue(op_rt, 0)
-                    return worked
-                start = now  # fresh quantum, same operator (sim parity)
+        slot = self.workers[0]
+        slot.quantum_start = self.sim.now
+        self._run_op(slot, op_rt)
+        return True
 
-    def _execute(self, op_rt, msg) -> None:
-        now = self._now()
-        tracer = self._tracer
-        job_metrics = op_rt.job_metrics
-        stage_name = op_rt.stage_name
-        enqueue_time = msg.enqueue_time
-        wait = now - enqueue_time
-        if wait == wait:  # NaN propagates from unset enqueue
-            queue_stat = op_rt.queue_stat
-            if queue_stat is None:
-                queue_stat = job_metrics.queueing_stat(stage_name)
-                op_rt.queue_stat = queue_stat
-            queue_stat.add(wait)
-        pc = msg.pc
-        if pc is not None and now > pc.deadline:
-            job_metrics.start_violations += 1
-        cost = op_rt.cost_model.sample(msg.tuple_count, self._cost_rng)
-        exec_stat = op_rt.exec_stat
-        if exec_stat is None:
-            exec_stat = job_metrics.execution_stat(stage_name)
-            op_rt.exec_stat = exec_stat
-        exec_stat.add(cost)
-        if tracer is not None:
-            started = now
-            tracer.on_start(msg, op_rt, 0, now, wait, cost, self._run_queue)
+    def _execute(self, worker, op_rt, msg, now: float, cost: float) -> bool:
+        """Spend exactly the sampled ``cost`` in wall time (sleep, or a
+        fixed spin count); the message always completes inline."""
         if cost > 0:
             if self._sleep_cost:
                 time.sleep(cost)
             elif self.spin_rate > 0.0:  # "spin" after calibration
                 spin(int(cost * self.spin_rate))
-        self._busy_time += cost
-        now = self._now()
-        self._messages += 1
-        job_metrics.messages_processed += 1
-        self.metrics.total_messages += 1
-        emissions = op_rt.operator.on_message(msg, now)
-        if tracer is not None:
-            # mp spans carry *realized* wall time (cost realization plus
-            # the operator's actual work), not the sampled cost the stats
-            # book — children are sent after ``finished``, so chains stay
-            # causal; see docs/observability.md "mp semantics"
-            end = self._now()
-            tracer.on_execute_end(msg, end, end - started)
-        batch = msg.batch
-        if op_rt.is_sink and batch is not None and len(batch) > 0:
-            job_metrics.record_output(
-                now, now - msg.t, msg.tuple_count, float(batch.values.sum())
-            )
-            if tracer is not None:
-                tracer.on_output(msg, now, now - msg.t)
-        elif op_rt.is_source:
-            count = msg.tuple_count
-            job_metrics.tuples_processed += count
-            job_metrics.source_events.append((now, count))
-        if self._contexts:
-            self._profiler.record(op_rt.address, cost)
-            self.transport.send_reply(op_rt, msg)
-        if self._record_completions:
-            self.metrics.completion_log.append(
-                (now, op_rt.job.name, stage_name, op_rt.address.index, msg.msg_id)
-            )
-        if op_rt.is_source:
-            self.transport.note_source_processed(op_rt, msg)
-        elif msg.seq != -1:
-            self._reliable.on_processed(msg)
-        if emissions:
-            self.transport.route_emissions(op_rt, msg, emissions)
+        return True
+
+    def wake_idle_worker(self) -> None:
+        """Nothing to wake: the pipe loop polls the run queue every turn."""
 
 
 def worker_main(node_id: int, config, jobs: list, policy,

@@ -219,7 +219,8 @@ class NodeRuntime:
         inline and the completion handler runs without a heap round-trip —
         one kernel event per quantum instead of one per message.  Whenever
         the proof fails, the completion is scheduled exactly as before, so
-        the observable event order is identical either way.
+        the observable event order is identical either way.  That choice is
+        :meth:`_execute`; everything else here runs on any clock.
 
         Returns True when the worker released the operator (mailbox drained
         or requeued at the quantum boundary) and should pop its next one;
@@ -290,12 +291,9 @@ class NodeRuntime:
             if self._tracer is not None:
                 self._tracer.on_start(msg, op_rt, worker.local_id, now,
                                       wait, cost, self.run_queue)
-            if not sim.try_advance(now + cost):
-                sim.schedule_fast(
-                    cost, self._complete_message, worker, op_rt, msg, cost
-                )
+            if not self._execute(worker, op_rt, msg, now, cost):
                 return False
-            # the kernel advanced to ``now + cost``: complete inline
+            # the clock stands at the completion instant: complete inline
             self._finish_message(worker, op_rt, msg, cost)
             if len(mailbox) == 0:
                 op_rt.busy = False
@@ -308,6 +306,18 @@ class NodeRuntime:
                     self._release(op_rt, worker, requeue=True)
                     return True
                 worker.quantum_start = now  # fresh quantum, same operator
+
+    def _execute(self, worker: Worker, op_rt: OperatorRuntime, msg: Message,
+                 now: float, cost: float) -> bool:
+        """Spend ``cost`` — the one step of the message path a backend
+        overrides.  True when the clock now stands at the completion
+        instant (the caller completes the message inline); False when a
+        completion event was scheduled instead."""
+        sim = self.sim
+        if sim.try_advance(now + cost):
+            return True
+        sim.schedule_fast(cost, self._complete_message, worker, op_rt, msg, cost)
+        return False
 
     def _complete_message(
         self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float
@@ -370,9 +380,11 @@ class NodeRuntime:
         job_metrics = op_rt.job_metrics
         job_metrics.messages_processed += 1
         self.metrics.total_messages += 1
-        if tracer is not None:
-            tracer.on_execute_end(msg, now, cost)
         emissions = op_rt.operator.on_message(msg, now)
+        if tracer is not None:
+            # behind the operator's work: a wall-clock recorder books the
+            # realized execution time, and sim time does not move here
+            tracer.on_execute_end(msg, now, cost)
         batch = msg.batch
         if op_rt.is_sink and batch is not None and len(batch) > 0:
             latency = now - msg.t

@@ -43,3 +43,16 @@ class Placement:
                 job_order[address.job] = len(job_order)
             assignment[address] = job_order[address.job] % self._node_count
         return assignment
+
+
+def place_operators(config, jobs: Iterable) -> dict[OpAddress, int]:
+    """Node of every operator instance of ``jobs``, in (job, stage, index)
+    order — a pure function of the config, so the topology builder and
+    every process of the mp backend derive the same placement."""
+    addresses = [
+        OpAddress(job.name, stage_name, index)
+        for job in jobs
+        for stage_name in job.graph.stage_names
+        for index in range(job.graph.stage(stage_name).parallelism)
+    ]
+    return Placement(config.placement, config.nodes).assign(addresses)

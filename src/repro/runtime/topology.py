@@ -36,7 +36,7 @@ from repro.dataflow.operators import (
     SourceOperator,
     WindowedJoinOperator,
 )
-from repro.runtime.placement import Placement
+from repro.runtime.placement import place_operators
 
 
 @dataclass
@@ -320,19 +320,10 @@ class TopologyBuilder:
     # ------------------------------------------------------------------
 
     def _build_operators(self, nodes: list) -> None:
-        addresses: list[OpAddress] = []
-        for job in self._jobs.values():
-            for stage_name in job.graph.stage_names:
-                stage = job.graph.stage(stage_name)
-                for index in range(stage.parallelism):
-                    addresses.append(OpAddress(job.name, stage_name, index))
-        placement = Placement(self._config.placement, self._config.nodes)
-        node_of = placement.assign(addresses)
-        self._placements = node_of
-        for address in addresses:
+        self._placements = place_operators(self._config, self._jobs.values())
+        for address, node_id in self._placements.items():
             job = self._jobs[address.job]
             stage = job.graph.stage(address.stage)
-            node_id = node_of[address]
             mailbox = nodes[node_id].run_queue.create_mailbox()
             converter = self._make_converter(job, stage) if self._contexts else None
             operator = stage.build_operator(job.name, address.index)

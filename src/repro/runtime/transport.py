@@ -201,6 +201,9 @@ class Transport:
     def deliver(
         self, op_rt: OperatorRuntime, msg: Message, producer: Optional[Worker]
     ) -> None:
+        # one clock read: on a wall clock ``enqueue_time`` and the span's
+        # admission must be the same instant (wait = started - admitted)
+        now = self.sim.now
         if op_rt.is_source:
             capacity = self._capacity
             if capacity is not None and (
@@ -211,24 +214,24 @@ class Transport:
                 op_rt.blocked.append(msg)
                 op_rt.job_metrics.backpressure_events += 1
                 return
-            msg.enqueue_time = self.sim.now
+            msg.enqueue_time = now
             op_rt.mailbox.push(msg)
             job_metrics = op_rt.job_metrics
             size = len(op_rt.mailbox)
             if size > job_metrics.max_source_mailbox:
                 job_metrics.max_source_mailbox = size
         else:
-            msg.enqueue_time = self.sim.now
+            msg.enqueue_time = now
             op_rt.mailbox.push(msg)
         if self._tracer is not None:
             # mailbox admission (back-pressured messages are admitted later,
             # when the dispatch loop releases them below capacity)
-            self._tracer.on_admit(msg, self.sim.now)
+            self._tracer.on_admit(msg, now)
         node = self._nodes[op_rt.node_id]
         hint = None
         if producer is not None and producer.node_id == op_rt.node_id:
             hint = producer.local_id
-        node.run_queue.notify(op_rt, self.sim.now, hint)
+        node.run_queue.notify(op_rt, now, hint)
         node.wake_idle_worker()
 
     # ------------------------------------------------------------------
@@ -311,16 +314,9 @@ class Transport:
         Acknowledgements carry no data and execute no operator logic, so
         they bypass the run queue; they still pay the network delay
         (Fig. 5a steps 5-6)."""
-        if msg.kind is not MessageKind.DATA or msg.sender is None:
+        rc = self._reply_context(op_rt, msg)
+        if rc is None:
             return
-        if op_rt.converter is None:
-            return
-        rc = op_rt.converter.prepare_reply(self._profiler.estimate(op_rt.address))
-        rc.mailbox_size = len(op_rt.mailbox)
-        enqueue_time = msg.enqueue_time
-        if enqueue_time == enqueue_time:  # not NaN
-            rc.queueing_delay = max(0.0, self.sim.now - enqueue_time)
-        self.metrics.total_acks += 1
         sender = msg.sender
         route = op_rt.reply_cache.get(sender)
         if route is None:
@@ -344,9 +340,25 @@ class Transport:
             delay = self._delay_model.delay(op_rt.node_id, dst_node)
         if converter is None:
             return
+        self.sim.schedule_fast(delay, converter.process_reply, op_rt.stage_name, rc)
+
+    def _reply_context(self, op_rt: OperatorRuntime, msg: Message):
+        """PREPAREREPLY: the RC ``op_rt`` acknowledges ``msg`` with, or None
+        when the message earns no reply.  How the RC travels back is the
+        backend's (a kernel event here, an outbox entry on mp)."""
+        if msg.kind is not MessageKind.DATA or msg.sender is None:
+            return None
+        if op_rt.converter is None:
+            return None
+        rc = op_rt.converter.prepare_reply(self._profiler.estimate(op_rt.address))
+        rc.mailbox_size = len(op_rt.mailbox)
+        enqueue_time = msg.enqueue_time
+        if enqueue_time == enqueue_time:  # not NaN
+            rc.queueing_delay = max(0.0, self.sim.now - enqueue_time)
+        self.metrics.total_acks += 1
         if self._tracer is not None:
             self._tracer.on_reply(msg, self.sim.now)
-        self.sim.schedule_fast(delay, converter.process_reply, op_rt.stage_name, rc)
+        return rc
 
     # ------------------------------------------------------------------
     # reconfiguration support

@@ -1,4 +1,4 @@
-"""Worker and node state.
+"""Worker state.
 
 A worker models one execution thread (vCPU) of a node's thread pool.  All
 scheduling logic lives in the engine; workers are state holders: what they
@@ -8,7 +8,7 @@ are running, when the current quantum started, and cumulative busy time
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -38,23 +38,3 @@ class Worker:
         """Seconds this worker was part of the pool within [0, horizon]."""
         end = self.retired_at if self.retired_at is not None else horizon
         return max(0.0, end - self.created_at)
-
-
-@dataclass
-class Node:
-    """One cluster node: a run queue shared by a pool of workers."""
-
-    node_id: int
-    run_queue: Any
-    workers: list[Worker] = field(default_factory=list)
-
-    def idle_worker(self) -> Optional[Worker]:
-        """An idle, non-retired worker with no wake already scheduled."""
-        for worker in self.workers:
-            if worker.idle and not worker.wake_scheduled and not worker.retired:
-                return worker
-        return None
-
-    @property
-    def active_worker_count(self) -> int:
-        return sum(1 for w in self.workers if not w.retired)

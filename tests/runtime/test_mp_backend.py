@@ -16,9 +16,15 @@ Fail-over: killing a worker process mid-run must be detected by heartbeat
 staleness, its operators reassigned to the survivor, the unacked ingest
 suffix replayed, and the run must still quiesce cleanly with outputs
 produced after the detection instant.
+
+One message path: the worker runs the node runtime's dispatch loop and the
+transport's send path (identity-pinned), so what they record — schedule
+timeline, source back-pressure, deadline shedding — is recorded on mp too.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -28,6 +34,9 @@ from repro.runtime.engine import StreamEngine, make_engine
 from repro.runtime.mp.engine import MpStreamEngine
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
+from repro.runtime.mp.worker import MpWorker
+from repro.runtime.node import NodeRuntime
+from repro.runtime.transport import Transport
 from repro.workloads.tenants import make_latency_sensitive_job
 
 
@@ -101,6 +110,65 @@ class TestSimParity:
         # real execution produced real latencies
         for name in mp.metrics.job_names:
             assert all(lat > 0 for lat in mp.metrics.job(name).latencies)
+
+
+#: replay as fast as the workers absorb it, sampled costs not realised
+_FLOODED = {"backend": "mp", "mp_realtime": False, "mp_cost_mode": "none"}
+
+
+class TestOneMessagePath:
+    def test_mp_runs_the_sim_classes_message_path(self):
+        """The mp backend overrides how a cost is spent and how a message
+        leaves the process — not the per-message path itself."""
+        assert ProcessTransport._send is Transport._send
+        assert ProcessTransport.route_emissions is Transport.route_emissions
+        assert MpWorker._run_op is NodeRuntime._run_op
+        assert MpWorker._finish_message is NodeRuntime._finish_message
+
+    def test_schedule_timeline_has_one_point_per_message_start(self):
+        placed = {}
+        for backend, overrides in (("sim", {}), ("mp", _FLOODED)):
+            engine = run_tenant_mix(
+                "cameo", _small_mix(), duration=2.0, drain=1.0, nodes=1, seed=3,
+                config_overrides={"record_schedule_timeline": True, **overrides},
+            )
+            timeline = engine.metrics.timeline
+            assert len(timeline) == engine.metrics.total_messages > 0
+            placed[backend] = Counter(
+                (point.job, point.stage, point.operator_index) for point in timeline
+            )
+        assert placed["mp"] == placed["sim"]
+
+    def test_source_back_pressure_delays_and_never_drops(self):
+        mp = run_tenant_mix(
+            "cameo", _small_mix(), duration=2.0, drain=1.0, nodes=1, seed=3,
+            config_overrides={"source_mailbox_capacity": 1, **_FLOODED},
+        )
+        assert not mp.info["forced_stop"]
+        for name in mp.metrics.job_names:
+            job = mp.metrics.job(name)
+            assert job.backpressure_events > 0
+            assert job.max_source_mailbox == 1
+        assert _aggregates(mp) == _sim_aggregates("cameo")
+
+    def test_expired_messages_are_shed_at_the_source_and_still_acked(self):
+        """An LS constraint no message can meet: with ``shed_expired`` every
+        LS message is dropped when its source pops it, the BA job computes
+        what it computes unshed, and the run still quiesces — shed work
+        acks its ingest watermark and its remote channel like executed
+        work."""
+        mix = _small_mix()
+        mix.ls_latency = 1e-4
+        mp = run_tenant_mix(
+            "cameo", mix, duration=2.0, drain=1.0, nodes=2, seed=3,
+            config_overrides={"backend": "mp", "shed_expired": True},
+        )
+        assert not mp.info["forced_stop"]
+        assert mp.info["fifo_violations"] == 0
+        ls = mp.metrics.job("ls0")
+        assert ls.messages_processed == 0
+        assert ls.messages_shed == 4  # 2 sources x 1 msg/s x 2 s
+        assert _aggregates(mp)["ba0"] == _sim_aggregates("cameo")["ba0"]
 
 
 class TestLossyChannels:

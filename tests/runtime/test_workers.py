@@ -1,6 +1,7 @@
 """Unit tests for Worker and Node state holders."""
 
-from repro.runtime.workers import Node, Worker
+from repro.runtime.node import NodeRuntime
+from repro.runtime.workers import Worker
 
 
 class TestWorkerLifetime:
@@ -25,7 +26,7 @@ class TestWorkerLifetime:
 
 class TestNode:
     def make(self, count=3):
-        node = Node(node_id=0, run_queue=None)
+        node = NodeRuntime(node_id=0, run_queue=None)
         node.workers = [Worker(node_id=0, local_id=i) for i in range(count)]
         return node
 
