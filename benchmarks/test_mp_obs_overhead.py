@@ -1,18 +1,13 @@
-"""mp-backend observability overhead: off must cost (nearly) nothing.
+"""mp-backend observability overhead: on must cost a bounded amount.
 
-Companion to ``test_obs_overhead.py`` for the process-backed path.  Two
-claims:
-
-* **Structural** — with ``record_trace=False`` and telemetry off, an
-  :class:`~repro.runtime.mp.worker.MpWorker` holds ``None`` in every
-  observability slot (worker recorder, transport hook, reliable-delivery
-  hook, telemetry buffer), the coordinator performs no CLOCK exchange,
-  and the engine exposes no tracer/telemetry/clock.  The hot path gains
-  only dead ``is None`` branches.
-* **Temporal** — a traced run of the same flooded workload (cost
-  realization off, so the span machinery is the largest relative cost it
-  will ever be) stays within a generous wall-time multiple of the
-  untraced run.
+Companion to ``test_obs_overhead.py`` for the process-backed path.  The
+structural claim (off ⇒ every observability slot of a worker holds
+``None``) is tier-1's ``tests/obs/test_residue.py``; here an untraced run
+exposes no tracer/telemetry/clock (the coordinator performed no CLOCK
+exchange), and a traced run of the same flooded workload (cost
+realization off, so the span machinery is the largest relative cost it
+will ever be) stays within a generous wall-time multiple of the untraced
+run.
 """
 
 from __future__ import annotations
@@ -20,9 +15,6 @@ from __future__ import annotations
 import time
 
 from repro.experiments.common import TenantMix, run_tenant_mix
-from repro.runtime.config import EngineConfig
-from repro.runtime.mp.reliable import MpReliableDelivery
-from repro.runtime.mp.worker import MpWorker
 
 
 def _mix() -> TenantMix:
@@ -44,34 +36,6 @@ def _timed_mp(trace: bool):
     )
     elapsed = time.perf_counter() - start
     return engine, elapsed, engine.metrics.total_messages
-
-
-def test_untraced_worker_has_no_observability_residue():
-    """Construct a worker in-process: every obs slot must be None."""
-    config = EngineConfig(backend="mp", nodes=2, workers_per_node=1)
-    assert config.record_trace is False
-    assert config.mp_telemetry_enabled is False
-    jobs = _mix().build_jobs()
-    worker = MpWorker(0, config, jobs)
-    assert worker._tracer is None
-    assert worker.transport._tracer is None
-    # the channel protocol, not the hook slot (that holds the transport)
-    assert isinstance(worker._delivery, MpReliableDelivery)
-    assert worker._delivery._tracer is None
-    assert worker._telemetry is None
-    assert worker._tm_interval is None
-
-
-def test_traced_worker_holds_recorder_and_buffer():
-    config = EngineConfig(backend="mp", nodes=2, workers_per_node=1,
-                          record_trace=True)
-    jobs = _mix().build_jobs()
-    worker = MpWorker(0, config, jobs)
-    assert worker._tracer is not None
-    assert worker.transport._tracer is worker._tracer
-    assert worker._delivery._tracer is worker._tracer
-    assert worker._telemetry == []  # telemetry follows record_trace
-    assert worker._tm_interval == config.mp_telemetry_interval
 
 
 def test_untraced_mp_run_exposes_no_obs_surface(benchmark):

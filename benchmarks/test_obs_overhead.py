@@ -3,11 +3,11 @@
 The whole design of the observability plane is the null-collaborator
 idiom: with ``record_trace=False`` the runtime layers hold ``None``
 instead of a recorder, so the PR 2 hot path gains exactly one dead
-``is not None`` branch per hook site.  This bench times the fig08-style
-tenant mix three ways — tracing off (the regression guard against the
-pre-observability baseline), tracing on, and tracing on with a fast
-sampling cadence — and pins both the structural claim (no tracer objects
-exist when disabled) and a generous bound on the enabled-mode cost.
+``is not None`` branch per hook site (the structural claim, pinned in
+tier-1 by ``tests/obs/test_residue.py``).  This bench times the
+fig08-style tenant mix three ways — tracing off (the regression guard
+against the pre-observability baseline), tracing on, and tracing on with a
+fast sampling cadence — and pins a generous bound on the enabled-mode cost.
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ def _timed_mix(trace: bool, sample_interval: float = 0.05):
     return engine, elapsed, engine.metrics.total_messages
 
 
-def test_tracing_disabled_leaves_no_observability_residue(benchmark):
+def test_tracing_disabled_baseline_cost(benchmark):
     engine, seconds, messages = benchmark.pedantic(
         lambda: _timed_mix(False), rounds=1, iterations=1
     )
-    # structural guarantee: nothing observability-related is live
     assert engine.tracer is None
-    assert engine._sampler is None
-    for node in engine.nodes:
-        assert node._tracer is None
-    assert engine.transport._tracer is None
     print(f"\ntracing off: {messages} messages in {seconds:.3f}s "
           f"({seconds / messages * 1e6:.1f} us/msg)")
     assert messages > 2_000

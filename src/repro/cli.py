@@ -39,7 +39,7 @@ from repro.experiments.ext_partition import make_partition_schedule
 from repro.metrics.export import result_to_json
 from repro.obs.attribution import attribute, render_attribution
 from repro.obs.export import jsonl_events, write_chrome_trace
-from repro.obs.schema import validate_chrome_trace
+from repro.obs.schema import validate_chrome_trace, validate_jsonl_trace
 from repro.runtime.invariants import check_single_instance
 from repro.runtime.placement import PLACEMENTS
 from repro.runtime.topology import _format_address
@@ -290,8 +290,9 @@ def trace_main(argv: list[str]) -> int:
     parser.add_argument("--shed", action="store_true",
                         help="enable deadline-aware load shedding")
     parser.add_argument("--sample-interval", type=float, default=0.05,
-                        help="scheduler sampling cadence in simulated "
-                             "seconds (default 0.05)")
+                        help="node sampling cadence: simulated seconds on "
+                             "sim, wall-clock seconds (floor 0.01) on mp "
+                             "(default 0.05)")
     parser.add_argument("--attribution", action="store_true",
                         help="print the deadline-miss attribution table")
     parser.add_argument("--precision", type=int, default=3)
@@ -312,7 +313,7 @@ def trace_main(argv: list[str]) -> int:
     }
     if args.backend == "mp":
         overrides["backend"] = "mp"
-        overrides["mp_telemetry_interval"] = max(args.sample_interval, 0.01)
+        overrides["trace_sample_interval"] = max(args.sample_interval, 0.01)
     # the Fig. 8a operating point: 4 LS + 4 BA tenants, BA driven hard
     mix = ({"ls_count": 4, "ba_count": 4, "ba_msg_rate": 20.0}
            if args.scenario == "fig08a" else {})
@@ -328,15 +329,13 @@ def trace_main(argv: list[str]) -> int:
         chrome_path, engine.tracer, engine.fault_timeline, label=label,
         process_map=getattr(engine, "process_map", None),
     )
-    problems = validate_chrome_trace(payload)
-    if problems:  # defensive: the exporter should never emit these
+    log = jsonl_events(engine.tracer, engine.fault_timeline, label=label)
+    jsonl_path.write_text(log)
+    problems = validate_chrome_trace(payload) + validate_jsonl_trace(log)
+    if problems:  # defensive: the exporters should never emit these
         for problem in problems:
             print(f"schema: {problem}", file=sys.stderr)
         return 1
-    jsonl_path.write_text(jsonl_events(
-        engine.tracer, engine.fault_timeline, label=label,
-        telemetry=getattr(engine, "telemetry", None),
-    ))
     summary = {
         "scenario": args.scenario,
         "scheduler": args.scheduler,

@@ -35,8 +35,33 @@ class TimelinePoint:
         (self.time, self.job, self.stage, self.operator_index, self.progress) = state
 
 
+def _fold(into, other) -> None:
+    """Apply the ``_MERGE_EXTEND`` / ``_MERGE_SUM`` / ``_MERGE_MAX`` rules
+    of ``into``'s class to fold ``other``'s attributes into it."""
+    for name in into._MERGE_EXTEND:
+        getattr(into, name).extend(getattr(other, name))
+    for name in into._MERGE_SUM:
+        setattr(into, name, getattr(into, name) + getattr(other, name))
+    for name in into._MERGE_MAX:
+        setattr(into, name, max(getattr(into, name), getattr(other, name)))
+
+
 class JobMetrics:
     """Recorded outputs and counters for one job."""
+
+    # how a worker process's record folds into the aggregate (:meth:`merge`):
+    # every instance attribute is named by exactly one of these tuples
+    # (pinned by tests/metrics/test_collectors.py), so a new counter cannot
+    # silently read 0 on the mp backend
+    _MERGE_EXTEND = ("output_times", "latencies", "output_tuples",
+                     "output_values", "source_events")
+    _MERGE_SUM = ("start_violations", "backpressure_events",
+                  "messages_processed", "messages_shed", "tuples_shed",
+                  "operator_exceptions", "poison_dropped", "tuples_ingested",
+                  "tuples_processed", "late_tuples")
+    _MERGE_MAX = ("max_source_mailbox",)
+    _MERGE_BY_HAND = ("queueing", "execution")  # per-stage RunningStat.merge
+    _NOT_MERGED = ("name", "group", "latency_constraint")  # identity
 
     def __init__(self, name: str, group: str, latency_constraint: float):
         self.name = name
@@ -84,6 +109,14 @@ class JobMetrics:
             stat = RunningStat()
             self.execution[stage] = stat
         return stat
+
+    def merge(self, other: "JobMetrics") -> None:
+        """Fold one worker's record of this job into the aggregate."""
+        _fold(self, other)
+        for stage, stat in other.queueing.items():
+            self.queueing_stat(stage).merge(stat)
+        for stage, stat in other.execution.items():
+            self.execution_stat(stage).merge(stat)
 
     def record_queueing(self, stage: str, delay: float) -> None:
         self.queueing_stat(stage).add(delay)
@@ -190,6 +223,28 @@ class MetricsHub:
     materializes :class:`TimelinePoint` objects on demand for analysis and
     plotting."""
 
+    # fold rules of :meth:`merge` (see :class:`JobMetrics`); not merged are
+    # the coordinator's own counters and those only the sim's recovery,
+    # partition and bandwidth machinery ever moves
+    _MERGE_EXTEND = ("_timeline_times", "_timeline_jobs", "_timeline_stages",
+                     "_timeline_indices", "_timeline_progress",
+                     "completion_log")
+    _MERGE_SUM = ("total_messages", "total_acks", "messages_lost_network",
+                  "messages_lost_crash", "messages_dropped_down",
+                  "retransmissions", "retransmit_backoff_time",
+                  "duplicates_dropped", "acks_lost")
+    _MERGE_MAX = ()
+    _MERGE_BY_HAND = ("_jobs", "worker_busy")
+    _NOT_MERGED = (
+        "crashes", "failure_detections", "node_restarts",
+        "checkpoints_taken", "checkpoint_bytes", "state_restores",
+        "messages_replayed_recovery", "partitions_observed",
+        "partition_heals", "messages_dropped_partition",
+        "acks_dropped_partition", "nodes_fenced",
+        "failovers_suppressed_no_quorum", "reconciliations", "double_spawns",
+        "link_bytes_sent", "link_transfer_seconds",
+    )
+
     def __init__(self):
         self._jobs: dict[str, JobMetrics] = {}
         self._timeline_times: list[float] = []
@@ -239,6 +294,13 @@ class MetricsHub:
         # -- shared-link bandwidth (stay zero without link_capacity) ------
         self.link_bytes_sent = 0.0      # Σ frame bytes serialized on uplinks
         self.link_transfer_seconds = 0.0  # Σ serialization time paid
+
+    def merge(self, other: "MetricsHub") -> None:
+        """Fold one worker's hub into the aggregate (jobs pre-registered)."""
+        _fold(self, other)
+        for name, job in other._jobs.items():
+            self._jobs[name].merge(job)
+        self.worker_busy.update(other.worker_busy)
 
     def record_timeline_point(
         self, time: float, job: str, stage: str, operator_index: int, progress: float

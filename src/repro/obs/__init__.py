@@ -12,7 +12,9 @@ The ``repro.obs`` package turns the simulator into a debuggable system
   (:class:`~repro.obs.recorder.NullRecorder`) and the live
   :class:`~repro.obs.recorder.TraceRecorder`.  With tracing off the
   runtime holds no recorder at all, so the hot path is untouched.
-* :mod:`repro.obs.introspect` — the periodic
+* :mod:`repro.obs.introspect` — the node sampler
+  (:func:`~repro.obs.introspect.sample`) both backends read their nodes
+  with, and the sim's periodic
   :class:`~repro.obs.introspect.SchedulerSampler`.
 * :mod:`repro.obs.attribution` — deadline-miss attribution: decompose
   every missed output's causal chain and report the "slack thief".
@@ -25,55 +27,12 @@ The ``repro.obs`` package turns the simulator into a debuggable system
   parts into whole spans, :class:`~repro.obs.merge.ClockSync` reconciles
   per-worker monotonic clocks.
 * :mod:`repro.obs.telemetry` — the mp worker telemetry bus:
-  struct-packed :class:`~repro.obs.telemetry.TelemetrySample` records
-  folded into a :class:`~repro.obs.telemetry.TelemetryLog` time series
-  (the sensor substrate for autoscaling experiments).
+  struct-packed :class:`~repro.obs.spans.SchedSample` records folded
+  into a :class:`~repro.obs.telemetry.TelemetryLog` time series (the
+  sensor substrate for autoscaling experiments).
 
 Enable with ``EngineConfig(record_trace=True)`` or run
 ``python -m repro.cli trace <experiment>`` (``--backend mp`` for real
-worker processes).
+worker processes).  Import from the submodules: the package re-exports
+nothing, so an untraced run loads only what it uses.
 """
-
-from repro.obs.attribution import (
-    attribute,
-    causal_chain,
-    chain_total,
-    decompose_chain,
-    render_attribution,
-)
-from repro.obs.export import chrome_trace, jsonl_events, write_chrome_trace
-from repro.obs.introspect import SchedulerSampler
-from repro.obs.merge import ClockSync, SpanMerger
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MpSpanRecorder,
-    NullRecorder,
-    TraceRecorder,
-)
-from repro.obs.schema import validate_chrome_trace, validate_jsonl_trace
-from repro.obs.spans import MessageSpan, SchedSample
-from repro.obs.telemetry import TelemetryLog, TelemetrySample
-
-__all__ = [
-    "MessageSpan",
-    "SchedSample",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "TraceRecorder",
-    "MpSpanRecorder",
-    "SpanMerger",
-    "ClockSync",
-    "TelemetryLog",
-    "TelemetrySample",
-    "SchedulerSampler",
-    "attribute",
-    "causal_chain",
-    "chain_total",
-    "decompose_chain",
-    "render_attribution",
-    "chrome_trace",
-    "jsonl_events",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "validate_jsonl_trace",
-]

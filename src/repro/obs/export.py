@@ -188,14 +188,8 @@ def span_record(span: MessageSpan) -> dict:
     return record
 
 
-def jsonl_events(recorder, fault_timeline=None, label: str = "repro",
-                 telemetry=None) -> str:
-    """The flat JSONL event log (one JSON object per line).
-
-    ``telemetry`` (mp backend) is a
-    :class:`~repro.obs.telemetry.TelemetryLog`; its samples append as
-    ``type: "telemetry"`` lines.  ``None`` (sim) adds nothing, so sim
-    logs stay byte-identical to earlier revisions."""
+def jsonl_events(recorder, fault_timeline=None, label: str = "repro") -> str:
+    """The flat JSONL event log (one JSON object per line)."""
     lines = [json.dumps(
         {"type": "meta", "source": label, **recorder.summary()},
         sort_keys=True,
@@ -212,11 +206,6 @@ def jsonl_events(recorder, fault_timeline=None, label: str = "repro",
                 {"type": "fault", "time": time, "kind": kind,
                  "detail": detail},
                 sort_keys=True,
-            ))
-    if telemetry is not None:
-        for record in telemetry.as_dicts():
-            lines.append(json.dumps(
-                {"type": "telemetry", **record}, sort_keys=True
             ))
     return "\n".join(lines) + "\n"
 

@@ -1,9 +1,15 @@
-"""Scheduler introspection: periodic sampled run-queue snapshots.
+"""Node introspection: one sampler, one record, two clocks.
 
-The :class:`SchedulerSampler` wakes every ``interval`` simulated seconds
-and records one :class:`~repro.obs.spans.SchedSample` per node: run-queue
-depth, head priority, busy workers and quantum utilization, plus the run
-queue's own lifetime counters (``pushes`` / ``pops`` / ``notify_skips``).
+:func:`sample` reads one :class:`~repro.runtime.node.NodeRuntime` into one
+:class:`~repro.obs.spans.SchedSample`: run-queue depth, head priority and
+lifetime counters (``pushes`` / ``pops`` / ``notify_skips``), worker
+occupancy and utilization since the previous reading, the keyed-state
+footprint of the operators currently placed on the node, the unacked sends
+of its delivery layer, and cumulative messages executed.  Both backends
+call it at the ``trace_sample_interval`` cadence: the sim's
+:class:`SchedulerSampler` from a kernel tick every ``interval`` simulated
+seconds, the mp worker on itself from its pipe loop on the wall clock
+(shipped in ``TELEMETRY`` frames, see :mod:`repro.obs.telemetry`).
 
 Determinism: the sampler schedules kernel events, but its callbacks are
 *observationally inert* — ``peek_best_priority()`` / ``pending_operator_
@@ -16,8 +22,8 @@ observable event order.  Net effect: tracing-on runs produce bit-identical
 completion logs to tracing-off runs (pinned by
 ``tests/obs/test_trace_determinism.py``).
 
-The sampler re-arms itself forever; it is only installed on engines built
-with ``record_trace=True``, whose ``run(until=...)`` bounds the clock.
+The sim sampler re-arms itself forever; it is only installed on engines
+built with ``record_trace=True``, whose ``run(until=...)`` bounds the clock.
 """
 
 from __future__ import annotations
@@ -27,76 +33,86 @@ from repro.obs.spans import SchedSample
 _NAN = float("nan")
 
 
-class SchedulerSampler:
-    """Samples every node's run queue each ``interval`` simulated seconds."""
+def sample(node, now: float, elapsed: float, ops, busy_seen: dict,
+           ingest_backlog: int = 0) -> SchedSample:
+    """One reading of ``node`` at ``now``, ``elapsed`` seconds after the
+    previous one.
 
-    def __init__(self, sim, nodes: list, recorder, interval: float, ops=None):
+    ``ops`` are the operator runtimes that may be placed on the node (read
+    through each op's *live* ``node_id``, so migrations and rescales
+    attribute state to the node that actually holds it); ``busy_seen`` is
+    the caller-held map of last-observed cumulative busy time per (node,
+    worker slot), updated here for the next reading's utilization delta."""
+    run_queue = node.run_queue
+    depth = run_queue.pending_operator_count()
+    peek = getattr(run_queue, "peek_best_priority", None)
+    head = _NAN
+    if peek is not None:
+        best = peek()
+        if best is not None:
+            head = best
+    node_id = node.node_id
+    busy = active = executed = 0
+    busy_delta = 0.0
+    for worker in node.workers:
+        if not worker.retired:
+            active += 1
+            if not worker.idle:
+                busy += 1
+        key = (node_id, worker.local_id)
+        prev = busy_seen.get(key, 0.0)
+        busy_delta += worker.busy_time - prev
+        busy_seen[key] = worker.busy_time
+        executed += worker.messages_executed
+    if active > 0 and elapsed > 0:
+        # busy time is booked in lumps at completion instants, so a
+        # message longer than the interval lands in one reading: clamp
+        utilization = min(1.0, busy_delta / (elapsed * active))
+    else:
+        utilization = 0.0
+    state_bytes = 0
+    pending_windows = 0
+    for op_rt in ops:
+        if op_rt.node_id != node_id:
+            continue
+        store = op_rt.operator.state_store
+        if store is not None:
+            state_bytes += store.approx_size()
+            pending_windows += store.pending_window_count
+    reliable = node._reliable
+    return SchedSample(
+        now, node_id, depth, head,
+        busy, active, utilization,
+        getattr(run_queue, "pushes", 0),
+        getattr(run_queue, "pops", 0),
+        getattr(run_queue, "notify_skips", 0),
+        state_bytes, pending_windows,
+        0 if reliable is None else reliable.outstanding_total(node_id),
+        ingest_backlog, executed,
+    )
+
+
+class SchedulerSampler:
+    """The sim's cadence: samples every node each ``interval`` simulated
+    seconds from a self-re-arming kernel tick."""
+
+    def __init__(self, sim, nodes: list, ops: list, recorder, interval: float):
         if interval <= 0:
             raise ValueError("sample interval must be positive")
         self._sim = sim
         self._nodes = nodes
+        self._ops = ops
         self._recorder = recorder
         self._interval = interval
-        # last-observed cumulative busy time per (node, worker slot), for
-        # per-interval utilization deltas
         self._busy_seen: dict[tuple[int, int], float] = {}
-        # operator runtimes, for per-node keyed-state footprint sampling
-        # (read through each op's *live* node_id, so migrations and
-        # rescales attribute state to the node that actually holds it)
-        self._ops = list(ops) if ops is not None else []
 
     def start(self) -> None:
         self._sim.schedule_fast(self._interval, self._tick)
 
     def _tick(self) -> None:
         now = self._sim.now
-        recorder = self._recorder
+        interval = self._interval
         for node in self._nodes:
-            recorder.add_sample(self._sample_node(node, now))
-        self._sim.schedule_fast(self._interval, self._tick)
-
-    def _sample_node(self, node, now: float) -> SchedSample:
-        run_queue = node.run_queue
-        depth = run_queue.pending_operator_count()
-        peek = getattr(run_queue, "peek_best_priority", None)
-        head = _NAN
-        if peek is not None:
-            best = peek()
-            if best is not None:
-                head = best
-        busy = active = 0
-        busy_delta = 0.0
-        seen = self._busy_seen
-        for worker in node.workers:
-            if not worker.retired:
-                active += 1
-                if not worker.idle:
-                    busy += 1
-            key = (node.node_id, worker.local_id)
-            prev = seen.get(key, 0.0)
-            busy_delta += worker.busy_time - prev
-            seen[key] = worker.busy_time
-        if active > 0:
-            # busy time is booked in lumps at completion instants, so a
-            # message longer than the interval lands in one tick: clamp
-            utilization = min(1.0, busy_delta / (self._interval * active))
-        else:
-            utilization = 0.0
-        state_bytes = 0
-        pending_windows = 0
-        node_id = node.node_id
-        for op_rt in self._ops:
-            if op_rt.node_id != node_id:
-                continue
-            store = op_rt.operator.state_store
-            if store is not None:
-                state_bytes += store.approx_size()
-                pending_windows += store.pending_window_count
-        return SchedSample(
-            now, node.node_id, depth, head,
-            busy, active, utilization,
-            getattr(run_queue, "pushes", 0),
-            getattr(run_queue, "pops", 0),
-            getattr(run_queue, "notify_skips", 0),
-            state_bytes, pending_windows,
-        )
+            self._recorder.add_sample(
+                sample(node, now, interval, self._ops, self._busy_seen))
+        self._sim.schedule_fast(interval, self._tick)

@@ -298,39 +298,11 @@ class MpSpanRecorder(TraceRecorder):
         self._clock = clock
         self._dirty: set[int] = set()
 
-    def _stub(self, msg) -> None:
-        target = msg.target
-        span = MessageSpan(msg.msg_id, -1, target.job, target.stage,
-                           target.index, _NAN)
-        pc = msg.pc
-        if pc is not None:
-            span.pri_global = pc.pri_global
-            span.deadline = pc.deadline
-        span.tuples = msg.tuple_count
-        self.spans[msg.msg_id] = span
-
-    def on_send(self, msg, parent_id: int, now: float) -> None:
-        super().on_send(msg, parent_id, now)
-        self._dirty.add(msg.msg_id)
-
-    def on_transmit(self, msg, now: float) -> None:
-        super().on_transmit(msg, now)
-        self._dirty.add(msg.msg_id)
-
-    def on_retransmit(self, msg, now: float) -> None:
-        super().on_retransmit(msg, now)
-        self._dirty.add(msg.msg_id)
-
     def on_admit(self, msg, now: float) -> None:
         if msg.msg_id not in self.spans:
-            self._stub(msg)
+            # receiver stub: a send with the sender's half unknown
+            super().on_send(msg, -1, _NAN)
         super().on_admit(msg, now)
-        self._dirty.add(msg.msg_id)
-
-    def on_start(self, msg, op_rt, worker_id: int, now: float,
-                 wait: float, cost: float, run_queue=None) -> None:
-        super().on_start(msg, op_rt, worker_id, now, wait, cost, run_queue)
-        self._dirty.add(msg.msg_id)
 
     def on_execute_end(self, msg, now: float, cost: float,
                        final: bool = True) -> None:
@@ -338,23 +310,6 @@ class MpSpanRecorder(TraceRecorder):
         now = self._clock.now
         super().on_execute_end(msg, now, now - self.spans[msg.msg_id].started,
                                final)
-        self._dirty.add(msg.msg_id)
-
-    def on_output(self, msg, now: float, latency: float) -> None:
-        super().on_output(msg, now, latency)
-        self._dirty.add(msg.msg_id)
-
-    def on_shed(self, msg, op_rt, now: float) -> None:
-        super().on_shed(msg, op_rt, now)
-        self._dirty.add(msg.msg_id)
-
-    def on_poison(self, msg, now: float, cost: float) -> None:
-        super().on_poison(msg, now, cost)
-        self._dirty.add(msg.msg_id)
-
-    def on_reply(self, msg, now: float) -> None:
-        super().on_reply(msg, now)
-        self._dirty.add(msg.msg_id)
 
     def drain_parts(self) -> list[tuple]:
         """Wire tuples of every span touched since the last drain."""
@@ -364,3 +319,19 @@ class MpSpanRecorder(TraceRecorder):
         parts = [span_to_part(spans[msg_id]) for msg_id in sorted(self._dirty)]
         self._dirty.clear()
         return parts
+
+
+def _marking_dirty(hook):
+    def marked(self, msg, *args, **kwargs):
+        hook(self, msg, *args, **kwargs)
+        self._dirty.add(msg.msg_id)
+    return marked
+
+
+# the one place a hook marks its span for the next TRACE flush (the sim
+# recorder's hooks stay plain methods)
+for _name in ("on_send", "on_transmit", "on_retransmit", "on_admit",
+              "on_start", "on_execute_end", "on_output", "on_shed",
+              "on_poison", "on_reply"):
+    setattr(MpSpanRecorder, _name,
+            _marking_dirty(getattr(MpSpanRecorder, _name)))

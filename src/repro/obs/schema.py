@@ -90,11 +90,12 @@ _REQUIRED_BY_TYPE = {
     "meta": ("source",),
     "span": ("msg_id", "parent", "job", "stage", "index", "outcome",
              "node", "worker", "wait", "exec", "attempts", "tuples"),
-    "sched_sample": ("time", "node", "depth"),
+    "sched_sample": ("time", "node", "depth", "head_priority",
+                     "busy_workers", "active_workers", "quantum_utilization",
+                     "pushes", "pops", "notify_skips", "state_bytes",
+                     "pending_windows", "outstanding_retransmits",
+                     "ingest_backlog", "messages_processed"),
     "fault": ("time", "kind", "detail"),
-    "telemetry": ("time", "node", "depth", "busy_frac",
-                  "outstanding_retransmits", "ingest_backlog",
-                  "state_bytes", "pending_windows", "messages_processed"),
 }
 
 

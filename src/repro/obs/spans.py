@@ -126,19 +126,21 @@ def span_to_part(span: MessageSpan) -> tuple:
 
 
 class SchedSample:
-    """One periodic scheduler-introspection sample for one node."""
+    """One periodic sensor reading of one node (either backend)."""
 
     __slots__ = (
         "time", "node_id", "depth", "head_priority", "busy_workers",
         "active_workers", "quantum_utilization", "pushes", "pops",
         "notify_skips", "state_bytes", "pending_windows",
+        "outstanding_retransmits", "ingest_backlog", "messages_processed",
     )
 
     def __init__(self, time: float, node_id: int, depth: int,
                  head_priority: float, busy_workers: int, active_workers: int,
                  quantum_utilization: float, pushes: int, pops: int,
                  notify_skips: int, state_bytes: int = 0,
-                 pending_windows: int = 0):
+                 pending_windows: int = 0, outstanding_retransmits: int = 0,
+                 ingest_backlog: int = 0, messages_processed: int = 0):
         self.time = time
         self.node_id = node_id
         self.depth = depth
@@ -153,6 +155,11 @@ class SchedSample:
         # open windows), sampled from the state layer's approx_size()
         self.state_bytes = state_bytes
         self.pending_windows = pending_windows
+        # sent but not yet acknowledged by the node's delivery layer
+        self.outstanding_retransmits = outstanding_retransmits
+        # ingest entries the node's local replay has not yet admitted
+        self.ingest_backlog = ingest_backlog
+        self.messages_processed = messages_processed  # cumulative
 
     def as_dict(self) -> dict:
         head = self.head_priority
@@ -171,4 +178,7 @@ class SchedSample:
             "notify_skips": self.notify_skips,
             "state_bytes": self.state_bytes,
             "pending_windows": self.pending_windows,
+            "outstanding_retransmits": self.outstanding_retransmits,
+            "ingest_backlog": self.ingest_backlog,
+            "messages_processed": self.messages_processed,
         }

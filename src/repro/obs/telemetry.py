@@ -1,22 +1,22 @@
-"""Worker telemetry bus: periodic runtime sensors for the mp backend.
+"""Worker telemetry bus: the node sampler's mp wire format and log.
 
-Each worker process samples its own runtime state on a fixed cadence
-(``EngineConfig.mp_telemetry_interval``) into compact
-:class:`TelemetrySample` records — run-queue depth, head priority, busy
-fraction, outstanding retransmits, ingest backlog and the keyed-state
-footprint — struct-packs them (one fixed-size little-endian record per
-sample, no pickle) and ships them to the coordinator in ``TELEMETRY``
-control frames piggybacked on the heartbeat cadence.  The coordinator
-folds every worker's stream into one :class:`TelemetryLog` time series,
-reconciling per-worker clocks with the offsets measured at the
-CLOCK/CLOCK_ACK barrier exchange (see :mod:`repro.obs.merge`).
+Each worker process reads itself with the shared sampler
+(:func:`repro.obs.introspect.sample`) every
+``EngineConfig.trace_sample_interval`` wall-clock seconds, struct-packs the
+:class:`~repro.obs.spans.SchedSample` records (one fixed-size
+little-endian record per sample, no pickle) and ships them to the
+coordinator in ``TELEMETRY`` control frames piggybacked on the heartbeat
+cadence.  The coordinator folds every worker's stream into one
+:class:`TelemetryLog` time series, reconciling per-worker clocks with the
+offsets measured at the CLOCK/CLOCK_ACK barrier exchange (see
+:mod:`repro.obs.merge`).
 
 This is deliberately the sensor substrate a closed-loop autoscale
 controller needs (see ROADMAP "Closed-loop autoscaling"): per-node queue
-depth and busy fraction are the load signals the DRS-style parallelism
+depth and utilization are the load signals the DRS-style parallelism
 model consumes, ``state_bytes`` is the migration-cost signal, and the
 log's stable export (:meth:`TelemetryLog.as_dicts`) is the interface a
-controller can replay offline.
+controller can replay offline — in the record the sim backend samples too.
 
 The bus follows the observability plane's null-collaborator idiom: with
 telemetry off the worker holds no buffer and no interval, so the dispatch
@@ -26,87 +26,30 @@ loop sees a single dead ``is None`` branch and nothing else.
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 
 from repro.obs.spans import SchedSample
 
-_NAN = float("nan")
-
-#: one packed sample: time, node, depth, head_priority, busy_frac,
-#: outstanding retransmits, ingest backlog, state bytes, pending windows,
-#: messages processed (cumulative)
-_RECORD = struct.Struct("<diiddqqqqq")
-
-
-class TelemetrySample:
-    """One periodic sensor reading from one worker process."""
-
-    __slots__ = (
-        "time", "node_id", "depth", "head_priority", "busy_frac",
-        "outstanding_retransmits", "ingest_backlog", "state_bytes",
-        "pending_windows", "messages_processed",
-    )
-
-    def __init__(self, time: float, node_id: int, depth: int,
-                 head_priority: float, busy_frac: float,
-                 outstanding_retransmits: int, ingest_backlog: int,
-                 state_bytes: int, pending_windows: int,
-                 messages_processed: int):
-        self.time = time
-        self.node_id = node_id
-        self.depth = depth
-        self.head_priority = head_priority  # NaN when the queue is empty
-        self.busy_frac = busy_frac          # busy time / elapsed, clamped [0,1]
-        self.outstanding_retransmits = outstanding_retransmits
-        self.ingest_backlog = ingest_backlog
-        self.state_bytes = state_bytes
-        self.pending_windows = pending_windows
-        self.messages_processed = messages_processed
-
-    def as_dict(self) -> dict:
-        head = self.head_priority
-        return {
-            "time": self.time,
-            "node": self.node_id,
-            "depth": self.depth,
-            # None keeps the serialized form strict-JSON (no NaN tokens)
-            "head_priority": head if head == head else None,
-            "busy_frac": self.busy_frac,
-            "outstanding_retransmits": self.outstanding_retransmits,
-            "ingest_backlog": self.ingest_backlog,
-            "state_bytes": self.state_bytes,
-            "pending_windows": self.pending_windows,
-            "messages_processed": self.messages_processed,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TelemetrySample(t={self.time:.3f}, node={self.node_id}, "
-            f"depth={self.depth}, busy={self.busy_frac:.2f})"
-        )
+#: one packed sample, in ``SchedSample.__slots__`` order: time, node,
+#: depth, head priority, busy / active workers, utilization, then the
+#: eight cumulative or gauge integers
+_RECORD = struct.Struct("<diidiidqqqqqqqq")
+_FIELDS = attrgetter(*SchedSample.__slots__)
 
 
-def pack_samples(samples: list[TelemetrySample]) -> bytes:
+def pack_samples(samples: list[SchedSample]) -> bytes:
     """Struct-pack samples for a ``TELEMETRY`` frame (no pickle)."""
-    parts = []
-    for s in samples:
-        parts.append(_RECORD.pack(
-            s.time, s.node_id, s.depth, s.head_priority, s.busy_frac,
-            s.outstanding_retransmits, s.ingest_backlog, s.state_bytes,
-            s.pending_windows, s.messages_processed,
-        ))
-    return b"".join(parts)
+    return b"".join(_RECORD.pack(*_FIELDS(s)) for s in samples)
 
 
-def unpack_samples(data: bytes) -> list[TelemetrySample]:
+def unpack_samples(data: bytes) -> list[SchedSample]:
     """Inverse of :func:`pack_samples`."""
     if len(data) % _RECORD.size:
         raise ValueError(
             f"telemetry payload is not a whole number of records "
             f"({len(data)} bytes, record size {_RECORD.size})"
         )
-    return [
-        TelemetrySample(*fields) for fields in _RECORD.iter_unpack(data)
-    ]
+    return [SchedSample(*fields) for fields in _RECORD.iter_unpack(data)]
 
 
 class TelemetryLog:
@@ -118,20 +61,20 @@ class TelemetryLog:
     interleaving."""
 
     def __init__(self):
-        self.samples: list[TelemetrySample] = []
+        self.samples: list[SchedSample] = []
 
-    def extend(self, samples: list[TelemetrySample]) -> None:
+    def extend(self, samples: list[SchedSample]) -> None:
         self.samples.extend(samples)
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    def sorted_samples(self) -> list[TelemetrySample]:
+    def sorted_samples(self) -> list[SchedSample]:
         return sorted(self.samples, key=lambda s: (s.time, s.node_id))
 
-    def per_node(self) -> dict[int, list[TelemetrySample]]:
+    def per_node(self) -> dict[int, list[SchedSample]]:
         """node_id -> its samples in time order."""
-        series: dict[int, list[TelemetrySample]] = {}
+        series: dict[int, list[SchedSample]] = {}
         for sample in self.sorted_samples():
             series.setdefault(sample.node_id, []).append(sample)
         return series
@@ -139,24 +82,6 @@ class TelemetryLog:
     def as_dicts(self) -> list[dict]:
         """Stable JSON-able export (the autoscaler-facing interface)."""
         return [s.as_dict() for s in self.sorted_samples()]
-
-    def to_sched_samples(self) -> list[SchedSample]:
-        """Bridge to the sim-path sample model so the Perfetto counter
-        tracks render unchanged: each worker runs its node serially, so
-        ``busy_workers`` is 0/1 and ``busy_frac`` maps onto the quantum-
-        utilization counter."""
-        return [
-            SchedSample(
-                time=s.time, node_id=s.node_id, depth=s.depth,
-                head_priority=s.head_priority,
-                busy_workers=1 if s.busy_frac > 0.0 else 0,
-                active_workers=1, quantum_utilization=s.busy_frac,
-                pushes=0, pops=0, notify_skips=0,
-                state_bytes=s.state_bytes,
-                pending_windows=s.pending_windows,
-            )
-            for s in self.sorted_samples()
-        ]
 
     def summary(self) -> dict:
         nodes = sorted({s.node_id for s in self.samples})

@@ -113,12 +113,14 @@ class EngineConfig:
             first per DCoflow — frames with earlier priority-context
             deadlines preempt; frames without contexts queue behind).
         record_trace: enable the observability plane (``repro.obs``): a
-            per-hop message span recorder plus a periodic scheduler
-            sampler.  Off by default — with tracing off the runtime holds
-            no recorder at all, so the hot path is untouched and every
+            per-hop message span recorder plus a periodic node sampler.
+            Off by default — with tracing off the runtime holds no
+            recorder at all, so the hot path is untouched and every
             figure output stays bit-identical.
-        trace_sample_interval: cadence of scheduler-introspection samples
-            (seconds of simulated time) when ``record_trace`` is on.
+        trace_sample_interval: cadence of the node sampler
+            (:func:`repro.obs.introspect.sample`) on both backends:
+            seconds of simulated time on sim (when ``record_trace`` is
+            on), wall-clock seconds on mp (when the telemetry bus is on).
         shed_expired: enable deadline-aware load shedding — messages whose
             priority-context start deadline ``ddl_M`` is already unmeetable
             are dropped at pop time instead of executed (Cameo-only
@@ -152,15 +154,12 @@ class EngineConfig:
         mp_wall_timeout: hard wall-clock cap (seconds) on an mp run;
             ``None`` derives a generous default from the run duration.
         mp_telemetry: enable the mp worker telemetry bus — each worker
-            periodically samples run-queue depth, head priority, busy
-            fraction, outstanding retransmits, ingest backlog and state
-            size into ``TELEMETRY`` frames the coordinator folds into a
-            :class:`~repro.obs.telemetry.TelemetryLog`.  ``None``
-            (default) follows ``record_trace``; an explicit bool
+            runs the node sampler on itself every ``trace_sample_interval``
+            and ships the readings in ``TELEMETRY`` frames the coordinator
+            folds into a :class:`~repro.obs.telemetry.TelemetryLog`.
+            ``None`` (default) follows ``record_trace``; an explicit bool
             overrides (telemetry without spans, or spans without
             telemetry).
-        mp_telemetry_interval: sampling cadence of the telemetry bus
-            (wall-clock seconds).
     """
 
     scheduler: str = "cameo"
@@ -193,7 +192,6 @@ class EngineConfig:
     mp_realtime: bool = True
     mp_wall_timeout: Optional[float] = None
     mp_telemetry: Optional[bool] = None
-    mp_telemetry_interval: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -209,8 +207,6 @@ class EngineConfig:
             raise ValueError("mp loss rate must be within [0, 1)")
         if self.mp_wall_timeout is not None and self.mp_wall_timeout <= 0:
             raise ValueError("mp wall timeout must be positive")
-        if self.mp_telemetry_interval <= 0:
-            raise ValueError("mp telemetry interval must be positive")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected {POLICIES}")
         if self.nodes < 1 or self.workers_per_node < 1:

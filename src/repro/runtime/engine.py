@@ -213,9 +213,8 @@ class StreamEngine:
             self.recovery.install(schedule)
         if self.tracer is not None:
             self._sampler = SchedulerSampler(
-                self.sim, self.nodes, self.tracer,
+                self.sim, self.nodes, list(self._ops.values()), self.tracer,
                 config.trace_sample_interval,
-                ops=list(self._ops.values()),
             )
             self._sampler.start()
 

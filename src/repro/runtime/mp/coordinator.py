@@ -81,52 +81,6 @@ _LOOKAHEAD = 0.05
 _CLOCK_ROUNDS = 5
 
 
-def merge_job_metrics(into, other) -> None:
-    """Fold one worker's per-job record into the aggregate."""
-    into.output_times.extend(other.output_times)
-    into.latencies.extend(other.latencies)
-    into.output_tuples.extend(other.output_tuples)
-    into.output_values.extend(other.output_values)
-    into.source_events.extend(other.source_events)
-    into.start_violations += other.start_violations
-    into.backpressure_events += other.backpressure_events
-    into.max_source_mailbox = max(into.max_source_mailbox, other.max_source_mailbox)
-    into.messages_processed += other.messages_processed
-    into.messages_shed += other.messages_shed
-    into.tuples_shed += other.tuples_shed
-    into.operator_exceptions += other.operator_exceptions
-    into.poison_dropped += other.poison_dropped
-    into.tuples_ingested += other.tuples_ingested
-    into.tuples_processed += other.tuples_processed
-    into.late_tuples += other.late_tuples
-    for stage, stat in other.queueing.items():
-        into.queueing_stat(stage).merge(stat)
-    for stage, stat in other.execution.items():
-        into.execution_stat(stage).merge(stat)
-
-
-def merge_hub(into: MetricsHub, other: MetricsHub) -> None:
-    """Fold one worker's hub into the aggregate (jobs pre-registered)."""
-    for name in other.job_names:
-        merge_job_metrics(into.job(name), other.job(name))
-    into._timeline_times.extend(other._timeline_times)
-    into._timeline_jobs.extend(other._timeline_jobs)
-    into._timeline_stages.extend(other._timeline_stages)
-    into._timeline_indices.extend(other._timeline_indices)
-    into._timeline_progress.extend(other._timeline_progress)
-    into.completion_log.extend(other.completion_log)
-    into.worker_busy.update(other.worker_busy)
-    into.total_messages += other.total_messages
-    into.total_acks += other.total_acks
-    into.messages_lost_network += other.messages_lost_network
-    into.messages_lost_crash += other.messages_lost_crash
-    into.messages_dropped_down += other.messages_dropped_down
-    into.retransmissions += other.retransmissions
-    into.retransmit_backoff_time += other.retransmit_backoff_time
-    into.duplicates_dropped += other.duplicates_dropped
-    into.acks_lost += other.acks_lost
-
-
 def _sort_outputs(job_metrics) -> None:
     """Worker reports interleave; restore global time order per job."""
     if not job_metrics.output_times:
@@ -383,10 +337,7 @@ class MpCoordinator:
         if self._merger is not None:
             self.tracer = self._merger.build()
             if self.telemetry is not None:
-                # telemetry rides along as scheduler samples so Perfetto
-                # counter tracks appear without exporter changes
-                for sample in self.telemetry.to_sched_samples():
-                    self.tracer.add_sample(sample)
+                self.tracer.samples.extend(self.telemetry.sorted_samples())
         self.info = {
             "wall_time": elapsed(),
             "workers": self._n,
@@ -587,7 +538,7 @@ class MpCoordinator:
         for job in self._jobs:
             metrics.register_job(job.name, job.group, job.latency_constraint)
         for _, (hub, _stats) in sorted(reports.items()):
-            merge_hub(metrics, hub)
+            metrics.merge(hub)
         for name in metrics.job_names:
             _sort_outputs(metrics.job(name))
         metrics.completion_log.sort(key=lambda entry: entry[0])

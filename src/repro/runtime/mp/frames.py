@@ -47,8 +47,9 @@ TRACE      w -> c     ``(node_id, [span_part, ...])`` — batched span parts
                       with heartbeats; cumulative, latest part wins per
                       ``(msg_id, origin node)``
 TELEMETRY  w -> c     ``(node_id, packed_bytes)`` — struct-packed
-                      :class:`repro.obs.telemetry.TelemetrySample` records
-                      (the periodic worker telemetry bus)
+                      :class:`repro.obs.spans.SchedSample` records (the
+                      node sampler's readings of the worker, flushed with
+                      heartbeats)
 REWIRE     c -> w     ``({address: new_node_id}, dead_node_id)``
 RESCALE    c -> w     ``(job_name, stage_name, parallelism)`` — rescale a
                       key-partitioned stage (applied at the worker's next

@@ -207,5 +207,5 @@ class MpReliableDelivery:
 
     def outstanding_total(self) -> int:
         """Σ :attr:`SenderHalf.outstanding` across this worker's sender
-        channels (the telemetry bus's retransmit-pressure sensor)."""
+        channels (the node sampler's retransmit-pressure sensor)."""
         return sum(s.outstanding for s in self._senders.values())

@@ -201,6 +201,11 @@ class ProcessTransport(Transport):
         self._delivery.send(msg)
         self._outbox(dst_rt.node_id).append(("msg", msg))
 
+    def outstanding_total(self, src_node: int) -> int:
+        """The sampler's unacked-sends reading: every sender channel of
+        this process sends from its one node."""
+        return self._delivery.outstanding_total()
+
     # ------------------------------------------------------------------
     # reply contexts
     # ------------------------------------------------------------------

@@ -135,11 +135,12 @@ class MpWorker(NodeRuntime):
     def __init__(self, node_id: int, config, jobs: list, policy=None,
                  coord_conn=None, peer_conns=None, shard=None):
         clock = WallClock()
-        # each worker process runs its node serially: one dispatch slot,
-        # never idle (the pipe loop polls the run queue; nothing wakes it)
+        # each worker process runs its node serially: one dispatch slot
+        # (``idle`` = the pipe loop's last poll of the run queue found
+        # nothing due; the loop polls, so nothing wakes the slot)
         super().__init__(node_id, make_run_queue(
             replace(config, workers_per_node=1), clock.read))
-        self.workers = [Worker(node_id=node_id, local_id=0, idle=False)]
+        self.workers = [Worker(node_id=node_id, local_id=0)]
         self._node_id = node_id  # read by name from outside (perfbench)
         self._coord = coord_conn
         self._peers = dict(peer_conns or {})
@@ -204,7 +205,7 @@ class MpWorker(NodeRuntime):
         self._telemetry = None
         self._tm_interval = None
         self._tm_last_time = 0.0
-        self._tm_last_busy = 0.0
+        self._tm_busy_seen: dict = {}
         if config.record_trace:
             from repro.obs.recorder import MpSpanRecorder
 
@@ -213,7 +214,7 @@ class MpWorker(NodeRuntime):
             self._delivery.attach_tracer(tracer)
         if config.mp_telemetry_enabled:
             self._telemetry = []
-            self._tm_interval = config.mp_telemetry_interval
+            self._tm_interval = config.trace_sample_interval
         self.bind(
             clock, metrics, profiler, rng.stream(f"mp/exec-cost/{node_id}"),
             config, self.transport, reliable=self.transport,
@@ -362,43 +363,16 @@ class MpWorker(NodeRuntime):
         self._pending_rescales = remaining
 
     def _sample_telemetry(self, now: float) -> None:
-        """One telemetry-bus reading (buffered; flushed with heartbeats)."""
-        from repro.obs.telemetry import TelemetrySample
+        """One telemetry-bus reading (buffered; flushed with heartbeats):
+        the node sampler run on this worker, on the wall clock."""
+        from repro.obs.introspect import sample
 
-        slot = self.workers[0]
-        elapsed = now - self._tm_last_time
-        busy_delta = slot.busy_time - self._tm_last_busy
-        self._tm_last_time = now
-        self._tm_last_busy = slot.busy_time
-        busy_frac = 0.0
-        if elapsed > 0:
-            # busy time books in lumps at completion, so clamp (same as
-            # the sim sampler's utilization clamp)
-            busy_frac = min(1.0, max(0.0, busy_delta / elapsed))
-        run_queue = self.run_queue
-        peek = getattr(run_queue, "peek_best_priority", None)
-        head = float("nan")
-        if peek is not None:
-            best = peek()
-            if best is not None:
-                head = best
-        state_bytes = 0
-        pending_windows = 0
-        node_id = self._node_id
-        for op_rt in self._ops.values():
-            if op_rt.node_id != node_id:
-                continue
-            store = op_rt.operator.state_store
-            if store is not None:
-                state_bytes += store.approx_size()
-                pending_windows += store.pending_window_count
         ingest = self._ingest
-        self._telemetry.append(TelemetrySample(
-            now, node_id, run_queue.pending_operator_count(), head,
-            busy_frac, self._delivery.outstanding_total(),
-            0 if ingest is None else ingest.remaining,
-            state_bytes, pending_windows, slot.messages_executed,
+        self._telemetry.append(sample(
+            self, now, now - self._tm_last_time, self._ops.values(),
+            self._tm_busy_seen, 0 if ingest is None else ingest.remaining,
         ))
+        self._tm_last_time = now
 
     def _flush_obs(self) -> None:
         """Ship dirty span parts and buffered telemetry to the coordinator."""
@@ -463,10 +437,11 @@ class MpWorker(NodeRuntime):
         or swapped out at a quantum boundary) and hand control back to the
         pipe loop.  Returns True when an operator was due."""
         op_rt = self.run_queue.pop(0)
+        slot = self.workers[0]
+        slot.idle = op_rt is None
         if op_rt is None:
             return False
         op_rt.busy = True
-        slot = self.workers[0]
         slot.quantum_start = self.sim.now
         self._run_op(slot, op_rt)
         return True

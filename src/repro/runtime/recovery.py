@@ -352,10 +352,12 @@ class ReliableDelivery:
         retention mode included)."""
         return sum(len(ch.sender.unacked) for ch in self._channels.values())
 
-    def outstanding_total(self) -> int:
+    def outstanding_total(self, src_node: Optional[int] = None) -> int:
         """Σ :attr:`SenderHalf.outstanding` — the live backlog, zero at
-        quiescence even under ``state_recovery="replay"``."""
-        return sum(ch.sender.outstanding for ch in self._channels.values())
+        quiescence even under ``state_recovery="replay"`` — over every
+        channel, or over those sending from ``src_node``."""
+        return sum(ch.sender.outstanding for ch in self._channels.values()
+                   if src_node is None or ch.src_node == src_node)
 
     def backoff_by_channel(self) -> dict[str, dict]:
         """Per-channel retransmit accounting, for channels that backed off.

@@ -126,3 +126,49 @@ class TestBreakdown:
         assert stat.mean == pytest.approx(2.5)
         assert stat.max == 4.0
         assert stat.std == pytest.approx(1.118, abs=1e-3)
+
+
+class TestMerge:
+    """The mp fold of worker metrics (`JobMetrics.merge`/`MetricsHub.merge`)."""
+
+    @pytest.mark.parametrize("fresh", (JobMetrics("job", "LS", 1.0),
+                                       MetricsHub()),
+                             ids=("JobMetrics", "MetricsHub"))
+    def test_every_attribute_has_a_fold_rule(self, fresh):
+        """A field added without a rule must fail here, not read 0 on mp."""
+        rules = (fresh._MERGE_EXTEND + fresh._MERGE_SUM + fresh._MERGE_MAX
+                 + fresh._MERGE_BY_HAND + fresh._NOT_MERGED)
+        assert len(rules) == len(set(rules)), "an attribute has two rules"
+        assert set(rules) == set(vars(fresh))
+
+    def test_merge_extends_sums_and_maxes(self):
+        into, other = MetricsHub(), MetricsHub()
+        for hub in (into, other):
+            hub.register_job("job", "LS", 1.0)
+        into.job("job").record_output(1.0, 0.5, 10, value=3.0)
+        into.job("job").max_source_mailbox = 7
+        into.job("job").record_queueing("map", 0.25)
+        into.record_worker_busy(0, 0, 1.5)
+        into.retransmit_backoff_time = 0.5
+        job = other.job("job")
+        job.record_output(2.0, 0.25, 5, value=1.0)
+        job.late_tuples = 4
+        job.max_source_mailbox = 3
+        job.record_queueing("map", 0.75)
+        job.record_execution("sink", 0.125)
+        other.record_timeline_point(2.0, "job", "map", 0, 1.0)
+        other.record_worker_busy(1, 0, 2.5)
+        other.total_messages = 9
+        other.retransmit_backoff_time = 0.25
+        into.merge(other)
+        merged = into.job("job")
+        assert merged.latencies == [0.5, 0.25]
+        assert merged.output_values == [3.0, 1.0]
+        assert merged.late_tuples == 4 and merged.max_source_mailbox == 7
+        assert merged.queueing["map"].count == 2
+        assert merged.queueing["map"].mean == pytest.approx(0.5)
+        assert merged.execution["sink"].count == 1
+        assert len(into.timeline) == 1
+        assert into.worker_busy == {(0, 0): 1.5, (1, 0): 2.5}
+        assert into.total_messages == 9
+        assert into.retransmit_backoff_time == 0.75

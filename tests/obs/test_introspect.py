@@ -72,7 +72,7 @@ def test_fifo_samples_have_no_head_priority():
 
 def test_sampler_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
-        SchedulerSampler(None, [], None, 0.0)
+        SchedulerSampler(None, [], [], None, 0.0)
 
 
 def test_utilization_tracks_busy_time():

@@ -19,6 +19,7 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.attribution import attribute
+from repro.obs.export import jsonl_events
 from repro.obs.merge import PART_FIELDS, ClockSync, SpanMerger
 from repro.obs.spans import EXECUTED, LOST_CRASH, PENDING, MessageSpan, span_to_part
 
@@ -150,6 +152,20 @@ class TestCrossProcessTrace:
         engine = traced_mp_engine
         report = attribute(engine.tracer, engine.metrics)
         assert "jobs" in report
+
+    def test_each_reading_appears_once_with_real_counters(self, traced_mp_engine):
+        engine = traced_mp_engine
+        assert len(engine.telemetry) > 0
+        assert len(engine.tracer.samples) == len(engine.telemetry)
+        kinds = [json.loads(line)["type"] for line in
+                 jsonl_events(engine.tracer, engine.fault_timeline).splitlines()]
+        assert kinds.count("sched_sample") == len(engine.telemetry)
+        assert set(kinds) <= {"meta", "span", "sched_sample", "fault"}
+        for node_id, samples in engine.telemetry.per_node().items():
+            last = samples[-1]
+            assert last.pops > 0 and last.pushes >= last.pops
+            assert last.messages_processed == \
+                engine.info["reports"][node_id]["messages"]
 
     def test_clock_offsets_are_plausible(self, traced_mp_engine):
         clock = traced_mp_engine.clock

@@ -1,13 +1,13 @@
 """The mp worker telemetry bus: wire format, log folding, export.
 
-Unit layer: the struct-packed frame payload round-trips (including the
-NaN head-priority sentinel), the coordinator-side
+Unit layer: the struct-packed frame payload round-trips every
+:class:`~repro.obs.spans.SchedSample` field (including the NaN
+head-priority sentinel), the coordinator-side
 :class:`~repro.obs.telemetry.TelemetryLog` sorts/exports
 deterministically, and the config knobs validate.  Integration layer: a
 telemetry-only mp run (``record_trace=False``, ``mp_telemetry=True``)
 yields per-node time series that are monotone in time and cumulative in
-``messages_processed``, and the JSONL exporter/validator accept the
-telemetry lines.
+``messages_processed``, carrying the worker's real run-queue counters.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ import math
 import pytest
 
 from repro.experiments.common import TenantMix, run_tenant_mix
-from repro.obs.export import jsonl_events
-from repro.obs.recorder import TraceRecorder
 from repro.obs.schema import validate_jsonl_trace
-from repro.obs.telemetry import (
-    TelemetryLog,
-    TelemetrySample,
-    pack_samples,
-    unpack_samples,
-)
+from repro.obs.spans import SchedSample
+from repro.obs.telemetry import TelemetryLog, pack_samples, unpack_samples
 from repro.runtime.config import EngineConfig
 
 _NAN = float("nan")
@@ -34,8 +28,8 @@ _NAN = float("nan")
 
 def _sample(time=1.0, node_id=0, depth=3, head=0.25, busy=0.5, rtx=2,
             backlog=7, state=4096, windows=5, processed=42):
-    return TelemetrySample(time, node_id, depth, head, busy, rtx,
-                           backlog, state, windows, processed)
+    return SchedSample(time, node_id, depth, head, 1, 1, busy, 11, 9, 2,
+                       state, windows, rtx, backlog, processed)
 
 
 class TestWireFormat:
@@ -44,7 +38,7 @@ class TestWireFormat:
         out = unpack_samples(pack_samples(samples))
         assert len(out) == 2
         for before, after in zip(samples, out):
-            for name in TelemetrySample.__slots__:
+            for name in SchedSample.__slots__:
                 a, b = getattr(before, name), getattr(after, name)
                 if isinstance(a, float) and math.isnan(a):
                     assert math.isnan(b)
@@ -90,18 +84,6 @@ class TestTelemetryLog:
         assert [(r["time"], r["node"]) for r in records] == \
             [(1.0, 0), (2.0, 0), (2.0, 1)]
 
-    def test_to_sched_samples_bridges_counter_tracks(self):
-        bridged = self._log().to_sched_samples()
-        assert len(bridged) == 3
-        first = bridged[0]
-        assert (first.time, first.node_id, first.depth) == (1.0, 0, 3)
-        assert first.busy_workers == 1 and first.active_workers == 1
-        assert first.quantum_utilization == 0.5
-        assert first.state_bytes == 4096 and first.pending_windows == 5
-        idle = TelemetryLog()
-        idle.extend([_sample(busy=0.0)])
-        assert idle.to_sched_samples()[0].busy_workers == 0
-
     def test_summary(self):
         assert self._log().summary() == {
             "telemetry_samples": 3, "telemetry_nodes": [0, 1],
@@ -110,10 +92,10 @@ class TestTelemetryLog:
 
 class TestConfigKnobs:
     def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError, match="telemetry interval"):
-            EngineConfig(mp_telemetry_interval=0.0)
-        with pytest.raises(ValueError, match="telemetry interval"):
-            EngineConfig(mp_telemetry_interval=-1.0)
+        with pytest.raises(ValueError, match="sample interval"):
+            EngineConfig(trace_sample_interval=0.0)
+        with pytest.raises(ValueError, match="sample interval"):
+            EngineConfig(trace_sample_interval=-1.0)
 
     def test_enabled_follows_record_trace_by_default(self):
         assert EngineConfig().mp_telemetry_enabled is False
@@ -126,18 +108,6 @@ class TestConfigKnobs:
 
 
 class TestJsonlExport:
-    def test_telemetry_lines_appended_and_validate(self):
-        recorder = TraceRecorder()
-        log = TelemetryLog()
-        log.extend([_sample(), _sample(time=2.0, node_id=1, head=_NAN)])
-        text = jsonl_events(recorder, label="unit", telemetry=log)
-        lines = [json.loads(line) for line in text.splitlines()]
-        assert lines[0]["type"] == "meta"
-        tele = [r for r in lines if r["type"] == "telemetry"]
-        assert len(tele) == 2
-        assert tele[1]["head_priority"] is None
-        assert validate_jsonl_trace(text) == []
-
     def test_validator_flags_bad_lines(self):
         assert validate_jsonl_trace("") == ["log is empty"]
         errors = validate_jsonl_trace('{"type": "span"}')
@@ -163,7 +133,7 @@ def telemetry_engine():
             "mp_telemetry": True,
             # the run finishes in well under a second of wall time
             # (mp_realtime off), so sample fast to get a real series
-            "mp_telemetry_interval": 0.01,
+            "trace_sample_interval": 0.01,
         },
     )
 
@@ -188,8 +158,15 @@ class TestMpRun:
             assert processed == sorted(processed), "cumulative counter"
             assert processed[-1] > 0
             for s in samples:
-                assert 0.0 <= s.busy_frac <= 1.0
+                assert 0.0 <= s.quantum_utilization <= 1.0
                 assert s.depth >= 0 and s.state_bytes >= 0
+
+    def test_last_sample_carries_the_workers_real_counters(self, telemetry_engine):
+        reports = telemetry_engine.info["reports"]
+        for node_id, samples in telemetry_engine.telemetry.per_node().items():
+            last = samples[-1]  # the forced reading of the _report flush
+            assert last.pops > 0 and last.pushes >= last.pops
+            assert last.messages_processed == reports[node_id]["messages"]
 
     def test_cadence_roughly_matches_interval(self, telemetry_engine):
         for samples in telemetry_engine.telemetry.per_node().values():
