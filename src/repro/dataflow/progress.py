@@ -36,9 +36,6 @@ class ProgressTracker:
         if logical_time > self._progress[channel_index]:
             self._progress[channel_index] = logical_time
 
-    def channel_progress(self, channel_index: int) -> float:
-        return self._progress[channel_index]
-
     @property
     def frontier(self) -> float:
         """Minimum progress across all channels: the operator's safe watermark."""

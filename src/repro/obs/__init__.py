@@ -8,9 +8,8 @@ The ``repro.obs`` package turns the simulator into a debuggable system
   telescope exactly into network / recovery / queueing / execution
   components, plus per-node :class:`~repro.obs.spans.SchedSample`
   scheduler snapshots.
-* :mod:`repro.obs.recorder` — the hook interface
-  (:class:`~repro.obs.recorder.NullRecorder`) and the live
-  :class:`~repro.obs.recorder.TraceRecorder`.  With tracing off the
+* :mod:`repro.obs.recorder` — the span recorder
+  (:class:`~repro.obs.recorder.TraceRecorder`).  With tracing off the
   runtime holds no recorder at all, so the hot path is untouched.
 * :mod:`repro.obs.introspect` — the node sampler
   (:func:`~repro.obs.introspect.sample`) both backends read their nodes

@@ -1,20 +1,16 @@
-"""Span recorders: the tracing choke point behind one interface.
+"""Span recorders: the tracing choke point.
 
-Two implementations share the interface:
-
-* :class:`NullRecorder` — every hook is a no-op.  The engine never even
-  calls it: with tracing off the runtime layers cache ``None`` and skip
-  the hook behind a single ``is not None`` test (the same dead-branch
-  idiom the dispatch loop uses for ``faults`` / ``reliable`` / ``shed``),
-  so the PR 2 hot path stays allocation-lean and figure outputs stay
-  bit-identical.  The class exists so user code can hold "a recorder"
-  unconditionally.
-* :class:`TraceRecorder` — allocates one :class:`~repro.obs.spans.MessageSpan`
-  per message hop and appends scheduler samples.  It is **passive**: it
-  never schedules events, touches an RNG stream, or mutates runtime
-  state, which is what makes tracing-on runs produce bit-identical
-  completion logs to tracing-off runs (pinned by
-  ``tests/obs/test_trace_determinism.py``).
+With tracing off the runtime layers hold ``None`` and skip every hook
+behind a single ``is not None`` test (the same dead-branch idiom the
+dispatch loop uses for ``faults`` / ``reliable`` / ``shed``), so the hot
+path stays allocation-lean and figure outputs stay bit-identical.  With
+it on they hold a :class:`TraceRecorder`, which allocates one
+:class:`~repro.obs.spans.MessageSpan` per message hop and appends
+scheduler samples.  It is **passive**: it never schedules events,
+touches an RNG stream, or mutates runtime state, which is what makes
+tracing-on runs produce bit-identical completion logs to tracing-off
+runs (pinned by ``tests/obs/test_trace_determinism.py``).
+:class:`MpSpanRecorder` is its worker-local variant on the mp backend.
 
 Single source of truth (metrics vs traces): the dispatch loop measures a
 message's mailbox wait and execution cost exactly once and feeds the same
@@ -26,8 +22,6 @@ pins bitwise agreement between the two.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.obs.spans import (
     EXECUTED,
@@ -44,58 +38,7 @@ from repro.obs.spans import (
 _NAN = float("nan")
 
 
-class NullRecorder:
-    """No-op recorder: defines the interface, records nothing."""
-
-    enabled = False
-    spans: dict = {}
-    samples: list = []
-    inversions = 0
-    lost_crash_events = 0
-
-    def on_send(self, msg, parent_id: int, now: float) -> None:
-        pass
-
-    def on_transmit(self, msg, now: float) -> None:
-        pass
-
-    def on_retransmit(self, msg, now: float) -> None:
-        pass
-
-    def on_admit(self, msg, now: float) -> None:
-        pass
-
-    def on_start(self, msg, op_rt, worker_id: int, now: float,
-                 wait: float, cost: float, run_queue=None) -> None:
-        pass
-
-    def on_execute_end(self, msg, now: float, cost: float,
-                       final: bool = True) -> None:
-        pass
-
-    def on_output(self, msg, now: float, latency: float) -> None:
-        pass
-
-    def on_shed(self, msg, op_rt, now: float) -> None:
-        pass
-
-    def on_poison(self, msg, now: float, cost: float) -> None:
-        pass
-
-    def on_reply(self, msg, now: float) -> None:
-        pass
-
-    def on_lost_crash(self, msg, now: float) -> None:
-        pass
-
-    def add_sample(self, sample: SchedSample) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
-
-
-class TraceRecorder(NullRecorder):
+class TraceRecorder:
     """Records one causal span per message hop plus scheduler samples.
 
     Spans are keyed by ``msg_id`` and kept in creation (send) order; the
@@ -103,8 +46,6 @@ class TraceRecorder(NullRecorder):
     ``on_start`` calls, which equals the order the dispatch loop updated
     the per-stage RunningStats in.
     """
-
-    enabled = True
 
     def __init__(self):
         self.spans: dict[int, MessageSpan] = {}
@@ -237,12 +178,6 @@ class TraceRecorder(NullRecorder):
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-
-    def span_of(self, msg_id: int) -> Optional[MessageSpan]:
-        return self.spans.get(msg_id)
-
-    def spans_in_send_order(self) -> list[MessageSpan]:
-        return list(self.spans.values())
 
     def outputs(self) -> list[MessageSpan]:
         """Sink spans that produced an output, in send order."""

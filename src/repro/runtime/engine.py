@@ -195,12 +195,11 @@ class StreamEngine:
             self.recovery = RecoveryManager(
                 self.sim, self.nodes, self._ops, self.lifecycle,
                 self.reliable, self.metrics, self.fault_timeline,
-                tracer=self.tracer, injector=self.fault_injector,
-                # quorum machinery exists only when the schedule can cut
-                # the fabric; partition-free schedules keep the legacy
-                # omniscient detector (which trivially has quorum)
-                partition_mode=(config.partition_failover
-                                if schedule.has_partitions else None),
+                self.fault_injector, tracer=self.tracer,
+                # the quorum gate exists only when the schedule can cut
+                # the fabric; without a cut every view trivially has quorum
+                quorum=(schedule.has_partitions
+                        and config.partition_failover == "quorum"),
             )
             if config.state_recovery != "none":
                 self.checkpoints = CheckpointManager(

@@ -119,10 +119,6 @@ class MpStreamEngine:
             raise KeyError(f"unknown job {job_name!r}")
         self._rescales.append((when, job_name, stage_name, parallelism))
 
-    @property
-    def trace_length(self) -> int:
-        return len(self._trace)
-
     def run(self, until: float) -> None:
         """Capture the ingest trace up to ``until``, then replay it for real."""
         if self._ran:

@@ -79,10 +79,10 @@ tag      layout
 6 RAW    u32 len, pickle(entry) — fallback for non-fast shapes
 =======  ==========================================================
 
-Sequence numbers, msg ids and enqueue times travel exactly as the
-pickled path shipped them (``enqueue_time`` is receiver-local and is
-rebuilt as NaN); decoded messages are the *same* messages — the global
-id counter is never consulted on the receiving side.
+Sequence numbers and msg ids travel unchanged (``enqueue_time`` is
+receiver-local and is rebuilt as NaN); decoded messages are the *same*
+messages — the global id counter is never consulted on the receiving
+side.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ CALIBRATE = "cal"
 CAL_DONE = "cal_done"
 START = "start"
 INGEST = "ingest"
-DATA = "data"
 HB = "hb"
 CLOCK = "clock"
 CLOCK_ACK = "clock_ack"

@@ -32,7 +32,6 @@ import numpy as np
 from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message
 from repro.dataflow.operators import OpAddress
-from repro.runtime.mp.frames import DATA, send_frame
 from repro.runtime.topology import OperatorRuntime
 from repro.runtime.transport import Transport
 
@@ -63,15 +62,12 @@ class ProcessTransport(Transport):
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
 
-    def attach_conns(self, conns: dict, codecs: dict | None = None) -> None:
-        """Bind the peer connections (node_id -> Connection).
-
-        ``codecs`` maps peers to their :class:`~repro.runtime.mp.frames.
-        DataCodec`; destinations with one flush compact binary DATA
-        frames, destinations without fall back to pickled frames (tests
-        exercising the transport over bare pipes)."""
+    def attach_conns(self, conns: dict, codecs: dict) -> None:
+        """Bind the peer connections (node_id -> Connection) and their
+        :class:`~repro.runtime.mp.frames.DataCodec` (node_id -> codec)
+        that every flushed frame is encoded with."""
         self._conns = conns
-        self._codecs = codecs or {}
+        self._codecs = codecs
 
     # ------------------------------------------------------------------
     # ingestion (coordinator -> source operator)
@@ -263,11 +259,7 @@ class ProcessTransport(Transport):
             conn = self._conns.get(node_id)
             if conn is not None:
                 try:
-                    codec = self._codecs.get(node_id)
-                    if codec is not None:
-                        conn.send_bytes(codec.encode_data(entries))
-                    else:
-                        send_frame(conn, DATA, entries)
+                    conn.send_bytes(self._codecs[node_id].encode_data(entries))
                 except (BrokenPipeError, OSError):
                     # peer died mid-run: drop the frame — every message in
                     # it sits in a go-back-N send buffer and replays to the

@@ -52,7 +52,6 @@ from repro.runtime.mp.frames import (
     CALIBRATE,
     CLOCK,
     CLOCK_ACK,
-    DATA,
     DATA_MAGIC,
     HB,
     INGEST,
@@ -307,9 +306,7 @@ class MpWorker(NodeRuntime):
                     )
                     continue
                 kind, payload = pickle.loads(raw)
-                if kind == DATA:
-                    self.transport.on_entries(payload)
-                elif kind == INGEST:
+                if kind == INGEST:
                     self.transport.on_ingest(payload)
                 elif kind == REWIRE:
                     self.transport.rewire(payload[0])

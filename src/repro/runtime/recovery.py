@@ -11,9 +11,11 @@ primitives, and all randomness comes from the injector's named stream):
   depends on, §4.3).  The state machine lives there, once, for both
   backends; this class supplies the lossy simulated network under it.
 * :class:`FailureDetector` — heartbeat-based: every node deposits a
-  heartbeat each ``interval``; a monitor sweep declares a node failed
-  after ``timeout`` seconds of silence and notices it again once
-  heartbeats resume.
+  heartbeat each ``interval`` into the membership view of every peer
+  that can hear it; a monitor sweep declares a node failed after
+  ``timeout`` seconds of silence and notices it again once heartbeats
+  resume.  Where a cut can happen and ``partition_failover="quorum"``,
+  declarations are quorum-gated and minority nodes fence themselves.
 * :class:`RecoveryManager` — executes the schedule's crash/restart
   events (fail-stop: mailboxes, back-pressure queues and in-flight
   executions on the node are lost) and drives fail-over on detection:
@@ -554,14 +556,6 @@ class CheckpointManager:
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def checkpoint_count(self) -> int:
-        return len(self._checkpoints)
-
-    def last_checkpoint_time(self, address) -> Optional[float]:
-        ckpt = self._checkpoints.get(address)
-        return ckpt.time if ckpt is not None else None
-
     def describe(self) -> dict:
         """JSON-able dump for the ``repro checkpoint`` subcommand."""
         return {
@@ -587,58 +581,6 @@ class CheckpointManager:
             },
             "lost": sorted(_format_address(a) for a in self._lost),
         }
-
-
-class FailureDetector:
-    """Heartbeat-based failure detection with a configurable timeout.
-
-    Every node deposits a heartbeat each ``interval`` while it is up; a
-    monitor sweep (same cadence) declares a node failed once its last
-    heartbeat is older than ``timeout``, and notices recovery when
-    heartbeats resume.  Detection latency is therefore bounded by
-    ``timeout + interval``.
-    """
-
-    def __init__(self, sim, nodes: list, interval: float, timeout: float,
-                 on_failure: Callable[[int], None],
-                 on_alive: Optional[Callable[[int], None]] = None):
-        if interval <= 0 or timeout < interval:
-            raise ValueError("need 0 < heartbeat interval <= timeout")
-        self._sim = sim
-        self._nodes = nodes
-        self._interval = interval
-        self._timeout = timeout
-        self._on_failure = on_failure
-        self._on_alive = on_alive
-        self._last_heartbeat = {node.node_id: 0.0 for node in nodes}
-        self.failed: set[int] = set()
-        #: nodes declared failed over the run (monotone counter)
-        self.failures_declared = 0
-
-    def start(self) -> None:
-        for node in self._nodes:
-            self._sim.schedule_fast(self._interval, self._emit, node)
-        self._sim.schedule_fast(self._interval, self._sweep)
-
-    def _emit(self, node) -> None:
-        if not node.down:
-            self._last_heartbeat[node.node_id] = self._sim.now
-        self._sim.schedule_fast(self._interval, self._emit, node)
-
-    def _sweep(self) -> None:
-        now = self._sim.now
-        for node_id, last in self._last_heartbeat.items():
-            silent = now - last > self._timeout
-            if node_id in self.failed:
-                if not silent:
-                    self.failed.discard(node_id)
-                    if self._on_alive is not None:
-                        self._on_alive(node_id)
-            elif silent:
-                self.failed.add(node_id)
-                self.failures_declared += 1
-                self._on_failure(node_id)
-        self._sim.schedule_fast(self._interval, self._sweep)
 
 
 class MembershipView:
@@ -670,29 +612,31 @@ class MembershipView:
         return 2 * len(self.reachable(now, timeout)) > cluster_size
 
 
-class PartitionAwareFailureDetector:
-    """Per-observer heartbeat views with quorum-gated death declarations.
+class FailureDetector:
+    """Heartbeat failure detection over per-observer membership views.
 
-    Installed instead of the global :class:`FailureDetector` whenever the
-    schedule contains :class:`~repro.sim.faults.Partition` windows.  Each
-    node owns a :class:`MembershipView`; a heartbeat deposits into an
+    Each node owns a :class:`MembershipView`; a heartbeat deposits into an
     observer's view only when the emitter→observer link is not severed,
     so the sides of a cut stop hearing each other while intra-side views
-    stay fresh.
+    stay fresh.  Without a cut every live observer hears every live node
+    at the same instant, the views agree, and detection latency is
+    bounded by ``timeout + interval``.
 
-    Every sweep (same cadence as the legacy detector) runs two passes in
+    Every sweep (same cadence as the heartbeats) runs two passes in
     deterministic node-id order:
 
-    1. **Fencing** (quorum mode only): a live node whose view lost its
+    1. **Fencing** (``quorum`` only): a live node whose view lost its
        strict majority fences itself — it stops executing and cannot be
        a fail-over target — and unfences once quorum returns.
     2. **Declarations**: an observer that times out a peer declares it
-       dead *only if the observer's own view has quorum*; a no-quorum
-       observer's declaration is suppressed and counted.  In ``naive``
-       mode the gate is absent — both sides of a cut evacuate each other,
-       which is exactly the split-brain double-spawn the experiment
-       measures.  Any observer hearing a declared-dead peer again revives
-       it (heal detection).
+       dead; under ``quorum`` *only if the observer's own view has
+       quorum* — a no-quorum observer's declaration is suppressed and
+       counted.  Without the gate an observer declares on timeout alone:
+       on crash-only schedules that lets the lone survivor of a double
+       crash fail over, and under ``naive`` fail-over both sides of a cut
+       evacuate each other, which is exactly the split-brain double-spawn
+       the experiment measures.  Any observer hearing a declared-dead
+       peer again revives it (heal detection).
     """
 
     def __init__(self, sim, nodes: list, interval: float, timeout: float,
@@ -731,11 +675,14 @@ class PartitionAwareFailureDetector:
 
     def reset_view(self, node_id: int) -> None:
         """Refresh a restarted node's view so it does not declare the
-        whole cluster dead off pre-crash staleness."""
+        whole cluster dead off pre-crash staleness.  Peers already
+        declared dead stay stale: refreshing one that is still down would
+        revive it and declare it dead a second time."""
         now = self._sim.now
-        view = self.views[node_id]
-        for peer in view.last_heard:
-            view.last_heard[peer] = now
+        last_heard = self.views[node_id].last_heard
+        for peer in last_heard:
+            if peer not in self.failed:
+                last_heard[peer] = now
 
     def _emit(self, node) -> None:
         if not node.down:
@@ -828,8 +775,8 @@ class RecoveryManager:
     """
 
     def __init__(self, sim, nodes: list, ops: dict, lifecycle, reliable,
-                 metrics, timeline, tracer=None,
-                 injector=None, partition_mode: Optional[str] = None):
+                 metrics, timeline, injector, tracer=None,
+                 quorum: bool = False):
         self._sim = sim
         self._nodes = nodes
         self._ops = ops
@@ -841,8 +788,9 @@ class RecoveryManager:
         self._crash_time: dict[int, float] = {}
         self._evacuated: dict[int, list[OperatorRuntime]] = {}
         self._checkpoints: Optional[CheckpointManager] = None
-        #: None (no partitions in the schedule), "quorum" or "naive"
-        self._partition_mode = partition_mode
+        #: quorum-gated fail-over with self-fencing (only when the
+        #: schedule can cut the fabric and ``partition_failover="quorum"``)
+        self._quorum = quorum
         #: where every operator started (the invariant checker's anchor)
         self.initial_ownership = {addr: op.node_id for addr, op in ops.items()}
         #: (time, address, from_node, to_node, reason) per completed move
@@ -851,21 +799,12 @@ class RecoveryManager:
         self.fence_log: list[tuple] = []
         self._move_reason = "migrate"
         lifecycle.on_move = self._record_move
-        if partition_mode is None:
-            self.detector = FailureDetector(
-                sim, nodes, HEARTBEAT_INTERVAL, FAILURE_TIMEOUT,
-                on_failure=self._on_failure, on_alive=self._on_alive,
-            )
-        else:
-            if injector is None:
-                raise ValueError("partition-aware recovery needs the injector")
-            self.detector = PartitionAwareFailureDetector(
-                sim, nodes, HEARTBEAT_INTERVAL, FAILURE_TIMEOUT,
-                injector, metrics, timeline,
-                quorum=(partition_mode == "quorum"),
-                on_failure=self._on_failure, on_alive=self._on_alive,
-                on_fence=self._fence, on_unfence=self._unfence,
-            )
+        self.detector = FailureDetector(
+            sim, nodes, HEARTBEAT_INTERVAL, FAILURE_TIMEOUT,
+            injector, metrics, timeline, quorum=quorum,
+            on_failure=self._on_failure, on_alive=self._on_alive,
+            on_fence=self._fence, on_unfence=self._unfence,
+        )
 
     def attach_checkpoints(self, checkpoints: CheckpointManager) -> None:
         """Install the state-recovery collaborator (``state_recovery !=
@@ -919,22 +858,21 @@ class RecoveryManager:
         node.down = True
         self._crash_time[node_id] = now
         self._metrics.crashes += 1
-        lost = self._halt_execution(node_id)
-        self._metrics.messages_lost_crash += lost
-        self._reliable.on_node_crash(node_id)
-        if self._checkpoints is not None:
-            # fail-stop is honest about memory: every operator on the node
-            # loses its in-memory state (restored at fail-over or restart)
-            self._checkpoints.mark_lost_node(node_id)
+        # fail-stop is honest about memory: every operator on the node
+        # loses its in-memory state (restored at fail-over or restart)
+        lost = self._halt(node_id, lose_state=True)
         self._timeline.record(now, "crash", f"node {node_id} down "
                                             f"({lost} queued messages lost)")
 
-    def _halt_execution(self, node_id: int) -> int:
+    def _halt(self, node_id: int, lose_state: bool) -> int:
         """Stop execution on ``node_id`` as a fail-stop would: reset its
         workers (any in-flight completion event becomes stale and is
-        discarded by the dispatch loop's ``current_op`` guard) and drop
-        queued work.  Returns the number of queued messages dropped —
-        all of them survive in upstream retransmit buffers."""
+        discarded by the dispatch loop's ``current_op`` guard), drop
+        queued work and roll the delivery frontier into the node back so
+        replays re-admit it.  ``lose_state`` also marks its operators'
+        in-memory state lost (a crash or a takeover; a fence keeps it).
+        Returns the number of queued messages dropped — all of them
+        survive in upstream retransmit buffers."""
         node = self._nodes[node_id]
         now = self._sim.now
         for worker in node.workers:
@@ -960,10 +898,16 @@ class RecoveryManager:
                     tracer.on_lost_crash(dead, now)
             op_rt.blocked.clear()
             node.run_queue.discard(op_rt)
+        self._metrics.messages_lost_crash += lost
+        # admitted-but-unprocessed work was dropped with the mailboxes:
+        # roll the delivery frontier back so replays re-admit it
+        self._reliable.on_node_crash(node_id)
+        if lose_state and self._checkpoints is not None:
+            self._checkpoints.mark_lost_node(node_id)
         return lost
 
     # ------------------------------------------------------------------
-    # quorum fencing (partition-aware detector only)
+    # quorum fencing (``quorum`` runs only)
     # ------------------------------------------------------------------
 
     def _fence(self, node_id: int) -> None:
@@ -982,11 +926,7 @@ class RecoveryManager:
         node.fenced = True
         self._metrics.nodes_fenced += 1
         self.fence_log.append((now, node_id, "fence"))
-        lost = self._halt_execution(node_id)
-        self._metrics.messages_lost_crash += lost
-        # admitted-but-unprocessed work was dropped with the mailboxes:
-        # roll the delivery frontier back so replays re-admit it
-        self._reliable.on_node_crash(node_id)
+        lost = self._halt(node_id, lose_state=False)
         self._timeline.record(
             now, "fence",
             f"node {node_id} lost quorum; execution suspended "
@@ -1008,8 +948,7 @@ class RecoveryManager:
 
     def restart(self, node_id: int) -> None:
         """Bring ``node_id`` back and rebalance: operators evacuated from it
-        migrate home gracefully (mailboxes move with them, so unlike the
-        fail-over path no retransmit-state rollback is needed)."""
+        migrate home (:meth:`_return_home`)."""
         node = self._nodes[node_id]
         if not node.down:
             return
@@ -1019,20 +958,26 @@ class RecoveryManager:
             # a crash the detector never saw: the node's operators were not
             # evacuated, but their in-memory state is gone all the same
             self._checkpoints.restore_on_node(node_id)
-        reset_view = getattr(self.detector, "reset_view", None)
-        if reset_view is not None:
-            # a rebooted node must not declare the cluster dead off its
-            # frozen pre-crash membership view
-            reset_view(node_id)
-        returned = self._evacuated.pop(node_id, [])
-        self._move_reason = "restart"
-        for op_rt in returned:
-            self._lifecycle.migrate(op_rt, node_id)
-        self._move_reason = "migrate"
+        # a rebooted node must not declare the cluster dead off its
+        # frozen pre-crash membership view
+        self.detector.reset_view(node_id)
+        returned = self._return_home(node_id, "restart")
         self._timeline.record(
             self._sim.now, "restart",
             f"node {node_id} up ({len(returned)} operators migrating home)",
         )
+
+    def _return_home(self, node_id: int, reason: str) -> list:
+        """Migrate the operators evacuated from ``node_id`` back to it,
+        gracefully: state and mailboxes move with them, so unlike the
+        fail-over path no retransmit-state rollback is needed (go-back-N
+        backlogs replay in seq order regardless).  Returns them."""
+        returned = self._evacuated.pop(node_id, [])
+        self._move_reason = reason
+        for op_rt in returned:
+            self._lifecycle.migrate(op_rt, node_id)
+        self._move_reason = "migrate"
+        return returned
 
     # ------------------------------------------------------------------
     # detection callbacks (the recovery side)
@@ -1051,19 +996,15 @@ class RecoveryManager:
             # victim is always already fenced (pass 1 of the same sweep),
             # so exactly one instance executes at any instant; a naive
             # declaration takes over a still-executing node instead.
-            if self._partition_mode == "quorum" and not node.fenced:
+            if self._quorum and not node.fenced:
                 raise RuntimeError(
                     f"split-brain: quorum fail-over would double-spawn "
                     f"operators of live unfenced node {node_id}"
                 )
             double_spawn = not node.fenced
-            lost = self._halt_execution(node_id)
-            self._metrics.messages_lost_crash += lost
-            self._reliable.on_node_crash(node_id)
-            if self._checkpoints is not None:
-                # the majority cannot read minority memory: state restarts
-                # from the last checkpoint (or replay) on the new home
-                self._checkpoints.mark_lost_node(node_id)
+            # the majority cannot read minority memory: state restarts
+            # from the last checkpoint (or replay) on the new home
+            self._halt(node_id, lose_state=True)
         else:
             crashed_at = self._crash_time.get(node_id, now)
             self._metrics.failure_detections.append((node_id, crashed_at, now))
@@ -1105,17 +1046,11 @@ class RecoveryManager:
 
     def _on_alive(self, node_id: int) -> None:
         now = self._sim.now
-        node = self._nodes[node_id]
-        if self._partition_mode == "quorum" and not node.down:
-            returned = self._evacuated.pop(node_id, [])
+        if self._quorum and not self._nodes[node_id].down:
+            # heal-time reconciliation: the re-admitted node gets its
+            # operators back
+            returned = self._return_home(node_id, "reconcile")
             if returned:
-                # heal-time reconciliation: the re-admitted node gets its
-                # operators back gracefully (state and mailboxes move with
-                # them); go-back-N backlogs replay in seq order regardless
-                self._move_reason = "reconcile"
-                for op_rt in returned:
-                    self._lifecycle.migrate(op_rt, node_id)
-                self._move_reason = "migrate"
                 self._metrics.reconciliations += 1
                 self._timeline.record(
                     now, "reconcile",

@@ -84,10 +84,6 @@ class FifoChannel:
     def __init__(self):
         self._last_delivery: float = float("-inf")
 
-    @property
-    def last_delivery(self) -> float:
-        return self._last_delivery
-
     def deliver_time(self, now: float, transit: float) -> float:
         if transit < 0:
             raise ValueError("transit delay must be non-negative")

@@ -130,179 +130,6 @@ def make_skewed_workload(
     return SkewedWorkload(type1_rates=type1, type2_rates=type2)
 
 
-# ----------------------------------------------------------------------
-# vectorized arrival precomputation (million-source scale)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArrivalTrace:
-    """A precomputed, flattened arrival schedule for one tenant.
-
-    ``times`` holds every arrival instant sorted ascending; ``sources``
-    holds the source index of each arrival.  The pair is the columnar
-    ("struct of arrays") form of the per-event tuples a driver loop would
-    generate — precomputing it in bulk is what lets million-source sweeps
-    and the process backend's ingest replay scale: generation is two
-    vectorized RNG draws plus one sort, instead of one Python-level RNG
-    call chain per event.
-    """
-
-    times: np.ndarray     # float64, sorted ascending
-    sources: np.ndarray   # int64, source index per arrival
-    source_count: int
-    duration: float
-
-    def __post_init__(self):
-        if len(self.times) != len(self.sources):
-            raise ValueError("times and sources must have equal length")
-
-    @property
-    def count(self) -> int:
-        return len(self.times)
-
-    def per_source(self, source: int) -> np.ndarray:
-        """Arrival instants of one source (ascending)."""
-        return self.times[self.sources == source]
-
-    def shard(self, owner_by_source: np.ndarray, shard_count: int) -> list["ArrivalTrace"]:
-        """Split into per-owner subtraces (shardable trace iteration).
-
-        ``owner_by_source[i]`` names the shard owning source ``i`` — the
-        same owner function the mp backend's worker ingestion uses to
-        split its captured trace (placement of the source's first
-        operator).  Each subtrace preserves global time order and
-        per-source arrival order, and the shards partition the arrivals
-        exactly: replaying all shards merged by time reproduces the
-        original trace.  Vectorized: one mask pass per shard."""
-        owner_by_source = np.asarray(owner_by_source, dtype=np.int64)
-        if len(owner_by_source) != self.source_count:
-            raise ValueError("need one owner per source")
-        if owner_by_source.size and not (
-            0 <= owner_by_source.min() and owner_by_source.max() < shard_count
-        ):
-            raise ValueError("owners must be within [0, shard_count)")
-        owner_by_arrival = owner_by_source[self.sources]
-        return [
-            ArrivalTrace(
-                times=self.times[owner_by_arrival == shard],
-                sources=self.sources[owner_by_arrival == shard],
-                source_count=self.source_count,
-                duration=self.duration,
-            )
-            for shard in range(shard_count)
-        ]
-
-    def digest(self) -> str:
-        """Stable content hash — regression tests pin this."""
-        sha = hashlib.sha256()
-        sha.update(np.ascontiguousarray(self.times).tobytes())
-        sha.update(np.ascontiguousarray(self.sources).tobytes())
-        sha.update(f"{self.source_count}:{self.duration!r}".encode())
-        return sha.hexdigest()
-
-
-def precompute_periodic_arrivals(
-    rates: np.ndarray, duration: float, phase: float = 0.0
-) -> ArrivalTrace:
-    """Arrival arrays for periodic sources: source ``i`` fires every
-    ``1/rates[i]`` seconds, first at ``phase + 1/rates[i]``.
-
-    Matches :class:`~repro.workloads.arrivals.PeriodicArrivals` driving:
-    arrivals strictly after 0 and at or before ``duration``.  Zero-rate
-    sources contribute nothing.  Fully vectorized — 10^6 sources generate
-    in seconds.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1:
-        raise ValueError("rates must be one-dimensional")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if np.any(rates < 0):
-        raise ValueError("rates must be non-negative")
-    periods = np.zeros_like(rates)
-    positive = rates > 0
-    periods[positive] = 1.0 / rates[positive]
-    counts = np.zeros(len(rates), dtype=np.int64)
-    counts[positive] = np.floor(
-        (duration - phase) / periods[positive]
-    ).astype(np.int64)
-    counts = np.maximum(counts, 0)
-    total = int(counts.sum())
-    sources = np.repeat(np.arange(len(rates), dtype=np.int64), counts)
-    # k-th arrival of its source (1-based): global arange minus the start
-    # offset of each source's run of slots
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-    times = phase + k * periods[sources]
-    order = np.argsort(times, kind="stable")
-    return ArrivalTrace(
-        times=times[order], sources=sources[order],
-        source_count=len(rates), duration=float(duration),
-    )
-
-
-def precompute_poisson_arrivals(
-    rates: np.ndarray, duration: float, rng: np.random.Generator
-) -> ArrivalTrace:
-    """Arrival arrays for Poisson sources, in two bulk RNG draws.
-
-    Uses the conditional-uniformity property of the Poisson process: the
-    per-source arrival *count* over ``[0, duration]`` is
-    ``Poisson(rate * duration)`` and, given the count, the arrival
-    instants are i.i.d. uniform on the interval.  One vectorized
-    ``poisson`` draw plus one vectorized ``random`` draw therefore
-    replaces the per-event exponential-gap loop — same process in
-    distribution, a million sources in seconds.  Output is deterministic
-    for a given ``(rates, duration, rng state)``.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1:
-        raise ValueError("rates must be one-dimensional")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if np.any(rates < 0):
-        raise ValueError("rates must be non-negative")
-    counts = rng.poisson(rates * duration)
-    total = int(counts.sum())
-    sources = np.repeat(np.arange(len(rates), dtype=np.int64), counts)
-    times = rng.random(total) * duration
-    # sort by time (stable: simultaneous arrivals keep source order)
-    order = np.argsort(times, kind="stable")
-    return ArrivalTrace(
-        times=times[order], sources=sources[order],
-        source_count=len(rates), duration=float(duration),
-    )
-
-
-def heatmap_to_arrivals(
-    heatmap: np.ndarray, rng: np.random.Generator
-) -> ArrivalTrace:
-    """Vectorized arrivals for a (source x second) rate heatmap.
-
-    Every (source, second) cell is an independent Poisson-count draw at
-    the cell's rate with uniform placement inside the second — the bulk
-    equivalent of replaying :func:`ingestion_heatmap` through per-event
-    driver loops.  A million-source heatmap turns into arrival arrays in
-    seconds instead of hours.
-    """
-    heatmap = np.asarray(heatmap, dtype=np.float64)
-    if heatmap.ndim != 2:
-        raise ValueError("heatmap must be (source x second)")
-    source_count, duration_s = heatmap.shape
-    counts = rng.poisson(heatmap)                      # (source, second)
-    total = int(counts.sum())
-    flat = counts.ravel()                              # source-major
-    cells = np.repeat(np.arange(flat.size, dtype=np.int64), flat)
-    sources = cells // duration_s
-    seconds = cells % duration_s
-    times = seconds + rng.random(total)
-    order = np.argsort(times, kind="stable")
-    return ArrivalTrace(
-        times=times[order], sources=sources[order],
-        source_count=source_count, duration=float(duration_s),
-    )
-
-
 def heatmap_digest(heatmap: np.ndarray) -> str:
     """Stable content hash of a rate heatmap.
 

@@ -13,7 +13,7 @@ import pytest
 from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.metrics.stats import RunningStat
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.obs.spans import EXECUTED, OUTPUT, PENDING
 
 
@@ -106,18 +106,6 @@ def test_record_queueing_helpers_share_the_stat_objects():
     assert job.queueing["stage"].count == 2
     job.record_execution("stage", 0.1)
     assert job.execution_stat("stage") is job.execution["stage"]
-
-
-def test_null_recorder_is_inert():
-    recorder = NULL_RECORDER
-    assert not recorder.enabled
-    # every hook is callable and records nothing
-    recorder.on_transmit(None, 0.0)
-    recorder.on_retransmit(None, 0.0)
-    recorder.on_reply(None, 0.0)
-    recorder.add_sample(None)
-    assert recorder.spans == {}
-    assert recorder.samples == []
 
 
 def test_summary_counts_are_consistent(traced_engine):

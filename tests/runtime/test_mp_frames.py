@@ -21,7 +21,6 @@ from repro.metrics.collectors import MetricsHub
 from repro.core.context import ReplyContext
 from repro.dataflow.messages import MessageKind
 from repro.runtime.mp.frames import (
-    DATA,
     DATA_MAGIC,
     INGEST,
     START,
@@ -67,9 +66,8 @@ class TestFrames:
                 ("ack", (OpAddress("j", "src", 0), OpAddress("j", "agg", 1)), 4, 2),
                 ("reset", ("x", "y"), 9),
             ]
-            send_frame(child, DATA, entries)
-            kind, received = recv_frame(parent)
-            assert kind == DATA
+            child.send_bytes(DataCodec().encode_data(entries))
+            received = DataCodec().decode_data(parent.recv_bytes())
             got = received[0][1]
             assert got.seq == 7
             assert got.target == OpAddress("j", "agg", 1)

@@ -28,11 +28,7 @@ from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine
 from repro.runtime.invariants import check_single_instance
-from repro.runtime.recovery import (
-    FailureDetector,
-    PartitionAwareFailureDetector,
-    ReliableDelivery,
-)
+from repro.runtime.recovery import ReliableDelivery
 from repro.sim.faults import ChannelLoss, FaultInjector, FaultSchedule, Partition
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantDelay, FifoChannel
@@ -192,16 +188,26 @@ def test_empty_partition_list_is_bit_identical_to_no_schedule(scheduler):
                 == base.metrics.job(name).output_times)
 
 
-def test_partition_free_schedule_keeps_legacy_detector():
-    """Crash-only schedules never pay for membership views: the legacy
-    omniscient detector stays in place unless the fabric can be cut."""
+def test_restart_during_another_outage_does_not_revive_the_down_peer():
+    """A node that restarts while a peer is still down keeps that peer's
+    silence in its fresh view: the peer is neither revived nor declared
+    dead twice, so a short cut that heals before any crash changes no
+    detection."""
     from repro.sim.faults import CrashWindow
 
-    crashes = FaultSchedule(crashes=[CrashWindow(node=1, start=1.6, end=2.6)])
-    engine = run_engine(schedule=crashes)
-    assert type(engine.recovery.detector) is FailureDetector
-    cut = run_engine(schedule=CUT, state_recovery="replay")
-    assert type(cut.recovery.detector) is PartitionAwareFailureDetector
+    crashes = [CrashWindow(1, 1.0, 3.5), CrashWindow(2, 1.5, 2.5)]
+    runs = [
+        run_engine(schedule=FaultSchedule(crashes=crashes, partitions=cut),
+                   partition_failover="naive")
+        for cut in ([], [Partition(start=0.1, end=0.15, groups=[(2,)])])
+    ]
+    assert (runs[0].metrics.failure_detections
+            == runs[1].metrics.failure_detections)
+    assert [node for node, _, _ in runs[0].metrics.failure_detections] == [1, 2]
+    for engine in runs:
+        for when, kind, detail in engine.fault_timeline.events:
+            if kind == "alive" and detail.startswith("node 1 "):
+                assert when >= 3.5
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,10 @@ def test_reliable_delivery_rejects_bad_rto():
 def test_failure_detector_validates_cadence():
     sim = Simulator()
     with pytest.raises(ValueError):
-        FailureDetector(sim, [], interval=0.0, timeout=1.0,
+        FailureDetector(sim, [], 0.0, 1.0, None, None, None, quorum=False,
                         on_failure=lambda n: None)
     with pytest.raises(ValueError):
-        FailureDetector(sim, [], interval=0.5, timeout=0.1,
+        FailureDetector(sim, [], 0.5, 0.1, None, None, None, quorum=False,
                         on_failure=lambda n: None)
 
 
@@ -139,8 +139,10 @@ def test_failure_detector_declares_and_recovers():
     nodes = [SimpleNamespace(node_id=i, down=False) for i in range(2)]
     failures: list[tuple[int, float]] = []
     alive: list[tuple[int, float]] = []
+    injector = FaultInjector(FaultSchedule(), np.random.default_rng(0),
+                             lambda: sim.now)
     detector = FailureDetector(
-        sim, nodes, interval=0.1, timeout=0.3,
+        sim, nodes, 0.1, 0.3, injector, MetricsHub(), None, quorum=False,
         on_failure=lambda n: failures.append((n, sim.now)),
         on_alive=lambda n: alive.append((n, sim.now)),
     )

@@ -96,62 +96,7 @@ class TestSkewedWorkload:
 
 
 class TestArrivalPrecompute:
-    """Vectorized arrival-array generation (million-source scale)."""
-
-    def test_periodic_matches_hand_schedule(self):
-        from repro.workloads.trace import precompute_periodic_arrivals
-
-        trace = precompute_periodic_arrivals(np.array([2.0, 0.0, 1.0]), 3.0)
-        # source 0 every 0.5s, source 2 every 1.0s, source 1 silent
-        np.testing.assert_allclose(
-            trace.per_source(0), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        np.testing.assert_allclose(trace.per_source(2), [1.0, 2.0, 3.0])
-        assert trace.per_source(1).size == 0
-        assert np.all(np.diff(trace.times) >= 0)
-        assert trace.count == 9
-
-    def test_periodic_digest_pinned(self):
-        from repro.workloads.trace import precompute_periodic_arrivals
-
-        trace = precompute_periodic_arrivals(np.array([2.0, 0.0, 1.0]), 3.0)
-        assert trace.digest() == (
-            "7dabd7ef6e145f456d6529fed957fe1d92908e7e6eb2bfc4862eb152530b61a2"
-        )
-
-    def test_poisson_digest_pinned_and_deterministic(self):
-        from repro.workloads.trace import precompute_poisson_arrivals
-
-        rates = np.array([5.0, 1.0, 0.0, 3.0])
-        trace = precompute_poisson_arrivals(rates, 10.0, np.random.default_rng(7))
-        again = precompute_poisson_arrivals(rates, 10.0, np.random.default_rng(7))
-        assert trace.digest() == again.digest()
-        assert trace.digest() == (
-            "90f99c32466ebc35d6e4661571dde9796fa2de015c747d820b91adb4822e9d8b"
-        )
-        assert trace.per_source(2).size == 0
-        assert np.all(np.diff(trace.times) >= 0)
-        assert np.all(trace.times <= 10.0)
-
-    def test_poisson_rate_is_respected(self):
-        from repro.workloads.trace import precompute_poisson_arrivals
-
-        rates = np.full(2000, 4.0)
-        trace = precompute_poisson_arrivals(rates, 10.0, np.random.default_rng(3))
-        # 2000 sources x 4/s x 10s = 80k expected; CLT bound is generous
-        assert trace.count == pytest.approx(80_000, rel=0.02)
-
-    def test_heatmap_arrivals_match_cell_rates(self):
-        from repro.workloads.trace import heatmap_to_arrivals
-
-        heatmap = ingestion_heatmap(6, 8, np.random.default_rng(11))
-        trace = heatmap_to_arrivals(heatmap, np.random.default_rng(13))
-        assert trace.digest() == (
-            "31ec5934d29ce67ec7d2f537fefb39c9ddbb300a3d20ff2ee2c028cfd7ac24cc"
-        )
-        # idle cells contribute nothing: every arrival lands in an active cell
-        sources = trace.sources
-        seconds = trace.times.astype(np.int64).clip(max=heatmap.shape[1] - 1)
-        assert np.all(heatmap[sources, seconds] > 0)
+    """Same-seed output of the heatmap generator fig02 is drawn from."""
 
     def test_heatmap_generator_still_bit_identical(self):
         """The figures depend on ``ingestion_heatmap`` same-seed output;
@@ -162,71 +107,3 @@ class TestArrivalPrecompute:
         assert heatmap_digest(heatmap) == (
             "bcc73fea56c8b233229bd8f70823d8917ef8dd8bbdfb7e14233ce9f58f570ca2"
         )
-
-    def test_large_scale_generates_quickly(self):
-        import time
-
-        from repro.workloads.trace import precompute_poisson_arrivals
-
-        start = time.perf_counter()
-        trace = precompute_poisson_arrivals(
-            np.full(200_000, 1.0), 10.0, np.random.default_rng(5))
-        elapsed = time.perf_counter() - start
-        assert trace.count > 1_900_000
-        assert elapsed < 30.0  # vectorized path: ~2M arrivals in seconds
-
-    def test_validation(self):
-        from repro.workloads.trace import (
-            precompute_periodic_arrivals,
-            precompute_poisson_arrivals,
-        )
-
-        with pytest.raises(ValueError):
-            precompute_periodic_arrivals(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            precompute_periodic_arrivals(np.array([-1.0]), 5.0)
-        with pytest.raises(ValueError):
-            precompute_poisson_arrivals(
-                np.array([[1.0]]), 5.0, np.random.default_rng(0))
-
-
-class TestArrivalTraceShard:
-    def _trace(self):
-        from repro.workloads.trace import precompute_poisson_arrivals
-
-        rates = np.full(6, 5.0)
-        return precompute_poisson_arrivals(rates, 4.0, np.random.default_rng(11))
-
-    def test_shards_partition_arrivals_exactly(self):
-        trace = self._trace()
-        owners = np.array([0, 1, 2, 0, 1, 2])
-        shards = trace.shard(owners, 3)
-        assert len(shards) == 3
-        assert sum(s.count for s in shards) == trace.count
-        # merging the shards by time reproduces the original trace
-        merged_times = np.concatenate([s.times for s in shards])
-        merged_sources = np.concatenate([s.sources for s in shards])
-        order = np.argsort(merged_times, kind="stable")
-        assert np.array_equal(merged_times[order], trace.times)
-        # per-source arrival order survives sharding
-        for shard, owner in zip(shards, range(3)):
-            assert (np.diff(shard.times) >= 0).all()
-            assert set(np.unique(shard.sources)) <= {
-                s for s in range(6) if owners[s] == owner
-            }
-        assert set(np.unique(merged_sources)) == set(np.unique(trace.sources))
-
-    def test_empty_shard_allowed(self):
-        trace = self._trace()
-        shards = trace.shard(np.zeros(6, dtype=np.int64), 2)
-        assert shards[0].count == trace.count
-        assert shards[1].count == 0
-        assert shards[1].source_count == trace.source_count
-        assert shards[1].duration == trace.duration
-
-    def test_owner_validation(self):
-        trace = self._trace()
-        with pytest.raises(ValueError, match="one owner per source"):
-            trace.shard(np.array([0, 1]), 2)
-        with pytest.raises(ValueError, match="within"):
-            trace.shard(np.array([0, 1, 2, 0, 1, 5]), 3)
