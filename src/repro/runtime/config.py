@@ -4,7 +4,7 @@ One dataclass gathers every knob the evaluation sweeps: scheduler choice,
 policy, quantum (§5.2), cluster shape, network jitter, profiling noise
 (Fig. 16), and semantics awareness (Fig. 15).  Values no run ever varies are
 module constants beside the mechanism that owns them; the failure-detection
-and poll cadence both backends share lives here.
+cadence both backends share lives here.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ MP_COST_MODES = ("sleep", "spin", "none")
 #: ``FAILURE_TIMEOUT + HEARTBEAT_INTERVAL`` (seconds)
 HEARTBEAT_INTERVAL = 0.05
 FAILURE_TIMEOUT = 0.2
-#: upper bound (seconds) on every mp poll tick — the worker's idle
-#: ``conn_wait`` and the coordinator's heartbeat-draining wait
-MP_POLL_INTERVAL = 0.02
 
 
 @dataclass

@@ -39,18 +39,27 @@ every ledger is empty (all ingest processed), and every live worker
 reported itself idle (empty run queue, no unacked channels, no pending
 output) in two consecutive heartbeats.  A hard wall-clock deadline
 (``mp_wall_timeout``) bounds the run if quiescence is never reached.
+
+After ``START`` the coordinator is one selector loop over its worker
+pipe ends and the workers' process sentinels.  It blocks until a frame
+arrives, a worker exits, a queued frame can be written, or the nearest
+timer is due: the next paced feed entry, the next kill or rescale
+instant, the failure deadline of an exited worker, or the wall limit.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+import selectors
+import socket
 import time
 from collections import deque
-from multiprocessing.connection import wait as conn_wait
+from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
-from repro.runtime.config import FAILURE_TIMEOUT, MP_POLL_INTERVAL
+from repro.runtime.config import FAILURE_TIMEOUT
 from repro.runtime.mp.frames import (
     CAL_DONE,
     CALIBRATE,
@@ -66,6 +75,7 @@ from repro.runtime.mp.frames import (
     STOP,
     TELEMETRY,
     TRACE,
+    PipeEnd,
     recv_frame,
     send_frame,
 )
@@ -79,6 +89,12 @@ _INGEST_CHUNK = 256
 _LOOKAHEAD = 0.05
 #: CLOCK/CLOCK_ACK rounds per worker (the min-RTT round wins)
 _CLOCK_ROUNDS = 5
+
+
+def conn_wait(selector, timeout: float) -> list:
+    """The coordinator loop's one blocking wait: ``(key, events)`` of every
+    pipe end or worker sentinel ready within ``timeout`` seconds."""
+    return selector.select(timeout)
 
 
 def _sort_outputs(job_metrics) -> None:
@@ -124,6 +140,9 @@ class MpCoordinator:
         self.telemetry = None
         #: ClockSync from the startup CLOCK exchange (obs plane only)
         self.clock = None
+        #: node_id -> this process's open end of the pipe to that worker
+        self._pipes: dict[int, PipeEnd] = {}
+        self._selector = None
 
     def _source_owner(self, src_key: tuple) -> int:
         _, job, stage, index = src_key
@@ -136,13 +155,13 @@ class MpCoordinator:
         ctx = multiprocessing.get_context("fork")
         coord_ends, child_ends = [], []
         for _ in range(self._n):
-            parent, child = ctx.Pipe(duplex=True)
+            parent, child = socket.socketpair()
             coord_ends.append(parent)
             child_ends.append(child)
         peer_ends: dict[int, dict] = {i: {} for i in range(self._n)}
         for i in range(self._n):
             for j in range(i + 1, self._n):
-                end_i, end_j = ctx.Pipe(duplex=True)
+                end_i, end_j = socket.socketpair()
                 peer_ends[i][j] = end_i
                 peer_ends[j][i] = end_j
         # each worker inherits its trace shard through fork (no pickling,
@@ -150,16 +169,15 @@ class MpCoordinator:
         shards = shard_by_owner(self._timed, self._source_owner, self._n)
         # every pipe end worker i inherits but does not own — it must
         # close them on startup so a dead peer's ends actually reach
-        # zero holders and writes to it raise instead of blocking (see
-        # worker_main)
+        # zero holders: reads see EOF and writes raise (see worker_main)
         unused = {
-            i: [conn for conn in coord_ends]
+            i: [sock for sock in coord_ends]
             + [child_ends[j] for j in range(self._n) if j != i]
             + [
-                conn
+                sock
                 for j in range(self._n)
                 if j != i
-                for conn in peer_ends[j].values()
+                for sock in peer_ends[j].values()
             ]
             for i in range(self._n)
         }
@@ -177,61 +195,43 @@ class MpCoordinator:
             proc.start()
         # the parent needs only its coordinator ends; close the rest so
         # worker-side buffers are owned by the workers alone
-        for conn in child_ends:
-            conn.close()
+        for sock in child_ends:
+            sock.close()
         for ends in peer_ends.values():
-            for conn in ends.values():
-                conn.close()
+            for sock in ends.values():
+                sock.close()
+        self._pipes = {i: PipeEnd(sock, i) for i, sock in enumerate(coord_ends)}
+        self._selector = selectors.DefaultSelector()
 
         try:
-            return self._orchestrate(coord_ends, procs)
+            return self._orchestrate(procs)
         finally:
             for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
             for proc in procs:
                 proc.join(timeout=5.0)
-            for conn in coord_ends:
-                conn.close()
+            for pipe in self._pipes.values():
+                pipe.close()
+            self._selector.close()
 
     # ------------------------------------------------------------------
 
-    def _orchestrate(self, conns: list, procs: list) -> MetricsHub:
+    def _orchestrate(self, procs: list) -> MetricsHub:
         config = self._config
-        ready = set()
-        deadline = time.monotonic() + 60.0
-        while len(ready) < self._n:
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"workers never became ready: {sorted(ready)}"
-                )
-            for event in conn_wait(
-                [conns[i] for i in range(self._n) if i not in ready],
-                timeout=1.0,
-            ):
-                kind, payload = recv_frame(event)
-                assert kind == READY
-                ready.add(payload)
+        pipes = self._pipes
+        for i in pipes:
+            self._expect(i, READY)
 
         # spin-mode calibration barrier: all workers measure their spin
         # rate *concurrently* (see worker.calibrate_spin_rate), then START
         spin_rates: dict[int, float] = {}
         if config.mp_cost_mode == "spin":
-            for conn in conns:
-                send_frame(conn, CALIBRATE)
-            deadline = time.monotonic() + 60.0
-            while len(spin_rates) < self._n:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"calibration never finished: {sorted(spin_rates)}"
-                    )
-                for event in conn_wait(
-                    [conns[i] for i in range(self._n) if i not in spin_rates],
-                    timeout=1.0,
-                ):
-                    kind, payload = recv_frame(event)
-                    assert kind == CAL_DONE
-                    spin_rates[payload[0]] = payload[1]
+            for pipe in pipes.values():
+                send_frame(pipe, CALIBRATE)
+            for i in pipes:
+                node_id, rate = self._expect(i, CAL_DONE)
+                spin_rates[node_id] = rate
 
         # clock-sync exchange (observability plane only): NTP-style
         # offset estimation per worker, so worker-local monotonic
@@ -239,11 +239,16 @@ class MpCoordinator:
         # between the calibration barrier and the epoch broadcast so the
         # untraced frame sequence is byte-identical when the plane is off.
         if self._record_trace or self._telemetry_on:
-            self._sync_clocks(conns)
+            self._sync_clocks()
 
         epoch = time.monotonic()
-        for conn in conns:
-            send_frame(conn, START, epoch)
+        for pipe in pipes.values():
+            send_frame(pipe, START, epoch)
+        selector = self._selector
+        for pipe in pipes.values():
+            pipe.watch(selector)
+        for i, proc in enumerate(procs):
+            selector.register(proc.sentinel, EVENT_READ, i)  # ready on exit
 
         # ingest ledger: retain every sequenced entry until the owner's
         # heartbeat watermark passes it.  Workers own their shards, so the
@@ -260,6 +265,8 @@ class MpCoordinator:
             ledger[entry[0]].append(entry)
 
         alive = set(range(self._n))
+        #: workers whose process has exited (sentinel seen)
+        exited: set[int] = set()
         now = 0.0
         last_hb = {i: 0.0 for i in alive}
         idle_streak = {i: 0 for i in alive}
@@ -275,7 +282,10 @@ class MpCoordinator:
         def elapsed() -> float:
             return time.monotonic() - epoch
 
+        events: list = []
         while True:
+            self._drain_control(events, alive, exited, last_hb, idle_streak,
+                                ledger, acked, elapsed)
             now = elapsed()
             while kills and now >= kills[0][0]:
                 _, node_id = kills.popleft()
@@ -286,19 +296,17 @@ class MpCoordinator:
             while rescales and now >= rescales[0][0]:
                 _, job_name, stage_name, parallelism = rescales.popleft()
                 for i in alive:
-                    try:
-                        send_frame(conns[i], RESCALE,
-                                   (job_name, stage_name, parallelism))
-                    except (BrokenPipeError, OSError):
-                        pass
-            self._feed(pending, ledger, conns, alive, now, realtime)
-            self._drain_control(conns, alive, last_hb, idle_streak,
-                                ledger, acked, elapsed)
+                    self._send(i, RESCALE, (job_name, stage_name, parallelism))
+            # bytes still queued for a worker hold the feed back, so at
+            # most one feed turn's frames wait on full pipes
+            if pending and not self._backlogged():
+                self._feed(pending, ledger, alive, now, realtime)
             now = elapsed()
+            # exit-confirmed failure rule: silent for FAILURE_TIMEOUT *and*
+            # the process has exited
             dead = [
                 i for i in alive
-                if now - last_hb[i] > FAILURE_TIMEOUT
-                and not procs[i].is_alive()
+                if i in exited and now - last_hb[i] > FAILURE_TIMEOUT
             ]
             for node_id in dead:
                 if len(alive) == 1:
@@ -307,7 +315,7 @@ class MpCoordinator:
                 fault_log.append(
                     (node_id, crash_time.get(node_id, last_hb[node_id]), now)
                 )
-                self._fail_over(node_id, alive, conns, pending, ledger, acked)
+                self._fail_over(node_id, alive, pending, ledger, acked)
                 for i in alive:
                     idle_streak[i] = 0  # re-quiesce after the rewire
             if (
@@ -319,18 +327,29 @@ class MpCoordinator:
             if now > wall_limit:
                 forced_stop = True
                 break
-            timeout = MP_POLL_INTERVAL
-            if pending and realtime:
-                timeout = min(timeout, max(0.0, pending[0][0] - elapsed()))
-            if timeout > 0:
-                conn_wait([conns[i] for i in alive], timeout=timeout)
+            wake = wall_limit
+            if kills:
+                wake = min(wake, kills[0][0])
+            if rescales:
+                wake = min(wake, rescales[0][0])
+            if pending and not self._backlogged():
+                wake = min(wake, pending[0][0] - _LOOKAHEAD if realtime else now)
+            for i in alive & exited:
+                wake = min(wake, last_hb[i] + FAILURE_TIMEOUT)
+            timeout = wake - elapsed()
+            events = (conn_wait(selector, timeout) if timeout > 0
+                      else selector.select(0))
 
-        for i in alive:
+        deadline = time.monotonic() + 30.0
+        for i in sorted(alive):
+            pipe = pipes.get(i)
+            if pipe is None:
+                continue
             try:
-                send_frame(conns[i], STOP)
-            except (BrokenPipeError, OSError):
-                pass
-        reports = self._collect_reports(conns, alive)
+                send_frame(pipe, STOP, timeout=30.0)
+            except (BrokenPipeError, ConnectionResetError, TimeoutError):
+                self._lose(pipe)
+        reports = self._collect_reports(alive, deadline)
         metrics = self._merge(reports)
         metrics.crashes = crashes
         metrics.failure_detections.extend(fault_log)
@@ -360,7 +379,18 @@ class MpCoordinator:
 
     # ------------------------------------------------------------------
 
-    def _sync_clocks(self, conns: list) -> None:
+    def _expect(self, node_id: int, kind: str):
+        """Block for worker ``node_id``'s next pre-START frame, which must
+        be ``kind``; returns its payload."""
+        try:
+            got, payload = recv_frame(self._pipes[node_id], 60.0)
+        except (EOFError, TimeoutError) as exc:
+            raise RuntimeError(f"worker {node_id} never sent {kind!r}") from exc
+        if got != kind:
+            raise RuntimeError(f"expected {kind!r} from worker {node_id}, got {got!r}")
+        return payload
+
+    def _sync_clocks(self) -> None:
         """NTP-style clock exchange with every worker (pre-START).
 
         Each round records ``t0``, sends ``CLOCK``, and on ``CLOCK_ACK``
@@ -376,18 +406,15 @@ class MpCoordinator:
         offsets: dict[int, float] = {}
         uncertainties: dict[int, float] = {}
         pids: dict[int, int] = {}
-        for i, conn in enumerate(conns):
+        for i, pipe in self._pipes.items():
             best_rtt = None
             best_offset = 0.0
             pid = -1
             for _ in range(_CLOCK_ROUNDS):
                 t0 = time.monotonic()
-                send_frame(conn, CLOCK)
-                kind, payload = recv_frame(conn)
+                send_frame(pipe, CLOCK)
+                _node_id, pid, reading = self._expect(i, CLOCK_ACK)
                 t1 = time.monotonic()
-                assert kind == CLOCK_ACK
-                node_id, pid, reading = payload
-                assert node_id == i
                 rtt = t1 - t0
                 if best_rtt is None or rtt < best_rtt:
                     best_rtt = rtt
@@ -427,7 +454,26 @@ class MpCoordinator:
             return True
         return False
 
-    def _feed(self, pending: deque, ledger: dict, conns: list, alive: set,
+    def _send(self, node_id: int, kind: str, payload=None) -> None:
+        """Queue a control frame for a worker and write what its pipe takes
+        now (nothing once the worker's end has closed)."""
+        pipe = self._pipes.get(node_id)
+        if pipe is not None:
+            pipe.put(kind, payload)
+            if not pipe.write():
+                self._lose(pipe)
+
+    def _lose(self, pipe: PipeEnd) -> None:
+        """A worker's end closed (its process died): stop watching it and
+        drop what was queued for it — the ledger still holds every
+        un-acked ingest entry and replays it after the fail-over."""
+        pipe.close()
+        del self._pipes[pipe.peer]
+
+    def _backlogged(self) -> bool:
+        return any(pipe.unsent for pipe in self._pipes.values())
+
+    def _feed(self, pending: deque, ledger: dict, alive: set,
               now: float, realtime: bool) -> None:
         """Ship due trace entries, chunked per owner node."""
         horizon = now + _LOOKAHEAD
@@ -443,25 +489,29 @@ class MpCoordinator:
             ledger[src_key].append(entry)
             batches.setdefault(self._source_owner(src_key), []).append(entry)
         for node_id, entries in batches.items():
-            conn = conns[node_id]
+            # a dead owner's end drops them; the ledger replays after fail-over
             for start in range(0, len(entries), _INGEST_CHUNK):
-                try:
-                    send_frame(conn, INGEST, entries[start:start + _INGEST_CHUNK])
-                except (BrokenPipeError, OSError):
-                    break  # owner died; the ledger replays after fail-over
+                self._send(node_id, INGEST, entries[start:start + _INGEST_CHUNK])
 
-    def _drain_control(self, conns: list, alive: set, last_hb: dict,
-                       idle_streak: dict, ledger: dict, acked: dict,
-                       elapsed) -> None:
-        for i in list(alive):
-            conn = conns[i]
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    kind, payload = recv_frame(conn)
-                except (EOFError, OSError):
-                    break
+    def _drain_control(self, events: list, alive: set, exited: set,
+                       last_hb: dict, idle_streak: dict, ledger: dict,
+                       acked: dict, elapsed) -> None:
+        """Serve what the selector reported: note exited workers, write
+        every writable end, and fold the frames of every readable one."""
+        for key, mask in events:
+            pipe = key.data
+            if type(pipe) is int:  # a worker's process sentinel
+                self._selector.unregister(key.fileobj)
+                exited.add(pipe)
+                continue
+            if mask & EVENT_WRITE and not pipe.write():
+                self._lose(pipe)
+                continue
+            if not mask & EVENT_READ:
+                continue
+            is_open = pipe.fill()
+            while (raw := pipe.frame()) is not None:
+                kind, payload = pickle.loads(raw)
                 if self._absorb_obs(kind, payload):
                     continue
                 if kind != HB:
@@ -475,8 +525,10 @@ class MpCoordinator:
                         entries = ledger[src_key]
                         while entries and entries[0][1] <= watermark:
                             entries.popleft()
+            if not is_open:
+                self._lose(pipe)
 
-    def _fail_over(self, dead: int, alive: set, conns: list, pending: deque,
+    def _fail_over(self, dead: int, alive: set, pending: deque,
                    ledger: dict, acked: dict) -> None:
         """Reassign the dead node's operators and replay unacked ingest."""
         survivors = sorted(alive)
@@ -488,10 +540,7 @@ class MpCoordinator:
                 slot += 1
         self._op_node.update(mapping)
         for i in alive:
-            try:
-                send_frame(conns[i], REWIRE, (mapping, dead))
-            except (BrokenPipeError, OSError):
-                pass
+            self._send(i, REWIRE, (mapping, dead))
         spliced = []
         for src_key in ledger:
             _, job, stage, index = src_key
@@ -512,25 +561,23 @@ class MpCoordinator:
             pending.clear()
             pending.extend(merged)
 
-    def _collect_reports(self, conns: list, alive: set) -> dict:
+    def _collect_reports(self, alive: set, deadline: float) -> dict:
+        """Block for every live worker's REPORT until ``deadline``
+        (monotonic), folding the observability frames queued ahead of it."""
         reports: dict[int, tuple] = {}
-        deadline = time.monotonic() + 30.0
-        waiting = set(alive)
-        while waiting and time.monotonic() < deadline:
-            for event in conn_wait([conns[i] for i in waiting], timeout=1.0):
+        for i in sorted(alive):
+            pipe = self._pipes.get(i)
+            while pipe is not None and (left := deadline - time.monotonic()) > 0:
                 try:
-                    kind, payload = recv_frame(event)
-                except (EOFError, OSError):
-                    for i in list(waiting):
-                        if conns[i] is event:
-                            waiting.discard(i)
-                    continue
+                    kind, payload = recv_frame(pipe, left)
+                except (EOFError, TimeoutError):
+                    break
                 if self._absorb_obs(kind, payload):
                     continue
                 if kind == REPORT:
                     node_id, hub, stats = payload
                     reports[node_id] = (hub, stats)
-                    waiting.discard(node_id)
+                    break
         return reports
 
     def _merge(self, reports: dict) -> MetricsHub:

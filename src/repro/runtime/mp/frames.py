@@ -1,8 +1,15 @@
 """Wire frames of the process backend.
 
-Everything crossing a pipe is one *frame* written with
-``Connection.send_bytes`` (one length-prefixed syscall per frame).  Two
-encodings share the pipe and are discriminated by the first byte:
+Every pipe of the mesh is a socket pair, and each process owns its ends as
+:class:`PipeEnd` objects: non-blocking sockets carrying length-prefixed
+frames (a little-endian ``u32`` body length, then the body).  An end
+queues outbound frames as bytes and sends what the socket takes, resuming
+a partial write where it stopped; inbound bytes collect until a whole
+frame can be cut off the front.  The worker and coordinator loops watch
+their ends through one selector each; the few exchanges outside a loop
+(the pre-``START`` handshake, ``STOP`` and the final ``REPORT``) block on
+the same ends through :func:`send_frame` / :func:`recv_frame`.  Two
+encodings share a pipe and are discriminated by the body's first byte:
 
 * **Control frames** — a pickled ``(kind, payload)`` tuple (pickle frames
   start with ``b"\\x80"``).  Rare, shapes vary, pickle is fine.
@@ -89,6 +96,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+from selectors import EVENT_READ, EVENT_WRITE
 from typing import Any
 
 import numpy as np
@@ -133,15 +141,155 @@ _RESET = struct.Struct("<BIIq")
 _RAW = struct.Struct("<BI")
 _PC = struct.Struct("<q6dq")
 
-
-def send_frame(conn, kind: str, payload: Any = None) -> None:
-    """Write one control frame (single syscall via ``send_bytes``)."""
-    conn.send_bytes(pickle.dumps((kind, payload), protocol=_PROTO))
+_LEN = struct.Struct("<I")  # frame header: body length
 
 
-def recv_frame(conn) -> tuple:
-    """Read one control frame; returns ``(kind, payload)``."""
-    return pickle.loads(conn.recv_bytes())
+class PipeEnd:
+    """One process's end of a mesh pipe: framed bytes over a non-blocking
+    socket.
+
+    ``peer`` names the process at the other end (a node id; ``None`` for
+    the coordinator as seen from a worker) and ``codec`` is the
+    :class:`DataCodec` of a worker-to-worker pipe.  Once :meth:`watch`\\ ed,
+    the end keeps its selector registration current by itself: read
+    interest always, write interest exactly while :attr:`unsent` bytes
+    remain."""
+
+    __slots__ = ("sock", "peer", "codec", "_in", "_out", "_selector", "_writing")
+
+    def __init__(self, sock, peer: int | None = None, codec=None):
+        sock.setblocking(False)
+        self.sock = sock
+        self.peer = peer
+        self.codec = codec
+        self._in = bytearray()
+        self._out = bytearray()
+        self._selector = None
+        self._writing = False
+
+    def watch(self, selector) -> None:
+        """Register with the owning loop's selector (the key's data is
+        this end)."""
+        self._selector = selector
+        selector.register(self.sock, EVENT_READ, self)
+
+    def close(self) -> None:
+        """Stop watching, drop every queued byte and close the socket."""
+        if self._selector is not None:
+            self._selector.unregister(self.sock)
+            self._selector = None
+        self._out.clear()
+        self.sock.close()
+
+    # -- outbound ------------------------------------------------------
+
+    def queue(self, body) -> None:
+        """Append one frame to the outbound bytes (nothing is written)."""
+        out = self._out
+        out += _LEN.pack(len(body))
+        out += body
+
+    def put(self, kind: str, payload: Any = None) -> None:
+        """Queue one pickled control frame."""
+        self.queue(pickle.dumps((kind, payload), protocol=_PROTO))
+
+    @property
+    def unsent(self) -> int:
+        """Queued bytes the socket has not taken yet."""
+        return len(self._out)
+
+    def write(self) -> bool:
+        """Send what the socket takes now, without blocking; False once the
+        peer has closed its end."""
+        out = self._out
+        if out:
+            try:
+                del out[:self.sock.send(out)]
+            except BlockingIOError:
+                pass
+            except (BrokenPipeError, ConnectionResetError):
+                return False
+        self._interest()
+        return True
+
+    def write_all(self, timeout: float | None = None) -> None:
+        """Send every queued byte, blocking up to ``timeout`` seconds per
+        write (``TimeoutError`` past it; ``None`` waits for good)."""
+        sock = self.sock
+        sock.settimeout(timeout)
+        try:
+            sock.sendall(self._out)
+        finally:
+            sock.setblocking(False)
+        self._out.clear()
+        self._interest()
+
+    def _interest(self) -> None:
+        writing = bool(self._out)
+        if self._selector is not None and writing != self._writing:
+            self._writing = writing
+            self._selector.modify(
+                self.sock, EVENT_READ | EVENT_WRITE if writing else EVENT_READ, self)
+
+    # -- inbound -------------------------------------------------------
+
+    def fill(self) -> bool:
+        """Move what the socket holds now into the inbound buffer; False
+        once the peer has closed its end (frames already buffered stay
+        readable)."""
+        try:
+            # 64 KiB bounds one loop turn's work and stays under malloc's
+            # mmap threshold, past which every read would map fresh pages
+            chunk = self.sock.recv(1 << 16)
+        except BlockingIOError:
+            return True
+        except ConnectionResetError:
+            return False
+        self._in += chunk
+        return bool(chunk)
+
+    def frame(self) -> bytes | None:
+        """Cut the next whole frame's body off the inbound buffer (None
+        while it has not fully arrived)."""
+        buf = self._in
+        if len(buf) < _LEN.size:
+            return None
+        end = _LEN.size + _LEN.unpack_from(buf)[0]
+        if len(buf) < end:
+            return None
+        with memoryview(buf) as view:
+            body = view[_LEN.size:end].tobytes()
+        del buf[:end]
+        return body
+
+    def recv(self, timeout: float | None = None) -> bytes:
+        """Wait for the next whole frame's body, up to ``timeout`` seconds
+        per read (``TimeoutError``); ``EOFError`` if the peer closes
+        first."""
+        body = self.frame()
+        if body is None:
+            sock = self.sock
+            sock.settimeout(timeout)
+            try:
+                while body is None:
+                    if not self.fill():
+                        raise EOFError("the peer closed the pipe")
+                    body = self.frame()
+            finally:
+                sock.setblocking(False)
+        return body
+
+
+def send_frame(pipe: PipeEnd, kind: str, payload: Any = None,
+               timeout: float | None = None) -> None:
+    """Queue one control frame and block until every queued byte is sent."""
+    pipe.put(kind, payload)
+    pipe.write_all(timeout)
+
+
+def recv_frame(pipe: PipeEnd, timeout: float | None = None) -> tuple:
+    """Block for one control frame; returns ``(kind, payload)``."""
+    return pickle.loads(pipe.recv(timeout))
 
 
 class DataCodec:

@@ -7,9 +7,12 @@ transport is its own delivery layer behind the inherited ``_reliable``
 hook: local destinations are delivered by direct function call
 (in-process order *is* per-channel FIFO), remote destinations go through
 the wall-clock reliable layer into per-destination **outboxes** that
-:meth:`flush` ships as one ``DATA`` frame per destination per dispatch
+:meth:`flush` encodes as one ``DATA`` frame per destination per dispatch
 quantum — the amortized batching that keeps the hot send path at one
-syscall per quantum instead of one per message.
+write per quantum instead of one per message.  A frame goes onto the
+peer's :class:`~repro.runtime.mp.frames.PipeEnd` only once the previous
+one has left it, so at most one frame per peer waits on a full pipe; the
+worker loop writes it and holds dispatch until it has.
 
 Ingestion entries carry a per-source sequence number and arrive either
 from the local :class:`~repro.runtime.mp.ingest.IngestDriver` or, after a
@@ -53,8 +56,8 @@ class ProcessTransport(Transport):
         self._delivery = delivery
         #: node_id -> pending wire entries (flushed as one frame each)
         self._outboxes: dict[int, list] = {}
-        self._conns: dict = {}
-        self._codecs: dict = {}
+        #: node_id -> PipeEnd of every live peer
+        self._pipes: dict = {}
         #: per-source ingest bookkeeping:
         #: src_key -> [last_seen_seq, processed_watermark, out_of_order_set]
         self._ingest_state: dict[tuple, list] = {}
@@ -62,12 +65,11 @@ class ProcessTransport(Transport):
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
 
-    def attach_conns(self, conns: dict, codecs: dict) -> None:
-        """Bind the peer connections (node_id -> Connection) and their
-        :class:`~repro.runtime.mp.frames.DataCodec` (node_id -> codec)
-        that every flushed frame is encoded with."""
-        self._conns = conns
-        self._codecs = codecs
+    def attach_pipes(self, pipes: dict) -> None:
+        """Bind the peer ends (node_id -> PipeEnd, each carrying the
+        ``DataCodec`` its frames are encoded with).  The dict is the
+        worker's own: a peer it drops as dead is gone from here too."""
+        self._pipes = pipes
 
     # ------------------------------------------------------------------
     # ingestion (coordinator -> source operator)
@@ -242,7 +244,8 @@ class ProcessTransport(Transport):
             self._outbox(self._ops[msg.target].node_id).append(("msg", msg))
 
     def flush(self) -> None:
-        """Ship every pending entry: one ``DATA`` frame per destination.
+        """Encode pending entries: one ``DATA`` frame per destination whose
+        pipe has sent its previous frame (the others keep their entries).
 
         Cumulative acks are coalesced per channel and piggybacked on the
         same frame as data heading to the channel's sender."""
@@ -256,20 +259,21 @@ class ProcessTransport(Transport):
         for node_id, entries in self._outboxes.items():
             if not entries:
                 continue
-            conn = self._conns.get(node_id)
-            if conn is not None:
-                try:
-                    conn.send_bytes(self._codecs[node_id].encode_data(entries))
-                except (BrokenPipeError, OSError):
-                    # peer died mid-run: drop the frame — every message in
-                    # it sits in a go-back-N send buffer and replays to the
-                    # survivor once the coordinator's REWIRE lands; acks
-                    # for a dead sender have no one left to care
-                    pass
-            self._outboxes[node_id] = []
+            pipe = self._pipes.get(node_id)
+            if pipe is None:
+                # the peer died: drop the entries — every message among
+                # them sits in a go-back-N send buffer and replays to the
+                # survivor once the coordinator's REWIRE lands; acks for a
+                # dead sender have no one left to care
+                self._outboxes[node_id] = []
+            elif not pipe.unsent:
+                pipe.queue(pipe.codec.encode_data(entries))
+                self._outboxes[node_id] = []
 
     def pending_output(self) -> bool:
-        return any(self._outboxes.values())
+        """Entries not yet encoded, or frame bytes not yet sent."""
+        return (any(self._outboxes.values())
+                or any(pipe.unsent for pipe in self._pipes.values()))
 
     # ------------------------------------------------------------------
     # reconfiguration (fail-over)

@@ -9,12 +9,18 @@ completion, RC replies, emission routing) is the inherited code, and the
 worker supplies the three things a backend owns — the clock
 (:class:`WallClock`), how a sampled cost is spent (:meth:`MpWorker.
 _execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
-ProcessTransport`).  Around it runs the pipe loop: pump the local ingest
-shard, pop an operator from the run queue in the scheduler's order, run
-its messages for a quantum, and between quanta drain the pipes,
-retransmit expired channels, flush the outboxes (one binary ``DATA``
-frame per destination — the amortized batch) and heartbeat the
-coordinator.  Every idle wait is capped by ``MP_POLL_INTERVAL``.
+ProcessTransport`).  Around it runs the pipe loop, one selector over
+every pipe end the worker owns: pump the local ingest shard, pop an
+operator from the run queue in the scheduler's order, run its messages
+for a quantum, and between quanta read what the pipes hold, retransmit
+expired channels, flush the outboxes (one binary ``DATA`` frame per
+destination — the amortized batch) and heartbeat the coordinator.  With
+nothing to run, the loop blocks in the selector until a pipe is readable
+(or writable, while bytes wait on it) or the nearest timer is due:
+heartbeat, retransmit deadline, next ingest entry, telemetry sample.
+While a frame waits on a full peer pipe the loop starts no quantum but
+keeps reading and writing, so two workers flooding each other drain each
+other.
 
 Execution cost realization (``mp_cost_mode``): ``"sleep"`` occupies the
 worker in wall-clock time (sleeps overlap across processes, so capacity
@@ -37,15 +43,16 @@ from __future__ import annotations
 
 import os
 import pickle
+import selectors
 import time
 from dataclasses import replace
-from multiprocessing.connection import wait as conn_wait
+from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.core.policies import make_policy
 from repro.core.profiler import CostProfiler, GaussianNoiseInjector
 from repro.core.shedding import DeadlineShedder
 from repro.metrics.collectors import MetricsHub
-from repro.runtime.config import HEARTBEAT_INTERVAL, MP_POLL_INTERVAL
+from repro.runtime.config import HEARTBEAT_INTERVAL
 from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
 from repro.runtime.mp.frames import (
     CAL_DONE,
@@ -64,6 +71,7 @@ from repro.runtime.mp.frames import (
     TELEMETRY,
     TRACE,
     DataCodec,
+    PipeEnd,
     recv_frame,
     send_frame,
 )
@@ -79,6 +87,12 @@ from repro.sim.rng import RngRegistry
 
 #: calibration spins in chunks of this many iterations between clock reads
 _CAL_CHUNK = 50_000
+
+
+def conn_wait(selector, timeout: float) -> list:
+    """The pipe loop's one blocking wait: ``(key, events)`` of every end
+    ready within ``timeout`` seconds."""
+    return selector.select(timeout)
 
 
 def spin(iterations: int) -> int:
@@ -132,17 +146,18 @@ class MpWorker(NodeRuntime):
     """One node of the cluster, running in its own process."""
 
     def __init__(self, node_id: int, config, jobs: list, policy=None,
-                 coord_conn=None, peer_conns=None, shard=None):
+                 coord_pipe=None, peer_pipes=None, shard=None):
         clock = WallClock()
         # each worker process runs its node serially: one dispatch slot
-        # (``idle`` = the pipe loop's last poll of the run queue found
-        # nothing due; the loop polls, so nothing wakes the slot)
+        # (``idle`` = the pipe loop's last look at the run queue found
+        # nothing due; the loop looks every turn, so nothing wakes the slot)
         super().__init__(node_id, make_run_queue(
             replace(config, workers_per_node=1), clock.read))
         self.workers = [Worker(node_id=node_id, local_id=0)]
         self._node_id = node_id  # read by name from outside (perfbench)
-        self._coord = coord_conn
-        self._peers = dict(peer_conns or {})
+        self._coord = coord_pipe
+        #: node_id -> PipeEnd of every live peer (shared with the transport)
+        self._peers = dict(peer_pipes or {})
         self._stop = False
 
         jobs_by_name = {j.name: j for j in jobs}
@@ -182,11 +197,7 @@ class MpWorker(NodeRuntime):
             node_id, clock, nodes, self._plan, jobs_by_name, metrics,
             profiler, config, self._delivery,
         )
-        self._codecs = {peer: DataCodec() for peer in self._peers}
-        self._codec_by_conn = {
-            conn: self._codecs[peer] for peer, conn in self._peers.items()
-        }
-        self.transport.attach_conns(self._peers, self._codecs)
+        self.transport.attach_pipes(self._peers)
         self._sleep_cost = config.mp_cost_mode == "sleep"
         self.spin_rate = 0.0
         self._ingest = (
@@ -227,100 +238,128 @@ class MpWorker(NodeRuntime):
 
     def run(self) -> None:
         clock = self.sim
-        send_frame(self._coord, READY, self._node_id)
+        coord = self._coord
+        send_frame(coord, READY, self._node_id)
         while True:
-            kind, payload = recv_frame(self._coord)
+            kind, payload = recv_frame(coord)
             if kind == CALIBRATE:
                 # every worker calibrates inside this barrier concurrently
                 self.spin_rate = calibrate_spin_rate()
-                send_frame(self._coord, CAL_DONE, (self._node_id, self.spin_rate))
+                send_frame(coord, CAL_DONE, (self._node_id, self.spin_rate))
             elif kind == CLOCK:
                 # NTP-style clock probe (obs plane only): answer with the
                 # raw monotonic reading *immediately* — the coordinator
                 # brackets the round trip and keeps the min-RTT round
-                send_frame(self._coord, CLOCK_ACK,
+                send_frame(coord, CLOCK_ACK,
                            (self._node_id, os.getpid(), time.monotonic()))
             elif kind == START:
                 clock.epoch = payload
                 break
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"expected CALIBRATE/CLOCK/START, got {kind}")
+        selector = selectors.DefaultSelector()
+        for pipe in (coord, *self._peers.values()):
+            pipe.watch(selector)
+        self._read(coord)  # frames that arrived right behind START
         last_hb = clock.now
         self._tm_last_time = last_hb
         ingest = self._ingest
-        conns = [self._coord] + list(self._peers.values())
+        delivery = self._delivery
+        transport = self.transport
+        tm_interval = self._tm_interval
         while True:
-            self._drain(conns)
             if self._pending_rescales:
                 self._apply_pending_rescales()
             now = clock.now
-            if ingest is not None:
-                ingest.pump(now, self.transport.on_ingest)
-            replays = self._delivery.due_retransmits(now)
+            replays = delivery.due_retransmits(now)
             if replays:
-                self.transport.enqueue_retransmits(replays)
-            worked = self._dispatch_quantum()
+                transport.enqueue_retransmits(replays)
+            # while a frame waits on a full peer pipe no new work starts,
+            # so each peer has at most one frame queued
+            worked = False
+            if not self._backlogged():
+                if ingest is not None:
+                    ingest.pump(now, transport.on_ingest)
+                worked = self._dispatch_quantum()
             self._safe_flush()
-            now = clock.now
             if self._stop:
                 break
-            if (
-                self._tm_interval is not None
-                and now - self._tm_last_time >= self._tm_interval
-            ):
+            now = clock.now
+            if tm_interval is not None and now - self._tm_last_time >= tm_interval:
                 self._sample_telemetry(now)
             if now - last_hb >= HEARTBEAT_INTERVAL:
                 self._heartbeat(now)
                 last_hb = now
-            if not worked:
-                timeout = last_hb + HEARTBEAT_INTERVAL - now
-                deadline = self._delivery.next_deadline()
-                if deadline is not None:
-                    timeout = min(timeout, deadline - now)
-                if ingest is not None:
-                    due = ingest.next_due()
-                    if due is not None:
-                        timeout = min(timeout, due - now)
-                if timeout > 0:
-                    conn_wait(conns, timeout=min(timeout, MP_POLL_INTERVAL))
+            if worked:
+                self._drain(selector.select(0))
+                continue
+            wake = last_hb + HEARTBEAT_INTERVAL
+            deadline = delivery.next_deadline()
+            if deadline is not None:
+                wake = min(wake, deadline)
+            if tm_interval is not None:
+                wake = min(wake, self._tm_last_time + tm_interval)
+            if ingest is not None and not self._backlogged():
+                due = ingest.next_due()
+                if due is not None:
+                    wake = min(wake, due)
+            timeout = wake - clock.now
+            self._drain(
+                conn_wait(selector, timeout) if timeout > 0 else selector.select(0))
         self._report()
 
-    def _drain(self, conns, limit: int = 256) -> None:
-        """Handle up to ``limit`` frames across all connections."""
-        handled = 0
-        progress = True
-        while progress and handled < limit:
-            progress = False
-            for conn in conns:
-                try:
-                    if not conn.poll():
-                        continue
-                    raw = conn.recv_bytes()
-                except (EOFError, OSError):
-                    continue
-                progress = True
-                handled += 1
-                if raw[:1] == DATA_MAGIC:
-                    self.transport.on_entries(
-                        self._codec_by_conn[conn].decode_data(raw)
-                    )
-                    continue
-                kind, payload = pickle.loads(raw)
-                if kind == INGEST:
-                    self.transport.on_ingest(payload)
-                elif kind == REWIRE:
-                    self.transport.rewire(payload[0])
-                elif kind == RESCALE:
-                    self._pending_rescales.append(payload)
-                elif kind == STOP:
-                    self._stop = True
+    def _drain(self, events) -> None:
+        """Serve what the selector reported: write every writable end, and
+        read every readable one and handle each whole frame it holds."""
+        for key, mask in events:
+            pipe = key.data
+            if mask & EVENT_WRITE and not pipe.write():
+                self._lose(pipe)
+            elif mask & EVENT_READ:
+                self._read(pipe)
+
+    def _read(self, pipe: PipeEnd) -> None:
+        """Take what ``pipe`` holds now and handle each whole frame in it."""
+        is_open = pipe.fill()
+        transport = self.transport
+        while (raw := pipe.frame()) is not None:
+            if raw[:1] == DATA_MAGIC:
+                transport.on_entries(pipe.codec.decode_data(raw))
+                continue
+            kind, payload = pickle.loads(raw)
+            if kind == INGEST:
+                transport.on_ingest(payload)
+            elif kind == REWIRE:
+                transport.rewire(payload[0])
+            elif kind == RESCALE:
+                self._pending_rescales.append(payload)
+            elif kind == STOP:
+                self._stop = True
+        if not is_open:
+            self._lose(pipe)
+
+    def _lose(self, pipe: PipeEnd) -> None:
+        """The process at the other end of ``pipe`` has gone.  Without the
+        coordinator the run is over; a dead peer's end is closed with its
+        queued bytes — every message in them sits in a go-back-N send
+        buffer and replays to the survivor once the coordinator's REWIRE
+        lands."""
+        if pipe is self._coord:
+            self._stop = True
+            return
+        pipe.close()
+        del self._peers[pipe.peer]
+
+    def _backlogged(self) -> bool:
+        return any(pipe.unsent for pipe in self._peers.values())
 
     def _safe_flush(self) -> None:
-        try:
-            self.transport.flush()
-        except (BrokenPipeError, OSError):
-            # a peer died mid-send; its channels replay after fail-over
-            pass
+        """Encode the outboxes and write every peer end holding bytes as far
+        as its socket takes them."""
+        self.transport.flush()
+        for pipe in tuple(self._peers.values()):
+            if pipe.unsent and not pipe.write():
+                self._lose(pipe)
 
     def _idle(self) -> bool:
         return (
@@ -372,42 +411,36 @@ class MpWorker(NodeRuntime):
         self._tm_last_time = now
 
     def _flush_obs(self) -> None:
-        """Ship dirty span parts and buffered telemetry to the coordinator."""
+        """Queue dirty span parts and buffered telemetry for the coordinator."""
         tracer = self._tracer
         if tracer is not None:
             parts = tracer.drain_parts()
             if parts:
-                try:
-                    send_frame(self._coord, TRACE, (self._node_id, parts))
-                except (BrokenPipeError, OSError):
-                    pass
+                self._coord.put(TRACE, (self._node_id, parts))
         if self._telemetry:
             from repro.obs.telemetry import pack_samples
 
-            try:
-                send_frame(self._coord, TELEMETRY,
-                           (self._node_id, pack_samples(self._telemetry)))
-            except (BrokenPipeError, OSError):
-                pass
+            self._coord.put(TELEMETRY,
+                            (self._node_id, pack_samples(self._telemetry)))
             self._telemetry.clear()
 
     def _heartbeat(self, now: float) -> None:
         if self._tracer is not None or self._telemetry:
             self._flush_obs()
-        try:
-            send_frame(self._coord, HB, (
-                self._node_id, self._idle(),
-                self.transport.ingest_acks(), self.workers[0].messages_executed,
-            ))
-        except (BrokenPipeError, OSError):
-            self._stop = True  # the coordinator is gone: report and exit
+        coord = self._coord
+        coord.put(HB, (
+            self._node_id, self._idle(),
+            self.transport.ingest_acks(), self.workers[0].messages_executed,
+        ))
+        if not coord.write():
+            self._lose(coord)
 
     def _report(self) -> None:
         if self._tm_interval is not None:
             # one last reading so short runs still produce a series
             self._sample_telemetry(self.sim.now)
         if self._tracer is not None or self._telemetry:
-            self._flush_obs()  # final drain: REPORT must come last
+            self._flush_obs()  # final drain, queued ahead of REPORT
         slot = self.workers[0]
         self.metrics.record_worker_busy(self._node_id, 0, slot.busy_time)
         for job, late in self._plan.late_tuples().items():
@@ -422,8 +455,8 @@ class MpWorker(NodeRuntime):
         }
         try:
             send_frame(self._coord, REPORT, (self._node_id, self.metrics, stats))
-        except (BrokenPipeError, OSError):
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the coordinator is gone
 
     # ------------------------------------------------------------------
     # dispatch: NodeRuntime's message path, one quantum per pipe-loop turn
@@ -454,28 +487,31 @@ class MpWorker(NodeRuntime):
         return True
 
     def wake_idle_worker(self) -> None:
-        """Nothing to wake: the pipe loop polls the run queue every turn."""
+        """Nothing to wake: the pipe loop checks the run queue every turn."""
 
 
 def worker_main(node_id: int, config, jobs: list, policy,
-                coord_conn, peer_conns: dict, shard=None,
-                unused_conns: list | None = None) -> None:
+                coord_sock, peer_socks: dict, shard=None,
+                unused_socks: list | None = None) -> None:
     """Process entry point (fork start method: objects are inherited).
 
-    ``unused_conns`` are the pipe ends this worker inherited through fork
-    but does not own (other workers' coordinator and mesh ends).  Closing
-    them first is load-bearing for fail-over: as long as *any* process
-    keeps a duplicate of a dead peer's receiving end open, writes to that
-    peer never raise ``BrokenPipeError`` — they silently fill the socket
-    buffer and then block the sender forever, deadlocking the cluster
-    instead of surfacing the failure."""
-    for conn in unused_conns or ():
-        conn.close()
+    ``coord_sock`` and ``peer_socks`` (node_id -> socket) are this
+    worker's ends of the mesh; ``unused_socks`` are the ends it inherited
+    through fork but does not own (other workers' coordinator and mesh
+    ends).  Closing them first is load-bearing for fail-over: as long as
+    *any* process keeps a duplicate of a dead peer's end open, that end
+    never reads as closed and writes to it never raise ``BrokenPipeError``
+    — they fill the socket buffer and then hold the sender's dispatch
+    forever, instead of surfacing the failure."""
+    for sock in unused_socks or ():
+        sock.close()
     # forked processes inherit the parent's message-id counter position;
     # stride into a per-node block so cross-process identity is unambiguous
     from repro.dataflow.messages import stride_message_ids
     stride_message_ids(node_id)
+    peers = {peer: PipeEnd(sock, peer, DataCodec())
+             for peer, sock in peer_socks.items()}
     worker = MpWorker(node_id, config, jobs, policy=policy,
-                      coord_conn=coord_conn, peer_conns=peer_conns,
+                      coord_pipe=PipeEnd(coord_sock), peer_pipes=peers,
                       shard=shard)
     worker.run()

@@ -9,7 +9,6 @@ from repro.core.shedding import SHED_SLACK
 from repro.runtime.config import (
     FAILURE_TIMEOUT,
     HEARTBEAT_INTERVAL,
-    MP_POLL_INTERVAL,
     EngineConfig,
 )
 from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
@@ -65,7 +64,7 @@ def test_total_workers():
 
 
 class TestConstants:
-    """Eleven values no run ever varied are module constants, not fields."""
+    """Values no run ever varied are module constants, not fields."""
 
     def test_values_equal_the_field_defaults_they_replace(self):
         assert (LOCAL_DELAY, REMOTE_DELAY) == (2e-5, 5e-4)
@@ -74,7 +73,6 @@ class TestConstants:
         assert (HEARTBEAT_INTERVAL, FAILURE_TIMEOUT) == (0.05, 0.2)
         assert (RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP) == (0.05, 0.8)
         assert LINK_BYTES_PER_TUPLE == 64.0
-        assert MP_POLL_INTERVAL == 0.02
         assert SHED_SLACK == 0.0
 
     def test_delay_models_built_without_arguments_agree(self):

@@ -12,10 +12,14 @@ once, in order (FIFO audit stays zero) — same aggregates as the loss-free
 sim run.  The audit itself is shown to be live: re-ordered admissions trip
 it.
 
+Full pipes: two workers flooding each other with frames far larger than a
+socket buffer must drain each other and quiesce, not both block in a write.
+
 Fail-over: killing a worker process mid-run must be detected by heartbeat
 staleness, its operators reassigned to the survivor, the unacked ingest
 suffix replayed, and the run must still quiesce cleanly with outputs
-produced after the detection instant.
+produced after the detection instant — without the survivor spinning on
+the dead peer's pipe.
 
 One message path: the worker runs the node runtime's dispatch loop and the
 transport's send path (identity-pinned), so what they record — schedule
@@ -24,6 +28,7 @@ timeline, source back-pressure, deadline shedding — is recorded on mp too.
 
 from __future__ import annotations
 
+import resource
 from collections import Counter
 
 import pytest
@@ -216,6 +221,29 @@ class TestFifoAudit:
         assert mp.info["fifo_violations"] > 0
 
 
+class TestFullPipes:
+    def test_flooded_full_pipes_drain_each_other(self):
+        """Two workers flood each other with 5000-tuple messages (DATA
+        frames far above a socket buffer) on round-robin placement.  Each
+        holds its dispatch while a frame waits on a full pipe but keeps
+        reading, so both drain and the run quiesces — it is not stopped at
+        the wall limit with both workers blocked in a write."""
+        mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
+                        tuples_per_msg=5000, ba_msg_rate=40.0)
+        mp = run_tenant_mix(
+            "cameo", mix, duration=2.0, drain=0.0, nodes=2, workers_per_node=1,
+            seed=3, config_overrides={
+                **_FLOODED, "placement": "round_robin", "mp_wall_timeout": 15.0,
+            },
+        )
+        assert not mp.info["forced_stop"]
+        assert mp.info["fifo_violations"] == 0
+        for name in mp.metrics.job_names:
+            job = mp.metrics.job(name)
+            assert job.tuples_ingested > 0
+            assert job.tuples_processed == job.tuples_ingested
+
+
 class TestFailOver:
     def test_worker_crash_converges_on_survivor(self):
         mix = _small_mix()
@@ -248,6 +276,29 @@ class TestFailOver:
         for name in engine.metrics.job_names:
             job = engine.metrics.job(name)
             assert job.tuples_processed >= 0.99 * job.tuples_ingested
+
+    def test_survivor_does_not_spin_on_the_dead_peer(self):
+        """The crash scenario above, priced in CPU: once its peer is dead
+        the survivor stops watching that pipe, so the workers' CPU stays
+        near a crash-free run's (~0.2 s) instead of a read loop spinning
+        on the dead end's EOF until the run ends (~2.4 s)."""
+        mix = _small_mix()
+        config = EngineConfig(
+            scheduler="cameo", nodes=2, workers_per_node=1, seed=3, backend="mp"
+        )
+        jobs = mix.build_jobs()
+        engine = make_engine(config, jobs)
+        mix.install_drivers(engine, jobs, 4.0)
+        engine.kill_at(1, 1.5)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        engine.run(until=5.0)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+
+        children_cpu = (after.ru_utime + after.ru_stime
+                        - before.ru_utime - before.ru_stime)
+        assert not engine.info["forced_stop"]
+        assert engine.info["survivors"] == [0]
+        assert children_cpu < 1.0
 
     def test_flooded_failover_replays_sharded_ledger(self):
         """Coordinator fail-over during flooded replay with a sharded ledger.

@@ -1,14 +1,18 @@
 """Unit tests for the mp backend's wire layer.
 
-Frames round-trip over a *real* multiprocessing pipe (the exact transport
-the workers use), and the wall-clock driver of the channel protocol is
-driven directly with a fake clock: per-channel keying, deadline polling,
-ack coalescing, loss injection, and channel reset after fail-over.
+Frames round-trip over a *real* socket pair wrapped in pipe ends (the
+exact transport the workers use), and the wall-clock driver of the
+channel protocol is driven directly with a fake clock: per-channel
+keying, deadline polling, ack coalescing, loss injection, and channel
+reset after fail-over.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import pickle
+import selectors
+import socket
+from selectors import EVENT_READ, EVENT_WRITE
 
 import numpy as np
 import pytest
@@ -24,7 +28,9 @@ from repro.runtime.mp.frames import (
     DATA_MAGIC,
     INGEST,
     START,
+    STOP,
     DataCodec,
+    PipeEnd,
     recv_frame,
     send_frame,
 )
@@ -49,9 +55,15 @@ def _message(sender="a", target="b", seq=-1, tuples=4) -> Message:
     return msg
 
 
+def _pipe() -> tuple[PipeEnd, PipeEnd]:
+    """Both ends of one mesh pipe, as the workers and coordinator hold them."""
+    left, right = socket.socketpair()
+    return PipeEnd(left), PipeEnd(right)
+
+
 class TestFrames:
     def test_round_trip_over_real_pipe(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
+        parent, child = _pipe()
         try:
             send_frame(parent, START, 123.25)
             kind, payload = recv_frame(child)
@@ -66,8 +78,9 @@ class TestFrames:
                 ("ack", (OpAddress("j", "src", 0), OpAddress("j", "agg", 1)), 4, 2),
                 ("reset", ("x", "y"), 9),
             ]
-            child.send_bytes(DataCodec().encode_data(entries))
-            received = DataCodec().decode_data(parent.recv_bytes())
+            child.queue(DataCodec().encode_data(entries))
+            child.write_all()
+            received = DataCodec().decode_data(parent.recv())
             got = received[0][1]
             assert got.seq == 7
             assert got.target == OpAddress("j", "agg", 1)
@@ -82,7 +95,7 @@ class TestFrames:
             child.close()
 
     def test_ingest_frame_carries_arrays(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
+        parent, child = _pipe()
         try:
             entry = (
                 ("client", "j", "src", 0), 3, 1.5,
@@ -99,6 +112,46 @@ class TestFrames:
         finally:
             parent.close()
             child.close()
+
+    def test_partial_writes_resume_and_reads_yield_whole_frames(self):
+        """A frame far larger than the socket buffer leaves in pieces
+        without blocking, the reader cuts nothing off until it is whole,
+        and the end wants write readiness exactly while bytes wait."""
+        parent, child = _pipe()
+        selector = selectors.DefaultSelector()
+        try:
+            child.watch(selector)
+            big = bytes(range(256)) * (16 << 10)  # 4 MiB
+            child.queue(big)
+            child.put(STOP)
+            assert child.write()
+            assert 0 < child.unsent < len(big)
+            assert selector.get_key(child.sock).events == EVENT_READ | EVENT_WRITE
+            received = []
+            while child.unsent or len(received) < 2:
+                assert parent.fill()
+                while (body := parent.frame()) is not None:
+                    received.append(body)
+                assert child.write()
+            assert received[0] == big
+            assert pickle.loads(received[1]) == (STOP, None)
+            assert selector.get_key(child.sock).events == EVENT_READ
+        finally:
+            parent.close()
+            child.close()
+            selector.close()
+
+    def test_closed_peer_reads_as_eof_and_refuses_writes(self):
+        parent, child = _pipe()
+        try:
+            child.close()
+            assert not parent.fill()
+            with pytest.raises(EOFError):
+                recv_frame(parent)
+            parent.put(STOP)
+            assert not parent.write()
+        finally:
+            parent.close()
 
 
 class TestDataCodec:
