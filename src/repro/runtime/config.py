@@ -110,14 +110,16 @@ class EngineConfig:
             first per DCoflow — frames with earlier priority-context
             deadlines preempt; frames without contexts queue behind).
         record_trace: enable the observability plane (``repro.obs``): a
-            per-hop message span recorder plus a periodic node sampler.
-            Off by default — with tracing off the runtime holds no
-            recorder at all, so the hot path is untouched and every
-            figure output stays bit-identical.
+            per-hop message span recorder plus a periodic node sampler
+            (on mp, the telemetry bus: each worker samples itself and
+            ships the readings in ``TELEMETRY`` frames).  Off by default
+            — with tracing off the runtime holds no recorder at all, so
+            the hot path is untouched and every figure output stays
+            bit-identical.
         trace_sample_interval: cadence of the node sampler
-            (:func:`repro.obs.introspect.sample`) on both backends:
-            seconds of simulated time on sim (when ``record_trace`` is
-            on), wall-clock seconds on mp (when the telemetry bus is on).
+            (:func:`repro.obs.introspect.sample`) when ``record_trace`` is
+            on: seconds of simulated time on sim, wall-clock seconds on
+            mp.
         shed_expired: enable deadline-aware load shedding — messages whose
             priority-context start deadline ``ddl_M`` is already unmeetable
             are dropped at pop time instead of executed (Cameo-only
@@ -150,13 +152,6 @@ class EngineConfig:
             absorb (throughput benchmarking).
         mp_wall_timeout: hard wall-clock cap (seconds) on an mp run;
             ``None`` derives a generous default from the run duration.
-        mp_telemetry: enable the mp worker telemetry bus — each worker
-            runs the node sampler on itself every ``trace_sample_interval``
-            and ships the readings in ``TELEMETRY`` frames the coordinator
-            folds into a :class:`~repro.obs.telemetry.TelemetryLog`.
-            ``None`` (default) follows ``record_trace``; an explicit bool
-            overrides (telemetry without spans, or spans without
-            telemetry).
     """
 
     scheduler: str = "cameo"
@@ -188,7 +183,6 @@ class EngineConfig:
     mp_loss_rate: float = 0.0
     mp_realtime: bool = True
     mp_wall_timeout: Optional[float] = None
-    mp_telemetry: Optional[bool] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -259,13 +253,6 @@ class EngineConfig:
         """Whether PCs/RCs are generated and costs profiled: on for Cameo,
         off for the baselines (which carry no deadlines to schedule by)."""
         return self.scheduler == "cameo"
-
-    @property
-    def mp_telemetry_enabled(self) -> bool:
-        """Whether the mp telemetry bus runs (see ``mp_telemetry``)."""
-        if self.mp_telemetry is not None:
-            return self.mp_telemetry
-        return self.record_trace
 
     @property
     def total_workers(self) -> int:

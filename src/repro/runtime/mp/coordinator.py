@@ -1,5 +1,4 @@
-"""Coordinator of the mp backend: spawn, watch, collect — and feed only
-after a fail-over.
+"""Coordinator of the mp backend: spawn, watch, hand over, collect.
 
 The coordinator is the parent process.  It creates the full pipe mesh
 (coordinator <-> worker plus worker <-> worker, all before forking so
@@ -7,44 +6,41 @@ every process inherits its ends), forks one worker per configured node,
 watches heartbeats for failures, and finally collects and merges every
 worker's :class:`~repro.metrics.collectors.MetricsHub`.
 
-Each worker inherits its shard of the sequenced trace through fork and
-replays it locally, so the coordinator is **pure control plane**: no data
-flows through the parent during normal operation.  With
-``mp_cost_mode="spin"`` a calibration barrier sits between READY and
-START: the coordinator
-broadcasts ``CALIBRATE`` once every worker is up, and starts the epoch
-only after every ``CAL_DONE`` — forcing the per-worker spin-rate
-measurements to overlap so they price in deployment-level CPU contention.
+Each worker inherits its shard of the sequenced trace — and the whole
+trace beside it — through fork and replays its sources locally, so the
+coordinator is **pure control plane**: no data flows through the parent.
+With ``mp_cost_mode="spin"`` a calibration barrier sits between READY
+and START: the coordinator broadcasts ``CALIBRATE`` once every worker is
+up, and starts the epoch only after every ``CAL_DONE`` — forcing the
+per-worker spin-rate measurements to overlap so they price in
+deployment-level CPU contention.
 
-Ingest durability (the upstream-backup story): every trace entry carries
-a per-source sequence number and stays in the coordinator's ledger until
-the owning worker's heartbeat reports a processed watermark at or past it
-— the ledger starts out holding the *whole* trace and only ever shrinks
-(it is the fail-over reserve, not a send queue).
-When a worker dies, the dead node's operators are reassigned round-robin
-to the survivors and a ``REWIRE`` frame announces the new placement to
-everyone (senders re-incarnate their channels with a reset + replay).
-The un-acked ledger suffix of every moved source (the dead owner held it
-in its fork-inherited shard) then reaches its new owner through ``INGEST``
-frames: it is spliced into the feed queue (removing it from the ledger
-first — the feed re-appends as it ships) so the survivor receives it
-paced and chunked.  Messages that had been *admitted* to the dead node's
-mailboxes but not processed are re-sent by their upstream's go-back-N
-buffer; in-flight window state of moved operators is rebuilt from
-scratch — the same at-least-once contract as the sim backend's recovery
-layer, realized across real process boundaries.
+Ingest durability: every trace entry carries a per-source sequence
+number, and the coordinator keeps the highest processed watermark the
+owners' heartbeats report per source.  When a worker dies, the dead
+node's operators are reassigned round-robin to the survivors and a
+``REWIRE`` frame announces the new placement to everyone together with
+the watermark of every moved source (senders re-incarnate their channels
+with a reset + replay).  The new owner of a moved source replays it from
+its own copy of the trace, past that watermark.  Messages that had been
+*admitted* to the dead node's mailboxes but not processed are re-sent by
+their upstream's go-back-N buffer; in-flight window state of moved
+operators is rebuilt from scratch — the same at-least-once contract as
+the sim backend's recovery layer, realized across real process
+boundaries.
 
-Termination is a distributed quiescence check: the trace is fully sent,
-every ledger is empty (all ingest processed), and every live worker
-reported itself idle (empty run queue, no unacked channels, no pending
-output) in two consecutive heartbeats.  A hard wall-clock deadline
-(``mp_wall_timeout``) bounds the run if quiescence is never reached.
+Termination is a distributed quiescence check: every source's watermark
+has reached its last sequence number (all ingest processed), and every
+live worker reported itself idle (empty run queue, no unacked channels,
+no pending output) in two consecutive heartbeats.  A hard wall-clock
+deadline (``mp_wall_timeout``) bounds the run if quiescence is never
+reached.
 
 After ``START`` the coordinator is one selector loop over its worker
 pipe ends and the workers' process sentinels.  It blocks until a frame
 arrives, a worker exits, a queued frame can be written, or the nearest
-timer is due: the next paced feed entry, the next kill or rescale
-instant, the failure deadline of an exited worker, or the wall limit.
+timer is due: the next kill or rescale instant, the failure deadline of
+an exited worker, or the wall limit.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from repro.runtime.mp.frames import (
     CLOCK,
     CLOCK_ACK,
     HB,
-    INGEST,
     READY,
     REPORT,
     RESCALE,
@@ -83,10 +78,6 @@ from repro.runtime.mp.ingest import sequence_trace, shard_by_owner
 from repro.runtime.mp.worker import worker_main
 from repro.runtime.placement import place_operators
 
-#: max ingest entries per INGEST frame (bounds frame size and fairness)
-_INGEST_CHUNK = 256
-#: paced replay sends entries up to this far ahead of the wall clock
-_LOOKAHEAD = 0.05
 #: CLOCK/CLOCK_ACK rounds per worker (the min-RTT round wins)
 _CLOCK_ROUNDS = 5
 
@@ -129,14 +120,15 @@ class MpCoordinator:
         self._op_node = place_operators(config, jobs)
         #: sequenced trace: (trace_time, entry) pairs + final seq per source
         self._timed, self._last_seq = sequence_trace(trace)
+        #: one {src_key: watermark resumed from} per hand-over, in order
+        self._resumed: list[dict] = []
         self.info: dict = {}
-        # observability plane (populated only when the knobs are on)
+        # observability plane (populated only under record_trace)
         self._record_trace = config.record_trace
-        self._telemetry_on = config.mp_telemetry_enabled
         self._merger = None
-        #: merged TraceRecorder after the run (record_trace only)
+        #: merged TraceRecorder after the run
         self.tracer = None
-        #: folded TelemetryLog after the run (telemetry bus only)
+        #: folded TelemetryLog after the run
         self.telemetry = None
         #: ClockSync from the startup CLOCK exchange (obs plane only)
         self.clock = None
@@ -164,8 +156,8 @@ class MpCoordinator:
                 end_i, end_j = socket.socketpair()
                 peer_ends[i][j] = end_i
                 peer_ends[j][i] = end_j
-        # each worker inherits its trace shard through fork (no pickling,
-        # copy-on-write pages) and replays it locally
+        # each worker inherits its trace shard, and the whole trace for a
+        # fail-over, through fork (no pickling, copy-on-write pages)
         shards = shard_by_owner(self._timed, self._source_owner, self._n)
         # every pipe end worker i inherits but does not own — it must
         # close them on startup so a dead peer's ends actually reach
@@ -185,7 +177,7 @@ class MpCoordinator:
             ctx.Process(
                 target=worker_main,
                 args=(i, config, self._jobs, self._policy,
-                      child_ends[i], peer_ends[i], shards.get(i),
+                      child_ends[i], peer_ends[i], shards[i], self._timed,
                       unused[i]),
                 daemon=True,
             )
@@ -238,7 +230,7 @@ class MpCoordinator:
         # timestamps can be reconciled onto the coordinator clock.  Runs
         # between the calibration barrier and the epoch broadcast so the
         # untraced frame sequence is byte-identical when the plane is off.
-        if self._record_trace or self._telemetry_on:
+        if self._record_trace:
             self._sync_clocks()
 
         epoch = time.monotonic()
@@ -250,24 +242,12 @@ class MpCoordinator:
         for i, proc in enumerate(procs):
             selector.register(proc.sentinel, EVENT_READ, i)  # ready on exit
 
-        # ingest ledger: retain every sequenced entry until the owner's
-        # heartbeat watermark passes it.  Workers own their shards, so the
-        # feed queue only fills on fail-over, with the moved sources'
-        # ledger remainders.
-        pending: deque = deque()
         last_seq = self._last_seq
-        ledger: dict[tuple, deque] = {}
-        acked: dict[tuple, int] = {}
-        for src_key in last_seq:
-            ledger[src_key] = deque()
-            acked[src_key] = -1
-        for _trace_time, entry in self._timed:
-            ledger[entry[0]].append(entry)
-
+        #: per-source processed watermark, as the owners' heartbeats report
+        acked = dict.fromkeys(last_seq, -1)
         alive = set(range(self._n))
         #: workers whose process has exited (sentinel seen)
         exited: set[int] = set()
-        now = 0.0
         last_hb = {i: 0.0 for i in alive}
         idle_streak = {i: 0 for i in alive}
         kills = deque(self._kills)
@@ -275,7 +255,6 @@ class MpCoordinator:
         crash_time: dict[int, float] = {}
         fault_log: list[tuple[int, float, float]] = []
         crashes = 0
-        realtime = config.mp_realtime
         wall_limit = config.mp_wall_timeout or max(30.0, self._until * 3.0 + 10.0)
         forced_stop = False
 
@@ -285,7 +264,7 @@ class MpCoordinator:
         events: list = []
         while True:
             self._drain_control(events, alive, exited, last_hb, idle_streak,
-                                ledger, acked, elapsed)
+                                acked, elapsed)
             now = elapsed()
             while kills and now >= kills[0][0]:
                 _, node_id = kills.popleft()
@@ -297,11 +276,6 @@ class MpCoordinator:
                 _, job_name, stage_name, parallelism = rescales.popleft()
                 for i in alive:
                     self._send(i, RESCALE, (job_name, stage_name, parallelism))
-            # bytes still queued for a worker hold the feed back, so at
-            # most one feed turn's frames wait on full pipes
-            if pending and not self._backlogged():
-                self._feed(pending, ledger, alive, now, realtime)
-            now = elapsed()
             # exit-confirmed failure rule: silent for FAILURE_TIMEOUT *and*
             # the process has exited
             dead = [
@@ -315,12 +289,11 @@ class MpCoordinator:
                 fault_log.append(
                     (node_id, crash_time.get(node_id, last_hb[node_id]), now)
                 )
-                self._fail_over(node_id, alive, pending, ledger, acked)
+                self._feed(self._fail_over(node_id, alive), acked, alive)
                 for i in alive:
                     idle_streak[i] = 0  # re-quiesce after the rewire
             if (
-                not pending
-                and all(acked[k] >= last_seq[k] for k in last_seq)
+                all(acked[k] >= last_seq[k] for k in last_seq)
                 and all(idle_streak[i] >= 2 for i in alive)
             ):
                 break
@@ -332,8 +305,6 @@ class MpCoordinator:
                 wake = min(wake, kills[0][0])
             if rescales:
                 wake = min(wake, rescales[0][0])
-            if pending and not self._backlogged():
-                wake = min(wake, pending[0][0] - _LOOKAHEAD if realtime else now)
             for i in alive & exited:
                 wake = min(wake, last_hb[i] + FAILURE_TIMEOUT)
             timeout = wake - elapsed()
@@ -353,14 +324,14 @@ class MpCoordinator:
         metrics = self._merge(reports)
         metrics.crashes = crashes
         metrics.failure_detections.extend(fault_log)
-        if self._merger is not None:
+        if self._record_trace:
             self.tracer = self._merger.build()
-            if self.telemetry is not None:
-                self.tracer.samples.extend(self.telemetry.sorted_samples())
+            self.tracer.samples.extend(self.telemetry.sorted_samples())
         self.info = {
             "wall_time": elapsed(),
             "workers": self._n,
             "survivors": sorted(alive),
+            "resumed": self._resumed,
             "forced_stop": forced_stop,
             "cost_mode": config.mp_cost_mode,
             "spin_rates": spin_rates,
@@ -369,11 +340,9 @@ class MpCoordinator:
                 stats["fifo_violations"] for _, stats in reports.values()
             ),
         }
-        if self.clock is not None:
+        if self._record_trace:
             self.info["clock"] = self.clock.as_dict()
-        if self._merger is not None:
             self.info["trace_parts"] = self._merger.part_count
-        if self.telemetry is not None:
             self.info["telemetry_samples"] = len(self.telemetry)
         return metrics
 
@@ -423,21 +392,17 @@ class MpCoordinator:
             uncertainties[i] = best_rtt / 2.0
             pids[i] = pid
         self.clock = ClockSync(offsets, uncertainties, pids)
-        if self._record_trace:
-            self._merger = SpanMerger(self.clock)
-        if self._telemetry_on:
-            self.telemetry = TelemetryLog()
+        self._merger = SpanMerger(self.clock)
+        self.telemetry = TelemetryLog()
 
     def _fold_telemetry(self, payload) -> None:
         """Unpack one TELEMETRY frame into the time-series log, moving
         sample times onto the coordinator clock."""
-        if self.telemetry is None:
-            return
         from repro.obs.telemetry import unpack_samples
 
         node_id, blob = payload
         samples = unpack_samples(blob)
-        offset = self.clock.offsets.get(node_id, 0.0) if self.clock else 0.0
+        offset = self.clock.offsets.get(node_id, 0.0)
         if offset:
             for sample in samples:
                 sample.time -= offset
@@ -446,8 +411,7 @@ class MpCoordinator:
     def _absorb_obs(self, kind: str, payload) -> bool:
         """Fold an observability frame; True when it was one."""
         if kind == TRACE:
-            if self._merger is not None:
-                self._merger.add_parts(payload[0], payload[1])
+            self._merger.add_parts(payload[0], payload[1])
             return True
         if kind == TELEMETRY:
             self._fold_telemetry(payload)
@@ -465,37 +429,24 @@ class MpCoordinator:
 
     def _lose(self, pipe: PipeEnd) -> None:
         """A worker's end closed (its process died): stop watching it and
-        drop what was queued for it — the ledger still holds every
-        un-acked ingest entry and replays it after the fail-over."""
+        drop what was queued for it — its sources resume elsewhere from
+        their watermarks after the fail-over."""
         pipe.close()
         del self._pipes[pipe.peer]
 
-    def _backlogged(self) -> bool:
-        return any(pipe.unsent for pipe in self._pipes.values())
-
-    def _feed(self, pending: deque, ledger: dict, alive: set,
-              now: float, realtime: bool) -> None:
-        """Ship due trace entries, chunked per owner node."""
-        horizon = now + _LOOKAHEAD
-        batches: dict[int, list] = {}
-        budget = _INGEST_CHUNK * max(1, len(alive))
-        while pending and budget > 0:
-            trace_time, entry = pending[0]
-            if realtime and trace_time > horizon:
-                break
-            pending.popleft()
-            budget -= 1
-            src_key = entry[0]
-            ledger[src_key].append(entry)
-            batches.setdefault(self._source_owner(src_key), []).append(entry)
-        for node_id, entries in batches.items():
-            # a dead owner's end drops them; the ledger replays after fail-over
-            for start in range(0, len(entries), _INGEST_CHUNK):
-                self._send(node_id, INGEST, entries[start:start + _INGEST_CHUNK])
+    def _feed(self, mapping: dict, acked: dict, alive: set) -> None:
+        """Announce a hand-over: every survivor learns the new placement,
+        and the new owner of each moved source replays it from its own
+        copy of the trace, past the source's processed watermark."""
+        resume = {src_key: watermark for src_key, watermark in acked.items()
+                  if OpAddress(*src_key[1:]) in mapping}
+        self._resumed.append(resume)
+        for i in alive:
+            self._send(i, REWIRE, (mapping, resume))
 
     def _drain_control(self, events: list, alive: set, exited: set,
-                       last_hb: dict, idle_streak: dict, ledger: dict,
-                       acked: dict, elapsed) -> None:
+                       last_hb: dict, idle_streak: dict, acked: dict,
+                       elapsed) -> None:
         """Serve what the selector reported: note exited workers, write
         every writable end, and fold the frames of every readable one."""
         for key, mask in events:
@@ -520,46 +471,20 @@ class MpCoordinator:
                 last_hb[node_id] = elapsed()
                 idle_streak[node_id] = idle_streak[node_id] + 1 if idle else 0
                 for src_key, watermark in ingest_acks.items():
-                    if watermark > acked.get(src_key, -1):
-                        acked[src_key] = watermark
-                        entries = ledger[src_key]
-                        while entries and entries[0][1] <= watermark:
-                            entries.popleft()
+                    acked[src_key] = max(acked[src_key], watermark)
             if not is_open:
                 self._lose(pipe)
 
-    def _fail_over(self, dead: int, alive: set, pending: deque,
-                   ledger: dict, acked: dict) -> None:
-        """Reassign the dead node's operators and replay unacked ingest."""
+    def _fail_over(self, dead: int, alive: set) -> dict:
+        """Reassign the dead node's operators round-robin to the
+        survivors; returns the moves (address -> new node)."""
         survivors = sorted(alive)
         mapping = {}
-        slot = 0
         for address, node_id in self._op_node.items():
             if node_id == dead:
-                mapping[address] = survivors[slot % len(survivors)]
-                slot += 1
+                mapping[address] = survivors[len(mapping) % len(survivors)]
         self._op_node.update(mapping)
-        for i in alive:
-            self._send(i, REWIRE, (mapping, dead))
-        spliced = []
-        for src_key in ledger:
-            _, job, stage, index = src_key
-            if OpAddress(job, stage, index) not in mapping:
-                continue
-            # the dead owner held these in its fork-inherited shard;
-            # splice them into the feed queue (clearing the ledger first —
-            # _feed re-appends as it ships) so the survivor receives them
-            # as paced/chunked INGEST frames
-            spliced.extend(
-                (e[2], e) for e in ledger[src_key] if e[1] > acked[src_key])
-            ledger[src_key].clear()
-        if spliced:
-            merged = sorted(
-                list(pending) + spliced,
-                key=lambda item: (item[0], item[1][0], item[1][1]),
-            )
-            pending.clear()
-            pending.extend(merged)
+        return mapping
 
     def _collect_reports(self, alive: set, deadline: float) -> dict:
         """Block for every live worker's REPORT until ``deadline``

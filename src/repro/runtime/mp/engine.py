@@ -13,14 +13,17 @@ Runs the same two phases every mp run needs:
    it, paced against the wall clock (``mp_realtime=True``) or flooded as
    fast as the workers drain it (benchmarks).  The trace is sharded by
    source owner and each worker's :class:`~repro.runtime.mp.ingest.
-   IngestDriver` replays its fork-inherited shard locally (coordinator =
-   pure control plane).
+   IngestDriver` replays its fork-inherited shard locally; after a
+   fail-over the new owner of a moved source replays it from its own
+   copy of the trace, past the watermark the coordinator hands over
+   (coordinator = pure control plane).
 
 After :meth:`run`, ``.metrics`` holds the merged
 :class:`~repro.metrics.collectors.MetricsHub` of every worker and
 ``.info`` the run's transport-level facts (wall time, per-worker stats,
-FIFO-audit counters, survivor set).  With the observability plane on
-(``record_trace`` / ``mp_telemetry``), ``.tracer`` holds the merged
+FIFO-audit counters, survivor set, the watermark each moved source
+resumed from).  With the observability plane on (``record_trace``,
+which also runs the telemetry bus), ``.tracer`` holds the merged
 cross-process :class:`~repro.obs.recorder.TraceRecorder`, ``.telemetry``
 the folded :class:`~repro.obs.telemetry.TelemetryLog`, ``.clock`` the
 :class:`~repro.obs.merge.ClockSync`, and ``.process_map`` real worker

@@ -38,9 +38,6 @@ CALIBRATE  c -> w     ``None`` — run the spin-cost calibration *now*
                       (all workers calibrate concurrently; spin mode only)
 CAL_DONE   w -> c     ``(node_id, spin_rate)`` — calibration finished
 START      c -> w     ``epoch`` — shared wall-clock base (CLOCK_MONOTONIC)
-INGEST     c -> w     list of ``(src_key, seq, trace_time, times, values,
-                      keys, sorted)`` ingest entries (fail-over shard
-                      replay)
 HB         w -> c     ``(node_id, idle, ingest_acks, processed_total)``
 CLOCK      c -> w     ``None`` — clock-sync probe; the worker answers
                       immediately (sent between the calibration barrier
@@ -57,7 +54,10 @@ TELEMETRY  w -> c     ``(node_id, packed_bytes)`` — struct-packed
                       :class:`repro.obs.spans.SchedSample` records (the
                       node sampler's readings of the worker, flushed with
                       heartbeats)
-REWIRE     c -> w     ``({address: new_node_id}, dead_node_id)``
+REWIRE     c -> w     ``({address: new_node_id}, {src_key: watermark})``
+                      — the dead node's operators re-placed, and the
+                      processed watermark each moved source resumes from
+                      (its new owner replays its own copy of the trace)
 RESCALE    c -> w     ``(job_name, stage_name, parallelism)`` — rescale a
                       key-partitioned stage (applied at the worker's next
                       quiescent point for that stage; single-node runs)
@@ -109,7 +109,6 @@ READY = "ready"
 CALIBRATE = "cal"
 CAL_DONE = "cal_done"
 START = "start"
-INGEST = "ingest"
 HB = "hb"
 CLOCK = "clock"
 CLOCK_ACK = "clock_ack"

@@ -3,24 +3,24 @@
 The capture phase (:class:`~repro.runtime.mp.engine.MpStreamEngine`)
 records a flat trace of ``(trace_time, src_key, times, values, keys,
 sorted)`` tuples.  Before replay, :func:`sequence_trace` stamps every
-entry with a per-source sequence number — the durable identity the
-upstream-backup story is built on: workers deduplicate replay overlap by
-it, heartbeats report contiguous *processed* watermarks over it, and the
-coordinator's ledger trims against those watermarks.
+entry with a per-source sequence number — the identity a fail-over
+resumes by: heartbeats report contiguous *processed* watermarks over it,
+and the coordinator keeps the latest watermark per source.
 
-The workers replay the sequenced trace themselves: :func:`shard_by_owner`
-splits it by the node owning each source (placement is a pure function of
-the config, so the split is computed once in the parent and inherited
-through fork), and a per-worker :class:`IngestDriver` replays its shard
-against the local clock.  The coordinator never touches the data path; it
-keeps the full ledger only so fail-over can re-feed a dead worker's shard
-remainder to the source's new owner through ``INGEST`` frames.  Entries
-reach ``ProcessTransport.on_ingest`` in the same shape either way, so
-dedupe and watermarking do not care where they came from.
+Only workers touch the data path.  :func:`shard_by_owner` splits the
+sequenced trace by the node owning each source (placement is a pure
+function of the config, so the split is computed once in the parent and
+inherited through fork), and a per-worker :class:`IngestDriver` replays
+its shard against the local clock.  Every worker also inherits the whole
+sequenced trace, left untouched until a fail-over: when the
+coordinator's ``REWIRE`` hands a worker a dead node's sources,
+:meth:`IngestDriver.adopt` takes each one's entries past the watermark
+it resumes from.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 
@@ -28,7 +28,7 @@ def sequence_trace(trace: list) -> tuple[list, dict]:
     """Assign per-source sequence numbers in trace order.
 
     Returns ``(timed, last_seq)`` where ``timed`` is a list of
-    ``(trace_time, entry)`` pairs — ``entry`` being the wire shape
+    ``(trace_time, entry)`` pairs — ``entry`` being the ingest shape
     ``(src_key, seq, trace_time, times, values, keys, sorted)`` — and
     ``last_seq`` maps each source to its final sequence number (the
     quiescence target: the run is ingest-complete when every source's
@@ -61,7 +61,7 @@ def shard_by_owner(
 
 
 class IngestDriver:
-    """Replays one worker's trace shard against the local clock.
+    """Replays one worker's sources against the local clock.
 
     Paced mode (``mp_realtime=True``) releases entries whose trace time
     has arrived on the shared wall clock; flooded mode releases them as
@@ -82,8 +82,8 @@ class IngestDriver:
 
     @property
     def remaining(self) -> int:
-        """Undelivered entries left in the shard (the telemetry bus's
-        ingest-backlog sensor)."""
+        """Undelivered entries left (the telemetry bus's ingest-backlog
+        sensor)."""
         return len(self._timed) - self._pos
 
     def next_due(self) -> float | None:
@@ -113,3 +113,16 @@ class IngestDriver:
         self._pos = pos
         sink(entries)
         return True
+
+    def adopt(self, timed: list, resume: dict) -> None:
+        """Take over the sources of ``resume`` (src_key -> processed
+        watermark) from the whole sequenced trace ``timed``: every entry
+        past its source's watermark joins the undelivered remainder.
+
+        Both lists are in trace order and the merge is a stable sort by
+        trace time, so per-source sequence order holds; adopted entries
+        already due go out on the next pump."""
+        adopted = [item for item in timed
+                   if item[1][0] in resume and item[1][1] > resume[item[1][0]]]
+        self._timed = sorted(self._timed[self._pos:] + adopted, key=itemgetter(0))
+        self._pos = 0

@@ -14,12 +14,12 @@ peer's :class:`~repro.runtime.mp.frames.PipeEnd` only once the previous
 one has left it, so at most one frame per peer waits on a full pipe; the
 worker loop writes it and holds dispatch until it has.
 
-Ingestion entries carry a per-source sequence number and arrive either
-from the local :class:`~repro.runtime.mp.ingest.IngestDriver` or, after a
-fail-over, from the coordinator's ``INGEST`` frames; the transport
-deduplicates replay overlap after a fail-over and reports per-source
-processed watermarks back in heartbeats so the coordinator can trim its
-durable ledger.
+Ingestion entries carry a per-source sequence number and always arrive
+from the worker's own :class:`~repro.runtime.mp.ingest.IngestDriver`
+(after a fail-over, an adopted source starts past the watermark it
+resumes from); the transport reports per-source processed watermarks
+back in heartbeats, which is where a fail-over resumes each moved
+source.
 
 Every admission to a mailbox passes the per-channel FIFO audit, the one
 run-time check of §4.3 order on this backend: a sequence number at or
@@ -59,7 +59,7 @@ class ProcessTransport(Transport):
         #: node_id -> PipeEnd of every live peer
         self._pipes: dict = {}
         #: per-source ingest bookkeeping:
-        #: src_key -> [last_seen_seq, processed_watermark, out_of_order_set]
+        #: src_key -> [processed_watermark, out_of_order_set]
         self._ingest_state: dict[tuple, list] = {}
         #: per-channel FIFO audit: (sender, target) -> last admitted seq
         self._audit: dict[tuple, int] = {}
@@ -72,23 +72,17 @@ class ProcessTransport(Transport):
         self._pipes = pipes
 
     # ------------------------------------------------------------------
-    # ingestion (coordinator -> source operator)
+    # ingestion (trace replay -> source operator)
     # ------------------------------------------------------------------
 
     def on_ingest(self, entries: list) -> None:
-        """Admit a batch of replayed ingest entries to local sources."""
-        for src_key, seq, trace_time, logical_times, values, keys, sorted_times in entries:
-            state = self._ingest_state.get(src_key)
-            if state is None:
-                state = [-1, seq - 1, set()]
-                self._ingest_state[src_key] = state
-            if seq <= state[0]:
-                # replay overlap after a fail-over: already seen
-                self.metrics.duplicates_dropped += 1
-                continue
-            state[0] = seq
-            self._ingest(src_key, seq, trace_time, logical_times, values,
-                         keys, sorted_times)
+        """Admit a batch of replayed ingest entries to local sources.  A
+        source's first entry sets its watermark just below itself (seq 0,
+        or the entry after the watermark an adopted source resumes from)."""
+        for entry in entries:
+            if entry[0] not in self._ingest_state:
+                self._ingest_state[entry[0]] = [entry[1] - 1, set()]
+            self._ingest(*entry)
 
     def _ingest(self, src_key: tuple, seq: int, trace_time: float,
                 logical_times, values, keys, sorted_times: bool) -> None:
@@ -141,18 +135,18 @@ class ProcessTransport(Transport):
         if state is None:
             return
         seq = msg.seq
-        if seq == state[1] + 1:
-            state[1] = seq
-            out_of_order = state[2]
-            while state[1] + 1 in out_of_order:
-                state[1] += 1
-                out_of_order.remove(state[1])
+        if seq == state[0] + 1:
+            state[0] = seq
+            out_of_order = state[1]
+            while state[0] + 1 in out_of_order:
+                state[0] += 1
+                out_of_order.remove(state[0])
         else:
-            state[2].add(seq)
+            state[1].add(seq)
 
     def ingest_acks(self) -> dict:
         """src_key -> contiguous processed ingest watermark (heartbeats)."""
-        return {key: state[1] for key, state in self._ingest_state.items()}
+        return {key: state[0] for key, state in self._ingest_state.items()}
 
     # ------------------------------------------------------------------
     # delivery

@@ -10,11 +10,12 @@ worker supplies the three things a backend owns — the clock
 (:class:`WallClock`), how a sampled cost is spent (:meth:`MpWorker.
 _execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
 ProcessTransport`).  Around it runs the pipe loop, one selector over
-every pipe end the worker owns: pump the local ingest shard, pop an
-operator from the run queue in the scheduler's order, run its messages
-for a quantum, and between quanta read what the pipes hold, retransmit
-expired channels, flush the outboxes (one binary ``DATA`` frame per
-destination — the amortized batch) and heartbeat the coordinator.  With
+every pipe end the worker owns: pump the local ingest (its shard, plus
+any source a fail-over handed it), pop an operator from the run queue in
+the scheduler's order, run its messages for a quantum, and between
+quanta read what the pipes hold, retransmit expired channels, flush the
+outboxes (one binary ``DATA`` frame per destination — the amortized
+batch) and heartbeat the coordinator.  With
 nothing to run, the loop blocks in the selector until a pipe is readable
 (or writable, while bytes wait on it) or the nearest timer is due:
 heartbeat, retransmit deadline, next ingest entry, telemetry sample.
@@ -51,6 +52,7 @@ from selectors import EVENT_READ, EVENT_WRITE
 from repro.core.policies import make_policy
 from repro.core.profiler import CostProfiler, GaussianNoiseInjector
 from repro.core.shedding import DeadlineShedder
+from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import HEARTBEAT_INTERVAL
 from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
@@ -61,7 +63,6 @@ from repro.runtime.mp.frames import (
     CLOCK_ACK,
     DATA_MAGIC,
     HB,
-    INGEST,
     READY,
     REPORT,
     RESCALE,
@@ -146,7 +147,7 @@ class MpWorker(NodeRuntime):
     """One node of the cluster, running in its own process."""
 
     def __init__(self, node_id: int, config, jobs: list, policy=None,
-                 coord_pipe=None, peer_pipes=None, shard=None):
+                 coord_pipe=None, peer_pipes=None, shard=None, trace=None):
         clock = WallClock()
         # each worker process runs its node serially: one dispatch slot
         # (``idle`` = the pipe loop's last look at the run queue found
@@ -200,9 +201,9 @@ class MpWorker(NodeRuntime):
         self.transport.attach_pipes(self._peers)
         self._sleep_cost = config.mp_cost_mode == "sleep"
         self.spin_rate = 0.0
-        self._ingest = (
-            None if shard is None else IngestDriver(shard, config.mp_realtime)
-        )
+        self._ingest = IngestDriver(shard or [], config.mp_realtime)
+        #: the whole sequenced trace, read only to adopt a dead node's sources
+        self._trace = trace
         #: coordinator-announced stage rescales awaiting a quiescent point
         self._pending_rescales: list[tuple[str, str, int]] = []
         self._stage_rescales = 0
@@ -222,7 +223,6 @@ class MpWorker(NodeRuntime):
             tracer = MpSpanRecorder(clock)
             self.transport.attach_tracer(tracer)
             self._delivery.attach_tracer(tracer)
-        if config.mp_telemetry_enabled:
             self._telemetry = []
             self._tm_interval = config.trace_sample_interval
         self.bind(
@@ -278,8 +278,7 @@ class MpWorker(NodeRuntime):
             # so each peer has at most one frame queued
             worked = False
             if not self._backlogged():
-                if ingest is not None:
-                    ingest.pump(now, transport.on_ingest)
+                ingest.pump(now, transport.on_ingest)
                 worked = self._dispatch_quantum()
             self._safe_flush()
             if self._stop:
@@ -299,7 +298,7 @@ class MpWorker(NodeRuntime):
                 wake = min(wake, deadline)
             if tm_interval is not None:
                 wake = min(wake, self._tm_last_time + tm_interval)
-            if ingest is not None and not self._backlogged():
+            if not self._backlogged():
                 due = ingest.next_due()
                 if due is not None:
                     wake = min(wake, due)
@@ -327,10 +326,13 @@ class MpWorker(NodeRuntime):
                 transport.on_entries(pipe.codec.decode_data(raw))
                 continue
             kind, payload = pickle.loads(raw)
-            if kind == INGEST:
-                transport.on_ingest(payload)
-            elif kind == REWIRE:
-                transport.rewire(payload[0])
+            if kind == REWIRE:
+                mapping, resume = payload
+                transport.rewire(mapping)
+                mine = {src_key: watermark for src_key, watermark in resume.items()
+                        if mapping[OpAddress(*src_key[1:])] == self._node_id}
+                if mine:
+                    self._ingest.adopt(self._trace, mine)
             elif kind == RESCALE:
                 self._pending_rescales.append(payload)
             elif kind == STOP:
@@ -367,7 +369,7 @@ class MpWorker(NodeRuntime):
             and self._delivery.idle()
             and not self.transport.pending_output()
             and not self._pending_rescales
-            and (self._ingest is None or self._ingest.exhausted)
+            and self._ingest.exhausted
         )
 
     def _apply_pending_rescales(self) -> None:
@@ -403,20 +405,17 @@ class MpWorker(NodeRuntime):
         the node sampler run on this worker, on the wall clock."""
         from repro.obs.introspect import sample
 
-        ingest = self._ingest
         self._telemetry.append(sample(
             self, now, now - self._tm_last_time, self._ops.values(),
-            self._tm_busy_seen, 0 if ingest is None else ingest.remaining,
+            self._tm_busy_seen, self._ingest.remaining,
         ))
         self._tm_last_time = now
 
     def _flush_obs(self) -> None:
         """Queue dirty span parts and buffered telemetry for the coordinator."""
-        tracer = self._tracer
-        if tracer is not None:
-            parts = tracer.drain_parts()
-            if parts:
-                self._coord.put(TRACE, (self._node_id, parts))
+        parts = self._tracer.drain_parts()
+        if parts:
+            self._coord.put(TRACE, (self._node_id, parts))
         if self._telemetry:
             from repro.obs.telemetry import pack_samples
 
@@ -425,7 +424,7 @@ class MpWorker(NodeRuntime):
             self._telemetry.clear()
 
     def _heartbeat(self, now: float) -> None:
-        if self._tracer is not None or self._telemetry:
+        if self._tracer is not None:
             self._flush_obs()
         coord = self._coord
         coord.put(HB, (
@@ -436,11 +435,11 @@ class MpWorker(NodeRuntime):
             self._lose(coord)
 
     def _report(self) -> None:
-        if self._tm_interval is not None:
-            # one last reading so short runs still produce a series
+        if self._tracer is not None:
+            # one last reading so short runs still produce a series, then
+            # the final drain, queued ahead of REPORT
             self._sample_telemetry(self.sim.now)
-        if self._tracer is not None or self._telemetry:
-            self._flush_obs()  # final drain, queued ahead of REPORT
+            self._flush_obs()
         slot = self.workers[0]
         self.metrics.record_worker_busy(self._node_id, 0, slot.busy_time)
         for job, late in self._plan.late_tuples().items():
@@ -491,18 +490,21 @@ class MpWorker(NodeRuntime):
 
 
 def worker_main(node_id: int, config, jobs: list, policy,
-                coord_sock, peer_socks: dict, shard=None,
+                coord_sock, peer_socks: dict, shard=None, trace=None,
                 unused_socks: list | None = None) -> None:
     """Process entry point (fork start method: objects are inherited).
 
     ``coord_sock`` and ``peer_socks`` (node_id -> socket) are this
-    worker's ends of the mesh; ``unused_socks`` are the ends it inherited
-    through fork but does not own (other workers' coordinator and mesh
-    ends).  Closing them first is load-bearing for fail-over: as long as
-    *any* process keeps a duplicate of a dead peer's end open, that end
-    never reads as closed and writes to it never raise ``BrokenPipeError``
-    — they fill the socket buffer and then hold the sender's dispatch
-    forever, instead of surfacing the failure."""
+    worker's ends of the mesh; ``shard`` holds the sequenced trace
+    entries of the sources placed here and ``trace`` all of them (read
+    only when a fail-over hands this node a dead node's sources).
+    ``unused_socks`` are the ends it inherited through fork but does not
+    own (other workers' coordinator and mesh ends).  Closing them first
+    is load-bearing for fail-over: as long as *any* process keeps a
+    duplicate of a dead peer's end open, that end never reads as closed
+    and writes to it never raise ``BrokenPipeError`` — they fill the
+    socket buffer and then hold the sender's dispatch forever, instead of
+    surfacing the failure."""
     for sock in unused_socks or ():
         sock.close()
     # forked processes inherit the parent's message-id counter position;
@@ -513,5 +515,5 @@ def worker_main(node_id: int, config, jobs: list, policy,
              for peer, sock in peer_socks.items()}
     worker = MpWorker(node_id, config, jobs, policy=policy,
                       coord_pipe=PipeEnd(coord_sock), peer_pipes=peers,
-                      shard=shard)
+                      shard=shard, trace=trace)
     worker.run()

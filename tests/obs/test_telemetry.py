@@ -4,9 +4,9 @@ Unit layer: the struct-packed frame payload round-trips every
 :class:`~repro.obs.spans.SchedSample` field (including the NaN
 head-priority sentinel), the coordinator-side
 :class:`~repro.obs.telemetry.TelemetryLog` sorts/exports
-deterministically, and the config knobs validate.  Integration layer: a
-telemetry-only mp run (``record_trace=False``, ``mp_telemetry=True``)
-yields per-node time series that are monotone in time and cumulative in
+deterministically, and the config knob validates.  Integration layer: a
+traced mp run (``record_trace=True`` runs the bus) yields per-node time
+series that are monotone in time and cumulative in
 ``messages_processed``, carrying the worker's real run-queue counters.
 """
 
@@ -97,15 +97,6 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="sample interval"):
             EngineConfig(trace_sample_interval=-1.0)
 
-    def test_enabled_follows_record_trace_by_default(self):
-        assert EngineConfig().mp_telemetry_enabled is False
-        assert EngineConfig(record_trace=True).mp_telemetry_enabled is True
-
-    def test_explicit_bool_wins(self):
-        assert EngineConfig(mp_telemetry=True).mp_telemetry_enabled is True
-        cfg = EngineConfig(record_trace=True, mp_telemetry=False)
-        assert cfg.mp_telemetry_enabled is False
-
 
 class TestJsonlExport:
     def test_validator_flags_bad_lines(self):
@@ -120,7 +111,7 @@ class TestJsonlExport:
 
 @pytest.fixture(scope="module")
 def telemetry_engine():
-    """Telemetry on, tracing off: the bus must run standalone."""
+    """A traced mp run: the telemetry bus runs exactly when tracing does."""
     mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
                     tuples_per_msg=200)
     return run_tenant_mix(
@@ -130,7 +121,7 @@ def telemetry_engine():
             "backend": "mp",
             "mp_cost_mode": "none",
             "mp_realtime": False,
-            "mp_telemetry": True,
+            "record_trace": True,
             # the run finishes in well under a second of wall time
             # (mp_realtime off), so sample fast to get a real series
             "trace_sample_interval": 0.01,
@@ -139,13 +130,14 @@ def telemetry_engine():
 
 
 class TestMpRun:
-    def test_telemetry_without_tracing(self, telemetry_engine):
+    def test_bus_runs_with_record_trace(self, telemetry_engine):
+        """(An untraced run has no bus: see test_mp_trace.py's
+        ``test_untraced_run_leaves_no_obs_surface``.)"""
         engine = telemetry_engine
-        assert engine.tracer is None, "tracing stays off"
-        assert engine.telemetry is not None
-        assert engine.clock is not None, "bus still needs the clock barrier"
+        assert engine.tracer is not None and engine.clock is not None
         assert len(engine.telemetry) > 0
         assert engine.info["telemetry_samples"] == len(engine.telemetry)
+        assert len(engine.tracer.samples) == len(engine.telemetry)
 
     def test_every_node_reports_monotone_series(self, telemetry_engine):
         series = telemetry_engine.telemetry.per_node()

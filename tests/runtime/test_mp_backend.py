@@ -16,10 +16,11 @@ Full pipes: two workers flooding each other with frames far larger than a
 socket buffer must drain each other and quiesce, not both block in a write.
 
 Fail-over: killing a worker process mid-run must be detected by heartbeat
-staleness, its operators reassigned to the survivor, the unacked ingest
-suffix replayed, and the run must still quiesce cleanly with outputs
-produced after the detection instant — without the survivor spinning on
-the dead peer's pipe.
+staleness, its operators reassigned to the survivors, each moved source
+resumed by its new owner past its processed watermark (twice over, when
+the new owner dies too), and the run must still quiesce cleanly with
+outputs produced after the detection instant — without the survivor
+spinning on the dead peer's pipe.
 
 One message path: the worker runs the node runtime's dispatch loop and the
 transport's send path (identity-pinned), so what they record — schedule
@@ -37,6 +38,7 @@ from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine, make_engine
 from repro.runtime.mp.engine import MpStreamEngine
+from repro.runtime.mp.ingest import sequence_trace
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
 from repro.runtime.mp.worker import MpWorker
@@ -300,20 +302,18 @@ class TestFailOver:
         assert engine.info["survivors"] == [0]
         assert children_cpu < 1.0
 
-    def test_flooded_failover_replays_sharded_ledger(self):
-        """Coordinator fail-over during flooded replay with a sharded ledger.
+    def test_flooded_failover_resumes_moved_sources_from_their_watermarks(self):
+        """Fail-over during flooded replay: the survivor resumes each moved
+        source from its own copy of the trace.
 
         With ``mp_realtime=False`` each worker floods its fork-inherited
-        trace shard as fast as it can absorb it, so when node 1 dies a
-        large swath of its shard is already in flight — admitted but not
-        yet covered by a heartbeat watermark.  The coordinator (which
-        holds the full ledger purely for this moment)
-        must splice every moved source's un-acked ledger remainder into
-        the feed queue and stream it to the survivor.  Delivery is
-        at-least-once: entries the dead worker admitted but never
-        reported may execute twice on the survivor, so the assertions
-        below are lower bounds — nothing may be lost, and per-channel
-        FIFO order must survive the rewire.
+        trace shard as fast as it can absorb it, so when node 1 dies much
+        of its shard is still unprocessed.  The coordinator hands over
+        only the processed watermark of every moved source; the survivor
+        replays the rest of that source itself.  Delivery is
+        at-least-once (what the dead worker processed but never reported
+        runs again), per-channel FIFO order must survive the rewire, and
+        every ingested tuple is processed.
         """
         mix = _small_mix()
         config = EngineConfig(
@@ -322,10 +322,10 @@ class TestFailOver:
         )
         jobs = mix.build_jobs()
         engine = make_engine(config, jobs)
-        # a 20 s trace floods in ~1.2 s of wall time, so a kill at 0.5 s
-        # lands reliably mid-replay with a deep un-acked ledger suffix
+        # a 20 s trace floods in ~0.45 s of wall time on a 2-core Xeon, so
+        # a kill at 0.1 s lands mid-replay with much of node 1's shard left
         mix.install_drivers(engine, jobs, 20.0)
-        engine.kill_at(1, 0.5)
+        engine.kill_at(1, 0.1)
         engine.run(until=25.0)
 
         assert engine.metrics.crashes == 1
@@ -336,20 +336,43 @@ class TestFailOver:
         assert engine.info["survivors"] == [0]
         assert not engine.info["forced_stop"]
         assert engine.info["fifo_violations"] == 0
-        # the survivor kept executing replayed ingest after the rewire
-        outputs_after = [
-            t
-            for name in engine.metrics.job_names
-            for t in engine.metrics.job(name).output_times
-            if t > detect_time
-        ]
-        assert outputs_after
-        # at-least-once lower bound: everything the survivor ingested
-        # (original shard + spliced replays) was processed
+        # one hand-over, moving node 1's sources; at least one of them
+        # resumed below its last sequence number, so the survivor replayed
+        # part of a source that was never in its shard
+        _, last_seq = sequence_trace(engine._trace)
+        (resumed,) = engine.info["resumed"]
+        assert resumed
+        assert any(mark < last_seq[src_key] for src_key, mark in resumed.items())
         for name in engine.metrics.job_names:
             job = engine.metrics.job(name)
-            assert job.tuples_processed >= 0.99 * job.tuples_ingested
-            assert job.tuples_processed > 0
+            assert job.tuples_processed == job.tuples_ingested > 0
+
+    def test_double_failover_hands_an_adopted_source_on(self):
+        """Three workers; node 1 dies, then node 2, which adopted part of
+        node 1's sources — including one it never held in its shard — so
+        node 0 resumes that source from the second hand-over's watermark."""
+        mix = TenantMix(ls_count=1, ba_count=1, ls_sources=4, ba_sources=4,
+                        tuples_per_msg=200)
+        config = EngineConfig(
+            scheduler="cameo", nodes=3, workers_per_node=1, seed=3, backend="mp"
+        )
+        jobs = mix.build_jobs()
+        engine = make_engine(config, jobs)
+        mix.install_drivers(engine, jobs, 4.0)
+        engine.kill_at(1, 1.0)
+        engine.kill_at(2, 2.0)
+        engine.run(until=5.0)
+
+        assert not engine.info["forced_stop"]
+        assert engine.info["survivors"] == [0]
+        assert engine.metrics.crashes == 2
+        assert [d[0] for d in engine.metrics.failure_detections] == [1, 2]
+        assert engine.info["fifo_violations"] == 0
+        first, second = engine.info["resumed"]
+        assert set(first) & set(second), "no source was handed over twice"
+        for name in engine.metrics.job_names:
+            job = engine.metrics.job(name)
+            assert job.tuples_processed == job.tuples_ingested > 0
 
 
 class TestTraceCapture:

@@ -26,7 +26,6 @@ from repro.core.context import ReplyContext
 from repro.dataflow.messages import MessageKind
 from repro.runtime.mp.frames import (
     DATA_MAGIC,
-    INGEST,
     START,
     STOP,
     DataCodec,
@@ -90,25 +89,6 @@ class TestFrames:
             )
             assert received[1] == entries[1]
             assert received[2] == entries[2]
-        finally:
-            parent.close()
-            child.close()
-
-    def test_ingest_frame_carries_arrays(self):
-        parent, child = _pipe()
-        try:
-            entry = (
-                ("client", "j", "src", 0), 3, 1.5,
-                np.array([1.0, 2.0]), None, np.array([4, 5]), True,
-            )
-            send_frame(parent, INGEST, [entry])
-            kind, payload = recv_frame(child)
-            assert kind == INGEST
-            src_key, seq, trace_time, times, values, keys, sorted_times = payload[0]
-            assert src_key == ("client", "j", "src", 0)
-            assert (seq, trace_time, values, sorted_times) == (3, 1.5, None, True)
-            np.testing.assert_array_equal(times, [1.0, 2.0])
-            np.testing.assert_array_equal(keys, [4, 5])
         finally:
             parent.close()
             child.close()
