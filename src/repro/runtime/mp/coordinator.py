@@ -29,12 +29,26 @@ operators is rebuilt from scratch — the same at-least-once contract as
 the sim backend's recovery layer, realized across real process
 boundaries.
 
-Termination is a distributed quiescence check: every source's watermark
-has reached its last sequence number (all ingest processed), and every
-live worker reported itself idle (empty run queue, no unacked channels,
-no pending output) in two consecutive heartbeats.  A hard wall-clock
-deadline (``mp_wall_timeout``) bounds the run if quiescence is never
-reached.
+Termination is a two-wave quiescence check (:class:`EndOfRun`).  A
+worker reports *idle* when it holds no operator, its run queue is empty,
+its ingest is exhausted, every message it sent has been acked as
+processed, and no ack or frame waits to leave; each heartbeat also
+carries the worker's mailbox-admission count, and a worker whose ingest
+is exhausted heartbeats as soon as it turns idle.  Wave one is every live
+worker's latest heartbeat: once every source's watermark has reached its
+last sequence number and wave one is all idle, the coordinator sends
+each live worker a ``PROBE``, which is answered at once.  The run ends
+when every answer is idle with the admission count of wave one; a
+non-idle report, a changed count or a fail-over cancels the round.  Why
+that is quiescence: every probe leaves after every wave-one report, so
+at the probe instant each worker sits between its two reports, in which
+it admitted nothing and so did no work and sent nothing; and what it sent
+before its idle wave-one report was already processed.  No message is in
+flight and no worker has work, and nothing can start any.  A hard
+wall-clock deadline (``mp_wall_timeout``) bounds the run if quiescence is
+never reached.  ``info["wall_time"]`` runs from the epoch to the merged
+reports: the probe round trip, ``STOP``, report collection and the merge
+are in it.
 
 After ``START`` the coordinator is one selector loop over its worker
 pipe ends and the workers' process sentinels.  It blocks until a frame
@@ -53,6 +67,11 @@ import time
 from collections import deque
 from selectors import EVENT_READ, EVENT_WRITE
 
+# the first ``np.unique`` of a process imports ``numpy.ma`` (35-40 ms on a
+# 2-core Xeon); loaded here, every worker inherits it through fork instead
+# of stalling its loop on the import at its first window
+import numpy.ma  # noqa: F401
+
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import FAILURE_TIMEOUT
@@ -62,6 +81,7 @@ from repro.runtime.mp.frames import (
     CLOCK,
     CLOCK_ACK,
     HB,
+    PROBE,
     READY,
     REPORT,
     RESCALE,
@@ -100,6 +120,58 @@ def _sort_outputs(job_metrics) -> None:
     job_metrics.output_tuples = [job_metrics.output_tuples[i] for i in order]
     job_metrics.output_values = [job_metrics.output_values[i] for i in order]
     job_metrics.source_events.sort()
+
+
+class EndOfRun:
+    """The two-wave end-of-run rule, apart from pipes and clocks.
+
+    :meth:`report` takes every heartbeat, :meth:`probe` opens a round
+    when wave one (each live worker's latest report) is all idle, and
+    :meth:`done` tells when every live worker answered the open round idle
+    with its wave-one admission count."""
+
+    __slots__ = ("_idle", "_round", "_wave", "_answered")
+
+    def __init__(self):
+        #: node -> admission count of its latest report, while that is idle
+        self._idle: dict[int, int] = {}
+        #: id of the latest round (probe ids start at 1)
+        self._round = 0
+        #: node -> wave-one admission count of the open round (None: closed)
+        self._wave: dict[int, int] | None = None
+        self._answered: set[int] = set()
+
+    def report(self, node: int, idle: bool, admissions: int, probe: int) -> None:
+        """One heartbeat of ``node``; ``probe`` is the last round it
+        answered."""
+        if idle:
+            self._idle[node] = admissions
+        else:
+            self._idle.pop(node, None)
+        if self._wave is None:
+            return
+        if not idle or self._wave.get(node) != admissions:
+            self._wave = None  # it worked since wave one
+        elif probe == self._round:
+            self._answered.add(node)
+
+    def cancel(self) -> None:
+        """A fail-over: drop the open round and every report before it."""
+        self._wave = None
+        self._idle.clear()
+
+    def probe(self, alive: set) -> int | None:
+        """Open a round if none is open and every live worker's latest
+        report is idle; returns the probe id to send, else None."""
+        if self._wave is not None or not alive <= self._idle.keys():
+            return None
+        self._round += 1
+        self._wave = {node: self._idle[node] for node in alive}
+        self._answered = set()
+        return self._round
+
+    def done(self, alive: set) -> bool:
+        return self._wave is not None and alive <= self._answered
 
 
 class MpCoordinator:
@@ -249,7 +321,7 @@ class MpCoordinator:
         #: workers whose process has exited (sentinel seen)
         exited: set[int] = set()
         last_hb = {i: 0.0 for i in alive}
-        idle_streak = {i: 0 for i in alive}
+        end = EndOfRun()
         kills = deque(self._kills)
         rescales = deque(self._rescales)
         crash_time: dict[int, float] = {}
@@ -263,8 +335,7 @@ class MpCoordinator:
 
         events: list = []
         while True:
-            self._drain_control(events, alive, exited, last_hb, idle_streak,
-                                acked, elapsed)
+            self._drain_control(events, exited, last_hb, end, acked, elapsed)
             now = elapsed()
             while kills and now >= kills[0][0]:
                 _, node_id = kills.popleft()
@@ -290,13 +361,14 @@ class MpCoordinator:
                     (node_id, crash_time.get(node_id, last_hb[node_id]), now)
                 )
                 self._feed(self._fail_over(node_id, alive), acked, alive)
-                for i in alive:
-                    idle_streak[i] = 0  # re-quiesce after the rewire
-            if (
-                all(acked[k] >= last_seq[k] for k in last_seq)
-                and all(idle_streak[i] >= 2 for i in alive)
-            ):
+                end.cancel()  # re-quiesce after the rewire
+            if end.done(alive):
                 break
+            if all(acked[k] >= last_seq[k] for k in last_seq):
+                probe = end.probe(alive)
+                if probe is not None:
+                    for i in alive:
+                        self._send(i, PROBE, probe)
             if now > wall_limit:
                 forced_stop = True
                 break
@@ -444,9 +516,8 @@ class MpCoordinator:
         for i in alive:
             self._send(i, REWIRE, (mapping, resume))
 
-    def _drain_control(self, events: list, alive: set, exited: set,
-                       last_hb: dict, idle_streak: dict, acked: dict,
-                       elapsed) -> None:
+    def _drain_control(self, events: list, exited: set, last_hb: dict,
+                       end: EndOfRun, acked: dict, elapsed) -> None:
         """Serve what the selector reported: note exited workers, write
         every writable end, and fold the frames of every readable one."""
         for key, mask in events:
@@ -467,9 +538,9 @@ class MpCoordinator:
                     continue
                 if kind != HB:
                     continue  # stray frame (late REPORT after forced stop)
-                node_id, idle, ingest_acks, _processed = payload
+                node_id, idle, ingest_acks, admissions, probe = payload
                 last_hb[node_id] = elapsed()
-                idle_streak[node_id] = idle_streak[node_id] + 1 if idle else 0
+                end.report(node_id, idle, admissions, probe)
                 for src_key, watermark in ingest_acks.items():
                     acked[src_key] = max(acked[src_key], watermark)
             if not is_open:

@@ -38,7 +38,13 @@ CALIBRATE  c -> w     ``None`` — run the spin-cost calibration *now*
                       (all workers calibrate concurrently; spin mode only)
 CAL_DONE   w -> c     ``(node_id, spin_rate)`` — calibration finished
 START      c -> w     ``epoch`` — shared wall-clock base (CLOCK_MONOTONIC)
-HB         w -> c     ``(node_id, idle, ingest_acks, processed_total)``
+HB         w -> c     ``(node_id, idle, ingest_acks, admissions, probe)``
+                      — every heartbeat interval, as soon as a worker
+                      with its ingest exhausted turns idle, and in answer
+                      to a ``PROBE``: the worker's mailbox-admission
+                      count and the id of the last probe it answered
+PROBE      c -> w     ``probe_id`` — second wave of the end-of-run check;
+                      the worker answers at once with an ``HB``
 CLOCK      c -> w     ``None`` — clock-sync probe; the worker answers
                       immediately (sent between the calibration barrier
                       and START, only when the obs plane is on)
@@ -110,6 +116,7 @@ CALIBRATE = "cal"
 CAL_DONE = "cal_done"
 START = "start"
 HB = "hb"
+PROBE = "probe"
 CLOCK = "clock"
 CLOCK_ACK = "clock_ack"
 TRACE = "trace"

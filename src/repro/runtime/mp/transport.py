@@ -64,6 +64,10 @@ class ProcessTransport(Transport):
         #: per-channel FIFO audit: (sender, target) -> last admitted seq
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
+        #: messages admitted to this process's mailboxes, ingest included
+        #: (heartbeats carry it: the coordinator's end-of-run probe reads
+        #: an unchanged count between two idle reports as no new work)
+        self.admissions = 0
 
     def attach_pipes(self, pipes: dict) -> None:
         """Bind the peer ends (node_id -> PipeEnd, each carrying the
@@ -153,6 +157,7 @@ class ProcessTransport(Transport):
     # ------------------------------------------------------------------
 
     def deliver(self, op_rt: OperatorRuntime, msg: Message, producer=None) -> None:
+        self.admissions += 1
         if msg.seq != -1:
             channel = (msg.sender, msg.target)
             last = self._audit.get(channel, -1)

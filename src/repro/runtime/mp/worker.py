@@ -10,18 +10,26 @@ worker supplies the three things a backend owns — the clock
 (:class:`WallClock`), how a sampled cost is spent (:meth:`MpWorker.
 _execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
 ProcessTransport`).  Around it runs the pipe loop, one selector over
-every pipe end the worker owns: pump the local ingest (its shard, plus
-any source a fail-over handed it), pop an operator from the run queue in
-the scheduler's order, run its messages for a quantum, and between
-quanta read what the pipes hold, retransmit expired channels, flush the
-outboxes (one binary ``DATA`` frame per destination — the amortized
-batch) and heartbeat the coordinator.  With
-nothing to run, the loop blocks in the selector until a pipe is readable
-(or writable, while bytes wait on it) or the nearest timer is due:
-heartbeat, retransmit deadline, next ingest entry, telemetry sample.
-While a frame waits on a full peer pipe the loop starts no quantum but
-keeps reading and writing, so two workers flooding each other drain each
-other.
+every pipe end the worker owns.  Each turn pumps the local ingest (its
+shard, plus any source a fail-over handed it), runs **one quantum** —
+the operator held from the last turn, unless the run queue now names a
+strictly more urgent one, else the best operator popped in the
+scheduler's order — and between quanta reads what the pipes hold,
+retransmits expired channels, flushes the outboxes (one binary ``DATA``
+frame per destination — the amortized batch) and heartbeats the
+coordinator.  An operator whose quantum ends with mail left is held
+(busy, not requeued) across the turn, so a long mailbox never keeps the
+loop from its pipes for more than a quantum.  With nothing to run, the
+loop blocks in the selector until a pipe is readable (or writable, while
+bytes wait on it) or the nearest timer is due: heartbeat, retransmit
+deadline, next ingest entry, telemetry sample.  While a frame waits on a
+full peer pipe the loop starts no quantum but keeps reading and writing,
+so two workers flooding each other drain each other.
+
+End of run: heartbeats carry the worker's idle flag and its
+mailbox-admission count.  A worker whose ingest is exhausted heartbeats
+as soon as it turns idle, and answers the coordinator's ``PROBE`` at once
+with a heartbeat naming the probe (see the coordinator's "Termination").
 
 Execution cost realization (``mp_cost_mode``): ``"sleep"`` occupies the
 worker in wall-clock time (sleeps overlap across processes, so capacity
@@ -42,6 +50,7 @@ message stays seed-stable, only its wall-clock duration is host-relative.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import selectors
@@ -63,6 +72,7 @@ from repro.runtime.mp.frames import (
     CLOCK_ACK,
     DATA_MAGIC,
     HB,
+    PROBE,
     READY,
     REPORT,
     RESCALE,
@@ -151,7 +161,8 @@ class MpWorker(NodeRuntime):
         clock = WallClock()
         # each worker process runs its node serially: one dispatch slot
         # (``idle`` = the pipe loop's last look at the run queue found
-        # nothing due; the loop looks every turn, so nothing wakes the slot)
+        # nothing due; the loop looks every turn, so nothing wakes the slot;
+        # ``current_op`` = the operator held across a loop turn)
         super().__init__(node_id, make_run_queue(
             replace(config, workers_per_node=1), clock.read))
         self.workers = [Worker(node_id=node_id, local_id=0)]
@@ -160,6 +171,10 @@ class MpWorker(NodeRuntime):
         #: node_id -> PipeEnd of every live peer (shared with the transport)
         self._peers = dict(peer_pipes or {})
         self._stop = False
+        #: id of the last end-of-run probe answered (0: none yet)
+        self._probe = 0
+        #: the last heartbeat said idle (no need to send another at once)
+        self._idle_sent = False
 
         jobs_by_name = {j.name: j for j in jobs}
         rng = RngRegistry(config.seed)
@@ -286,7 +301,9 @@ class MpWorker(NodeRuntime):
             now = clock.now
             if tm_interval is not None and now - self._tm_last_time >= tm_interval:
                 self._sample_telemetry(now)
-            if now - last_hb >= HEARTBEAT_INTERVAL:
+            if now - last_hb >= HEARTBEAT_INTERVAL or (
+                    not worked and not self._idle_sent and ingest.exhausted
+                    and self._idle()):
                 self._heartbeat(now)
                 last_hb = now
             if worked:
@@ -333,6 +350,10 @@ class MpWorker(NodeRuntime):
                         if mapping[OpAddress(*src_key[1:])] == self._node_id}
                 if mine:
                     self._ingest.adopt(self._trace, mine)
+                self._idle_sent = False  # the coordinator awaits fresh reports
+            elif kind == PROBE:
+                self._probe = payload
+                self._heartbeat(self.sim.now)
             elif kind == RESCALE:
                 self._pending_rescales.append(payload)
             elif kind == STOP:
@@ -365,7 +386,8 @@ class MpWorker(NodeRuntime):
 
     def _idle(self) -> bool:
         return (
-            self.run_queue.pending_operator_count() == 0
+            self.workers[0].current_op is None
+            and self.run_queue.pending_operator_count() == 0
             and self._delivery.idle()
             and not self.transport.pending_output()
             and not self._pending_rescales
@@ -427,9 +449,10 @@ class MpWorker(NodeRuntime):
         if self._tracer is not None:
             self._flush_obs()
         coord = self._coord
+        idle = self._idle_sent = self._idle()
         coord.put(HB, (
-            self._node_id, self._idle(),
-            self.transport.ingest_acks(), self.workers[0].messages_executed,
+            self._node_id, idle, self.transport.ingest_acks(),
+            self.transport.admissions, self._probe,
         ))
         if not coord.write():
             self._lose(coord)
@@ -462,17 +485,35 @@ class MpWorker(NodeRuntime):
     # ------------------------------------------------------------------
 
     def _dispatch_quantum(self) -> bool:
-        """Pop one operator, run it until it is released (mailbox drained,
-        or swapped out at a quantum boundary) and hand control back to the
-        pipe loop.  Returns True when an operator was due."""
-        op_rt = self.run_queue.pop(0)
+        """Run one quantum and hand control back to the pipe loop.
+
+        The operator held from the last turn runs on unless the run queue
+        now names a strictly more urgent one (``should_swap``: the sim's
+        swap rule, informed by what the turn read in between), in which
+        case it is requeued and the best is popped.  The operator ends its
+        quantum drained, swapped out, or held again with mail left
+        (:meth:`_quantum_expired`).  Returns True when an operator ran."""
         slot = self.workers[0]
-        slot.idle = op_rt is None
+        op_rt = slot.current_op
+        slot.current_op = None
+        if op_rt is not None and self.run_queue.should_swap(op_rt):
+            self._release(op_rt, slot, requeue=True)
+            op_rt = None
         if op_rt is None:
-            return False
-        op_rt.busy = True
+            op_rt = self.run_queue.pop(0)
+            slot.idle = op_rt is None
+            if op_rt is None:
+                return False
+            op_rt.busy = True
         slot.quantum_start = self.sim.now
         self._run_op(slot, op_rt)
+        return True
+
+    def _quantum_expired(self, worker, op_rt) -> bool:
+        """Hold ``op_rt`` (still busy, not requeued) and end the turn: the
+        pipe loop flushes, reads, pumps, retransmits and heartbeats before
+        the next :meth:`_dispatch_quantum` decides whether it runs on."""
+        worker.current_op = op_rt
         return True
 
     def _execute(self, worker, op_rt, msg, now: float, cost: float) -> bool:
@@ -516,4 +557,9 @@ def worker_main(node_id: int, config, jobs: list, policy,
     worker = MpWorker(node_id, config, jobs, policy=policy,
                       coord_pipe=PipeEnd(coord_sock), peer_pipes=peers,
                       shard=shard, trace=trace)
+    # the topology and the inherited trace live as long as the process:
+    # left to the cyclic GC, each full collection walks them inside the
+    # loop (30-60 ms on the flood benchmark, past the peer's retransmit
+    # timeout), and its writes to their headers copy the forked pages
+    gc.freeze()
     worker.run()

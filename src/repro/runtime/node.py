@@ -44,6 +44,12 @@ class NodeRuntime:
     engine's collaborators exist.  ``lifecycle`` is attached last via
     :meth:`attach_lifecycle`; the dispatch loop only consults it when an
     operator with a pending migration is released.
+
+    A backend overrides two steps of the loop: :meth:`_execute` (how a
+    sampled cost is spent) and :meth:`_quantum_expired` (what a quantum
+    boundary does with an operator that still has mail — here it runs on
+    unless a strictly more urgent operator waits; the mp worker holds it
+    and returns to its pipe loop first).
     """
 
     __slots__ = (
@@ -222,10 +228,11 @@ class NodeRuntime:
         the observable event order is identical either way.  That choice is
         :meth:`_execute`; everything else here runs on any clock.
 
-        Returns True when the worker released the operator (mailbox drained
-        or requeued at the quantum boundary) and should pop its next one;
-        False when a completion event was scheduled and control must return
-        to the kernel.
+        Returns True when the worker let go of the operator (mailbox
+        drained, or :meth:`_quantum_expired` released or held it at a
+        quantum boundary) and should pop its next one; False when a
+        completion event was scheduled and control must return to the
+        kernel.
         """
         sim = self.sim
         mailbox = op_rt.mailbox
@@ -300,16 +307,13 @@ class NodeRuntime:
                 if op_rt.pending_migration is not None:
                     self._lifecycle.finish_migration(op_rt)
                 return True
-            now = sim.now
-            if now - worker.quantum_start >= quantum:
-                if op_rt.pending_migration is not None or self.run_queue.should_swap(op_rt):
-                    self._release(op_rt, worker, requeue=True)
-                    return True
-                worker.quantum_start = now  # fresh quantum, same operator
+            if (sim.now - worker.quantum_start >= quantum
+                    and self._quantum_expired(worker, op_rt)):
+                return True
 
     def _execute(self, worker: Worker, op_rt: OperatorRuntime, msg: Message,
                  now: float, cost: float) -> bool:
-        """Spend ``cost`` — the one step of the message path a backend
+        """Spend ``cost`` — the step of the message path a backend
         overrides.  True when the clock now stands at the completion
         instant (the caller completes the message inline); False when a
         completion event was scheduled instead."""
@@ -338,15 +342,24 @@ class NodeRuntime:
                 self._lifecycle.finish_migration(op_rt)
             self._worker_next(worker)
             return
-        now = self.sim.now
-        if now - worker.quantum_start >= self._quantum:
-            if op_rt.pending_migration is not None or self.run_queue.should_swap(op_rt):
-                self._release(op_rt, worker, requeue=True)
-                self._worker_next(worker)
-                return
-            worker.quantum_start = now  # fresh quantum, same operator
+        if (self.sim.now - worker.quantum_start >= self._quantum
+                and self._quantum_expired(worker, op_rt)):
+            self._worker_next(worker)
+            return
         if self._run_op(worker, op_rt):
             self._worker_next(worker)
+
+    def _quantum_expired(self, worker: Worker, op_rt: OperatorRuntime) -> bool:
+        """The quantum boundary, reached with mail left in ``op_rt``: the
+        one step of the dispatch loop a backend with its own event loop
+        overrides.  True when the worker let go of the operator (swapped
+        out for a strictly more urgent one, or leaving on a migration);
+        False when it runs on in a fresh quantum."""
+        if op_rt.pending_migration is not None or self.run_queue.should_swap(op_rt):
+            self._release(op_rt, worker, requeue=True)
+            return True
+        worker.quantum_start = self.sim.now  # fresh quantum, same operator
+        return False
 
     def _finish_message(
         self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float

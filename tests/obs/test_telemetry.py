@@ -114,16 +114,18 @@ def telemetry_engine():
     """A traced mp run: the telemetry bus runs exactly when tracing does."""
     mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
                     tuples_per_msg=200)
+    # a 20 s trace floods through in about a quarter second of wall time
+    # (mp_realtime off) and the run ends right after its last message, so
+    # the series is ~13 readings a node at the fast cadence below (a 2 s
+    # trace gave 3, the bare minimum the series test asks for)
     return run_tenant_mix(
-        "cameo", mix, duration=2.0, drain=1.0, nodes=2, workers_per_node=1,
+        "cameo", mix, duration=20.0, drain=1.0, nodes=2, workers_per_node=1,
         seed=3,
         config_overrides={
             "backend": "mp",
             "mp_cost_mode": "none",
             "mp_realtime": False,
             "record_trace": True,
-            # the run finishes in well under a second of wall time
-            # (mp_realtime off), so sample fast to get a real series
             "trace_sample_interval": 0.01,
         },
     )

@@ -25,6 +25,12 @@ spinning on the dead peer's pipe.
 One message path: the worker runs the node runtime's dispatch loop and the
 transport's send path (identity-pinned), so what they record — schedule
 timeline, source back-pressure, deadline shedding — is recorded on mp too.
+
+One quantum per loop turn: a worker holds an operator whose quantum ends
+with mail left and returns to its pipes; the next turn resumes it unless
+a strictly more urgent operator waits.  End of run: the coordinator's
+two-wave probe (``EndOfRun``) ends a flooded run within a heartbeat
+interval of its last completion.
 """
 
 from __future__ import annotations
@@ -32,19 +38,26 @@ from __future__ import annotations
 import resource
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.dataflow.operators import OpAddress
 from repro.experiments.common import TenantMix, run_tenant_mix
-from repro.runtime.config import EngineConfig
+from repro.runtime.config import HEARTBEAT_INTERVAL, EngineConfig
 from repro.runtime.engine import StreamEngine, make_engine
+from repro.runtime.mp.coordinator import EndOfRun
 from repro.runtime.mp.engine import MpStreamEngine
 from repro.runtime.mp.ingest import sequence_trace
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
 from repro.runtime.mp.worker import MpWorker
 from repro.runtime.node import NodeRuntime
+from repro.runtime.topology import client_key
 from repro.runtime.transport import Transport
-from repro.workloads.tenants import make_latency_sensitive_job
+from repro.workloads.tenants import (
+    make_bulk_analytics_job,
+    make_latency_sensitive_job,
+)
 
 
 def _small_mix() -> TenantMix:
@@ -244,6 +257,144 @@ class TestFullPipes:
             job = mp.metrics.job(name)
             assert job.tuples_ingested > 0
             assert job.tuples_processed == job.tuples_ingested
+
+
+def _ingest(worker: MpWorker, job: str, count: int, seq: int = 0) -> None:
+    """Admit ``count`` ingest entries to ``job``'s source on ``worker``."""
+    times = np.linspace(0.0, 0.5, 10)
+    worker.transport.on_ingest([
+        (client_key(job, "source", 0), seq + i, 0.0, times, np.ones(10),
+         np.ones(10, dtype=np.int64), True)
+        for i in range(count)
+    ])
+
+
+class TestOneQuantumPerTurn:
+    """``MpWorker._dispatch_quantum`` runs one quantum and returns to the
+    pipe loop, on an in-process worker (node 0 of two, nothing forked).
+    With ``quantum=0`` every message ends a quantum, so one call is one
+    message and the test is free of timing.  Each job is one source and
+    single-instance stages, placed round-robin: both sources on node 0,
+    their ``agg0`` on node 1, so what a source emits goes into an outbox
+    and never onto this worker's run queue."""
+
+    def _worker(self) -> MpWorker:
+        config = EngineConfig(backend="mp", nodes=2, workers_per_node=1,
+                              placement="round_robin", quantum=0.0, seed=3)
+        jobs = [make_bulk_analytics_job("ba", source_count=1, agg_parallelism=1),
+                make_latency_sensitive_job("ls", source_count=1, agg_parallelism=1)]
+        worker = MpWorker(0, config, jobs)
+        assert {address.stage for address, op_rt in worker._ops.items()
+                if op_rt.node_id == 0} == {"source", "agg1"}
+        return worker
+
+    def test_a_long_mailbox_is_held_across_turns_not_drained(self):
+        worker = self._worker()
+        source = worker._ops[OpAddress("ba", "source", 0)]
+        _ingest(worker, "ba", 20)
+        queue, slot = worker.run_queue, worker.workers[0]
+        assert worker._dispatch_quantum()
+        assert len(source.mailbox) == 19, "one call drained the mailbox"
+        assert slot.current_op is source and source.busy
+        assert not worker._idle()  # a held operator is work
+        pops = queue.pops
+        assert worker._dispatch_quantum()
+        assert queue.pops == pops  # resumed without a run-queue pop
+        assert len(source.mailbox) == 18 and slot.current_op is source
+
+    def test_a_more_urgent_arrival_swaps_the_held_operator_out(self):
+        worker = self._worker()
+        ba_source = worker._ops[OpAddress("ba", "source", 0)]
+        ls_source = worker._ops[OpAddress("ls", "source", 0)]
+        _ingest(worker, "ba", 20)
+        queue, slot = worker.run_queue, worker.workers[0]
+        assert worker._dispatch_quantum()
+        assert slot.current_op is ba_source
+        # an LS message (0.8 s constraint) outranks the BA source (7200 s)
+        _ingest(worker, "ls", 1)
+        assert worker._dispatch_quantum()
+        assert len(ls_source.mailbox) == 0 and slot.current_op is None
+        # the held BA source was requeued, untouched
+        assert not ba_source.busy and len(ba_source.mailbox) == 19
+        assert queue.pending_operator_count() == 1
+        assert worker._dispatch_quantum()
+        assert slot.current_op is ba_source and len(ba_source.mailbox) == 18
+
+
+class TestEndOfRun:
+    """The coordinator's two-wave rule (``EndOfRun``): wave one is every
+    live worker's latest heartbeat, wave two its answer to a probe sent
+    after all of them; the run ends only when every answer is idle with
+    its wave-one admission count."""
+
+    ALIVE = {0, 1}
+
+    def _round(self) -> tuple[EndOfRun, int]:
+        end = EndOfRun()
+        end.report(0, True, 5, 0)
+        assert end.probe(self.ALIVE) is None  # node 1 never reported idle
+        end.report(1, True, 3, 0)
+        probe = end.probe(self.ALIVE)
+        assert probe is not None
+        assert end.probe(self.ALIVE) is None  # one round at a time
+        return end, probe
+
+    def test_unchanged_idle_answers_end_the_run(self):
+        end, probe = self._round()
+        end.report(0, True, 5, probe)
+        assert not end.done(self.ALIVE)
+        end.report(1, True, 3, probe)
+        assert end.done(self.ALIVE)
+
+    def test_a_stale_idle_report_then_a_changed_count_does_not_end_it(self):
+        """Node 1's wave-one report was stale: it admitted work since.  Its
+        answer names the probe and is idle, but the count moved."""
+        end, probe = self._round()
+        end.report(0, True, 5, probe)
+        end.report(1, True, 4, probe)
+        assert not end.done(self.ALIVE)
+        # a fresh round takes the new count as its wave one
+        second = end.probe(self.ALIVE)
+        assert second == probe + 1
+        end.report(0, True, 5, second)
+        end.report(1, True, 4, probe)  # an answer to the old round
+        assert not end.done(self.ALIVE)
+        end.report(1, True, 4, second)
+        assert end.done(self.ALIVE)
+
+    def test_a_busy_answer_cancels_the_round(self):
+        end, probe = self._round()
+        end.report(0, False, 5, probe)
+        end.report(1, True, 3, probe)
+        assert not end.done(self.ALIVE)
+        assert end.probe(self.ALIVE) is None  # node 0's latest is busy
+
+    def test_a_failover_cancels_the_round(self):
+        end, probe = self._round()
+        end.report(0, True, 5, probe)
+        end.cancel()
+        end.report(1, True, 3, probe)
+        assert not end.done(self.ALIVE)
+        # node 0's report from before the fail-over no longer counts
+        assert end.probe(self.ALIVE) is None
+        assert end.probe({1}) is not None
+
+    def test_a_flooded_run_ends_within_a_heartbeat_of_its_last_completion(self):
+        """Once the last message completes, the workers' idle heartbeats
+        go out at once and the probe round trip ends the run; waiting for
+        two periodic idle heartbeats took about two intervals."""
+        mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
+                        tuples_per_msg=200, ba_msg_rate=40.0)
+        mp = run_tenant_mix(
+            "cameo", mix, duration=10.0, drain=0.0, nodes=2, workers_per_node=1,
+            seed=3, config_overrides={
+                **_FLOODED, "placement": "round_robin",
+                "record_completion_timeline": True,
+            },
+        )
+        assert not mp.info["forced_stop"]
+        last = max(entry[0] for entry in mp.metrics.completion_log)
+        assert mp.info["wall_time"] - last < HEARTBEAT_INTERVAL
 
 
 class TestFailOver:
