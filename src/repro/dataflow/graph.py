@@ -103,8 +103,10 @@ class StageSpec:
     def is_windowed(self) -> bool:
         return self.kind in ("window_agg", "window_join", "window_topk")
 
-    def build_operator(self, job_name: str, index: int) -> Operator:
-        address = OpAddress(job_name, self.name, index)
+    def build_operator(self, address: OpAddress) -> Operator:
+        """The operator instance at ``address`` (a job's instance of this
+        stage).  The operator keeps the given object as its address, so
+        the caller's dict keys and every message it sends share one."""
         if self.kind == "source":
             return SourceOperator(address)
         if self.kind == "map":

@@ -76,7 +76,12 @@ class OpAddress:
     """Globally unique operator address: (job, stage, parallel index).
 
     Hash is precomputed — addresses key several hot dictionaries (profiler,
-    channel table, operator index)."""
+    channel table, operator index).  Addresses are interned: each process
+    holds one object per operator (the topology hands the placement's
+    object to the operator, and an mp worker's ``DataCodec`` decodes every
+    address a peer defines to the worker's own), so every message's
+    ``target`` and ``sender`` *is* the dict key and lookups resolve on
+    identity, on both backends and across processes."""
 
     job: str
     stage: str
@@ -90,8 +95,8 @@ class OpAddress:
 
     def __eq__(self, other) -> bool:
         if self is other:
-            # addresses are interned by construction (one per operator), so
-            # dict hits in the hot path resolve on identity
+            # reached only by direct comparison: dict hits on an interned
+            # address resolve on identity before calling __eq__
             return True
         if not isinstance(other, OpAddress):
             return NotImplemented

@@ -125,7 +125,7 @@ class StreamEngine:
         self.plan: WiringPlan = builder.build(self.nodes)
         self._ops = self.plan.ops
         self.transport = Transport(
-            self.sim, self.nodes, self.plan, self.jobs, self.channels,
+            self.sim, self.nodes, self.plan, self.channels,
             self._delay_model, static_delay, self.metrics, self.profiler,
             config, builder,
         )

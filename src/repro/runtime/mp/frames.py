@@ -103,13 +103,14 @@ from __future__ import annotations
 import pickle
 import struct
 from selectors import EVENT_READ, EVENT_WRITE
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.core.context import PriorityContext, ReplyContext
 from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message, MessageKind
+from repro.dataflow.operators import OpAddress
 
 READY = "ready"
 CALIBRATE = "cal"
@@ -156,18 +157,19 @@ class PipeEnd:
 
     ``peer`` names the process at the other end (a node id; ``None`` for
     the coordinator as seen from a worker) and ``codec`` is the
-    :class:`DataCodec` of a worker-to-worker pipe.  Once :meth:`watch`\\ ed,
+    :class:`DataCodec` of a worker-to-worker pipe, installed by the worker
+    once its topology is built.  Once :meth:`watch`\\ ed,
     the end keeps its selector registration current by itself: read
     interest always, write interest exactly while :attr:`unsent` bytes
     remain."""
 
     __slots__ = ("sock", "peer", "codec", "_in", "_out", "_selector", "_writing")
 
-    def __init__(self, sock, peer: int | None = None, codec=None):
+    def __init__(self, sock, peer: int | None = None):
         sock.setblocking(False)
         self.sock = sock
         self.peer = peer
-        self.codec = codec
+        self.codec = None
         self._in = bytearray()
         self._out = bytearray()
         self._selector = None
@@ -306,13 +308,21 @@ class DataCodec:
     are independent id spaces, so a single codec object per connection
     serves both.  State only ever grows with the (small, bounded) set of
     operator addresses and stage names — it survives fail-over rewires
-    unchanged because addresses are stable identities."""
+    unchanged because addresses are stable identities.
 
-    __slots__ = ("_ids", "_objs")
+    ``addresses`` are the receiving process's own operator addresses: a
+    defined address that matches one decodes to that very object, so the
+    decoded messages key the receiver's dicts by identity.  Without them
+    (a bare codec) every definition decodes to a fresh object."""
 
-    def __init__(self):
+    __slots__ = ("_ids", "_objs", "_own")
+
+    def __init__(self, addresses: Iterable[OpAddress] = ()):
         self._ids: dict = {}    # encoder: object -> id
         self._objs: list = []   # decoder: id -> object
+        #: (job, stage, index) -> the receiver's address object (a plain
+        #: tuple key: looking the decoded address up would compare it)
+        self._own = {(a.job, a.stage, a.index): a for a in addresses}
 
     # ------------------------------------------------------------------
     # encoding
@@ -489,6 +499,8 @@ class DataCodec:
                 offset += _DEF.size
                 obj = pickle.loads(buf[offset:offset + length])
                 offset += length
+                if type(obj) is OpAddress:
+                    obj = self._own.get((obj.job, obj.stage, obj.index), obj)
                 if id_ != len(objs):  # pragma: no cover - protocol guard
                     raise ValueError(
                         f"interning id {id_} out of order (have {len(objs)})"

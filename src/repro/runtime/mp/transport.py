@@ -30,23 +30,19 @@ admission is structural in the channel protocol's receiver half).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message
-from repro.dataflow.operators import OpAddress
 from repro.runtime.topology import OperatorRuntime
-from repro.runtime.transport import Transport
+from repro.runtime.transport import IngestRoute, Transport
 
 
 class ProcessTransport(Transport):
     """Routes messages for one worker process of the mp backend."""
 
-    def __init__(self, node_id: int, clock, nodes: list, plan, jobs: dict,
-                 metrics, profiler, config, delivery):
+    def __init__(self, node_id: int, clock, nodes: list, plan, metrics,
+                 profiler, config, delivery):
         # no channel table, delay model or link builder: pipes carry what
         # leaves the process, and :meth:`rewire` re-places by node id
-        super().__init__(clock, nodes, plan, jobs, None, None, True,
+        super().__init__(clock, nodes, plan, None, None, True,
                          metrics, profiler, config, None)
         self._node_id = node_id
         #: the delivery layer behind the inherited hook is this transport
@@ -81,51 +77,32 @@ class ProcessTransport(Transport):
 
     def on_ingest(self, entries: list) -> None:
         """Admit a batch of replayed ingest entries to local sources.  A
-        source's first entry sets its watermark just below itself (seq 0,
-        or the entry after the watermark an adopted source resumes from)."""
-        for entry in entries:
-            if entry[0] not in self._ingest_state:
-                self._ingest_state[entry[0]] = [entry[1] - 1, set()]
-            self._ingest(*entry)
-
-    def _ingest(self, src_key: tuple, seq: int, trace_time: float,
-                logical_times, values, keys, sorted_times: bool) -> None:
-        _, job_name, stage_name, source_index = src_key
-        now = self.sim.now
-        job = self._jobs[job_name]
-        src_rt = self._ops[OpAddress(job_name, stage_name, source_index)]
-        count = len(logical_times)
-        if job.time_domain == "ingestion":
+        source's first entry resolves its route and sets its watermark
+        just below itself (seq 0, or the entry after the watermark an
+        adopted source resumes from)."""
+        routes = self._ingest_cache
+        clock = self.sim
+        for src_key, seq, trace_time, times, values, keys, sorted_times in entries:
+            route = routes.get(src_key)
+            if route is None:
+                route = self._ingest_route(src_key)
+                self._ingest_state[src_key] = [seq - 1, set()]
             # determinism choice (see docs): the *logical* clock of an
             # ingestion-time job is the replayed trace time, so window
             # contents are bit-identical to the sim backend; the *physical*
             # anchor (t / arrival) is the wall clock, so latencies are real
-            logical_times = np.full(count, trace_time)
-            sorted_times = True
-        batch = EventBatch(
-            logical_times, values, keys, arrival_time=now,
-            source_id=source_index, times_sorted=sorted_times,
-        )
-        progress = batch.max_logical_time
-        pc = None
-        converter = self._client_converters.get(src_key) if self._contexts else None
-        if converter is not None:
-            pc = converter.build(
-                p=progress, t=now, now=now, target_stage=stage_name,
-                target_window=src_rt.stage.window, tuple_count=count,
-                at_source=True,
+            msg = self._source_message(
+                route, clock.now, trace_time, times, values, keys, sorted_times
             )
-        msg = Message(
-            target=src_rt.address, batch=batch, p=progress, t=now,
-            deps_arrival=now, sender=src_key, pc=pc,
-            channel_index=src_rt.channel_index_of(src_key),
-        )
-        msg.seq = seq
-        src_rt.job_metrics.tuples_ingested += count
-        if self._tracer is not None:
-            # ingested root: sent at the ingest instant, no parent
-            self._tracer.on_send(msg, -1, now)
-        self.deliver(src_rt, msg)
+            msg.seq = seq
+            self.deliver(route.src_rt, msg)
+
+    def _ingest_route(self, key: tuple) -> IngestRoute:
+        """The route of the client ``key``, without a wire: the source is
+        in this process, and the channel protocol covers only pipes."""
+        route = IngestRoute(self._sources[key], key, self._client_converters.get(key))
+        self._ingest_cache[key] = route
+        return route
 
     def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
         """Final disposition of a message (executed or shed): advance the

@@ -197,6 +197,9 @@ class MpWorker(NodeRuntime):
         nodes = [self] * config.nodes
         self._plan = builder.build(nodes)
         self._ops = self._plan.ops
+        for pipe in self._peers.values():
+            # frames from a peer decode to this process's own addresses
+            pipe.codec = DataCodec(self._ops)
 
         metrics = MetricsHub()
         for job in jobs:
@@ -210,7 +213,7 @@ class MpWorker(NodeRuntime):
             metrics, loss_rate=config.mp_loss_rate, loss_rng=loss_rng,
         )
         self.transport = ProcessTransport(
-            node_id, clock, nodes, self._plan, jobs_by_name, metrics,
+            node_id, clock, nodes, self._plan, metrics,
             profiler, config, self._delivery,
         )
         self.transport.attach_pipes(self._peers)
@@ -552,8 +555,7 @@ def worker_main(node_id: int, config, jobs: list, policy,
     # stride into a per-node block so cross-process identity is unambiguous
     from repro.dataflow.messages import stride_message_ids
     stride_message_ids(node_id)
-    peers = {peer: PipeEnd(sock, peer, DataCodec())
-             for peer, sock in peer_socks.items()}
+    peers = {peer: PipeEnd(sock, peer) for peer, sock in peer_socks.items()}
     worker = MpWorker(node_id, config, jobs, policy=policy,
                       coord_pipe=PipeEnd(coord_sock), peer_pipes=peers,
                       shard=shard, trace=trace)

@@ -326,7 +326,10 @@ class TopologyBuilder:
             stage = job.graph.stage(address.stage)
             mailbox = nodes[node_id].run_queue.create_mailbox()
             converter = self._make_converter(job, stage) if self._contexts else None
-            operator = stage.build_operator(job.name, address.index)
+            # the placement's address object is the operator's own, so the
+            # topology, the profiler and every message share one key per
+            # operator and their dict lookups resolve on identity
+            operator = stage.build_operator(address)
             self._ops[address] = OperatorRuntime(
                 operator, stage, job, node_id, mailbox, converter
             )

@@ -21,11 +21,36 @@ from typing import Optional
 import numpy as np
 
 from repro.core.context import PriorityContext
+from repro.core.converter import ContextConverter
 from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message, MessageKind
-from repro.dataflow.operators import Emission, OpAddress
+from repro.dataflow.operators import Emission
 from repro.runtime.topology import OperatorRuntime, client_key
 from repro.runtime.workers import Worker
+
+
+class IngestRoute:
+    """What admitting one client's batches to its source needs, resolved
+    once per source rather than per batch.  ``channel`` and ``transit``
+    are the sim's wire (None on mp, where a worker replays its sources
+    into its own mailboxes).  A client converter exists only when
+    contexts are enabled."""
+
+    __slots__ = ("src_rt", "key", "converter", "channel_index", "stage_name",
+                 "window", "source_index", "ingestion_time", "channel", "transit")
+
+    def __init__(self, src_rt: OperatorRuntime, key: tuple,
+                 converter: Optional[ContextConverter]):
+        self.src_rt = src_rt
+        self.key = key
+        self.converter = converter
+        self.channel_index = src_rt.channel_index_of(key)
+        self.stage_name = src_rt.stage_name
+        self.window = src_rt.stage.window
+        self.source_index = src_rt.address.index
+        self.ingestion_time = src_rt.job.time_domain == "ingestion"
+        self.channel = None
+        self.transit = None
 
 
 class Transport:
@@ -37,7 +62,6 @@ class Transport:
         "metrics",
         "_nodes",
         "_ops",
-        "_jobs",
         "_client_converters",
         "_builder",
         "_delay_model",
@@ -46,6 +70,7 @@ class Transport:
         "_profiler",
         "_capacity",
         "_ingest_cache",
+        "_sources",
         "_reliable",
         "_tracer",
         "_bandwidth",
@@ -56,7 +81,6 @@ class Transport:
         sim,
         nodes: list,
         plan,
-        jobs: dict,
         channels,
         delay_model,
         static_delay: bool,
@@ -70,7 +94,6 @@ class Transport:
         self.metrics = metrics
         self._nodes = nodes
         self._ops = plan.ops
-        self._jobs = jobs
         self._client_converters = plan.client_converters
         self._builder = builder
         self._delay_model = delay_model
@@ -78,7 +101,14 @@ class Transport:
         self._contexts = config.contexts_enabled
         self._profiler = profiler
         self._capacity = config.source_mailbox_capacity
-        self._ingest_cache: dict = {}
+        #: client key -> IngestRoute, resolved at the key's first batch
+        self._ingest_cache: dict[tuple, IngestRoute] = {}
+        #: client key -> runtime of the source operator it feeds
+        self._sources = {
+            client_key(address.job, address.stage, address.index): op_rt
+            for address, op_rt in self._ops.items()
+            if op_rt.is_source
+        }
         self._reliable = None
         self._tracer = None
         self._bandwidth = None
@@ -131,68 +161,67 @@ class Transport:
         are non-decreasing, enabling endpoint min/max on the hot path.
         """
         now = self.sim.now
-        cached = self._ingest_cache.get((job_name, stage_name, source_index))
-        if cached is None:
-            job = self._jobs[job_name]
-            src_rt = self._ops[OpAddress(job_name, stage_name, source_index)]
-            key = client_key(job_name, stage_name, source_index)
-            converter = self._client_converters[key] if self._contexts else None
-            channel = self.channels.channel(key, src_rt.address)
-            cached = (
-                job,
-                src_rt,
-                key,
-                converter,
-                channel,
-                src_rt.channel_index_of(key),
-                # clients are remote machines (node id -1 never matches)
-                self._delay_model.delay(-1, src_rt.node_id)
-                if self._static_delay
-                else None,
-            )
-            self._ingest_cache[(job_name, stage_name, source_index)] = cached
-        job, src_rt, key, converter, channel, channel_index, transit = cached
+        key = client_key(job_name, stage_name, source_index)
+        route = self._ingest_cache.get(key) or self._ingest_route(key)
+        msg = self._source_message(
+            route, now, now, logical_times, values, keys, sorted_times
+        )
+        src_rt = route.src_rt
+        if self._reliable is not None:
+            self._reliable.send(None, src_rt, route.channel, msg)
+            return
+        transit = route.transit
+        if transit is None:
+            # clients are remote machines (node id -1 never matches a node)
+            transit = self._delay_model.delay(-1, src_rt.node_id)
+        arrival = route.channel.deliver_time(now, transit)
+        self.sim.schedule_at_fast(arrival, self.deliver, src_rt, msg, None)
+
+    def _ingest_route(self, key: tuple) -> IngestRoute:
+        """Resolve (and cache until the source moves) the route of the
+        client ``key``, with its channel and, for constant delay models,
+        its transit."""
+        src_rt = self._sources[key]
+        route = IngestRoute(src_rt, key, self._client_converters.get(key))
+        route.channel = self.channels.channel(key, src_rt.address)
+        if self._static_delay:
+            # clients are remote machines (node id -1 never matches)
+            route.transit = self._delay_model.delay(-1, src_rt.node_id)
+        self._ingest_cache[key] = route
+        return route
+
+    def _source_message(self, route: IngestRoute, now: float, logical_now: float,
+                        logical_times, values, keys, sorted_times: bool) -> Message:
+        """The message one client batch becomes at its source, counted as
+        ingested and (when tracing) sent.  ``logical_now`` stamps the
+        events of an ingestion-time job: the arrival instant on sim, the
+        replayed trace time on mp."""
+        src_rt = route.src_rt
         count = len(logical_times)
-        if job.time_domain == "ingestion":
-            logical_times = np.full(count, now)
+        if route.ingestion_time:
+            logical_times = np.full(count, logical_now)
             sorted_times = True  # constant logical times
         batch = EventBatch(
-            logical_times, values, keys, arrival_time=now, source_id=source_index,
-            times_sorted=sorted_times,
+            logical_times, values, keys, arrival_time=now,
+            source_id=route.source_index, times_sorted=sorted_times,
         )
         progress = batch.max_logical_time
         pc = None
+        converter = route.converter
         if converter is not None:
             pc = converter.build(
-                p=progress,
-                t=now,
-                now=now,
-                target_stage=stage_name,
-                target_window=src_rt.stage.window,
-                tuple_count=count,
-                at_source=True,
+                p=progress, t=now, now=now, target_stage=route.stage_name,
+                target_window=route.window, tuple_count=count, at_source=True,
             )
         msg = Message(
-            target=src_rt.address,
-            batch=batch,
-            p=progress,
-            t=now,
-            deps_arrival=now,
-            sender=key,
-            pc=pc,
-            channel_index=channel_index,
+            target=src_rt.address, batch=batch, p=progress, t=now,
+            deps_arrival=now, sender=route.key, pc=pc,
+            channel_index=route.channel_index,
         )
         src_rt.job_metrics.tuples_ingested += count
         if self._tracer is not None:
             self._tracer.on_send(msg, -1, now)  # ingested root: no parent
-        if self._reliable is not None:
-            self._reliable.send(None, src_rt, channel, msg)
-            return
-        if transit is None:
-            # clients are remote machines (node id -1 never matches a node)
-            transit = self._delay_model.delay(-1, src_rt.node_id)
-        arrival = channel.deliver_time(now, transit)
-        self.sim.schedule_at_fast(arrival, self.deliver, src_rt, msg, None)
+        return msg
 
     # ------------------------------------------------------------------
     # delivery
@@ -391,4 +420,6 @@ class Transport:
         # from the old placement (clients are always remote, so the value
         # is unchanged today — dropped anyway so the invariant is "caches
         # never outlive the placement they were computed from")
-        self._ingest_cache.pop((address.job, address.stage, address.index), None)
+        self._ingest_cache.pop(
+            client_key(address.job, address.stage, address.index), None
+        )

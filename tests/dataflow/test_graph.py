@@ -172,9 +172,18 @@ class TestCriticalPath:
         assert graph.critical_path_cost("s") == graph.critical_path_cost("s")
 
     def test_build_operator_kinds(self):
-        from repro.dataflow.operators import MapOperator, SinkOperator, SourceOperator
+        from repro.dataflow.operators import (
+            MapOperator,
+            OpAddress,
+            SinkOperator,
+            SourceOperator,
+        )
 
         graph = self.make_diamond()
-        assert isinstance(graph.stage("s").build_operator("j", 0), SourceOperator)
-        assert isinstance(graph.stage("cheap").build_operator("j", 1), MapOperator)
-        assert isinstance(graph.stage("k").build_operator("j", 0), SinkOperator)
+        address = OpAddress("j", "cheap", 1)
+        assert isinstance(graph.stage("s").build_operator(OpAddress("j", "s", 0)),
+                          SourceOperator)
+        assert isinstance(graph.stage("cheap").build_operator(address), MapOperator)
+        assert graph.stage("cheap").build_operator(address).address is address
+        assert isinstance(graph.stage("k").build_operator(OpAddress("j", "k", 0)),
+                          SinkOperator)
