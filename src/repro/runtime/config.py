@@ -1,10 +1,10 @@
 """Engine configuration.
 
 One dataclass gathers every knob the evaluation sweeps: scheduler choice,
-policy, quantum (§5.2), cluster shape, network jitter, profiling noise
-(Fig. 16), and semantics awareness (Fig. 15).  Values no run ever varies are
-module constants beside the mechanism that owns them; the failure-detection
-cadence both backends share lives here.
+policy, quantum (§5.2), cluster shape, profiling noise (Fig. 16), and
+semantics awareness (Fig. 15).  Values no run ever varies are module
+constants beside the mechanism that owns them; the failure-detection cadence
+both backends share lives here.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class EngineConfig:
         nodes / workers_per_node: cluster shape.  Workers model vCPUs.
         quantum: minimum re-scheduling grain in seconds (paper default 1 ms).
         use_query_semantics: disable for the Fig. 15 ablation.
-        network_jitter_sigma: lognormal jitter on transit times (0 =
-            deterministic delays); sigma is in log-space, ~0.3 gives a
-            realistic long-tailed network.
         profile_noise_sigma: std-dev of N(0, sigma) perturbation applied to
             profiled costs (Fig. 16).
         placement: ``"round_robin"`` (collocates tenants, the multi-tenant
@@ -161,7 +158,6 @@ class EngineConfig:
     workers_per_node: int = 4
     quantum: float = 0.001
     use_query_semantics: bool = True
-    network_jitter_sigma: float = 0.0
     profile_noise_sigma: float = 0.0
     placement: str = "round_robin"
     record_schedule_timeline: bool = False
@@ -204,8 +200,6 @@ class EngineConfig:
             raise ValueError("cluster must have at least one node and one worker")
         if self.quantum < 0:
             raise ValueError("quantum must be non-negative")
-        if self.network_jitter_sigma < 0:
-            raise ValueError("network jitter sigma must be non-negative")
         if self.profile_noise_sigma < 0:
             raise ValueError("profile noise sigma must be non-negative")
         if self.switch_cost < 0:

@@ -52,12 +52,7 @@ from repro.runtime.transport import Transport
 from repro.runtime.workers import Worker
 from repro.sim.faults import FaultInjector, FaultTimeline
 from repro.sim.kernel import Simulator
-from repro.sim.network import (
-    BandwidthModel,
-    ChannelTable,
-    ConstantDelay,
-    JitteredDelay,
-)
+from repro.sim.network import BandwidthModel, ChannelTable, ConstantDelay
 from repro.sim.rng import RngRegistry
 
 
@@ -96,16 +91,7 @@ class StreamEngine:
             )
         self.profiler = CostProfiler(noise=noise)
         self.policy = policy or make_policy(config.policy, **config.policy_kwargs)
-        if config.network_jitter_sigma > 0:
-            self._delay_model = JitteredDelay(
-                self.rng.stream("network"), sigma=config.network_jitter_sigma
-            )
-            # jittered transit draws from an RNG stream per call: delays
-            # must be sampled at send time, never precomputed
-            static_delay = False
-        else:
-            self._delay_model = ConstantDelay()
-            static_delay = True
+        self._delay_model = ConstantDelay()
 
         clock = lambda: self.sim.now  # noqa: E731
         self.nodes: list[NodeRuntime] = [
@@ -120,13 +106,13 @@ class StreamEngine:
 
         builder = TopologyBuilder(
             config, self.jobs, self.policy, self.profiler,
-            self.channels, self._delay_model, static_delay,
+            self.channels, self._delay_model,
         )
         self.plan: WiringPlan = builder.build(self.nodes)
         self._ops = self.plan.ops
         self.transport = Transport(
             self.sim, self.nodes, self.plan, self.channels,
-            self._delay_model, static_delay, self.metrics, self.profiler,
+            self._delay_model, self.metrics, self.profiler,
             config, builder,
         )
         # observability plane: installed only when asked for.  The recorder

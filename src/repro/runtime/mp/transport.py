@@ -31,6 +31,7 @@ admission is structural in the channel protocol's receiver half).
 from __future__ import annotations
 
 from repro.dataflow.messages import Message
+from repro.runtime.delivery import ReceiverHalf
 from repro.runtime.topology import OperatorRuntime
 from repro.runtime.transport import IngestRoute, Transport
 
@@ -42,7 +43,7 @@ class ProcessTransport(Transport):
                  profiler, config, delivery):
         # no channel table, delay model or link builder: pipes carry what
         # leaves the process, and :meth:`rewire` re-places by node id
-        super().__init__(clock, nodes, plan, None, None, True,
+        super().__init__(clock, nodes, plan, None, None,
                          metrics, profiler, config, None)
         self._node_id = node_id
         #: the delivery layer behind the inherited hook is this transport
@@ -54,9 +55,9 @@ class ProcessTransport(Transport):
         self._outboxes: dict[int, list] = {}
         #: node_id -> PipeEnd of every live peer
         self._pipes: dict = {}
-        #: per-source ingest bookkeeping:
-        #: src_key -> [processed_watermark, out_of_order_set]
-        self._ingest_state: dict[tuple, list] = {}
+        #: src_key -> the source's processed ingest watermark (a channel
+        #: receiver half, of which only the processed side is used)
+        self._ingest_state: dict[tuple, ReceiverHalf] = {}
         #: per-channel FIFO audit: (sender, target) -> last admitted seq
         self._audit: dict[tuple, int] = {}
         self.fifo_violations = 0
@@ -86,7 +87,8 @@ class ProcessTransport(Transport):
             route = routes.get(src_key)
             if route is None:
                 route = self._ingest_route(src_key)
-                self._ingest_state[src_key] = [seq - 1, set()]
+                state = self._ingest_state[src_key] = ReceiverHalf()
+                state.reset(seq)
             # determinism choice (see docs): the *logical* clock of an
             # ingestion-time job is the replayed trace time, so window
             # contents are bit-identical to the sim backend; the *physical*
@@ -113,21 +115,12 @@ class ProcessTransport(Transport):
                 self._delivery.on_processed(msg)
             return
         state = self._ingest_state.get(msg.sender)
-        if state is None:
-            return
-        seq = msg.seq
-        if seq == state[0] + 1:
-            state[0] = seq
-            out_of_order = state[1]
-            while state[0] + 1 in out_of_order:
-                state[0] += 1
-                out_of_order.remove(state[0])
-        else:
-            state[1].add(seq)
+        if state is not None:
+            state.on_processed(msg.seq)
 
     def ingest_acks(self) -> dict:
         """src_key -> contiguous processed ingest watermark (heartbeats)."""
-        return {key: state[0] for key, state in self._ingest_state.items()}
+        return {key: state.watermark for key, state in self._ingest_state.items()}
 
     # ------------------------------------------------------------------
     # delivery

@@ -189,7 +189,7 @@ class MpWorker(NodeRuntime):
 
         builder = TopologyBuilder(
             config, jobs_by_name, policy, profiler,
-            ChannelTable(), ConstantDelay(local=0.0, remote=0.0), True,
+            ChannelTable(), ConstantDelay(local=0.0, remote=0.0),
         )
         # the worker stands in every node slot: whatever node an operator
         # is placed on (or re-placed to by a fail-over this process has not

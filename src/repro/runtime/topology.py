@@ -43,9 +43,9 @@ from repro.runtime.placement import place_operators
 class Route:
     """Out-edge of an operator: where its emissions go.
 
-    ``links`` pairs each target with its pre-resolved delivery channel and
-    input-channel index — filled once at wiring time so the per-send hot
-    path does no dict lookups.
+    ``links`` pairs each target with its pre-resolved delivery channel,
+    input-channel index and transit — filled once at wiring time so the
+    per-send hot path does no dict lookups.
 
     ``active`` is the number of leading targets currently receiving data.
     It equals ``len(targets)`` at construction and only diverges when the
@@ -145,8 +145,7 @@ class OperatorRuntime:
         self.is_sink = isinstance(operator, SinkOperator)
         self.stage_name = stage.name
         self.cost_model = stage.cost
-        #: sender -> (converter, reply destination node, static transit or
-        #: None when delays are jittered) for replies
+        #: sender -> (converter, transit) for replies
         self.reply_cache: dict = {}
         #: per-stage queueing/execution stats, bound on first use (shared
         #: across parallel indices of the stage via the job metrics dicts)
@@ -278,8 +277,7 @@ class TopologyBuilder:
     :class:`WiringPlan`, the builder holds no references the runtime needs.
     Mailboxes are created through each node's run queue (the run queue
     decides the mailbox discipline), and link transit delays are
-    pre-resolved only for static delay models — jittered transit must be
-    sampled at send time, never precomputed.
+    pre-resolved.
     """
 
     def __init__(
@@ -290,7 +288,6 @@ class TopologyBuilder:
         profiler,
         channels,
         delay_model,
-        static_delay: bool,
     ):
         self._config = config
         self._jobs = jobs
@@ -298,7 +295,6 @@ class TopologyBuilder:
         self._profiler = profiler
         self._channels = channels
         self._delay_model = delay_model
-        self._static_delay = static_delay
         self._contexts = config.contexts_enabled
         self._ops: dict[OpAddress, OperatorRuntime] = {}
         self._client_converters: dict[tuple, ContextConverter] = {}
@@ -408,19 +404,16 @@ class TopologyBuilder:
     def resolve_links(self, op_rt: OperatorRuntime) -> None:
         """(Re)build the per-target delivery caches of ``op_rt``'s routes.
 
-        Pre-resolves the delivery channel, input-channel index and (for
-        constant delay models) the fixed transit delay.  Also called by the
-        transport when a migration changes a node id a cached transit was
-        computed from."""
+        Pre-resolves the delivery channel, input-channel index and transit
+        delay.  Also called by the transport when a migration changes a node
+        id a cached transit was computed from."""
         for route in op_rt.routes:
             route.links = [
                 (
                     dst_rt,
                     self._channels.channel(op_rt.address, dst_rt.address),
                     dst_rt.channel_index_of(op_rt.address),
-                    self._delay_model.delay(op_rt.node_id, dst_rt.node_id)
-                    if self._static_delay
-                    else None,
+                    self._delay_model.delay(op_rt.node_id, dst_rt.node_id),
                 )
                 for dst_rt in route.targets
             ]

@@ -2,12 +2,11 @@
 
 Everything that moves a message between operators lives here, behind the
 channel-table interface of :mod:`repro.sim.network`: per-channel FIFO
-delivery (§4.3), the local/remote delay models (with optional lognormal
-jitter), ingestion from external clients, key-partitioned emission
-routing with progress heartbeats, and the RC-carrying acknowledgements
-that flow back upstream (Fig. 5a steps 5-6).  Keeping delivery semantics
-in one place is what lets future failure models (loss, partitions) hook
-in without touching the node dispatch loop.
+delivery (§4.3), constant local/remote transit, ingestion from external
+clients, key-partitioned emission routing with progress heartbeats, and
+the RC-carrying acknowledgements that flow back upstream (Fig. 5a steps
+5-6).  Keeping delivery semantics in one place is what lets future failure
+models (loss, partitions) hook in without touching the node dispatch loop.
 
 The transport also owns the wiring-time caches that depend on placement
 (route links, reply routes, the ingest fast path) and rebuilds them when
@@ -65,7 +64,6 @@ class Transport:
         "_client_converters",
         "_builder",
         "_delay_model",
-        "_static_delay",
         "_contexts",
         "_profiler",
         "_capacity",
@@ -83,7 +81,6 @@ class Transport:
         plan,
         channels,
         delay_model,
-        static_delay: bool,
         metrics,
         profiler,
         config,
@@ -97,7 +94,6 @@ class Transport:
         self._client_converters = plan.client_converters
         self._builder = builder
         self._delay_model = delay_model
-        self._static_delay = static_delay
         self._contexts = config.contexts_enabled
         self._profiler = profiler
         self._capacity = config.source_mailbox_capacity
@@ -170,23 +166,17 @@ class Transport:
         if self._reliable is not None:
             self._reliable.send(None, src_rt, route.channel, msg)
             return
-        transit = route.transit
-        if transit is None:
-            # clients are remote machines (node id -1 never matches a node)
-            transit = self._delay_model.delay(-1, src_rt.node_id)
-        arrival = route.channel.deliver_time(now, transit)
+        arrival = route.channel.deliver_time(now, route.transit)
         self.sim.schedule_at_fast(arrival, self.deliver, src_rt, msg, None)
 
     def _ingest_route(self, key: tuple) -> IngestRoute:
         """Resolve (and cache until the source moves) the route of the
-        client ``key``, with its channel and, for constant delay models,
-        its transit."""
+        client ``key``, with its channel and transit."""
         src_rt = self._sources[key]
         route = IngestRoute(src_rt, key, self._client_converters.get(key))
         route.channel = self.channels.channel(key, src_rt.address)
-        if self._static_delay:
-            # clients are remote machines (node id -1 never matches)
-            route.transit = self._delay_model.delay(-1, src_rt.node_id)
+        # clients are remote machines (node id -1 never matches)
+        route.transit = self._delay_model.delay(-1, src_rt.node_id)
         self._ingest_cache[key] = route
         return route
 
@@ -323,8 +313,6 @@ class Transport:
         if self._reliable is not None:
             self._reliable.send(src_rt, dst_rt, channel, out)
             return
-        if transit is None:
-            transit = self._delay_model.delay(src_rt.node_id, dst_rt.node_id)
         if self._bandwidth is not None:
             transit += self._bandwidth.transfer_time(
                 now, src_rt.node_id, dst_rt.node_id, len(batch),
@@ -355,21 +343,12 @@ class Transport:
             else:
                 sender_rt = self._ops[sender]
                 converter, dst_node = sender_rt.converter, sender_rt.node_id
-            transit = (
-                self._delay_model.delay(op_rt.node_id, dst_node)
-                if self._static_delay
-                else None
-            )
-            route = (converter, dst_node, transit)
+            route = (converter, self._delay_model.delay(op_rt.node_id, dst_node))
             op_rt.reply_cache[sender] = route
-        converter, dst_node, delay = route
-        if delay is None:
-            # jittered transit: drawn per reply, and always drawn before the
-            # converter check so the RNG stream is independent of wiring
-            delay = self._delay_model.delay(op_rt.node_id, dst_node)
+        converter, transit = route
         if converter is None:
             return
-        self.sim.schedule_fast(delay, converter.process_reply, op_rt.stage_name, rc)
+        self.sim.schedule_fast(transit, converter.process_reply, op_rt.stage_name, rc)
 
     def _reply_context(self, op_rt: OperatorRuntime, msg: Message):
         """PREPAREREPLY: the RC ``op_rt`` acknowledges ``msg`` with, or None

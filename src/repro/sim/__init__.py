@@ -1,22 +1,17 @@
 """Discrete-event simulation substrate (kernel, RNG streams, network models)."""
 
-from repro.sim.kernel import EventHandle, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.network import (
     ChannelTable,
     ConstantDelay,
-    DelayModel,
     FifoChannel,
-    JitteredDelay,
 )
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "ChannelTable",
     "ConstantDelay",
-    "DelayModel",
-    "EventHandle",
     "FifoChannel",
-    "JitteredDelay",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -6,68 +6,22 @@ claims are about scheduling *order*, so two runs with the same seed must
 produce identical schedules.  Ties in event time are broken by insertion
 sequence number, never by object identity.
 
-Heap entries are plain ``(time, seq, callback, args, event)`` tuples:
-``seq`` is unique, so tuple comparison never reaches the payload — this
-keeps the hot path free of custom comparator calls (the kernel handles
-millions of events per experiment).  The trailing ``event`` slot is the
-cancellation token and is ``None`` on the fast path: callers that never
-cancel (the vast majority — every message completion, delivery and reply
-in the engine) use :meth:`Simulator.schedule_fast` /
-:meth:`Simulator.schedule_at_fast` and pay no ``_Event`` / ``EventHandle``
-object churn at all.
-
-Cancelled entries are dropped lazily when they surface at the heap top,
-plus eagerly in bulk: once cancellations exceed a threshold *and* half the
-heap, the heap is compacted in one linear pass (the (time, seq) order is
-total, so compaction can never perturb the schedule).
+Heap entries are plain ``(time, seq, callback, args)`` tuples: ``seq`` is
+unique, so tuple comparison never reaches the payload — this keeps the hot
+path free of custom comparator calls (the kernel handles millions of events
+per experiment).  Events cannot be cancelled: a timer that may be
+superseded carries its own generation and ignores a stale firing.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
-
-#: minimum number of cancelled entries before a bulk compaction is considered
-_COMPACT_MIN = 64
 
 
 class SimulationError(Exception):
     """Raised when the kernel is used inconsistently (e.g. scheduling in the past)."""
-
-
-class _Event:
-    __slots__ = ("callback", "args", "cancelled", "time")
-
-    def __init__(self, time: float, callback: Callable[..., None], args: tuple):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule`, usable to cancel."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
-        self._sim = sim
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Cancel the event.  Cancelling an already-fired event is a no-op."""
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            self._sim._note_cancelled()
 
 
 class Simulator:
@@ -80,26 +34,19 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
-        #: entries are (time, seq, callback, args, event-or-None)
+    def __init__(self):
+        self._now = 0.0
+        #: entries are (time, seq, callback, args)
         self._heap: list[tuple] = []
         self._seq = 0
         self._fired = 0
         self._running = False
-        self._cancelled = 0
         self._run_until: Optional[float] = None
-        self._advance_enabled = False
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def pending_count(self) -> int:
-        """Number of scheduled (possibly cancelled) events still in the heap."""
-        return len(self._heap)
 
     @property
     def fired_count(self) -> int:
@@ -114,88 +61,30 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        heappush(self._heap, (self._now + delay, self._seq, callback, args))
+        self._seq += 1
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now or time != time:  # NaN-safe without a math call
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now}): time travels forward only"
             )
-        event = _Event(float(time), callback, args)
-        heappush(self._heap, (event.time, self._seq, callback, args, event))
-        self._seq += 1
-        return EventHandle(event, self)
-
-    def schedule_fast(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Like :meth:`schedule` but returns no handle (not cancellable).
-
-        The entry carries no ``_Event``/``EventHandle`` objects — this is
-        the allocation-lean path for the no-cancel common case."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        heappush(self._heap, (self._now + delay, self._seq, callback, args, None))
+        heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
-    def schedule_at_fast(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Like :meth:`schedule_at` but returns no handle (not cancellable)."""
-        if time < self._now or time != time:  # NaN-safe without a math call
-            raise SimulationError(
-                f"cannot schedule at t={time} (now={self._now}): time travels forward only"
-            )
-        heappush(self._heap, (time, self._seq, callback, args, None))
-        self._seq += 1
-
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-    # ------------------------------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if self._cancelled >= _COMPACT_MIN and self._cancelled * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop all cancelled entries in one pass and re-heapify.
-
-        The (time, seq) sort key is a total order, so rebuilding the heap
-        cannot change the dispatch schedule of the surviving events."""
-        self._heap = [
-            entry for entry in self._heap
-            if entry[4] is None or not entry[4].cancelled
-        ]
-        heapify(self._heap)
-        self._cancelled = 0
+    # the names the hot paths call; perfbench wraps all four by name, so
+    # they stay class attributes rather than call-site renames
+    schedule_fast = schedule
+    schedule_at_fast = schedule_at
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Fire the next non-cancelled event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            time, _, callback, args, event = heappop(heap)
-            if event is not None and event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time
-            self._fired += 1
-            callback(*args)
-            return True
-        return False
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][4] is not None and heap[0][4].cancelled:
-            heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
 
     def try_advance(self, time: float) -> bool:
         """Advance the clock to ``time`` if no pending event precedes it.
@@ -207,32 +96,23 @@ class Simulator:
         touched.  An event pending at exactly ``time`` refuses the advance:
         it was scheduled earlier, so it holds an older sequence number and
         must dispatch before a completion scheduled now.  Only legal while
-        :meth:`run` is active (and never under a ``max_events`` budget,
-        whose accounting inline work would bypass); callers fall back to
-        scheduling a normal event when this returns False, so behaviour is
-        bit-identical either way.
+        :meth:`run` is active; callers fall back to scheduling a normal
+        event when this returns False, so behaviour is bit-identical either
+        way.
         """
-        if not self._advance_enabled or time < self._now:
+        if not self._running or time < self._now:
             return False
         run_until = self._run_until
         if run_until is not None and time > run_until:
             return False
         heap = self._heap
-        while heap:
-            top = heap[0]
-            event = top[4]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._cancelled -= 1
-                continue
-            if top[0] <= time:
-                return False
-            break
+        if heap and heap[0][0] <= time:
+            return False
         self._now = time
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run until the heap drains or ``until`` is reached.
 
         Returns the number of events fired by this call.  When ``until`` is
         given, the clock is advanced to ``until`` even if the heap drains
@@ -242,50 +122,28 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._run_until = until
-        self._advance_enabled = max_events is None
         heap = self._heap
         fired = 0
         pop = heappop
         limit = until if until is not None else math.inf
         try:
-            if max_events is None:
-                # dispatch loop for the common unbudgeted case; the fired
-                # counter is folded back into self._fired on exit.  Entries
-                # are popped before the limit check and pushed back intact
-                # when they overshoot (at most once per run call) — one
-                # sift instead of a peek-then-pop pair per event.
-                while heap:
-                    entry = pop(heap)
-                    time, _, callback, args, event = entry
-                    if event is not None and event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    if time > limit:
-                        heappush(heap, entry)
-                        break
-                    self._now = time
-                    fired += 1
-                    callback(*args)
-            else:
-                while heap:
-                    if fired >= max_events:
-                        break
-                    time, _, callback, args, event = heap[0]
-                    if event is not None and event.cancelled:
-                        pop(heap)
-                        self._cancelled -= 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    pop(heap)
-                    self._now = time
-                    fired += 1
-                    callback(*args)
+            # the fired counter is folded back into self._fired on exit.
+            # Entries are popped before the limit check and pushed back
+            # intact when they overshoot (at most once per run call) — one
+            # sift instead of a peek-then-pop pair per event.
+            while heap:
+                entry = pop(heap)
+                time, _, callback, args = entry
+                if time > limit:
+                    heappush(heap, entry)
+                    break
+                self._now = time
+                fired += 1
+                callback(*args)
         finally:
             self._fired += fired
             self._running = False
             self._run_until = None
-            self._advance_enabled = False
         if until is not None and self._now < until:
             self._now = until
         return fired

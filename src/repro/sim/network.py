@@ -1,16 +1,19 @@
-"""Network delay models with per-channel FIFO (in-order) delivery.
+"""Network model: constant per-hop transit, per-channel FIFO (in-order)
+delivery, and optional contended uplinks.
 
-The paper's runtime "provides channel-wise guarantee of in-order processing
-for all target operators" (§4.3) — Cameo's PROGRESSMAP regression relies on
-it.  :class:`FifoChannel` enforces that: a message handed to the channel is
-delivered no earlier than any message handed to it before.
+Every hop pays one constant transit (:class:`ConstantDelay`: local or
+remote), resolved once when the hop is wired, so the network draws no
+random numbers.  The paper's runtime "provides channel-wise guarantee of
+in-order processing for all target operators" (§4.3) — Cameo's PROGRESSMAP
+regression relies on it.  :class:`FifoChannel` enforces that: a message
+handed to the channel is delivered no earlier than any message handed to it
+before.  :class:`BandwidthModel` adds serialization time on a shared uplink
+when a run configures ``link_capacity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 #: message transit times (seconds) within a node and across nodes (clients
@@ -23,52 +26,16 @@ REMOTE_DELAY = 5e-4
 LINK_BYTES_PER_TUPLE = 64.0
 
 
-class DelayModel:
-    """Base class: wall-clock transit delay between two cluster nodes."""
-
-    def delay(self, src_node: int, dst_node: int) -> float:
-        raise NotImplementedError
-
-
 @dataclass
-class ConstantDelay(DelayModel):
-    """Fixed local/remote delays (seconds)."""
+class ConstantDelay:
+    """Fixed local/remote transit delays (seconds) between two cluster
+    nodes; client ingestion (node -1) counts as remote."""
 
     local: float = LOCAL_DELAY
     remote: float = REMOTE_DELAY
 
     def delay(self, src_node: int, dst_node: int) -> float:
         return self.local if src_node == dst_node else self.remote
-
-
-class JitteredDelay(DelayModel):
-    """Lognormal jitter around base local/remote delays.
-
-    Mean transit time is ``base * exp(sigma^2 / 2)``; sigma=0 degrades to
-    :class:`ConstantDelay`.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        local: float = LOCAL_DELAY,
-        remote: float = REMOTE_DELAY,
-        sigma: float = 0.3,
-    ):
-        if local < 0 or remote < 0:
-            raise ValueError("delays must be non-negative")
-        if sigma < 0:
-            raise ValueError("jitter sigma must be non-negative")
-        self._rng = rng
-        self._local = local
-        self._remote = remote
-        self._sigma = sigma
-
-    def delay(self, src_node: int, dst_node: int) -> float:
-        base = self._local if src_node == dst_node else self._remote
-        if self._sigma == 0.0 or base == 0.0:
-            return base
-        return float(base * self._rng.lognormal(mean=0.0, sigma=self._sigma))
 
 
 class FifoChannel:
@@ -177,8 +144,8 @@ class BandwidthModel:
 
     Every source node owns one :class:`SharedLink` uplink; a transfer from
     node ``s`` to a *different* node pays ``bytes / share`` serialization
-    time on ``s``'s uplink on top of the propagation delay from the
-    :class:`DelayModel`.  Local hops and client ingestion (src node -1,
+    time on ``s``'s uplink on top of the propagation delay from
+    :class:`ConstantDelay`.  Local hops and client ingestion (src node -1,
     modeled as remote machines with their own NICs) are exempt.
 
     Installed by the engine only when ``link_capacity`` is configured —

@@ -1,6 +1,5 @@
 """Unit tests for EngineConfig validation and derived properties."""
 
-import numpy as np
 import pytest
 
 from repro.core.profiler import PROFILER_ALPHA
@@ -17,7 +16,6 @@ from repro.sim.network import (
     LOCAL_DELAY,
     REMOTE_DELAY,
     ConstantDelay,
-    JitteredDelay,
 )
 
 
@@ -77,17 +75,15 @@ class TestConstants:
 
     def test_delay_models_built_without_arguments_agree(self):
         # the one place three defaults disagreed (0.0 / 5e-5 / 2e-5 local)
-        constant = ConstantDelay()
-        jittered = JitteredDelay(np.random.default_rng(0), sigma=0.0)
-        for model in (constant, jittered):
-            assert model.delay(0, 0) == LOCAL_DELAY
-            assert model.delay(0, 1) == REMOTE_DELAY
+        model = ConstantDelay()
+        assert model.delay(0, 0) == LOCAL_DELAY
+        assert model.delay(0, 1) == REMOTE_DELAY
 
     @pytest.mark.parametrize("field", [
         "local_delay", "remote_delay", "profiler_alpha", "progress_window",
         "heartbeat_interval", "failure_timeout", "retransmit_timeout",
         "retransmit_backoff_cap", "link_bytes_per_tuple", "mp_poll_interval",
-        "shed_slack",
+        "shed_slack", "network_jitter_sigma",
     ])
     def test_removed_fields_are_not_accepted(self, field):
         with pytest.raises(TypeError):

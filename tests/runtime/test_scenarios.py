@@ -188,29 +188,6 @@ class TestUnionPipeline:
         assert metrics.output_tuples[0] == 1
 
 
-class TestNetworkJitter:
-    def test_jittered_run_completes_and_differs(self):
-        def run(sigma):
-            job = make_latency_sensitive_job("job", source_count=2)
-            engine = StreamEngine(
-                EngineConfig(scheduler="cameo", network_jitter_sigma=sigma,
-                             nodes=2, workers_per_node=2, seed=12),
-                [job],
-            )
-            drive_all_sources(engine, job, lambda s, i: PeriodicArrivals(0.5),
-                              sizer=FixedBatchSize(100), until=6.0)
-            engine.run(until=10.0)
-            metrics = engine.metrics.job("job")
-            assert metrics.tuples_processed == metrics.tuples_ingested
-            return tuple(metrics.latencies)
-
-        assert run(0.0) != run(0.8)  # jitter actually changes timings
-
-    def test_invalid_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(network_jitter_sigma=-0.1)
-
-
 class TestDiamondDataflow:
     def test_fanout_stages_both_receive_and_sink_merges(self):
         from repro.dataflow.graph import DataflowGraph, StageSpec

@@ -9,10 +9,6 @@ def test_starts_at_zero():
     assert Simulator().now == 0.0
 
 
-def test_starts_at_custom_time():
-    assert Simulator(start_time=5.0).now == 5.0
-
-
 def test_schedule_and_run_fires_callback():
     sim = Simulator()
     fired = []
@@ -77,23 +73,6 @@ def test_run_until_advances_clock_on_empty_heap():
     assert sim.now == 7.0
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    sim.run()
-    assert fired == []
-    assert handle.cancelled
-
-
-def test_cancel_after_fire_is_noop():
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    sim.run()
-    handle.cancel()  # must not raise
-
-
 def test_callbacks_can_schedule_more_events():
     sim = Simulator()
     fired = []
@@ -115,27 +94,6 @@ def test_zero_delay_event_fires_at_same_time():
     sim.schedule(2.0, lambda: sim.schedule(0.0, lambda: times.append(sim.now)))
     sim.run()
     assert times == [2.0]
-
-
-def test_max_events_limits_firing():
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(float(i + 1), lambda: None)
-    fired = sim.run(max_events=3)
-    assert fired == 3
-    assert sim.pending_count == 7
-
-
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    handle.cancel()
-    assert sim.peek_time() == 2.0
-
-
-def test_peek_time_empty():
-    assert Simulator().peek_time() is None
 
 
 def test_fired_count_tracks_executions():
@@ -161,18 +119,8 @@ def test_run_not_reentrant():
     assert len(errors) == 1
 
 
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
-
-
-def test_handle_reports_time():
-    sim = Simulator()
-    handle = sim.schedule(4.5, lambda: None)
-    assert handle.time == 4.5
-
-
 # ----------------------------------------------------------------------
-# fast-path (no-handle) scheduling
+# the hot-path scheduling names
 # ----------------------------------------------------------------------
 
 
@@ -207,52 +155,10 @@ def test_schedule_fast_rejects_past_and_nan():
         sim.schedule_fast(-1.0, lambda: None)
     with pytest.raises(SimulationError):
         sim.schedule_at_fast(float("nan"), lambda: None)
-
-
-# ----------------------------------------------------------------------
-# cancelled-entry compaction
-# ----------------------------------------------------------------------
-
-
-def test_mass_cancellation_compacts_heap():
-    """Regression: cancelled events must not linger until they reach the
-    heap top — bulk cancellation triggers compaction and frees the memory."""
-    sim = Simulator()
-    keeper_count = 100
-    for i in range(keeper_count):
-        sim.schedule(1.0 + i, lambda: None)
-    handles = [sim.schedule(1000.0 + i, lambda: None) for i in range(10_000)]
-    assert sim.pending_count == keeper_count + 10_000
-    for handle in handles:
-        handle.cancel()
-    # threshold-triggered compaction dropped the cancelled bulk
-    assert sim.pending_count < keeper_count + 10_000
-    assert sim.pending_count <= 2 * keeper_count
-    fired = sim.run()
-    assert fired == keeper_count
-
-
-def test_compaction_preserves_order():
-    sim = Simulator()
-    order = []
-    handles = []
-    for i in range(300):
-        if i % 3 == 0:
-            sim.schedule(float(i), order.append, i)
-        else:
-            handles.append(sim.schedule(float(i), lambda: None))
-    for handle in handles:
-        handle.cancel()
-    sim.run()
-    assert order == [i for i in range(300) if i % 3 == 0]
-
-
-def test_double_cancel_counts_once():
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert sim._cancelled == 1
+    with pytest.raises(SimulationError):
+        sim.schedule_fast(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
 
 
 # ----------------------------------------------------------------------
@@ -294,26 +200,3 @@ def test_try_advance_respects_until_horizon():
     sim.run(until=10.0)
     assert observed == [False, True]
     assert sim.now == 10.0
-
-
-def test_try_advance_disabled_under_max_events():
-    sim = Simulator()
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(sim.try_advance(2.0)))
-    sim.run(max_events=5)
-    assert observed == [False]
-
-
-def test_try_advance_skips_cancelled_top():
-    sim = Simulator()
-    observed = []
-
-    def probe():
-        observed.append(sim.try_advance(4.0))
-
-    sim.schedule(1.0, probe)
-    handle = sim.schedule(2.0, lambda: None)
-    sim.schedule(5.0, lambda: None)
-    handle.cancel()
-    sim.run()
-    assert observed == [True]

@@ -1,4 +1,4 @@
-"""Unit tests for network delay models and FIFO channels."""
+"""Unit tests for the transit delay model, FIFO channels and shared links."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.sim.network import (
     ChannelTable,
     ConstantDelay,
     FifoChannel,
-    JitteredDelay,
     SharedLink,
 )
 
@@ -22,28 +21,6 @@ class TestConstantDelay:
     def test_same_node_is_local(self):
         model = ConstantDelay(local=0.1, remote=0.2)
         assert model.delay(3, 3) == 0.1
-
-
-class TestJitteredDelay:
-    def test_zero_sigma_is_constant(self):
-        rng = np.random.default_rng(0)
-        model = JitteredDelay(rng, local=0.001, remote=0.002, sigma=0.0)
-        assert model.delay(0, 0) == 0.001
-        assert model.delay(0, 1) == 0.002
-
-    def test_jitter_is_positive(self):
-        rng = np.random.default_rng(0)
-        model = JitteredDelay(rng, local=0.001, remote=0.002, sigma=0.5)
-        for _ in range(100):
-            assert model.delay(0, 1) > 0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            JitteredDelay(np.random.default_rng(0), local=-1.0)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            JitteredDelay(np.random.default_rng(0), sigma=-0.1)
 
 
 class TestFifoChannel:
