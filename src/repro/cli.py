@@ -325,9 +325,10 @@ def trace_main(argv: list[str]) -> int:
     label = f"{args.scenario}_{args.scheduler}"
     chrome_path = directory / f"trace_{label}.json"
     jsonl_path = directory / f"trace_{label}.jsonl"
+    process_map = getattr(engine, "process_map", None)
     payload = write_chrome_trace(
         chrome_path, engine.tracer, engine.fault_timeline, label=label,
-        process_map=getattr(engine, "process_map", None),
+        process_map=process_map,
     )
     log = jsonl_events(engine.tracer, engine.fault_timeline, label=label)
     jsonl_path.write_text(log)
@@ -348,13 +349,9 @@ def trace_main(argv: list[str]) -> int:
     reliable = getattr(engine, "reliable", None)
     if reliable is not None:
         summary["backoff_by_channel"] = reliable.backoff_by_channel()
-    clock = getattr(engine, "clock", None)
-    if clock is not None:
-        summary["clock_skew_bound"] = clock.skew_bound
-        summary["worker_pids"] = dict(clock.pids)
-    telemetry = getattr(engine, "telemetry", None)
-    if telemetry is not None:
-        summary["telemetry"] = telemetry.summary()
+    if process_map is not None:
+        summary["worker_pids"] = {node: entry["pid"]
+                                  for node, entry in process_map.items()}
     _emit(summary)
     if args.attribution:
         report = attribute(engine.tracer, engine.metrics)

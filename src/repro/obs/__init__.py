@@ -21,13 +21,9 @@ The ``repro.obs`` package turns the simulator into a debuggable system
   exporters.
 * :mod:`repro.obs.schema` — minimal structural validators of both export
   formats (the CI smoke check).
-* :mod:`repro.obs.merge` — cross-process span assembly of the mp
-  backend: :class:`~repro.obs.merge.SpanMerger` folds per-worker span
-  parts into whole spans, :class:`~repro.obs.merge.ClockSync` reconciles
-  per-worker monotonic clocks.
-* :mod:`repro.obs.telemetry` — the mp worker telemetry bus:
-  struct-packed :class:`~repro.obs.spans.SchedSample` records folded
-  into a :class:`~repro.obs.telemetry.TelemetryLog` time series (the
+* :mod:`repro.obs.merge` — cross-process assembly of the mp backend:
+  :class:`~repro.obs.merge.SpanMerger` folds per-worker span parts into
+  whole spans and every worker's node samples into one time series (the
   sensor substrate for autoscaling experiments).
 
 Enable with ``EngineConfig(record_trace=True)`` or run

@@ -9,7 +9,8 @@ of its delivery layer, and cumulative messages executed.  Both backends
 call it at the ``trace_sample_interval`` cadence: the sim's
 :class:`SchedulerSampler` from a kernel tick every ``interval`` simulated
 seconds, the mp worker on itself from its pipe loop on the wall clock
-(shipped in ``TELEMETRY`` frames, see :mod:`repro.obs.telemetry`).
+(into its recorder, whose ``TRACE`` frames carry the readings beside the
+span parts, see :mod:`repro.obs.merge`).
 
 Determinism: the sampler schedules kernel events, but its callbacks are
 *observationally inert* — ``peek_best_priority()`` / ``pending_operator_

@@ -29,19 +29,17 @@ schema validation, deadline-miss attribution) runs unchanged:
 * ``parent`` comes from the part that witnessed the send (a receiver
   stub reports -1 and never overrides a sender's link).
 
-Clock reconciliation: every timestamp in a part is on its worker's clock
-(``time.monotonic() - epoch``).  :class:`ClockSync` holds the per-worker
-offsets measured by the coordinator's CLOCK/CLOCK_ACK exchange at the
-startup barrier — an NTP-style probe: record ``t0``, ping, record ``t1``,
-estimate ``offset = reading - (t0 + t1) / 2`` with uncertainty
-``(t1 - t0) / 2``, keep the minimum-RTT round of several.  The merger
-maps every instant onto the coordinator's axis by subtracting the origin
-worker's offset, so the telescoping identity (finished - sent = network
-+ recovery + queueing + execution) holds across process boundaries and
-any residual cross-clock error is bounded by :attr:`ClockSync.skew_bound`
-(forked workers share CLOCK_MONOTONIC on Linux, so the measured bound is
-typically a few microseconds of RTT jitter — but the machinery is honest
-and would hold across hosts).
+Node samples ride the same frame: each ``TRACE`` also carries the
+:class:`~repro.obs.spans.SchedSample` readings the worker took since its
+previous flush (as ``SchedSample.__slots__`` tuples) and the worker's
+cumulative priority-inversion count.  The merger keeps every sample and
+the latest count per node.
+
+One clock: every instant in a part or sample is ``time.monotonic() -
+epoch`` with the coordinator's ``START`` epoch.  Workers are forked on the
+coordinator's host and ``CLOCK_MONOTONIC`` is system-wide, so the
+processes read one clock and instants from different workers compare
+as they are.
 """
 
 from __future__ import annotations
@@ -54,84 +52,49 @@ from repro.obs.spans import (
     PART_FIELDS,
     PENDING,
     MessageSpan,
+    SchedSample,
     span_to_part,
 )
 
 _NAN = float("nan")
 
-__all__ = ["PART_FIELDS", "span_to_part", "ClockSync", "SpanMerger"]
+__all__ = ["PART_FIELDS", "span_to_part", "SpanMerger"]
 
-#: fields that are *instants* on the origin worker's clock (offset-adjusted)
-_TIME_FIELDS = ("sent", "first_admit", "admitted", "started", "finished",
-                "last_tx", "replied")
 #: sender-side counters that accumulate across the hop's witnesses
 _SUM_FIELDS = ("backoff", "transmits", "retransmits")
 #: receiver-side accumulators taken from the decisive part (see module doc)
 _DECISIVE_FIELDS = ("wait", "exec", "attempts")
 
-class ClockSync:
-    """Per-worker clock offsets measured at the startup barrier."""
-
-    def __init__(self, offsets: dict[int, float],
-                 uncertainties: dict[int, float], pids: dict[int, int]):
-        self.offsets = offsets
-        self.uncertainties = uncertainties
-        self.pids = pids
-
-    @property
-    def skew_bound(self) -> float:
-        """Worst-case residual error between any two adjusted instants:
-        each side's reading is off by at most its round-trip half-width."""
-        if not self.uncertainties:
-            return 0.0
-        return 2.0 * max(self.uncertainties.values())
-
-    def adjust(self, node_id: int, instant: float) -> float:
-        """Map a worker-clock instant onto the coordinator's axis."""
-        if instant != instant:  # NaN stays NaN
-            return instant
-        return instant - self.offsets.get(node_id, 0.0)
-
-    def as_dict(self) -> dict:
-        return {
-            "offsets": dict(self.offsets),
-            "uncertainties": dict(self.uncertainties),
-            "pids": dict(self.pids),
-            "skew_bound": self.skew_bound,
-        }
-
 
 class SpanMerger:
-    """Folds per-worker span parts into whole spans.
+    """Folds per-worker span parts and node samples into one recorder.
 
-    ``add_parts`` is called as ``TRACE`` frames arrive; parts are keyed by
+    ``add`` is called as ``TRACE`` frames arrive; parts are keyed by
     ``(msg_id, origin node)`` with latest-wins (each part is cumulative
     for its origin).  ``build`` runs the fold and returns a filled
     :class:`~repro.obs.recorder.TraceRecorder`."""
 
-    def __init__(self, clock: ClockSync | None = None):
-        self._clock = clock
+    def __init__(self):
         #: msg_id -> {origin node -> latest part tuple}
         self._parts: dict[int, dict[int, tuple]] = {}
+        self._samples: list[tuple] = []
+        #: origin node -> its latest cumulative priority-inversion count
+        self._inversions: dict[int, int] = {}
         self.part_count = 0
 
-    def add_parts(self, origin_node: int, parts: list[tuple]) -> None:
+    def add(self, origin_node: int, parts: list[tuple], samples: list[tuple],
+            inversions: int) -> None:
+        """Fold one ``TRACE`` frame's payload (see
+        :meth:`~repro.obs.recorder.MpSpanRecorder.drain`)."""
         for part in parts:
             self.part_count += 1
             self._parts.setdefault(part[0], {})[origin_node] = part
-
-    def _adjust(self, node_id: int, instant: float) -> float:
-        if self._clock is None:
-            return instant
-        return self._clock.adjust(node_id, instant)
+        self._samples.extend(samples)
+        self._inversions[origin_node] = inversions
 
     def _merge_one(self, msg_id: int, by_node: dict[int, tuple]) -> MessageSpan:
-        records = []
-        for origin in sorted(by_node):
-            rec = dict(zip(PART_FIELDS, by_node[origin]))
-            for name in _TIME_FIELDS:
-                rec[name] = self._adjust(origin, rec[name])
-            records.append(rec)
+        records = [dict(zip(PART_FIELDS, by_node[origin]))
+                   for origin in sorted(by_node)]
 
         first = records[0]
         span = MessageSpan(msg_id, -1, first["job"], first["stage"],
@@ -202,4 +165,8 @@ class SpanMerger:
             recorder.spans[msg_id] = span
             if span.outcome == LOST_CRASH:
                 recorder.lost_crash_events += 1
+        samples = [SchedSample(*fields) for fields in self._samples]
+        samples.sort(key=lambda s: (s.time, s.node_id))
+        recorder.samples = samples
+        recorder.inversions = sum(self._inversions.values())
         return recorder

@@ -32,6 +32,7 @@ from repro.obs.spans import (
     SHED,
     MessageSpan,
     SchedSample,
+    sample_to_tuple,
     span_to_part,
 )
 
@@ -216,11 +217,13 @@ class MpSpanRecorder(TraceRecorder):
       ``on_admit`` creates a receiver stub (``sent``/``parent`` unknown,
       left NaN/-1; the coordinator's
       :class:`~repro.obs.merge.SpanMerger` folds the sender's witness in);
-    * every mutation marks the span dirty, and :meth:`drain_parts` flushes
-      the dirty set as flat wire tuples for a ``TRACE`` frame (cumulative:
-      a span that keeps evolving is simply re-sent and the latest part
-      wins per origin).  The spans themselves are retained for the run's
-      lifetime — the same memory behaviour as the sim recorder;
+    * every mutation marks the span dirty, and :meth:`drain` flushes the
+      dirty set as flat wire tuples for a ``TRACE`` frame (cumulative: a
+      span that keeps evolving is simply re-sent and the latest part wins
+      per origin), together with the node samples added since the last
+      drain and the cumulative :attr:`inversions`.  The spans themselves
+      are retained for the run's lifetime — the same memory behaviour as
+      the sim recorder; the samples leave with the drain;
     * ``exec`` is the *realized* wall time from ``started`` to the read of
       the worker ``clock`` in :meth:`on_execute_end` (cost realization plus
       the operator's actual work), not the sampled cost the stats book —
@@ -246,14 +249,16 @@ class MpSpanRecorder(TraceRecorder):
         super().on_execute_end(msg, now, now - self.spans[msg.msg_id].started,
                                final)
 
-    def drain_parts(self) -> list[tuple]:
-        """Wire tuples of every span touched since the last drain."""
-        if not self._dirty:
-            return []
+    def drain(self) -> tuple[list[tuple], list[tuple], int]:
+        """One ``TRACE`` payload: the wire tuples of every span touched and
+        every sample added since the last drain, and the cumulative
+        priority-inversion count."""
         spans = self.spans
         parts = [span_to_part(spans[msg_id]) for msg_id in sorted(self._dirty)]
         self._dirty.clear()
-        return parts
+        samples = [sample_to_tuple(sample) for sample in self.samples]
+        self.samples = []
+        return parts, samples, self.inversions
 
 
 def _marking_dirty(hook):

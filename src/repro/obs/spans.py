@@ -26,6 +26,8 @@ never sees them.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 _NAN = float("nan")
 
 #: span outcomes (``outcome`` field)
@@ -182,3 +184,8 @@ class SchedSample:
             "ingest_backlog": self.ingest_backlog,
             "messages_processed": self.messages_processed,
         }
+
+
+#: flatten a sample into its ``TRACE``-frame wire tuple (slot order; the
+#: coordinator rebuilds it as ``SchedSample(*fields)``)
+sample_to_tuple = attrgetter(*SchedSample.__slots__)

@@ -108,8 +108,8 @@ class EngineConfig:
             deadlines preempt; frames without contexts queue behind).
         record_trace: enable the observability plane (``repro.obs``): a
             per-hop message span recorder plus a periodic node sampler
-            (on mp, the telemetry bus: each worker samples itself and
-            ships the readings in ``TELEMETRY`` frames).  Off by default
+            (on mp, each worker samples itself and ships the readings
+            with its span parts in ``TRACE`` frames).  Off by default
             — with tracing off the runtime holds no recorder at all, so
             the hot path is untouched and every figure output stays
             bit-identical.

@@ -78,8 +78,6 @@ from repro.runtime.config import FAILURE_TIMEOUT
 from repro.runtime.mp.frames import (
     CAL_DONE,
     CALIBRATE,
-    CLOCK,
-    CLOCK_ACK,
     HB,
     PROBE,
     READY,
@@ -88,7 +86,6 @@ from repro.runtime.mp.frames import (
     REWIRE,
     START,
     STOP,
-    TELEMETRY,
     TRACE,
     PipeEnd,
     recv_frame,
@@ -97,9 +94,6 @@ from repro.runtime.mp.frames import (
 from repro.runtime.mp.ingest import sequence_trace, shard_by_owner
 from repro.runtime.mp.worker import worker_main
 from repro.runtime.placement import place_operators
-
-#: CLOCK/CLOCK_ACK rounds per worker (the min-RTT round wins)
-_CLOCK_ROUNDS = 5
 
 
 def conn_wait(selector, timeout: float) -> list:
@@ -196,14 +190,15 @@ class MpCoordinator:
         self._resumed: list[dict] = []
         self.info: dict = {}
         # observability plane (populated only under record_trace)
-        self._record_trace = config.record_trace
         self._merger = None
+        if config.record_trace:
+            from repro.obs.merge import SpanMerger
+
+            self._merger = SpanMerger()
         #: merged TraceRecorder after the run
         self.tracer = None
-        #: folded TelemetryLog after the run
-        self.telemetry = None
-        #: ClockSync from the startup CLOCK exchange (obs plane only)
-        self.clock = None
+        #: node_id -> pid of its worker process
+        self.pids: dict[int, int] = {}
         #: node_id -> this process's open end of the pipe to that worker
         self._pipes: dict[int, PipeEnd] = {}
         self._selector = None
@@ -257,6 +252,7 @@ class MpCoordinator:
         ]
         for proc in procs:
             proc.start()
+        self.pids = {i: proc.pid for i, proc in enumerate(procs)}
         # the parent needs only its coordinator ends; close the rest so
         # worker-side buffers are owned by the workers alone
         for sock in child_ends:
@@ -296,14 +292,6 @@ class MpCoordinator:
             for i in pipes:
                 node_id, rate = self._expect(i, CAL_DONE)
                 spin_rates[node_id] = rate
-
-        # clock-sync exchange (observability plane only): NTP-style
-        # offset estimation per worker, so worker-local monotonic
-        # timestamps can be reconciled onto the coordinator clock.  Runs
-        # between the calibration barrier and the epoch broadcast so the
-        # untraced frame sequence is byte-identical when the plane is off.
-        if self._record_trace:
-            self._sync_clocks()
 
         epoch = time.monotonic()
         for pipe in pipes.values():
@@ -396,9 +384,8 @@ class MpCoordinator:
         metrics = self._merge(reports)
         metrics.crashes = crashes
         metrics.failure_detections.extend(fault_log)
-        if self._record_trace:
+        if self._merger is not None:
             self.tracer = self._merger.build()
-            self.tracer.samples.extend(self.telemetry.sorted_samples())
         self.info = {
             "wall_time": elapsed(),
             "workers": self._n,
@@ -412,10 +399,8 @@ class MpCoordinator:
                 stats["fifo_violations"] for _, stats in reports.values()
             ),
         }
-        if self._record_trace:
-            self.info["clock"] = self.clock.as_dict()
+        if self._merger is not None:
             self.info["trace_parts"] = self._merger.part_count
-            self.info["telemetry_samples"] = len(self.telemetry)
         return metrics
 
     # ------------------------------------------------------------------
@@ -431,62 +416,10 @@ class MpCoordinator:
             raise RuntimeError(f"expected {kind!r} from worker {node_id}, got {got!r}")
         return payload
 
-    def _sync_clocks(self) -> None:
-        """NTP-style clock exchange with every worker (pre-START).
-
-        Each round records ``t0``, sends ``CLOCK``, and on ``CLOCK_ACK``
-        records ``t1``; the worker's reading is assumed to correspond to
-        the midpoint ``(t0 + t1) / 2``, so ``offset = reading - midpoint``
-        with uncertainty ``rtt / 2``.  The minimum-RTT round wins — its
-        midpoint assumption has the least room to be wrong.  Workers sit
-        in their pre-START frame loop, so the reply is immediate and RTTs
-        are tens of microseconds on local pipes."""
-        from repro.obs.merge import ClockSync, SpanMerger
-        from repro.obs.telemetry import TelemetryLog
-
-        offsets: dict[int, float] = {}
-        uncertainties: dict[int, float] = {}
-        pids: dict[int, int] = {}
-        for i, pipe in self._pipes.items():
-            best_rtt = None
-            best_offset = 0.0
-            pid = -1
-            for _ in range(_CLOCK_ROUNDS):
-                t0 = time.monotonic()
-                send_frame(pipe, CLOCK)
-                _node_id, pid, reading = self._expect(i, CLOCK_ACK)
-                t1 = time.monotonic()
-                rtt = t1 - t0
-                if best_rtt is None or rtt < best_rtt:
-                    best_rtt = rtt
-                    best_offset = reading - (t0 + t1) / 2.0
-            offsets[i] = best_offset
-            uncertainties[i] = best_rtt / 2.0
-            pids[i] = pid
-        self.clock = ClockSync(offsets, uncertainties, pids)
-        self._merger = SpanMerger(self.clock)
-        self.telemetry = TelemetryLog()
-
-    def _fold_telemetry(self, payload) -> None:
-        """Unpack one TELEMETRY frame into the time-series log, moving
-        sample times onto the coordinator clock."""
-        from repro.obs.telemetry import unpack_samples
-
-        node_id, blob = payload
-        samples = unpack_samples(blob)
-        offset = self.clock.offsets.get(node_id, 0.0)
-        if offset:
-            for sample in samples:
-                sample.time -= offset
-        self.telemetry.extend(samples)
-
     def _absorb_obs(self, kind: str, payload) -> bool:
-        """Fold an observability frame; True when it was one."""
+        """Fold a ``TRACE`` frame; True when it was one."""
         if kind == TRACE:
-            self._merger.add_parts(payload[0], payload[1])
-            return True
-        if kind == TELEMETRY:
-            self._fold_telemetry(payload)
+            self._merger.add(*payload)
             return True
         return False
 

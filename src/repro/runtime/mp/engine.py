@@ -22,14 +22,12 @@ After :meth:`run`, ``.metrics`` holds the merged
 :class:`~repro.metrics.collectors.MetricsHub` of every worker and
 ``.info`` the run's transport-level facts (wall time, per-worker stats,
 FIFO-audit counters, survivor set, the watermark each moved source
-resumed from).  With the observability plane on (``record_trace``,
-which also runs the telemetry bus), ``.tracer`` holds the merged
-cross-process :class:`~repro.obs.recorder.TraceRecorder`, ``.telemetry``
-the folded :class:`~repro.obs.telemetry.TelemetryLog`, ``.clock`` the
-:class:`~repro.obs.merge.ClockSync`, and ``.process_map`` real worker
-pids for the Perfetto exporter — the same downstream surface the sim
-engine exposes, so exporters, schema validation and attribution run
-unchanged.
+resumed from).  With the observability plane on (``record_trace``),
+``.tracer`` holds the merged cross-process
+:class:`~repro.obs.recorder.TraceRecorder` (spans and every worker's node
+samples) and ``.process_map`` the real worker pids for the Perfetto
+exporter — the same downstream surface the sim engine exposes, so
+exporters, schema validation and attribution run unchanged.
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ class MpStreamEngine:
         self.info: dict = {}
         #: observability surface (None unless the obs plane is on)
         self.tracer = None
-        self.telemetry = None
-        self.clock = None
         self.process_map: dict | None = None
         self.fault_timeline = None
         self._trace: list[tuple] = []
@@ -135,12 +131,10 @@ class MpStreamEngine:
         self.metrics = coordinator.run()
         self.info = coordinator.info
         self.tracer = coordinator.tracer
-        self.telemetry = coordinator.telemetry
-        self.clock = coordinator.clock
-        if self.clock is not None:
+        if self.tracer is not None:
             self.process_map = {
                 node: {"pid": pid, "name": f"worker {node} (pid {pid})"}
-                for node, pid in self.clock.pids.items()
+                for node, pid in coordinator.pids.items()
             }
         if self._kills:
             from repro.sim.faults import FaultTimeline

@@ -37,7 +37,8 @@ READY      w -> c     ``node_id`` — worker finished booting its topology
 CALIBRATE  c -> w     ``None`` — run the spin-cost calibration *now*
                       (all workers calibrate concurrently; spin mode only)
 CAL_DONE   w -> c     ``(node_id, spin_rate)`` — calibration finished
-START      c -> w     ``epoch`` — shared wall-clock base (CLOCK_MONOTONIC)
+START      c -> w     ``epoch`` — the one wall-clock base every process
+                      stamps against (CLOCK_MONOTONIC is system-wide)
 HB         w -> c     ``(node_id, idle, ingest_acks, admissions, probe)``
                       — every heartbeat interval, as soon as a worker
                       with its ingest exhausted turns idle, and in answer
@@ -45,21 +46,13 @@ HB         w -> c     ``(node_id, idle, ingest_acks, admissions, probe)``
                       count and the id of the last probe it answered
 PROBE      c -> w     ``probe_id`` — second wave of the end-of-run check;
                       the worker answers at once with an ``HB``
-CLOCK      c -> w     ``None`` — clock-sync probe; the worker answers
-                      immediately (sent between the calibration barrier
-                      and START, only when the obs plane is on)
-CLOCK_ACK  w -> c     ``(node_id, pid, monotonic_reading)`` — the NTP-style
-                      reply; several rounds yield per-worker clock offsets
-                      (min-RTT round wins) plus the real process ids the
-                      Perfetto exporter maps processes to
-TRACE      w -> c     ``(node_id, [span_part, ...])`` — batched span parts
-                      (:data:`repro.obs.merge.PART_FIELDS` tuples) flushed
-                      with heartbeats; cumulative, latest part wins per
-                      ``(msg_id, origin node)``
-TELEMETRY  w -> c     ``(node_id, packed_bytes)`` — struct-packed
-                      :class:`repro.obs.spans.SchedSample` records (the
-                      node sampler's readings of the worker, flushed with
-                      heartbeats)
+TRACE      w -> c     ``(node_id, [span_part, ...], [sample, ...],
+                      inversions)`` — flushed with heartbeats (obs plane
+                      only): span parts (:data:`repro.obs.merge.
+                      PART_FIELDS` tuples; cumulative, latest part wins
+                      per ``(msg_id, origin node)``), the node samples
+                      taken since the last flush (``SchedSample.__slots__``
+                      tuples) and the cumulative priority-inversion count
 REWIRE     c -> w     ``({address: new_node_id}, {src_key: watermark})``
                       — the dead node's operators re-placed, and the
                       processed watermark each moved source resumes from
@@ -118,10 +111,7 @@ CAL_DONE = "cal_done"
 START = "start"
 HB = "hb"
 PROBE = "probe"
-CLOCK = "clock"
-CLOCK_ACK = "clock_ack"
 TRACE = "trace"
-TELEMETRY = "telemetry"
 REWIRE = "rewire"
 RESCALE = "rescale"
 STOP = "stop"

@@ -82,8 +82,8 @@ class IngestDriver:
 
     @property
     def remaining(self) -> int:
-        """Undelivered entries left (the telemetry bus's ingest-backlog
-        sensor)."""
+        """Undelivered entries left (the node sampler's ingest-backlog
+        reading)."""
         return len(self._timed) - self._pos
 
     def next_due(self) -> float | None:

@@ -22,7 +22,7 @@ coordinator.  An operator whose quantum ends with mail left is held
 loop from its pipes for more than a quantum.  With nothing to run, the
 loop blocks in the selector until a pipe is readable (or writable, while
 bytes wait on it) or the nearest timer is due: heartbeat, retransmit
-deadline, next ingest entry, telemetry sample.  While a frame waits on a
+deadline, next ingest entry, node sample.  While a frame waits on a
 full peer pipe the loop starts no quantum but keeps reading and writing,
 so two workers flooding each other drain each other.
 
@@ -51,7 +51,6 @@ message stays seed-stable, only its wall-clock duration is host-relative.
 from __future__ import annotations
 
 import gc
-import os
 import pickle
 import selectors
 import time
@@ -68,8 +67,6 @@ from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
 from repro.runtime.mp.frames import (
     CAL_DONE,
     CALIBRATE,
-    CLOCK,
-    CLOCK_ACK,
     DATA_MAGIC,
     HB,
     PROBE,
@@ -79,7 +76,6 @@ from repro.runtime.mp.frames import (
     REWIRE,
     START,
     STOP,
-    TELEMETRY,
     TRACE,
     DataCodec,
     PipeEnd,
@@ -227,11 +223,10 @@ class MpWorker(NodeRuntime):
         self._stage_rescales = 0
         self._keys_moved = 0
 
-        # observability plane (null-collaborator idiom: with tracing and
-        # telemetry off every field is None and the hot path sees only
-        # dead ``is None`` branches — obs modules are not even imported)
+        # observability plane (null-collaborator idiom: with tracing off
+        # every field is None and the hot path sees only dead ``is None``
+        # branches — obs modules are not even imported)
         tracer = None
-        self._telemetry = None
         self._tm_interval = None
         self._tm_last_time = 0.0
         self._tm_busy_seen: dict = {}
@@ -241,7 +236,6 @@ class MpWorker(NodeRuntime):
             tracer = MpSpanRecorder(clock)
             self.transport.attach_tracer(tracer)
             self._delivery.attach_tracer(tracer)
-            self._telemetry = []
             self._tm_interval = config.trace_sample_interval
         self.bind(
             clock, metrics, profiler, rng.stream(f"mp/exec-cost/{node_id}"),
@@ -264,17 +258,11 @@ class MpWorker(NodeRuntime):
                 # every worker calibrates inside this barrier concurrently
                 self.spin_rate = calibrate_spin_rate()
                 send_frame(coord, CAL_DONE, (self._node_id, self.spin_rate))
-            elif kind == CLOCK:
-                # NTP-style clock probe (obs plane only): answer with the
-                # raw monotonic reading *immediately* — the coordinator
-                # brackets the round trip and keeps the min-RTT round
-                send_frame(coord, CLOCK_ACK,
-                           (self._node_id, os.getpid(), time.monotonic()))
             elif kind == START:
                 clock.epoch = payload
                 break
             else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"expected CALIBRATE/CLOCK/START, got {kind}")
+                raise RuntimeError(f"expected CALIBRATE/START, got {kind}")
         selector = selectors.DefaultSelector()
         for pipe in (coord, *self._peers.values()):
             pipe.watch(selector)
@@ -303,7 +291,7 @@ class MpWorker(NodeRuntime):
                 break
             now = clock.now
             if tm_interval is not None and now - self._tm_last_time >= tm_interval:
-                self._sample_telemetry(now)
+                self._sample(now)
             if now - last_hb >= HEARTBEAT_INTERVAL or (
                     not worked and not self._idle_sent and ingest.exhausted
                     and self._idle()):
@@ -425,28 +413,23 @@ class MpWorker(NodeRuntime):
             self._stage_rescales += 1
         self._pending_rescales = remaining
 
-    def _sample_telemetry(self, now: float) -> None:
-        """One telemetry-bus reading (buffered; flushed with heartbeats):
-        the node sampler run on this worker, on the wall clock."""
+    def _sample(self, now: float) -> None:
+        """One node-sampler reading of this worker, on the wall clock, into
+        its recorder (it leaves with the next ``TRACE`` flush)."""
         from repro.obs.introspect import sample
 
-        self._telemetry.append(sample(
+        self._tracer.add_sample(sample(
             self, now, now - self._tm_last_time, self._ops.values(),
             self._tm_busy_seen, self._ingest.remaining,
         ))
         self._tm_last_time = now
 
     def _flush_obs(self) -> None:
-        """Queue dirty span parts and buffered telemetry for the coordinator."""
-        parts = self._tracer.drain_parts()
-        if parts:
-            self._coord.put(TRACE, (self._node_id, parts))
-        if self._telemetry:
-            from repro.obs.telemetry import pack_samples
-
-            self._coord.put(TELEMETRY,
-                            (self._node_id, pack_samples(self._telemetry)))
-            self._telemetry.clear()
+        """Queue the span parts and samples since the last flush for the
+        coordinator."""
+        parts, samples, inversions = self._tracer.drain()
+        if parts or samples:
+            self._coord.put(TRACE, (self._node_id, parts, samples, inversions))
 
     def _heartbeat(self, now: float) -> None:
         if self._tracer is not None:
@@ -464,7 +447,7 @@ class MpWorker(NodeRuntime):
         if self._tracer is not None:
             # one last reading so short runs still produce a series, then
             # the final drain, queued ahead of REPORT
-            self._sample_telemetry(self.sim.now)
+            self._sample(self.sim.now)
             self._flush_obs()
         slot = self.workers[0]
         self.metrics.record_worker_busy(self._node_id, 0, slot.busy_time)

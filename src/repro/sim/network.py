@@ -21,9 +21,10 @@ from dataclasses import dataclass
 LOCAL_DELAY = 2e-5
 REMOTE_DELAY = 5e-4
 
-#: serialized size per tuple (bytes): converts batches to frame sizes for
-#: the :class:`BandwidthModel`
+#: serialized size per tuple and fixed per-frame header (bytes): convert
+#: batches to frame sizes for the :class:`BandwidthModel`
 LINK_BYTES_PER_TUPLE = 64.0
+LINK_FRAME_BYTES = 256.0
 
 
 @dataclass
@@ -144,26 +145,19 @@ class BandwidthModel:
 
     Every source node owns one :class:`SharedLink` uplink; a transfer from
     node ``s`` to a *different* node pays ``bytes / share`` serialization
-    time on ``s``'s uplink on top of the propagation delay from
-    :class:`ConstantDelay`.  Local hops and client ingestion (src node -1,
-    modeled as remote machines with their own NICs) are exempt.
+    time on ``s``'s uplink (``bytes`` is :data:`LINK_FRAME_BYTES` plus
+    :data:`LINK_BYTES_PER_TUPLE` per tuple) on top of the propagation
+    delay from :class:`ConstantDelay`.  Local hops and client ingestion
+    (src node -1, modeled as remote machines with their own NICs) are
+    exempt.
 
     Installed by the engine only when ``link_capacity`` is configured —
     otherwise no instance exists and the transit path is untouched.
     """
 
-    def __init__(self, capacity: float, policy: str = "fair",
-                 bytes_per_tuple: float = LINK_BYTES_PER_TUPLE,
-                 frame_bytes: float = 256.0,
-                 metrics=None):
-        if bytes_per_tuple <= 0:
-            raise ValueError("bytes_per_tuple must be positive")
-        if frame_bytes < 0:
-            raise ValueError("frame_bytes must be non-negative")
+    def __init__(self, capacity: float, policy: str = "fair", metrics=None):
         self.capacity = float(capacity)
         self.policy = policy
-        self.bytes_per_tuple = float(bytes_per_tuple)
-        self.frame_bytes = float(frame_bytes)
         self._links: dict[int, SharedLink] = {}
         self._metrics = metrics
         # validate eagerly, not on first transfer
@@ -181,7 +175,7 @@ class BandwidthModel:
         """Extra transit seconds for one frame; 0 for exempt hops."""
         if src_node < 0 or src_node == dst_node:
             return 0.0
-        nbytes = self.frame_bytes + self.bytes_per_tuple * tuple_count
+        nbytes = LINK_FRAME_BYTES + LINK_BYTES_PER_TUPLE * tuple_count
         extra = self.uplink(src_node).transfer_time(now, nbytes, deadline)
         metrics = self._metrics
         if metrics is not None:
@@ -193,7 +187,7 @@ class BandwidthModel:
         return {
             "capacity": self.capacity,
             "policy": self.policy,
-            "bytes_per_tuple": self.bytes_per_tuple,
+            "bytes_per_tuple": LINK_BYTES_PER_TUPLE,
             "uplinks": {node: link.report()
                         for node, link in sorted(self._links.items())},
         }

@@ -7,29 +7,28 @@ Three layers of evidence:
   observability plane observes, never steers).
 * **Real cross-process traces** — a traced 2-worker run (with loss, so
   the go-back-N path is exercised) yields spans witnessed by two real
-  processes whose merged timestamps telescope into the
-  network/recovery/queueing/execution identity; residual cross-clock
-  error is bounded by the measured ``ClockSync.skew_bound``.
-* **Merge semantics** — unit and property tests of :class:`SpanMerger` /
-  :class:`ClockSync`: latest part wins per origin, sender and receiver
-  witnesses fold into one span, fail-over re-execution does not double
-  count the casualty's work, and offset reconciliation keeps the
-  identity exact for any synthetic clock skew.
+  processes whose merged timestamps telescope exactly into the
+  network/recovery/queueing/execution identity: forked workers stamp on
+  the coordinator's one clock, so no component goes negative.
+* **Merge semantics** — unit tests of :class:`SpanMerger`: latest part
+  wins per origin, sender and receiver witnesses fold into one span,
+  fail-over re-execution does not double count the casualty's work, and
+  each worker's priority-inversion count reaches the merged trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.attribution import attribute
 from repro.obs.export import jsonl_events
-from repro.obs.merge import PART_FIELDS, ClockSync, SpanMerger
+from repro.obs.merge import PART_FIELDS, SpanMerger
+from repro.obs.recorder import MpSpanRecorder
 from repro.obs.spans import EXECUTED, LOST_CRASH, PENDING, MessageSpan, span_to_part
 
 _NAN = float("nan")
@@ -77,18 +76,15 @@ class TestTracedParity:
         untraced = _run_mp(scheduler, traced=False)
         traced = _run_mp(scheduler, traced=True)
         assert _aggregates(traced) == _aggregates(untraced)
-        assert untraced.tracer is None and untraced.telemetry is None
+        assert untraced.tracer is None
         assert traced.tracer is not None
         assert len(traced.tracer.spans) > 0
 
     def test_untraced_run_leaves_no_obs_surface(self):
         engine = _run_mp("cameo", traced=False)
         assert engine.tracer is None
-        assert engine.telemetry is None
-        assert engine.clock is None
         assert engine.process_map is None
         assert "trace_parts" not in engine.info
-        assert "telemetry_samples" not in engine.info
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +108,14 @@ class TestCrossProcessTrace:
         engine = traced_mp_engine
         nodes = {s.node_id for s in engine.tracer.spans.values() if s.node_id >= 0}
         assert nodes == {0, 1}
-        pids = set(engine.clock.pids.values())
+        pids = {entry["pid"] for entry in engine.process_map.values()}
         assert len(pids) == 2, "each worker must be a distinct real process"
         assert all(pid > 0 for pid in pids)
         assert engine.process_map.keys() == {0, 1}
 
     def test_telescoping_identity_within_skew_bound(self, traced_mp_engine):
+        """One clock across processes: zero tolerance beyond rounding."""
         engine = traced_mp_engine
-        skew = engine.clock.skew_bound
-        assert skew >= 0.0
         checked = 0
         for span in engine.tracer.spans.values():
             if any(math.isnan(v) for v in (span.sent, span.first_admit,
@@ -128,10 +123,10 @@ class TestCrossProcessTrace:
                 continue
             residual = span.total - (span.network + span.recovery
                                      + span.wait + span.exec)
-            assert abs(residual) <= skew + 1e-9, span
-            # cross-clock instants may disagree by at most the skew bound
-            assert span.network >= -skew - 1e-9, span
-            assert span.recovery >= -skew - 1e-9, span
+            assert abs(residual) <= 1e-9, span
+            # instants stamped by different workers compare as they are
+            assert span.network >= 0, span
+            assert span.recovery >= 0, span
             checked += 1
         assert checked > 50
 
@@ -155,26 +150,19 @@ class TestCrossProcessTrace:
 
     def test_each_reading_appears_once_with_real_counters(self, traced_mp_engine):
         engine = traced_mp_engine
-        assert len(engine.telemetry) > 0
-        assert len(engine.tracer.samples) == len(engine.telemetry)
+        samples = engine.tracer.samples
+        assert len(samples) > 0
         kinds = [json.loads(line)["type"] for line in
                  jsonl_events(engine.tracer, engine.fault_timeline).splitlines()]
-        assert kinds.count("sched_sample") == len(engine.telemetry)
+        assert kinds.count("sched_sample") == len(samples)
         assert set(kinds) <= {"meta", "span", "sched_sample", "fault"}
-        for node_id, samples in engine.telemetry.per_node().items():
-            last = samples[-1]
+        assert {s.node_id for s in samples} == {0, 1}
+        for node_id in (0, 1):
+            last = [s for s in samples if s.node_id == node_id][-1]
             assert last.pops > 0 and last.pushes >= last.pops
             assert last.messages_processed == \
                 engine.info["reports"][node_id]["messages"]
-
-    def test_clock_offsets_are_plausible(self, traced_mp_engine):
-        clock = traced_mp_engine.clock
-        # forked workers share CLOCK_MONOTONIC: offsets are bounded by
-        # the exchange RTT, not by anything physical
-        for node, offset in clock.offsets.items():
-            assert abs(offset) <= 10 * max(clock.uncertainties.values()) + 1e-3
-        info = traced_mp_engine.info
-        assert info["trace_parts"] >= len(traced_mp_engine.tracer.spans)
+        assert engine.info["trace_parts"] >= len(engine.tracer.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +187,11 @@ def test_part_fields_match_span_slots():
 
 def test_sender_and_receiver_parts_fold_into_one_span():
     merger = SpanMerger()
-    merger.add_parts(0, [_part(7, sent=1.0, parent=3, transmits=2,
-                               retransmits=1, backoff=0.05)])
-    merger.add_parts(1, [_part(7, first_admit=1.2, admitted=1.2, started=1.5,
-                               finished=1.7, wait=0.3, exec=0.2, attempts=1,
-                               node_id=1, worker=0, outcome=EXECUTED)])
+    merger.add(0, [_part(7, sent=1.0, parent=3, transmits=2,
+                         retransmits=1, backoff=0.05)], [], 0)
+    merger.add(1, [_part(7, first_admit=1.2, admitted=1.2, started=1.5,
+                         finished=1.7, wait=0.3, exec=0.2, attempts=1,
+                         node_id=1, worker=0, outcome=EXECUTED)], [], 0)
     recorder = merger.build()
     span = recorder.spans[7]
     assert span.sent == 1.0
@@ -219,10 +207,10 @@ def test_sender_and_receiver_parts_fold_into_one_span():
 
 def test_latest_part_wins_per_origin():
     merger = SpanMerger()
-    merger.add_parts(1, [_part(9, admitted=1.0, outcome=PENDING)])
-    merger.add_parts(1, [_part(9, admitted=1.0, started=1.4, finished=1.6,
-                               wait=0.4, exec=0.2, attempts=1, node_id=1,
-                               outcome=EXECUTED)])
+    merger.add(1, [_part(9, admitted=1.0, outcome=PENDING)], [], 0)
+    merger.add(1, [_part(9, admitted=1.0, started=1.4, finished=1.6,
+                         wait=0.4, exec=0.2, attempts=1, node_id=1,
+                         outcome=EXECUTED)], [], 0)
     span = merger.build().spans[9]
     assert span.outcome == EXECUTED
     assert span.wait == 0.4
@@ -233,16 +221,16 @@ def test_failover_reexecution_does_not_double_count_work():
     """The casualty's partial work lives inside the recovery window; only
     the decisive (surviving) execution contributes wait/exec."""
     merger = SpanMerger()
-    merger.add_parts(0, [_part(5, sent=1.0, transmits=2, retransmits=1,
-                               backoff=0.1)])
+    merger.add(0, [_part(5, sent=1.0, transmits=2, retransmits=1,
+                         backoff=0.1)], [], 0)
     # the node that died after executing (part flushed pre-crash) ...
-    merger.add_parts(1, [_part(5, first_admit=1.1, admitted=1.1, started=1.2,
-                               finished=1.3, wait=0.1, exec=0.1, attempts=1,
-                               node_id=1, worker=0, outcome=EXECUTED)])
+    merger.add(1, [_part(5, first_admit=1.1, admitted=1.1, started=1.2,
+                         finished=1.3, wait=0.1, exec=0.1, attempts=1,
+                         node_id=1, worker=0, outcome=EXECUTED)], [], 0)
     # ... and the survivor that re-executed the replayed copy
-    merger.add_parts(2, [_part(5, first_admit=2.0, admitted=2.0, started=2.3,
-                               finished=2.5, wait=0.3, exec=0.2, attempts=1,
-                               node_id=2, worker=0, outcome=EXECUTED)])
+    merger.add(2, [_part(5, first_admit=2.0, admitted=2.0, started=2.3,
+                         finished=2.5, wait=0.3, exec=0.2, attempts=1,
+                         node_id=2, worker=0, outcome=EXECUTED)], [], 0)
     span = merger.build().spans[5]
     assert span.node_id == 2, "decisive part is the latest-finishing one"
     assert span.wait == 0.3 and span.exec == 0.2 and span.attempts == 1
@@ -253,70 +241,39 @@ def test_failover_reexecution_does_not_double_count_work():
 
 def test_replay_supersedes_lost_crash():
     merger = SpanMerger()
-    merger.add_parts(1, [_part(4, first_admit=1.0, admitted=1.0, finished=1.1,
-                               node_id=1, outcome=LOST_CRASH)])
-    merger.add_parts(2, [_part(4, first_admit=1.5, admitted=1.5, started=1.6,
-                               finished=1.8, wait=0.1, exec=0.2, attempts=1,
-                               node_id=2, outcome=EXECUTED)])
+    merger.add(1, [_part(4, first_admit=1.0, admitted=1.0, finished=1.1,
+                         node_id=1, outcome=LOST_CRASH)], [], 0)
+    merger.add(2, [_part(4, first_admit=1.5, admitted=1.5, started=1.6,
+                         finished=1.8, wait=0.1, exec=0.2, attempts=1,
+                         node_id=2, outcome=EXECUTED)], [], 0)
     recorder = merger.build()
     assert recorder.spans[4].outcome == EXECUTED
     assert recorder.lost_crash_events == 0
 
 
-# ---------------------------------------------------------------------------
-# clock reconciliation property
-# ---------------------------------------------------------------------------
-
-_offset = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-_err = st.floats(min_value=-1e-4, max_value=1e-4, allow_nan=False)
-_gap = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(offset0=_offset, offset1=_offset, err0=_err, err1=_err,
-       flight=_gap, wait=_gap, cost=_gap)
-def test_offset_reconciled_components_telescope(offset0, offset1, err0, err1,
-                                                flight, wait, cost):
-    """Sender and receiver stamp their parts on skewed clocks; after
-    reconciliation with offsets measured to within ``uncertainty``, the
-    identity is exact and the cross-clock components are within the
-    skew bound of truth."""
-    sent_true = 1.0
-    admit_true = sent_true + flight
-    start_true = admit_true + wait
-    finish_true = start_true + cost
-
-    merger = SpanMerger(ClockSync(
-        offsets={0: offset0 + err0, 1: offset1 + err1},
-        uncertainties={0: abs(err0), 1: abs(err1)},
-        pids={0: 11, 1: 12},
-    ))
-    merger.add_parts(0, [_part(1, sent=sent_true + offset0, transmits=1)])
-    merger.add_parts(1, [_part(
-        1, first_admit=admit_true + offset1, admitted=admit_true + offset1,
-        started=start_true + offset1, finished=finish_true + offset1,
-        wait=wait, exec=cost, attempts=1, node_id=1, outcome=EXECUTED,
-    )])
-    span = merger.build().spans[1]
-    skew = 2.0 * max(abs(err0), abs(err1))
-
-    # the identity telescopes exactly (components derive from the same
-    # reconciled instants) ...
-    residual = span.total - (span.network + span.recovery
-                             + span.wait + span.exec)
-    assert abs(residual) <= 1e-9
-    # ... and each reconciled instant lands within its clock's error
-    assert abs(span.sent - sent_true) <= skew + 1e-9
-    assert abs(span.finished - finish_true) <= skew + 1e-9
-    assert abs(span.network - flight) <= skew + 1e-9
+def _inverted_start(recorder: MpSpanRecorder, msg_id: int) -> None:
+    """Start message ``msg_id`` while a more urgent head waits."""
+    target = SimpleNamespace(job="job", stage="stage", index=0)
+    msg = SimpleNamespace(msg_id=msg_id, target=target, tuple_count=1,
+                          pc=SimpleNamespace(pri_global=2.0, deadline=3.0))
+    queue = SimpleNamespace(peek_best_priority=lambda: 1.0)
+    recorder.on_admit(msg, 0.0)
+    recorder.on_start(msg, SimpleNamespace(node_id=0), 0, 0.1, 0.1, 0.0,
+                      queue)
 
 
-def test_skew_bound_empty_and_adjust_nan():
-    sync = ClockSync({}, {}, {})
-    assert sync.skew_bound == 0.0
-    sync = ClockSync({0: 0.5}, {0: 1e-6}, {0: 1})
-    assert math.isnan(sync.adjust(0, _NAN))
-    assert sync.adjust(0, 1.5) == 1.0
-    assert sync.adjust(99, 2.0) == 2.0  # unknown node passes through
-    d = sync.as_dict()
-    assert d["skew_bound"] == 2e-6 and d["pids"] == {0: 1}
+def test_inversions_of_every_origin_reach_the_merged_trace():
+    """Each worker counts its own priority inversions; the merged trace
+    sums each origin's latest cumulative count."""
+    recorders = {0: MpSpanRecorder(None), 1: MpSpanRecorder(None)}
+    for msg_id in (1, 2):
+        _inverted_start(recorders[0], msg_id)
+    for msg_id in (3, 4, 5):
+        _inverted_start(recorders[1], msg_id)
+    merger = SpanMerger()
+    for origin, recorder in recorders.items():
+        merger.add(origin, *recorder.drain())
+    assert merger.build().inversions == 5
+    _inverted_start(recorders[0], 6)  # cumulative: the later drain supersedes
+    merger.add(0, *recorders[0].drain())
+    assert merger.build().inversions == 6

@@ -1,10 +1,10 @@
 """Null-collaborator residue guard, both backends.
 
 The observability plane's design rule: off means *absent*.  With
-``record_trace=False`` and telemetry off every :class:`NodeRuntime` and
-its transport hold ``None`` in their recorder slots and no sampler
-exists, so the hot path gains only dead ``is None`` branches; switched on,
-one recorder object is shared by every layer of a node.  An
+``record_trace=False`` every :class:`NodeRuntime` and its transport hold
+``None`` in their recorder slots and no sampler exists, so the hot path
+gains only dead ``is None`` branches; switched on, one recorder object is
+shared by every layer of a node.  An
 :class:`~repro.runtime.mp.worker.MpWorker` builds in-process without
 forking, so the mp half needs no worker processes.
 """
@@ -46,7 +46,6 @@ def test_untraced_runtime_holds_no_recorder_and_no_sampler(backend):
         # the channel protocol, not the hook slot (that holds the transport)
         assert isinstance(root._delivery, MpReliableDelivery)
         assert root._delivery._tracer is None
-        assert root._telemetry is None
         assert root._tm_interval is None
 
 
@@ -64,5 +63,4 @@ def test_traced_runtime_shares_one_recorder_and_samples(backend):
         assert root._sampler is not None
     else:
         assert root._delivery._tracer is recorder
-        assert root._telemetry == []  # telemetry follows record_trace
-        assert root._tm_interval == 0.025
+        assert root._tm_interval == 0.025  # the sampler follows record_trace

@@ -1,12 +1,11 @@
-"""The mp worker telemetry bus: wire format, log folding, export.
+"""Node samples on the mp backend: wire tuple, merge, export.
 
-Unit layer: the struct-packed frame payload round-trips every
-:class:`~repro.obs.spans.SchedSample` field (including the NaN
-head-priority sentinel), the coordinator-side
-:class:`~repro.obs.telemetry.TelemetryLog` sorts/exports
-deterministically, and the config knob validates.  Integration layer: a
-traced mp run (``record_trace=True`` runs the bus) yields per-node time
-series that are monotone in time and cumulative in
+Unit layer: a :class:`~repro.obs.spans.SchedSample` round-trips through
+its ``TRACE``-frame tuple (including the NaN head-priority sentinel), the
+coordinator's :class:`~repro.obs.merge.SpanMerger` sorts every worker's
+samples deterministically, and the config knob validates.  Integration
+layer: a traced mp run yields per-node time series in
+``engine.tracer.samples`` that are monotone in time and cumulative in
 ``messages_processed``, carrying the worker's real run-queue counters.
 """
 
@@ -18,9 +17,9 @@ import math
 import pytest
 
 from repro.experiments.common import TenantMix, run_tenant_mix
+from repro.obs.merge import SpanMerger
 from repro.obs.schema import validate_jsonl_trace
-from repro.obs.spans import SchedSample
-from repro.obs.telemetry import TelemetryLog, pack_samples, unpack_samples
+from repro.obs.spans import SchedSample, sample_to_tuple
 from repro.runtime.config import EngineConfig
 
 _NAN = float("nan")
@@ -32,10 +31,18 @@ def _sample(time=1.0, node_id=0, depth=3, head=0.25, busy=0.5, rtx=2,
                        state, windows, rtx, backlog, processed)
 
 
+def _per_node(samples) -> dict[int, list[SchedSample]]:
+    """node_id -> its samples, in the order given."""
+    series: dict[int, list[SchedSample]] = {}
+    for sample in samples:
+        series.setdefault(sample.node_id, []).append(sample)
+    return series
+
+
 class TestWireFormat:
     def test_pack_unpack_round_trip(self):
         samples = [_sample(), _sample(time=2.0, node_id=1, head=_NAN)]
-        out = unpack_samples(pack_samples(samples))
+        out = [SchedSample(*sample_to_tuple(s)) for s in samples]
         assert len(out) == 2
         for before, after in zip(samples, out):
             for name in SchedSample.__slots__:
@@ -44,15 +51,6 @@ class TestWireFormat:
                     assert math.isnan(b)
                 else:
                     assert a == b
-
-    def test_empty_payload(self):
-        assert pack_samples([]) == b""
-        assert unpack_samples(b"") == []
-
-    def test_partial_record_rejected(self):
-        payload = pack_samples([_sample()])
-        with pytest.raises(ValueError, match="whole number of records"):
-            unpack_samples(payload[:-1])
 
     def test_nan_head_priority_serializes_as_none(self):
         record = _sample(head=_NAN).as_dict()
@@ -63,31 +61,23 @@ class TestWireFormat:
 
 
 class TestTelemetryLog:
-    def _log(self):
-        log = TelemetryLog()
-        log.extend([_sample(time=2.0, node_id=1, processed=9)])
-        log.extend([_sample(time=1.0, node_id=0, processed=4),
-                    _sample(time=2.0, node_id=0, processed=8)])
-        return log
-
     def test_sorted_and_per_node(self):
-        log = self._log()
-        assert len(log) == 3
-        order = [(s.time, s.node_id) for s in log.sorted_samples()]
+        """Samples of two origins arrive out of order; the merged trace
+        holds them sorted by ``(time, node)``."""
+        merger = SpanMerger()
+        merger.add(1, [], [sample_to_tuple(_sample(time=2.0, node_id=1,
+                                                   processed=9))], 0)
+        merger.add(0, [], [sample_to_tuple(_sample(time=2.0, node_id=0,
+                                                   processed=8)),
+                           sample_to_tuple(_sample(time=1.0, node_id=0,
+                                                   processed=4))], 0)
+        samples = merger.build().samples
+        assert len(samples) == 3
+        order = [(s.time, s.node_id) for s in samples]
         assert order == [(1.0, 0), (2.0, 0), (2.0, 1)]
-        series = log.per_node()
+        series = _per_node(samples)
         assert sorted(series) == [0, 1]
         assert [s.messages_processed for s in series[0]] == [4, 8]
-
-    def test_as_dicts_is_sorted_export(self):
-        records = self._log().as_dicts()
-        assert [(r["time"], r["node"]) for r in records] == \
-            [(1.0, 0), (2.0, 0), (2.0, 1)]
-
-    def test_summary(self):
-        assert self._log().summary() == {
-            "telemetry_samples": 3, "telemetry_nodes": [0, 1],
-        }
 
 
 class TestConfigKnobs:
@@ -111,7 +101,8 @@ class TestJsonlExport:
 
 @pytest.fixture(scope="module")
 def telemetry_engine():
-    """A traced mp run: the telemetry bus runs exactly when tracing does."""
+    """A traced mp run: the workers sample themselves exactly when tracing
+    is on."""
     mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
                     tuples_per_msg=200)
     # a 20 s trace floods through in about a quarter second of wall time
@@ -133,19 +124,19 @@ def telemetry_engine():
 
 class TestMpRun:
     def test_bus_runs_with_record_trace(self, telemetry_engine):
-        """(An untraced run has no bus: see test_mp_trace.py's
+        """(An untraced run samples nothing: see test_mp_trace.py's
         ``test_untraced_run_leaves_no_obs_surface``.)"""
         engine = telemetry_engine
-        assert engine.tracer is not None and engine.clock is not None
-        assert len(engine.telemetry) > 0
-        assert engine.info["telemetry_samples"] == len(engine.telemetry)
-        assert len(engine.tracer.samples) == len(engine.telemetry)
+        assert engine.tracer is not None
+        assert len(engine.tracer.samples) > 0
+        assert engine.tracer.summary()["sched_samples"] == \
+            len(engine.tracer.samples)
 
     def test_every_node_reports_monotone_series(self, telemetry_engine):
-        series = telemetry_engine.telemetry.per_node()
+        series = _per_node(telemetry_engine.tracer.samples)
         assert sorted(series) == [0, 1]
         for node_id, samples in series.items():
-            assert len(samples) >= 3, f"node {node_id} starved the bus"
+            assert len(samples) >= 3, f"node {node_id} starved the sampler"
             times = [s.time for s in samples]
             assert times == sorted(times)
             processed = [s.messages_processed for s in samples]
@@ -157,13 +148,14 @@ class TestMpRun:
 
     def test_last_sample_carries_the_workers_real_counters(self, telemetry_engine):
         reports = telemetry_engine.info["reports"]
-        for node_id, samples in telemetry_engine.telemetry.per_node().items():
+        for node_id, samples in _per_node(
+                telemetry_engine.tracer.samples).items():
             last = samples[-1]  # the forced reading of the _report flush
             assert last.pops > 0 and last.pushes >= last.pops
             assert last.messages_processed == reports[node_id]["messages"]
 
     def test_cadence_roughly_matches_interval(self, telemetry_engine):
-        for samples in telemetry_engine.telemetry.per_node().values():
+        for samples in _per_node(telemetry_engine.tracer.samples).values():
             # drop the final forced reading (the _report flush samples once
             # more regardless of cadence so short runs still get a series)
             periodic = samples[:-1]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim.network import (
+    LINK_BYTES_PER_TUPLE,
+    LINK_FRAME_BYTES,
     BandwidthModel,
     ChannelTable,
     ConstantDelay,
@@ -132,35 +134,39 @@ class TestBandwidthModel:
         assert model.transfer_time(0.0, -1, 1, 100) == 0.0
 
     def test_remote_hop_pays_frame_plus_per_tuple_bytes(self):
-        model = BandwidthModel(capacity=1000.0, bytes_per_tuple=1.0,
-                               frame_bytes=100.0)
-        assert model.transfer_time(0.0, 0, 1, 400) == pytest.approx(0.5)
+        model = BandwidthModel(capacity=1000.0)
+        nbytes = LINK_FRAME_BYTES + LINK_BYTES_PER_TUPLE * 400
+        assert model.transfer_time(0.0, 0, 1, 400) == \
+            pytest.approx(nbytes / 1000.0)
 
     def test_uplinks_are_per_source_node(self):
-        model = BandwidthModel(capacity=1000.0, bytes_per_tuple=1.0,
-                               frame_bytes=0.0)
+        model = BandwidthModel(capacity=1000.0)
         model.transfer_time(0.0, 0, 1, 1000)  # saturates node 0's uplink
         # node 1's uplink is unaffected
-        assert model.transfer_time(0.0, 1, 0, 500) == pytest.approx(0.5)
+        nbytes = LINK_FRAME_BYTES + LINK_BYTES_PER_TUPLE * 500
+        assert model.transfer_time(0.0, 1, 0, 500) == \
+            pytest.approx(nbytes / 1000.0)
 
     def test_metrics_accumulate(self):
         class Hub:
             link_bytes_sent = 0.0
             link_transfer_seconds = 0.0
         hub = Hub()
-        model = BandwidthModel(capacity=1000.0, bytes_per_tuple=1.0,
-                               frame_bytes=0.0, metrics=hub)
+        model = BandwidthModel(capacity=1000.0, metrics=hub)
         model.transfer_time(0.0, 0, 1, 500)
-        assert hub.link_bytes_sent == pytest.approx(500.0)
-        assert hub.link_transfer_seconds == pytest.approx(0.5)
+        nbytes = LINK_FRAME_BYTES + LINK_BYTES_PER_TUPLE * 500
+        assert hub.link_bytes_sent == pytest.approx(nbytes)
+        assert hub.link_transfer_seconds == pytest.approx(nbytes / 1000.0)
 
     def test_report_lists_uplinks(self):
         model = BandwidthModel(capacity=1000.0)
         model.transfer_time(0.0, 2, 0, 10)
-        assert list(model.report()["uplinks"]) == [2]
+        report = model.report()
+        assert list(report["uplinks"]) == [2]
+        assert report["bytes_per_tuple"] == LINK_BYTES_PER_TUPLE
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            BandwidthModel(capacity=1000.0, bytes_per_tuple=0.0)
+            BandwidthModel(capacity=0.0)
         with pytest.raises(ValueError):
             BandwidthModel(capacity=1000.0, policy="wfq")
