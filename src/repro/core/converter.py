@@ -30,6 +30,7 @@ from typing import Optional
 from repro.core.context import PriorityContext, ReplyContext, ReplyState
 from repro.core.deadline import start_deadline
 from repro.core.policies import (
+    EarliestDeadlineFirstPolicy,
     LeastLaxityFirstPolicy,
     PriorityRequest,
     SchedulingPolicy,
@@ -136,6 +137,18 @@ class ContextConverter:
         if inherited is not None:
             pc.token_interval = inherited.token_interval
         return pc
+
+    def admission_priority(self, now: float, target_stage: str) -> float:
+        """The ``pri_global`` a batch sent to ``target_stage`` at ``now``
+        would carry under LLF (Eq. 3 with ``t_MF = now``; EDF drops
+        ``C_oM``), read without side effects: the progress map is not fed,
+        no window frontier extends it and the policy is not asked.  The mp
+        ingest gate compares it with the run queue before admitting."""
+        rc = self.reply_state.get(target_stage)
+        if rc is None:
+            return now + self.latency_constraint
+        c_m = 0.0 if type(self.policy) is EarliestDeadlineFirstPolicy else rc.c_m
+        return start_deadline(now, self.latency_constraint, c_m, rc.c_path)
 
     def _frontier(
         self, p: float, t: float, target_window: Optional[WindowSpec],

@@ -131,6 +131,11 @@ class RunQueue:
         """After the quantum: should the worker switch away from ``op``?"""
         raise NotImplementedError
 
+    def peek_best_priority(self) -> Optional[float]:
+        """Key of the operator :meth:`pop` would return next, or None when
+        nothing is queued or the queue orders by no key."""
+        raise NotImplementedError
+
     def discard(self, op: Any) -> None:
         """Forget a queued operator (lifecycle migration): after this call
         the queue must never hand ``op`` to a worker, however many entries

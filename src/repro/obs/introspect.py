@@ -46,12 +46,8 @@ def sample(node, now: float, elapsed: float, ops, busy_seen: dict,
     worker slot), updated here for the next reading's utilization delta."""
     run_queue = node.run_queue
     depth = run_queue.pending_operator_count()
-    peek = getattr(run_queue, "peek_best_priority", None)
-    head = _NAN
-    if peek is not None:
-        best = peek()
-        if best is not None:
-            head = best
+    best = run_queue.peek_best_priority()
+    head = _NAN if best is None else best
     node_id = node.node_id
     busy = active = executed = 0
     busy_delta = 0.0

@@ -106,13 +106,11 @@ class TraceRecorder:
         span.node_id = op_rt.node_id
         span.worker = worker_id
         self.start_order.append(span)
-        if run_queue is not None:
-            peek = getattr(run_queue, "peek_best_priority", None)
-            pc = msg.pc
-            if peek is not None and pc is not None:
-                best = peek()
-                if best is not None and best < pc.pri_global:
-                    self.inversions += 1
+        pc = msg.pc
+        if run_queue is not None and pc is not None:
+            best = run_queue.peek_best_priority()
+            if best is not None and best < pc.pri_global:
+                self.inversions += 1
 
     def on_execute_end(self, msg, now: float, cost: float,
                        final: bool = True) -> None:

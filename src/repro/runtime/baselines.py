@@ -52,6 +52,9 @@ class FifoRunQueue(RunQueue):
     def should_swap(self, op: Any) -> bool:
         return len(self._queue) > 0
 
+    def peek_best_priority(self) -> None:
+        return None  # arrival order: no key
+
     def discard(self, op: Any) -> None:
         if op.in_queue:
             op.in_queue = False
@@ -120,6 +123,9 @@ class OrleansRunQueue(RunQueue):
 
     def should_swap(self, op: Any) -> bool:
         return self.pending_operator_count() > 0
+
+    def peek_best_priority(self) -> None:
+        return None  # locality and arrival order: no key
 
     def discard(self, op: Any) -> None:
         if not op.in_queue:

@@ -91,7 +91,7 @@ from repro.runtime.mp.frames import (
     recv_frame,
     send_frame,
 )
-from repro.runtime.mp.ingest import sequence_trace, shard_by_owner
+from repro.runtime.mp.ingest import ingest_slack, sequence_trace, shard_by_owner
 from repro.runtime.mp.worker import worker_main
 from repro.runtime.placement import place_operators
 
@@ -225,7 +225,8 @@ class MpCoordinator:
                 peer_ends[j][i] = end_j
         # each worker inherits its trace shard, and the whole trace for a
         # fail-over, through fork (no pickling, copy-on-write pages)
-        shards = shard_by_owner(self._timed, self._source_owner, self._n)
+        shards = shard_by_owner(self._timed, self._source_owner, self._n,
+                                ingest_slack(config, self._jobs))
         # every pipe end worker i inherits but does not own — it must
         # close them on startup so a dead peer's ends actually reach
         # zero holders: reads see EOF and writes raise (see worker_main)

@@ -99,6 +99,14 @@ class ProcessTransport(Transport):
             msg.seq = seq
             self.deliver(route.src_rt, msg)
 
+    def admission_priority(self, src_key: tuple, now: float) -> float | None:
+        """The ``pri_global`` a batch of ``src_key`` admitted at ``now``
+        would carry (None without contexts), computed without building it."""
+        converter = self._client_converters.get(src_key)
+        if converter is None:
+            return None
+        return converter.admission_priority(now, self._sources[src_key].stage_name)
+
     def _ingest_route(self, key: tuple) -> IngestRoute:
         """The route of the client ``key``, without a wire: the source is
         in this process, and the channel protocol covers only pipes."""

@@ -11,20 +11,30 @@ worker supplies the three things a backend owns — the clock
 _execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
 ProcessTransport`).  Around it runs the pipe loop, one selector over
 every pipe end the worker owns.  Each turn pumps the local ingest (its
-shard, plus any source a fail-over handed it), runs **one quantum** —
-the operator held from the last turn, unless the run queue now names a
-strictly more urgent one, else the best operator popped in the
-scheduler's order — and between quanta reads what the pipes hold,
-retransmits expired channels, flushes the outboxes (one binary ``DATA``
-frame per destination — the amortized batch) and heartbeats the
-coordinator.  An operator whose quantum ends with mail left is held
-(busy, not requeued) across the turn, so a long mailbox never keeps the
-loop from its pipes for more than a quantum.  With nothing to run, the
-loop blocks in the selector until a pipe is readable (or writable, while
-bytes wait on it) or the nearest timer is due: heartbeat, retransmit
-deadline, next ingest entry, node sample.  While a frame waits on a
-full peer pipe the loop starts no quantum but keeps reading and writing,
-so two workers flooding each other drain each other.
+shard, plus any source a fail-over handed it) unless the admission gate
+holds it, runs **one quantum** — the operator held from the last turn,
+unless the run queue now names a strictly more urgent one, else the
+best operator popped in the scheduler's order — and between quanta
+reads what the pipes hold, retransmits expired channels, flushes the
+outboxes (one binary ``DATA`` frame per destination — the amortized
+batch) and heartbeats the coordinator.  An operator whose quantum ends
+with mail left is held (busy, not requeued) across the turn, so a long
+mailbox never keeps the loop from its pipes for more than a quantum.
+With nothing to run, the loop blocks in the selector until a pipe is
+readable (or writable, while bytes wait on it) or the nearest timer is
+due: heartbeat, retransmit deadline, next ingest entry, node sample.
+While a frame waits on a full peer pipe the loop starts no quantum but
+keeps reading and writing, so two workers flooding each other drain
+each other.
+
+Admission gate: when the run queue orders by deadline (Cameo under LLF
+or EDF), ingest is admitted in that order too.  The driver releases the
+due entry with the earliest deadline, and the turn pumps only when the
+batch it would admit first is at least as urgent as everything runnable
+— the run queue's best key and the held operator's head.  Otherwise the
+quantum runs first; runnable work always drains, so the gate reopens.
+A pump still admits up to 256 entries.  The other schedulers pump every
+turn, in trace order.
 
 End of run: heartbeats carry the worker's idle flag and its
 mailbox-admission count.  A worker whose ingest is exhausted heartbeats
@@ -83,7 +93,7 @@ from repro.runtime.mp.frames import (
     send_frame,
 )
 from repro.runtime.lifecycle import apply_stage_rescale
-from repro.runtime.mp.ingest import IngestDriver
+from repro.runtime.mp.ingest import IngestDriver, ingest_slack
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
 from repro.runtime.node import NodeRuntime, make_run_queue
@@ -215,7 +225,12 @@ class MpWorker(NodeRuntime):
         self.transport.attach_pipes(self._peers)
         self._sleep_cost = config.mp_cost_mode == "sleep"
         self.spin_rate = 0.0
-        self._ingest = IngestDriver(shard or [], config.mp_realtime)
+        slack = ingest_slack(config, jobs)
+        self._ingest = IngestDriver(shard or {}, config.mp_realtime, slack)
+        #: ingest admission follows the run queue's deadline order (the
+        #: gate in :meth:`_admits_ingest`); the other schedulers keep
+        #: trace order and a pump every turn
+        self._gated = slack is not None
         #: the whole sequenced trace, read only to adopt a dead node's sources
         self._trace = trace
         #: coordinator-announced stage rescales awaiting a quiescent point
@@ -284,7 +299,8 @@ class MpWorker(NodeRuntime):
             # so each peer has at most one frame queued
             worked = False
             if not self._backlogged():
-                ingest.pump(now, transport.on_ingest)
+                if self._admits_ingest(now):
+                    ingest.pump(now, transport.on_ingest)
                 worked = self._dispatch_quantum()
             self._safe_flush()
             if self._stop:
@@ -494,6 +510,28 @@ class MpWorker(NodeRuntime):
         slot.quantum_start = self.sim.now
         self._run_op(slot, op_rt)
         return True
+
+    def _admits_ingest(self, now: float) -> bool:
+        """The admission gate: pump unless something runnable — the best
+        queued operator, or the held one while it has mail — is strictly
+        more urgent than the batch the pump would admit first.  Runnable
+        work always drains, so a closed gate opens again.  Always open
+        when the run queue does not order by deadline."""
+        if not self._gated:
+            return True
+        best = self.run_queue.peek_best_priority()
+        held = self.workers[0].current_op
+        if held is not None and len(held.mailbox) > 0:
+            head = held.mailbox.head_global_priority()
+            if best is None or head < best:
+                best = head
+        if best is None:
+            return True  # nothing runnable
+        src_key = self._ingest.peek(now)
+        if src_key is None:
+            return False  # nothing due
+        admitted = self.transport.admission_priority(src_key, now)
+        return admitted is None or best >= admitted
 
     def _quantum_expired(self, worker, op_rt) -> bool:
         """Hold ``op_rt`` (still busy, not requeued) and end the turn: the

@@ -149,6 +149,16 @@ class TestCameoRunQueue:
         current.mailbox.push(priced_message(0.0, 5.0))
         assert not queue.should_swap(current)
 
+    def test_peek_is_none_when_nothing_is_runnable(self):
+        queue = CameoRunQueue()
+        assert queue.peek_best_priority() is None
+        op = FakeOp(queue.create_mailbox())
+        op.mailbox.push(priced_message(0.0, 3.0))
+        queue.notify(op, now=0.0)
+        assert queue.peek_best_priority() == 3.0
+        assert queue.pop(0) is op
+        assert queue.peek_best_priority() is None
+
     def test_peek_matches_pop(self):
         queue = CameoRunQueue()
         for priority in (4.0, 2.0, 6.0):

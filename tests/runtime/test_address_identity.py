@@ -246,7 +246,7 @@ class TestSourceMessageParity:
         timed = self._entries()
         resume = {client_key("ls", "source", 1): 0, client_key("ba", "source", 1): 1}
         transport, sent = self._mp_transport()
-        ingest = IngestDriver([], realtime=False)
+        ingest = IngestDriver({}, realtime=False)
         ingest.adopt(timed, resume)
         while ingest.pump(self.AT, lambda entries: self._admit(transport, entries)):
             pass

@@ -64,6 +64,24 @@ class TestFifoRunQueue:
         assert queue.pop(0) is op
 
 
+class TestPeekBestPriority:
+    """Neither baseline orders by a key: the admission gate of the mp
+    worker asks every run queue, and these answer None, queued or not."""
+
+    def test_fifo_has_no_key(self):
+        queue = FifoRunQueue()
+        assert queue.peek_best_priority() is None
+        queue.notify(make_op(queue), now=0.0)
+        assert queue.peek_best_priority() is None
+
+    def test_orleans_has_no_key(self):
+        queue = OrleansRunQueue(worker_count=2)
+        assert queue.peek_best_priority() is None
+        queue.notify(make_op(queue), now=0.0, worker_hint=1)
+        queue.notify(make_op(queue), now=0.0)
+        assert queue.peek_best_priority() is None
+
+
 class TestOrleansRunQueue:
     def test_local_preferred_over_global(self):
         queue = OrleansRunQueue(worker_count=2)

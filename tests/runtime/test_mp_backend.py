@@ -37,17 +37,19 @@ from __future__ import annotations
 
 import resource
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.context import ReplyContext
 from repro.dataflow.operators import OpAddress
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.runtime.config import HEARTBEAT_INTERVAL, EngineConfig
 from repro.runtime.engine import StreamEngine, make_engine
 from repro.runtime.mp.coordinator import EndOfRun
 from repro.runtime.mp.engine import MpStreamEngine
-from repro.runtime.mp.ingest import sequence_trace
+from repro.runtime.mp.ingest import ingest_slack, sequence_trace, shard_by_owner
 from repro.runtime.mp.reliable import MpReliableDelivery
 from repro.runtime.mp.transport import ProcessTransport
 from repro.runtime.mp.worker import MpWorker
@@ -319,6 +321,117 @@ class TestOneQuantumPerTurn:
         assert queue.pending_operator_count() == 1
         assert worker._dispatch_quantum()
         assert slot.current_op is ba_source and len(ba_source.mailbox) == 18
+
+
+class _Mailbox:
+    """A mailbox stub: empty, or one message of global priority ``head``."""
+
+    def __init__(self, head: float | None = None):
+        self.head = head
+
+    def __len__(self) -> int:
+        return 0 if self.head is None else 1
+
+    def head_global_priority(self) -> float:
+        return self.head
+
+
+class TestIngestGate:
+    """``MpWorker._admits_ingest``: before a pump, the batch the pump would
+    admit first is compared with what is runnable — the run queue's best
+    key (stubbed here) and the held operator's head.  The worker is node 0
+    of two, in process; its shard holds one entry of each job's source."""
+
+    NOW = 5.0
+
+    def _worker(self, **overrides) -> MpWorker:
+        config = EngineConfig(backend="mp", nodes=2, workers_per_node=1,
+                              placement="round_robin", mp_realtime=False,
+                              seed=3, **overrides)
+        jobs = [make_bulk_analytics_job("ba", source_count=1, agg_parallelism=1),
+                make_latency_sensitive_job("ls", source_count=1, agg_parallelism=1)]
+        timed, _ = sequence_trace([
+            (0.0, client_key("ba", "source", 0), None, None, None, True),
+            (0.1, client_key("ls", "source", 0), None, None, None, True),
+        ])
+        shard = shard_by_owner(timed, lambda key: 0, 1,
+                               ingest_slack(config, jobs))[0]
+        return MpWorker(0, config, jobs, shard=shard)
+
+    def _runnable(self, worker: MpWorker, queued: float | None = None,
+                  held: float | None = None) -> None:
+        worker.run_queue = SimpleNamespace(peek_best_priority=lambda: queued)
+        worker.workers[0].current_op = SimpleNamespace(mailbox=_Mailbox(held))
+
+    def _admitted(self, worker: MpWorker, now: float = NOW) -> float:
+        """The LS batch goes first; its priority is Eq. 3 at ``now``."""
+        src_key = worker._ingest.peek(now)
+        assert src_key == client_key("ls", "source", 0)
+        admitted = worker.transport.admission_priority(src_key, now)
+        assert now < admitted <= now + 0.8
+        return admitted
+
+    def test_open_when_nothing_is_runnable(self):
+        worker = self._worker()
+        self._runnable(worker)
+        assert worker._admits_ingest(self.NOW)
+        worker.workers[0].current_op = None
+        assert worker._admits_ingest(self.NOW)
+
+    def test_closed_while_a_queued_operator_is_strictly_more_urgent(self):
+        worker = self._worker()
+        admitted = self._admitted(worker)
+        self._runnable(worker, queued=admitted - 1e-3)
+        assert not worker._admits_ingest(self.NOW)
+        self._runnable(worker, queued=admitted)  # as urgent: pump
+        assert worker._admits_ingest(self.NOW)
+        self._runnable(worker, queued=admitted + 1.0)
+        assert worker._admits_ingest(self.NOW)
+
+    def test_closed_while_the_held_operator_is_strictly_more_urgent(self):
+        worker = self._worker()
+        admitted = self._admitted(worker)
+        self._runnable(worker, held=admitted - 1e-3)
+        assert not worker._admits_ingest(self.NOW)
+        self._runnable(worker, queued=admitted + 1.0, held=admitted - 1e-3)
+        assert not worker._admits_ingest(self.NOW)
+        self._runnable(worker, held=admitted)
+        assert worker._admits_ingest(self.NOW)
+
+    @pytest.mark.parametrize("policy, cost", [("llf", 0.25), ("edf", 0.0)])
+    def test_the_estimate_is_the_policys_deadline(self, policy, cost):
+        """Eq. 3 from the source stage's latest reply (EDF drops C_oM)."""
+        worker = self._worker(policy=policy)
+        src_key = client_key("ls", "source", 0)
+        worker.transport._client_converters[src_key].process_reply(
+            "source", ReplyContext(c_m=0.25, c_path=0.125))
+        assert worker.transport.admission_priority(src_key, self.NOW) == (
+            self.NOW + 0.8 - cost - 0.125)
+
+    def test_closed_gate_still_runs_the_urgent_work(self):
+        """A real run queue: the gate holds the pump only while an operator
+        is runnable, and that operator runs in the same turn."""
+        worker = self._worker()
+        _ingest(worker, "ls", 1)
+        queue = worker.run_queue
+        now = worker.sim.now  # after the message's admission
+        assert queue.peek_best_priority() < self._admitted(worker, now)
+        assert not worker._admits_ingest(now)
+        assert worker._dispatch_quantum()
+        assert worker.workers[0].current_op is None
+        assert queue.peek_best_priority() is None
+        assert worker._admits_ingest(now)
+
+    @pytest.mark.parametrize("overrides", [
+        {"scheduler": "fifo"}, {"scheduler": "orleans"},
+        {"policy": "token", "policy_kwargs": {"rates": {"ls": 1.0, "ba": 1.0}}},
+    ], ids=["fifo", "orleans", "token"])
+    def test_always_open_without_a_deadline_order(self, overrides):
+        worker = self._worker(**overrides)
+        self._runnable(worker, queued=-1.0, held=-1.0)
+        assert worker._admits_ingest(self.NOW)
+        # and the shard replays in trace order
+        assert worker._ingest.peek(self.NOW) == client_key("ba", "source", 0)
 
 
 class TestEndOfRun:
