@@ -60,7 +60,6 @@ class Message:
         "msg_id",
         "enqueue_time",
         "seq",
-        "retries",
     )
 
     def __init__(
@@ -90,12 +89,10 @@ class Message:
         self.channel_index = channel_index
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.enqueue_time = enqueue_time
-        # reliable-delivery fields, assigned (not constructor args) to keep
+        # reliable-delivery field, assigned (not a constructor arg) to keep
         # the fault-free construction path unchanged: per-channel sequence
-        # number (-1 = not under reliable delivery) and execution retries
-        # consumed by injected operator exceptions
+        # number (-1 = not under reliable delivery)
         self.seq = -1
-        self.retries = 0
 
     # -- pickling ------------------------------------------------------
     # A bare ``__slots__`` class pickles only under protocol >= 2; the

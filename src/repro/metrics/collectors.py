@@ -57,8 +57,7 @@ class JobMetrics:
                      "output_values", "source_events")
     _MERGE_SUM = ("start_violations", "backpressure_events",
                   "messages_processed", "messages_shed", "tuples_shed",
-                  "operator_exceptions", "poison_dropped", "tuples_ingested",
-                  "tuples_processed", "late_tuples")
+                  "tuples_ingested", "tuples_processed", "late_tuples")
     _MERGE_MAX = ("max_source_mailbox",)
     _MERGE_BY_HAND = ("queueing", "execution")  # per-stage RunningStat.merge
     _NOT_MERGED = ("name", "group", "latency_constraint")  # identity
@@ -77,8 +76,6 @@ class JobMetrics:
         self.messages_processed = 0
         self.messages_shed = 0      # deadline-expired messages dropped unexecuted
         self.tuples_shed = 0        # event tuples carried by shed messages
-        self.operator_exceptions = 0  # injected execution failures (incl. retries)
-        self.poison_dropped = 0     # messages dropped after exhausting retries
         self.tuples_ingested = 0
         self.tuples_processed = 0  # tuples consumed at source operators
         self.late_tuples = 0  # dropped behind an emitted window (set at run end)
@@ -401,10 +398,6 @@ class MetricsHub:
             "messages_replayed_recovery": self.messages_replayed_recovery,
             "messages_shed": shed_messages,
             "tuples_shed": shed_tuples,
-            "operator_exceptions": sum(
-                j.operator_exceptions for j in self._jobs.values()
-            ),
-            "poison_dropped": sum(j.poison_dropped for j in self._jobs.values()),
             "partitions": {
                 "partitions_observed": self.partitions_observed,
                 "partition_heals": self.partition_heals,

@@ -2,8 +2,8 @@
 
 With tracing off the runtime layers hold ``None`` and skip every hook
 behind a single ``is not None`` test (the same dead-branch idiom the
-dispatch loop uses for ``faults`` / ``reliable`` / ``shed``), so the hot
-path stays allocation-lean and figure outputs stay bit-identical.  With
+dispatch loop uses for ``reliable`` / ``shed``), so the hot path stays
+allocation-lean and figure outputs stay bit-identical.  With
 it on they hold a :class:`TraceRecorder`, which allocates one
 :class:`~repro.obs.spans.MessageSpan` per message hop and appends
 scheduler samples.  It is **passive**: it never schedules events,
@@ -28,7 +28,6 @@ from repro.obs.spans import (
     LOST_CRASH,
     OUTPUT,
     PENDING,
-    POISON,
     SHED,
     MessageSpan,
     SchedSample,
@@ -93,6 +92,11 @@ class TraceRecorder:
         if span is not None:
             if span.first_admit != span.first_admit:  # NaN: first admission
                 span.first_admit = now
+            else:
+                # a replayed copy: the earlier attempt's queueing and
+                # execution already lie inside ``admitted - first_admit``
+                span.wait = 0.0
+                span.exec = 0.0
             span.admitted = now
 
     def on_start(self, msg, op_rt, worker_id: int, now: float,
@@ -112,18 +116,14 @@ class TraceRecorder:
             if best is not None and best < pc.pri_global:
                 self.inversions += 1
 
-    def on_execute_end(self, msg, now: float, cost: float,
-                       final: bool = True) -> None:
+    def on_execute_end(self, msg, now: float, cost: float) -> None:
         span = self.spans.get(msg.msg_id)
         if span is None:
             return
         span.exec += cost
         span.attempts += 1
         span.finished = now
-        if final:
-            span.outcome = EXECUTED
-        # non-final (injected-exception retry): the message re-enqueues at
-        # ``now``; the retry's wait/exec extend the same span
+        span.outcome = EXECUTED
 
     def on_output(self, msg, now: float, latency: float) -> None:
         span = self.spans.get(msg.msg_id)
@@ -141,15 +141,6 @@ class TraceRecorder:
         span.node_id = op_rt.node_id
         span.finished = now
         span.outcome = SHED
-
-    def on_poison(self, msg, now: float, cost: float) -> None:
-        span = self.spans.get(msg.msg_id)
-        if span is None:
-            return
-        span.exec += cost
-        span.attempts += 1
-        span.finished = now
-        span.outcome = POISON
 
     def on_reply(self, msg, now: float) -> None:
         span = self.spans.get(msg.msg_id)
@@ -196,7 +187,6 @@ class TraceRecorder:
             "executed": counts.get(EXECUTED, 0) + counts.get(OUTPUT, 0),
             "outputs": counts.get(OUTPUT, 0),
             "shed": counts.get(SHED, 0),
-            "poison": counts.get(POISON, 0),
             "lost_crash": counts.get(LOST_CRASH, 0),
             "pending": counts.get(PENDING, 0),
             "sched_samples": len(self.samples),
@@ -240,12 +230,10 @@ class MpSpanRecorder(TraceRecorder):
             super().on_send(msg, -1, _NAN)
         super().on_admit(msg, now)
 
-    def on_execute_end(self, msg, now: float, cost: float,
-                       final: bool = True) -> None:
+    def on_execute_end(self, msg, now: float, cost: float) -> None:
         # every started message has a span (on_admit stubs one if need be)
         now = self._clock.now
-        super().on_execute_end(msg, now, now - self.spans[msg.msg_id].started,
-                               final)
+        super().on_execute_end(msg, now, now - self.spans[msg.msg_id].started)
 
     def drain(self) -> tuple[list[tuple], list[tuple], int]:
         """One ``TRACE`` payload: the wire tuples of every span touched and
@@ -270,6 +258,6 @@ def _marking_dirty(hook):
 # recorder's hooks stay plain methods)
 for _name in ("on_send", "on_transmit", "on_retransmit", "on_admit",
               "on_start", "on_execute_end", "on_output", "on_shed",
-              "on_poison", "on_reply"):
+              "on_reply"):
     setattr(MpSpanRecorder, _name,
             _marking_dirty(getattr(MpSpanRecorder, _name)))

@@ -9,15 +9,15 @@ telescopes exactly::
 
     finished - sent =   (first_admit - sent)        # network (flight+backoff)
                       + (admitted - first_admit)    # recovery (crash replay)
-                      + wait                        # mailbox queueing (Σ attempts)
-                      + exec                        # execution (Σ attempts)
+                      + wait                        # mailbox queueing
+                      + exec                        # execution
 
-``wait`` and ``exec`` are *accumulators*: an injected operator exception
-re-enqueues the message at its failure instant, so the retry's mailbox
-wait and execution cost extend the same span and the identity above still
-holds.  ``admitted`` is the **last** admission instant — after a crash the
+``admitted`` is the **last** admission instant — after a crash the
 replayed copy re-enters the mailbox later than ``first_admit``, and the
-gap is exactly the time recovery cost this hop.
+gap is exactly the time recovery cost this hop.  ``wait`` and ``exec``
+are therefore those of the last admission: a re-admission resets them,
+since whatever the earlier attempt queued and executed lies inside the
+recovery gap.
 
 Spans are plain ``__slots__`` records: the tracer allocates one per hop
 only when tracing is enabled, so the fault-free / tracing-off hot path
@@ -35,7 +35,6 @@ PENDING = "pending"          # created, not yet finished
 EXECUTED = "executed"        # ran to completion at a non-sink operator
 OUTPUT = "output"            # ran at a sink and produced an output
 SHED = "shed"                # dropped unexecuted by the deadline shedder
-POISON = "poison"            # dropped after exhausting injected-fault retries
 LOST_CRASH = "lost_crash"    # died in a mailbox or in flight on a crashed node
 
 
@@ -68,13 +67,13 @@ class MessageSpan:
         self.admitted = _NAN
         self.started = _NAN
         self.finished = _NAN
-        self.wait = 0.0        # Σ mailbox waits over attempts
-        self.exec = 0.0        # Σ execution costs over attempts
+        self.wait = 0.0        # mailbox wait since the last admission
+        self.exec = 0.0        # execution cost since the last admission
         self.backoff = 0.0     # Σ retransmit-timer stalls (sender side)
         self.last_tx = sent    # last transmission attempt (reliable delivery)
         self.transmits = 0     # wire attempts (0 on the fire-and-forget path)
         self.retransmits = 0
-        self.attempts = 0      # execution attempts (injected-exception retries)
+        self.attempts = 0      # execution attempts (crash replays re-execute)
         self.node_id = -1
         self.worker = -1
         self.pri_global = _NAN

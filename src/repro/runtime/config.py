@@ -21,7 +21,7 @@ STATE_RECOVERY_MODES = ("none", "replay", "checkpoint")
 PARTITION_FAILOVER_MODES = ("quorum", "naive")
 LINK_POLICIES = ("fair", "edf")
 BACKENDS = ("sim", "mp")
-MP_COST_MODES = ("sleep", "spin", "none")
+MP_COST_MODES = ("sleep", "none")
 
 #: failure-detection cadence on both backends: a node silent for
 #: ``FAILURE_TIMEOUT`` is declared dead, so detection latency is bounded by
@@ -132,13 +132,8 @@ class EngineConfig:
         mp_cost_mode: how the mp backend realizes sampled execution costs
             in wall-clock time: ``"sleep"`` occupies the worker for the
             sampled duration (costs overlap across processes, so N workers
-            give ~N× throughput even on few cores), ``"spin"`` burns the
-            sampled duration as calibrated CPU work (a fixed iteration
-            count per second of cost, calibrated once per worker at
-            startup under full cluster concurrency — see
-            ``docs/architecture.md``), making scaling genuinely CPU-bound
-            on hosts with at least one core per worker, ``"none"`` skips
-            cost realization (pure runtime-overhead measurement).
+            give ~N× throughput even on few cores), ``"none"`` skips cost
+            realization (pure runtime-overhead measurement).
         mp_loss_rate: probability that the mp backend's receiver drops an
             incoming data entry before admission (simulated lossy network
             over the real pipes) — exercises the go-back-N retransmit

@@ -235,7 +235,7 @@ class ReceiverHalf:
         return self.pending.pop(nxt, None)
 
     def on_processed(self, seq: int) -> None:
-        """Final disposition of a message (executed, shed, or poison)."""
+        """Final disposition of a message (executed or shed)."""
         if seq != self.watermark + 1:
             self.processed.add(seq)
             return

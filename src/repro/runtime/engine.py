@@ -164,9 +164,8 @@ class StreamEngine:
         cost_rng = self.rng.stream("exec-cost")
         for node in self.nodes:
             node.bind(self.sim, self.metrics, self.profiler, cost_rng,
-                      config, self.transport, faults=self.fault_injector,
-                      reliable=self.reliable, shedder=shedder,
-                      tracer=self.tracer)
+                      config, self.transport, reliable=self.reliable,
+                      shedder=shedder, tracer=self.tracer)
         self.lifecycle = OperatorLifecycle(
             self.sim, self.nodes, self._ops, self.transport
         )

@@ -9,11 +9,6 @@ worker's :class:`~repro.metrics.collectors.MetricsHub`.
 Each worker inherits its shard of the sequenced trace — and the whole
 trace beside it — through fork and replays its sources locally, so the
 coordinator is **pure control plane**: no data flows through the parent.
-With ``mp_cost_mode="spin"`` a calibration barrier sits between READY
-and START: the coordinator broadcasts ``CALIBRATE`` once every worker is
-up, and starts the epoch only after every ``CAL_DONE`` — forcing the
-per-worker spin-rate measurements to overlap so they price in
-deployment-level CPU contention.
 
 Ingest durability: every trace entry carries a per-source sequence
 number, and the coordinator keeps the highest processed watermark the
@@ -76,8 +71,6 @@ from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import FAILURE_TIMEOUT
 from repro.runtime.mp.frames import (
-    CAL_DONE,
-    CALIBRATE,
     HB,
     PROBE,
     READY,
@@ -92,14 +85,8 @@ from repro.runtime.mp.frames import (
     send_frame,
 )
 from repro.runtime.mp.ingest import ingest_slack, sequence_trace, shard_by_owner
-from repro.runtime.mp.worker import worker_main
+from repro.runtime.mp.worker import conn_wait, worker_main
 from repro.runtime.placement import place_operators
-
-
-def conn_wait(selector, timeout: float) -> list:
-    """The coordinator loop's one blocking wait: ``(key, events)`` of every
-    pipe end or worker sentinel ready within ``timeout`` seconds."""
-    return selector.select(timeout)
 
 
 def _sort_outputs(job_metrics) -> None:
@@ -284,16 +271,6 @@ class MpCoordinator:
         for i in pipes:
             self._expect(i, READY)
 
-        # spin-mode calibration barrier: all workers measure their spin
-        # rate *concurrently* (see worker.calibrate_spin_rate), then START
-        spin_rates: dict[int, float] = {}
-        if config.mp_cost_mode == "spin":
-            for pipe in pipes.values():
-                send_frame(pipe, CALIBRATE)
-            for i in pipes:
-                node_id, rate = self._expect(i, CAL_DONE)
-                spin_rates[node_id] = rate
-
         epoch = time.monotonic()
         for pipe in pipes.values():
             send_frame(pipe, START, epoch)
@@ -394,7 +371,6 @@ class MpCoordinator:
             "resumed": self._resumed,
             "forced_stop": forced_stop,
             "cost_mode": config.mp_cost_mode,
-            "spin_rates": spin_rates,
             "reports": {node: stats for node, (_, stats) in reports.items()},
             "fifo_violations": sum(
                 stats["fifo_violations"] for _, stats in reports.values()

@@ -34,9 +34,6 @@ Control frame kinds
 kind       direction  payload
 =========  =========  ===================================================
 READY      w -> c     ``node_id`` — worker finished booting its topology
-CALIBRATE  c -> w     ``None`` — run the spin-cost calibration *now*
-                      (all workers calibrate concurrently; spin mode only)
-CAL_DONE   w -> c     ``(node_id, spin_rate)`` — calibration finished
 START      c -> w     ``epoch`` — the one wall-clock base every process
                       stamps against (CLOCK_MONOTONIC is system-wide)
 HB         w -> c     ``(node_id, idle, ingest_acks, admissions, probe)``
@@ -106,8 +103,6 @@ from repro.dataflow.messages import Message, MessageKind
 from repro.dataflow.operators import OpAddress
 
 READY = "ready"
-CALIBRATE = "cal"
-CAL_DONE = "cal_done"
 START = "start"
 HB = "hb"
 PROBE = "probe"
@@ -457,7 +452,6 @@ class DataCodec:
                 msg.msg_id = msg_id
                 msg.enqueue_time = _NAN
                 msg.seq = seq
-                msg.retries = 0
                 entries.append(("msg", msg))
             elif tag == _TAG_ACK:
                 _, sender_id, target_id, admitted, processed = _ACK.unpack_from(

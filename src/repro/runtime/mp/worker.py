@@ -43,19 +43,13 @@ with a heartbeat naming the probe (see the coordinator's "Termination").
 
 Execution cost realization (``mp_cost_mode``): ``"sleep"`` occupies the
 worker in wall-clock time (sleeps overlap across processes, so capacity
-scales with worker count even on few cores); ``"spin"`` burns the cost as
-CPU work — a *fixed iteration count* of ``cost * spin_rate``, where
-``spin_rate`` (iterations/second) is measured once at startup by
-:func:`calibrate_spin_rate` while the coordinator holds **all** workers
-in the calibration barrier, so the rate reflects deployment-level CPU
-contention; ``"none"`` skips realization (pure overhead measurement).
+scales with worker count even on few cores); ``"none"`` skips realization
+(pure overhead measurement).
 
 Determinism: every worker derives its RNG substreams from the run seed by
 name (``mp/exec-cost/<node>``, ``mp/loss/<node>``) through the same
 order-independent registry the sim backend uses, so cost samples and loss
 decisions are reproducible per node regardless of message interleaving.
-Spin calibration measures the host, not the seed — the *work amount* per
-message stays seed-stable, only its wall-clock duration is host-relative.
 """
 
 from __future__ import annotations
@@ -75,8 +69,6 @@ from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import HEARTBEAT_INTERVAL
 from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
 from repro.runtime.mp.frames import (
-    CAL_DONE,
-    CALIBRATE,
     DATA_MAGIC,
     HB,
     PROBE,
@@ -102,46 +94,12 @@ from repro.runtime.workers import Worker
 from repro.sim.network import ChannelTable, ConstantDelay
 from repro.sim.rng import RngRegistry
 
-#: calibration spins in chunks of this many iterations between clock reads
-_CAL_CHUNK = 50_000
-
-
 def conn_wait(selector, timeout: float) -> list:
-    """The pipe loop's one blocking wait: ``(key, events)`` of every end
-    ready within ``timeout`` seconds."""
+    """The one blocking wait of the worker's and the coordinator's loops:
+    ``(key, events)`` of every pipe end (or worker sentinel) ready within
+    ``timeout`` seconds.  Each module calls it through its own name, so a
+    wrapper can time the two loops apart."""
     return selector.select(timeout)
-
-
-def spin(iterations: int) -> int:
-    """Burn ``iterations`` of pure-Python CPU work (the spin kernel).
-
-    Deliberately allocation-free and branch-light so its per-iteration
-    cost is stable between the calibration loop and the hot path."""
-    acc = 0
-    while iterations > 0:
-        acc += iterations & 7
-        iterations -= 1
-    return acc
-
-
-def calibrate_spin_rate(measure: float = 0.6) -> float:
-    """Measure this process's spin throughput in iterations/second.
-
-    The rate is whatever the host grants *right now* — the coordinator
-    barriers every worker into calibrating concurrently, so on an
-    oversubscribed host each worker measures its contended share and the
-    fixed per-message iteration counts stay proportional to the sampled
-    costs under deployment-level contention; on a host with a core per
-    worker, calibration is uncontended and spin is honestly CPU-bound."""
-    spin(_CAL_CHUNK)  # warm the loop before timing
-    start = time.monotonic()
-    iterations = 0
-    while True:
-        spin(_CAL_CHUNK)
-        iterations += _CAL_CHUNK
-        elapsed = time.monotonic() - start
-        if elapsed >= measure:
-            return iterations / elapsed
 
 
 class WallClock:
@@ -224,7 +182,6 @@ class MpWorker(NodeRuntime):
         )
         self.transport.attach_pipes(self._peers)
         self._sleep_cost = config.mp_cost_mode == "sleep"
-        self.spin_rate = 0.0
         slack = ingest_slack(config, jobs)
         self._ingest = IngestDriver(shard or {}, config.mp_realtime, slack)
         #: ingest admission follows the run queue's deadline order (the
@@ -267,17 +224,10 @@ class MpWorker(NodeRuntime):
         clock = self.sim
         coord = self._coord
         send_frame(coord, READY, self._node_id)
-        while True:
-            kind, payload = recv_frame(coord)
-            if kind == CALIBRATE:
-                # every worker calibrates inside this barrier concurrently
-                self.spin_rate = calibrate_spin_rate()
-                send_frame(coord, CAL_DONE, (self._node_id, self.spin_rate))
-            elif kind == START:
-                clock.epoch = payload
-                break
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"expected CALIBRATE/START, got {kind}")
+        kind, payload = recv_frame(coord)
+        if kind != START:  # pragma: no cover - protocol guard
+            raise RuntimeError(f"expected START, got {kind}")
+        clock.epoch = payload
         selector = selectors.DefaultSelector()
         for pipe in (coord, *self._peers.values()):
             pipe.watch(selector)
@@ -472,7 +422,6 @@ class MpWorker(NodeRuntime):
         stats = {
             "busy_time": slot.busy_time,
             "messages": slot.messages_executed,
-            "spin_rate": self.spin_rate,
             "fifo_violations": self.transport.fifo_violations,
             "stage_rescales": self._stage_rescales,
             "keys_moved": self._keys_moved,
@@ -541,13 +490,10 @@ class MpWorker(NodeRuntime):
         return True
 
     def _execute(self, worker, op_rt, msg, now: float, cost: float) -> bool:
-        """Spend exactly the sampled ``cost`` in wall time (sleep, or a
-        fixed spin count); the message always completes inline."""
-        if cost > 0:
-            if self._sleep_cost:
-                time.sleep(cost)
-            elif self.spin_rate > 0.0:  # "spin" after calibration
-                spin(int(cost * self.spin_rate))
+        """Spend exactly the sampled ``cost`` in wall time (sleep, unless
+        costs are not realised); the message always completes inline."""
+        if cost > 0 and self._sleep_cost:
+            time.sleep(cost)
         return True
 
     def wake_idle_worker(self) -> None:

@@ -70,7 +70,6 @@ class NodeRuntime:
         "_capacity",
         "_record_timeline",
         "_record_completions",
-        "_faults",
         "_reliable",
         "_shedder",
         "_tracer",
@@ -90,12 +89,12 @@ class NodeRuntime:
         self._lifecycle = None
 
     def bind(self, sim, metrics, profiler, cost_rng, config, transport,
-             faults=None, reliable=None, shedder=None, tracer=None) -> None:
+             reliable=None, shedder=None, tracer=None) -> None:
         """Attach execution-time collaborators and hot-path config caches.
 
-        ``faults`` / ``reliable`` / ``shedder`` / ``tracer`` stay None on
-        fault-free runs with shedding and tracing off, keeping the dispatch
-        loop's extra branches dead."""
+        ``reliable`` / ``shedder`` / ``tracer`` stay None on fault-free
+        runs with shedding and tracing off, keeping the dispatch loop's
+        extra branches dead."""
         self.sim = sim
         self.metrics = metrics
         self._profiler = profiler
@@ -107,7 +106,6 @@ class NodeRuntime:
         self._capacity = config.source_mailbox_capacity
         self._record_timeline = config.record_schedule_timeline
         self._record_completions = config.record_completion_timeline
-        self._faults = faults
         self._reliable = reliable
         self._shedder = shedder
         self._tracer = tracer
@@ -368,27 +366,6 @@ class NodeRuntime:
         now = self.sim.now
         worker.busy_time += cost
         tracer = self._tracer
-        faults = self._faults
-        if faults is not None and faults.throws(op_rt.address):
-            # injected operator exception: the attempt consumed its worker
-            # time and produced nothing; retry by re-enqueue until the
-            # budget is exhausted, then drop as poison
-            job_metrics = op_rt.job_metrics
-            job_metrics.operator_exceptions += 1
-            msg.retries += 1
-            if msg.retries > faults.max_retries(op_rt.address):
-                job_metrics.poison_dropped += 1
-                if tracer is not None:
-                    tracer.on_poison(msg, now, cost)
-                if self._reliable is not None:
-                    self._reliable.on_processed(op_rt, msg)
-            else:
-                msg.enqueue_time = now
-                op_rt.mailbox.push(msg)
-                if tracer is not None:
-                    # the retry extends the same span (wait/exec accumulate)
-                    tracer.on_execute_end(msg, now, cost, final=False)
-            return
         worker.messages_executed += 1
         job_metrics = op_rt.job_metrics
         job_metrics.messages_processed += 1

@@ -250,7 +250,7 @@ class ReliableDelivery:
             self._send_ack(ch)
 
     def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
-        """Final disposition of a message (executed, shed, or poison)."""
+        """Final disposition of a message (executed or shed)."""
         ch = self._channels.get((msg.sender, op_rt.address))
         if ch is not None:
             ch.receiver.on_processed(msg.seq)

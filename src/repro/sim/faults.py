@@ -3,18 +3,18 @@
 Cameo's evaluation assumes a healthy cluster; this module is the missing
 adversary.  A :class:`FaultSchedule` describes *what goes wrong and when*
 — node crash/restart windows, per-channel message loss, transit delay
-spikes, operator exception injection, and network partitions (nodes
-alive yet mutually unreachable) — as plain data, independent of
-any engine instance.  The same schedule object can therefore be replayed
-against every scheduler under comparison, exactly like the workload
-itself (see :mod:`repro.sim.rng`: the fault stream is a named substream,
-so enabling faults never shifts the randomness any other component sees).
+spikes and network partitions (nodes alive yet mutually unreachable) —
+as plain data, independent of any engine instance.  The same schedule
+object can therefore be replayed against every scheduler under
+comparison, exactly like the workload itself (see :mod:`repro.sim.rng`:
+the fault stream is a named substream, so enabling faults never shifts
+the randomness any other component sees).
 
 A :class:`FaultInjector` binds a schedule to one run's clock and RNG
 stream and answers the runtime's point queries (*should this transmission
-drop? what is the transit inflation right now? does this execution
-throw?*).  All probabilistic draws happen injector-side in kernel event
-order, which keeps same-seed runs bit-identical.  An **empty schedule is
+drop? what is the transit inflation right now? is this link cut?*).  All
+probabilistic draws happen injector-side in kernel event order, which
+keeps same-seed runs bit-identical.  An **empty schedule is
 inert by construction**: the engine installs no fault machinery at all
 (`FaultSchedule().enabled is False`), so zero-fault runs are bit-identical
 to runs without a schedule.
@@ -27,7 +27,6 @@ pure fault *model* and has no runtime dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 INF = float("inf")
 
@@ -174,38 +173,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class OperatorExceptions:
-    """Executions of matching operators throw with probability ``rate``.
-
-    ``job``/``stage`` of ``None`` match everything.  A failed execution
-    consumes its worker time (the activation crashed mid-message), emits
-    nothing, and is re-enqueued for retry up to ``max_retries`` times
-    before being dropped as poison.
-    """
-
-    rate: float
-    job: Optional[str] = None
-    stage: Optional[str] = None
-    start: float = 0.0
-    end: float = INF
-    max_retries: int = 3
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"exception rate must be in [0, 1], got {self.rate}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        _check_window(self.start, self.end, "exception")
-
-    def applies(self, now: float, address) -> bool:
-        if not (self.start <= now < self.end) or self.rate == 0.0:
-            return False
-        if self.job is not None and address.job != self.job:
-            return False
-        return self.stage is None or address.stage == self.stage
-
-
-@dataclass(frozen=True)
 class FaultSchedule:
     """Everything that goes wrong during one run, as replayable data.
 
@@ -217,7 +184,6 @@ class FaultSchedule:
     crashes: tuple = ()
     losses: tuple = ()
     delay_spikes: tuple = ()
-    exceptions: tuple = ()
     partitions: tuple = ()
 
     def __post_init__(self):
@@ -225,7 +191,6 @@ class FaultSchedule:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "losses", tuple(self.losses))
         object.__setattr__(self, "delay_spikes", tuple(self.delay_spikes))
-        object.__setattr__(self, "exceptions", tuple(self.exceptions))
         object.__setattr__(self, "partitions", tuple(self.partitions))
         for crash in self.crashes:
             if not isinstance(crash, CrashWindow):
@@ -236,9 +201,6 @@ class FaultSchedule:
         for spike in self.delay_spikes:
             if not isinstance(spike, DelaySpike):
                 raise TypeError(f"expected DelaySpike, got {type(spike).__name__}")
-        for exc in self.exceptions:
-            if not isinstance(exc, OperatorExceptions):
-                raise TypeError(f"expected OperatorExceptions, got {type(exc).__name__}")
         for part in self.partitions:
             if not isinstance(part, Partition):
                 raise TypeError(f"expected Partition, got {type(part).__name__}")
@@ -255,11 +217,7 @@ class FaultSchedule:
     def enabled(self) -> bool:
         """True when the schedule injects anything at all."""
         return bool(self.crashes or self.losses or self.delay_spikes
-                    or self.exceptions or self.partitions)
-
-    @property
-    def has_crashes(self) -> bool:
-        return bool(self.crashes)
+                    or self.partitions)
 
     @property
     def has_partitions(self) -> bool:
@@ -284,12 +242,6 @@ class FaultSchedule:
                 {"start": s.start, "end": None if s.end == INF else s.end,
                  "factor": s.factor, "extra": s.extra}
                 for s in self.delay_spikes
-            ],
-            "exceptions": [
-                {"rate": e.rate, "job": e.job, "stage": e.stage,
-                 "start": e.start, "end": None if e.end == INF else e.end,
-                 "max_retries": e.max_retries}
-                for e in self.exceptions
             ],
             "partitions": [
                 {"start": p.start, "end": None if p.end == INF else p.end,
@@ -330,13 +282,12 @@ class FaultSchedule:
 class FaultInjector:
     """One run's binding of a :class:`FaultSchedule` to clock and RNG.
 
-    Point-query interface consumed by the transport, the reliable delivery
-    layer and the node dispatch loop.  Draws happen in kernel event order,
-    so a seeded run replays its fault pattern exactly.
+    Point-query interface consumed by the transport and the reliable
+    delivery layer.  Draws happen in kernel event order, so a seeded run
+    replays its fault pattern exactly.
     """
 
-    __slots__ = ("schedule", "_rng", "_clock", "loss_drops", "ack_drops",
-                 "exceptions_injected")
+    __slots__ = ("schedule", "_rng", "_clock", "loss_drops", "ack_drops")
 
     def __init__(self, schedule: FaultSchedule, rng, clock):
         self.schedule = schedule
@@ -346,8 +297,6 @@ class FaultInjector:
         self.loss_drops = 0
         #: acknowledgements dropped by the loss models
         self.ack_drops = 0
-        #: operator executions made to throw
-        self.exceptions_injected = 0
 
     # -- channel queries ----------------------------------------------------
 
@@ -355,7 +304,7 @@ class FaultInjector:
         """True when an active partition cuts the ``src -> dst`` link now.
 
         Pure point query — no RNG draw — so partition checks never shift
-        the loss/exception randomness, and an empty partition list is
+        the loss randomness, and an empty partition list is
         exactly as inert as no partition support at all.
         """
         now = self._clock()
@@ -396,27 +345,6 @@ class FaultInjector:
                 transit = transit * spike.factor + spike.extra
         return transit
 
-    # -- operator queries ---------------------------------------------------
-
-    def throws(self, address) -> bool:
-        """Draw whether the execution starting now at ``address`` throws."""
-        now = self._clock()
-        for exc in self.schedule.exceptions:
-            if exc.applies(now, address) and self._rng.random() < exc.rate:
-                self.exceptions_injected += 1
-                return True
-        return False
-
-    def max_retries(self, address) -> int:
-        """Retry budget for exceptions injected at ``address``."""
-        budget = 0
-        for exc in self.schedule.exceptions:
-            if (exc.job is None or exc.job == address.job) and (
-                exc.stage is None or exc.stage == address.stage
-            ):
-                budget = max(budget, exc.max_retries)
-        return budget
-
 
 @dataclass
 class FaultTimeline:
@@ -429,6 +357,3 @@ class FaultTimeline:
 
     def record(self, time: float, kind: str, detail: str) -> None:
         self.events.append((time, kind, detail))
-
-    def of_kind(self, kind: str) -> list:
-        return [e for e in self.events if e[1] == kind]

@@ -69,7 +69,6 @@ class TestPickleRoundTrip:
             enqueue_time=2.5,
         )
         msg.seq = 11
-        msg.retries = 1
         return msg
 
     def test_message_round_trip_every_protocol(self):
@@ -83,7 +82,6 @@ class TestPickleRoundTrip:
             assert clone.sender == msg.sender
             assert clone.kind is MessageKind.DATA
             assert clone.seq == 11
-            assert clone.retries == 1
             assert clone.channel_index == 4
             assert (clone.p, clone.t, clone.deps_arrival) == (msg.p, msg.t, msg.deps_arrival)
             assert clone.enqueue_time == msg.enqueue_time

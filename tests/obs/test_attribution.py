@@ -6,7 +6,9 @@ latency:
 * a hypothesis property test over *synthetic* chains — arbitrary hop
   counts, arbitrary (non-negative) waits/exec/flight/recovery gaps — so
   the algebra holds for every shape the runtime could produce, and
-* a real traced run under crashes + loss, checking every output chain.
+* a real traced run under crashes + loss, checking every output chain,
+  and runs under each state-recovery mode that re-executes a rolled-back
+  message, checking every re-executed span.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.obs.attribution import (
     decompose_chain,
     render_attribution,
 )
-from repro.obs.spans import SHED, MessageSpan
+from repro.obs.spans import EXECUTED, OUTPUT, SHED, MessageSpan
 from repro.sim.faults import ChannelLoss, CrashWindow, FaultSchedule
 
 _COMPONENTS = ("network", "recovery", "queueing", "execution")
@@ -115,6 +117,35 @@ def test_every_real_output_chain_telescopes(faulted_engine):
                             rel_tol=1e-9, abs_tol=1e-9)
         checked += 1
     assert checked == len(outputs)
+
+
+@pytest.mark.parametrize("state_recovery", ["checkpoint", "replay"])
+def test_re_executed_spans_telescope(state_recovery):
+    """A rolled-back message is admitted and executed again; the first
+    attempt lies inside ``recovery``, so ``wait``/``exec`` must be the
+    last admission's alone."""
+    reset_message_ids()
+    overrides = {
+        "record_trace": True,
+        "state_recovery": state_recovery,
+        "fault_schedule": FaultSchedule(
+            crashes=[CrashWindow(node=1, start=1.0, end=2.0)]),
+    }
+    if state_recovery == "checkpoint":
+        overrides["checkpoint_interval"] = 0.5
+    engine = run_tenant_mix(
+        "cameo", TenantMix(ls_count=1, ba_count=1), duration=4.0, nodes=3,
+        seed=11, config_overrides=overrides)
+    recorder = engine.tracer
+    re_executed = [
+        span for span in recorder.spans.values()
+        if span.outcome in (EXECUTED, OUTPUT) and span.attempts > 1
+    ]
+    assert re_executed, "the crash must roll back executed messages"
+    for span in re_executed:
+        assert span.admitted > span.first_admit
+        assert math.isclose(sum(span.components().values()), span.total,
+                            rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_attribution_report_structure(faulted_engine):

@@ -114,8 +114,8 @@ def test_summary_counts_are_consistent(traced_engine):
     assert summary["spans"] == len(recorder.spans)
     assert summary["outputs"] == len(recorder.outputs())
     assert summary["sched_samples"] == len(recorder.samples)
-    assert summary["executed"] + summary["shed"] + summary["poison"] + \
-        summary["lost_crash"] + summary["pending"] == summary["spans"]
+    assert summary["executed"] + summary["shed"] + summary["lost_crash"] + \
+        summary["pending"] == summary["spans"]
 
 
 def test_inversion_counter_only_via_priority_queues():

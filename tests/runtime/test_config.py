@@ -36,6 +36,7 @@ class TestValidation:
         ("starvation_aging", -0.1),
         ("backend", "threads"),
         ("mp_cost_mode", "burn"),
+        ("mp_cost_mode", "spin"),
         ("mp_loss_rate", 1.0),
         ("mp_wall_timeout", 0.0),
     ])

@@ -113,13 +113,13 @@ def _sim_aggregates(scheduler: str) -> dict:
 
 
 class TestSimParity:
-    """1-worker parity matrix: either cost mode must reproduce the sim
-    backend's completion aggregates exactly — how a sampled cost is
-    realized in wall time (sleep vs calibrated spin) may change wall-clock
-    timing, never the logical outcome."""
+    """1-worker parity matrix: with sampled costs realised as sleeps the
+    mp backend must reproduce the sim backend's completion aggregates
+    exactly — realising a cost in wall time may change wall-clock timing,
+    never the logical outcome (the flooded tests below pin ``"none"``)."""
 
     @pytest.mark.parametrize("scheduler", ("cameo", "orleans", "fifo"))
-    @pytest.mark.parametrize("cost_mode", ("sleep", "spin"))
+    @pytest.mark.parametrize("cost_mode", ("sleep",))
     def test_one_worker_matches_sim_aggregates(self, scheduler, cost_mode):
         mp = run_tenant_mix(
             scheduler, _small_mix(), duration=2.0, drain=1.0, nodes=1, seed=3,

@@ -178,7 +178,7 @@ class TestDataCodec:
         assert (msg.seq, msg.channel_index, msg.msg_id) == (7, 0, original.msg_id)
         assert (msg.p, msg.t, msg.deps_arrival) == (3.0, 0.5, 0.5)
         assert msg.kind is MessageKind.DATA
-        assert msg.rc is None and msg.retries == 0
+        assert msg.rc is None
         assert msg.pc.pri_local == 1.0 and msg.pc.pri_global == 2.0
         np.testing.assert_array_equal(
             msg.batch.logical_times, original.batch.logical_times

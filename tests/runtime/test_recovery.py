@@ -29,7 +29,6 @@ from repro.sim.faults import (
     DelaySpike,
     FaultInjector,
     FaultSchedule,
-    OperatorExceptions,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantDelay, FifoChannel
@@ -269,23 +268,6 @@ def test_deadline_shedding_drops_expired_work():
     assert engine.metrics.shed_totals()[0] >= shed
     # shed work still acks: nothing left stuck in retransmit buffers
     assert engine.reliable.unacked_total() == 0
-
-
-def test_operator_exception_injection_retries_then_poisons():
-    schedule = FaultSchedule(exceptions=[
-        OperatorExceptions(rate=1.0, job="ls0", stage="agg1",
-                           start=0.0, end=2.0, max_retries=2),
-    ])
-    engine = _faulted_engine(schedule, duration=3.0)
-    engine.run(until=6.0)
-    ls_job = engine.metrics.job("ls0")
-    assert ls_job.operator_exceptions > 0
-    # rate-1.0 faults exhaust the retry budget: poison messages are dropped
-    assert ls_job.poison_dropped > 0
-    # once the window closes, the job processes normally again
-    assert any(t > 2.0 for t in ls_job.output_times)
-    # the untargeted job never sees an exception
-    assert engine.metrics.job("ba0").operator_exceptions == 0
 
 
 def test_empty_schedule_installs_no_fault_machinery():
