@@ -25,7 +25,7 @@ from repro.dataflow.events import EventBatch
 from repro.dataflow.messages import Message
 from repro.dataflow.progress import ProgressTracker
 from repro.dataflow.windows import WindowSpec
-from repro.state.store import (  # noqa: F401  (compat re-exports)
+from repro.state.store import (
     AggregateStateStore,
     JoinStateStore,
     KeyedStateStore,
@@ -254,13 +254,18 @@ class FilterOperator(Operator):
         return [Emission(msg.batch.select(mask), self._safe_progress(msg), msg.t)]
 
 
-class WindowedAggregateOperator(Operator):
-    """Windowed aggregation (tumbling or sliding), optionally grouped by key.
+class WindowedOperator(Operator):
+    """A windowed operator (§4.1): buffers per-window state in a
+    :class:`KeyedStateStore`; when the frontier (minimum progress across
+    input channels) passes a window end, emits one result batch whose
+    logical time equals the window end — exactly the paper's ``p_MF``.
 
-    Buffers per-window accumulators in an :class:`AggregateStateStore`;
-    when the frontier (minimum progress across input channels) passes a
-    window end, emits one result batch whose logical time equals the
-    window end — exactly the paper's ``p_MF``.
+    Every windowed operator assigns rows to windows with one loop
+    (:meth:`_absorb`); a subclass supplies three hooks.  ``_group(keys,
+    values)`` reduces rows to a per-key partial, keys ascending;
+    ``_fold(window_end, partial, rows, arrival)`` adds a partial covering
+    ``rows`` rows to a window (created on first use); ``_result(state)``
+    gives a finished window's keys and values.
 
     ``self._windows`` aliases ``self.state_store.windows`` (one dict,
     shared by reference): the hot path keeps direct attribute access
@@ -268,16 +273,14 @@ class WindowedAggregateOperator(Operator):
     """
 
     is_windowed = True
+    #: rows are folded per key; when False every row folds under key 0
+    by_key = True
 
-    def __init__(self, address: OpAddress, window: WindowSpec, agg: str = "sum", by_key: bool = True):
+    def __init__(self, address: OpAddress, window: WindowSpec, store: KeyedStateStore):
         super().__init__(address)
-        if agg not in AGGREGATES:
-            raise ValueError(f"unknown aggregate {agg!r}; expected one of {AGGREGATES}")
         self.window = window
-        self.agg = agg
-        self.by_key = by_key
-        self.state_store = AggregateStateStore()
-        self._windows: dict[float, _WindowState] = self.state_store.windows
+        self.state_store = store
+        self._windows: dict = store.windows
         #: windows over each tuple (size / slide); above 1 they share panes
         self._replicas = window.window_count_containing()
         self.late_tuples = 0
@@ -290,63 +293,27 @@ class WindowedAggregateOperator(Operator):
     def _emitted_through(self, value: float) -> None:
         self.state_store.emitted_through = value
 
-    def on_message(self, msg: Message, now: float) -> list[Emission]:
-        self.invocations += 1
-        self._observe_progress(msg)
-        if msg.batch is not None and len(msg.batch) > 0:
-            self._absorb(msg.batch)
-        return self._emit_complete_windows()
+    @property
+    def pending_window_count(self) -> int:
+        return len(self._windows)
 
     def _absorb(self, batch: EventBatch) -> None:
-        """Assign the batch to its windows and accumulate it per key.
+        """Assign the batch's rows to their windows: group once, fold often.
 
         An event at logical time ``p`` falls into the windows ending at
         ``first_end(p) + k * slide`` for ``k`` in ``0..size/slide - 1``.
-        Sliding windows share one grouping per pane (:meth:`_absorb_panes`);
-        a tumbling window is its own pane and is grouped here.
+        A *pane* is the rows sharing a ``first_end``; every window over a
+        pane takes all of its rows, so the pane is grouped once and the
+        partial folded into each covering window.  A tumbling window is
+        the one-replica case: its own pane.  The loop is replica-outer,
+        pane-inner and a pane's rows keep their batch order, so each
+        replica creates its windows in ascending end order and a window
+        receives its panes in the order a regrouping of every replica
+        would add them: every float sum is bit-identical to it.  Only a
+        window that starts inside a pane (``size`` not a multiple of
+        ``slide``) groups rows of its own: those at or after its start.
         """
         keys = batch.keys if self.by_key else np.zeros(len(batch), dtype=np.int64)
-        if self._replicas > 1:
-            self._absorb_panes(batch, keys)
-            return
-        p, values, slide = batch.logical_times, batch.values, self.window.slide
-        # the end assignment is monotone in p, so its min/max come from p's
-        # min/max — the common one-window case needs no per-element array
-        if batch.times_sorted:
-            p_min, p_max = float(p[0]), float(p[-1])
-        else:
-            p_min, p_max = float(p.min()), float(p.max())
-        end = (math.floor(p_min / slide) + 1.0) * slide
-        if end == (math.floor(p_max / slide) + 1.0) * slide:
-            if end > self._emitted_through:
-                self._update_window(end, keys, values, batch.arrival_time)
-            else:
-                self.late_tuples += len(p)
-            return
-        ends = (np.floor(p / slide) + 1.0) * slide
-        mask = ends > self._emitted_through
-        kept = np.count_nonzero(mask)
-        self.late_tuples += len(p) - kept
-        if kept == 0:
-            return
-        if kept < len(p):
-            ends, keys, values = ends[mask], keys[mask], values[mask]
-        self._accumulate_groups(ends, keys, values, batch.arrival_time)
-
-    def _absorb_panes(self, batch: EventBatch, keys: np.ndarray) -> None:
-        """Sliding windows: group each tuple once, fold the result often.
-
-        A *pane* is the rows of one slide-wide interval — the rows sharing
-        a ``first_end``.  Every window over a pane takes all of its rows,
-        so the pane is reduced to per-key partials once (:meth:`_group`)
-        and the partials are folded into each covering window
-        (:meth:`_fold`).  The loop is replica-outer, pane-inner: a window
-        then receives its panes latest first, the order in which a
-        regrouping of every replica would add them, and every float sum is
-        bit-identical to that regrouping.  Only a window that starts inside
-        a pane (``size`` not a multiple of ``slide``) groups rows of its
-        own: those at or after its start.
-        """
         p, values = batch.logical_times, batch.values
         slide, size = self.window.slide, self.window.size
         p_min = batch.min_logical_time
@@ -379,10 +346,8 @@ class WindowedAggregateOperator(Operator):
                     if window_end <= emitted:
                         self.late_tuples += rows
                     elif rows:
-                        self._update_window(
-                            window_end, keys[lo:hi][inside], values[lo:hi][inside],
-                            arrival,
-                        )
+                        partial = self._group(keys[lo:hi][inside], values[lo:hi][inside])
+                        self._fold(window_end, partial, rows, arrival)
                 elif window_end <= emitted:
                     self.late_tuples += hi - lo
                 else:
@@ -390,23 +355,47 @@ class WindowedAggregateOperator(Operator):
                         partials[j] = self._group(keys[lo:hi], values[lo:hi])
                     self._fold(window_end, partials[j], hi - lo, arrival)
 
-    def _accumulate_groups(
-        self,
-        ends: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        arrival: float,
-    ) -> None:
-        # batches usually fall into one or two windows: split by unique end,
-        # then reduce per key within each window
-        for window_end in np.unique(ends):
-            mask = ends == window_end
-            self._update_window(float(window_end), keys[mask], values[mask], arrival)
+    def _emit_complete_windows(self) -> list[Emission]:
+        if self.progress is None:
+            return []
+        frontier = self.progress.frontier
+        ready = sorted(end for end in self._windows if end <= frontier)
+        outputs = []
+        for window_end in ready:
+            state = self._windows.pop(window_end)
+            keys, values = self._result(state)
+            batch = EventBatch(
+                [window_end - WINDOW_RESULT_EPS] * len(keys),
+                values,
+                keys,
+                arrival_time=state.max_arrival,
+                source_id=self.address.index,
+                times_sorted=True,  # constant logical times
+            )
+            outputs.append(Emission(batch, window_end, state.max_arrival))
+            self.triggers += 1
+            if window_end > self._emitted_through:
+                self._emitted_through = window_end
+        return outputs
 
-    def _update_window(
-        self, window_end: float, keys: np.ndarray, values: np.ndarray, arrival: float
-    ) -> None:
-        self._fold(window_end, self._group(keys, values), len(keys), arrival)
+
+class WindowedAggregateOperator(WindowedOperator):
+    """Windowed aggregation (tumbling or sliding), optionally grouped by
+    key: per-window accumulators in an :class:`AggregateStateStore`."""
+
+    def __init__(self, address: OpAddress, window: WindowSpec, agg: str = "sum", by_key: bool = True):
+        if agg not in AGGREGATES:
+            raise ValueError(f"unknown aggregate {agg!r}; expected one of {AGGREGATES}")
+        super().__init__(address, window, AggregateStateStore())
+        self.agg = agg
+        self.by_key = by_key
+
+    def on_message(self, msg: Message, now: float) -> list[Emission]:
+        self.invocations += 1
+        self._observe_progress(msg)
+        if msg.batch is not None and len(msg.batch) > 0:
+            self._absorb(msg.batch)
+        return self._emit_complete_windows()
 
     def _group(self, keys: np.ndarray, values: np.ndarray) -> tuple:
         """Reduce rows to per-key partials ``(keys, counts, sums)`` — plus
@@ -463,36 +452,12 @@ class WindowedAggregateOperator(Operator):
         if arrival > state.max_arrival:
             state.max_arrival = arrival
 
-    def _emit_complete_windows(self) -> list[Emission]:
-        if self.progress is None:
-            return []
-        frontier = self.progress.frontier
-        ready = sorted(end for end in self._windows if end <= frontier)
-        outputs = []
-        for window_end in ready:
-            state = self._windows.pop(window_end)
-            keys = sorted(state.accumulators)
-            values = [state.accumulators[k].result(self.agg) for k in keys]
-            batch = EventBatch(
-                [window_end - WINDOW_RESULT_EPS] * len(keys),
-                values,
-                keys,
-                arrival_time=state.max_arrival,
-                source_id=self.address.index,
-                times_sorted=True,  # constant logical times
-            )
-            outputs.append(Emission(batch, window_end, state.max_arrival))
-            self.triggers += 1
-            if window_end > self._emitted_through:
-                self._emitted_through = window_end
-        return outputs
-
-    @property
-    def pending_window_count(self) -> int:
-        return len(self._windows)
+    def _result(self, state: _WindowState) -> tuple[list, list]:
+        keys = sorted(state.accumulators)
+        return keys, [state.accumulators[k].result(self.agg) for k in keys]
 
 
-class WindowedJoinOperator(Operator):
+class WindowedJoinOperator(WindowedOperator):
     """Windowed equi-join of two input stages.
 
     Input channels are tagged left/right by the runtime via
@@ -501,24 +466,11 @@ class WindowedJoinOperator(Operator):
     with logical time = window end.
     """
 
-    is_windowed = True
-
     def __init__(self, address: OpAddress, window: WindowSpec):
-        super().__init__(address)
-        self.window = window
+        super().__init__(address, window, JoinStateStore())
         self._channel_sides: list[int] = []
-        self.state_store = JoinStateStore()
-        self._windows: dict[float, _JoinWindowState] = self.state_store.windows
-        self._replicas = window.window_count_containing()
-        self.late_tuples = 0
-
-    @property
-    def _emitted_through(self) -> float:
-        return self.state_store.emitted_through
-
-    @_emitted_through.setter
-    def _emitted_through(self, value: float) -> None:
-        self.state_store.emitted_through = value
+        #: side (0 left, 1 right) of the batch being absorbed
+        self._side = 0
 
     def set_channel_sides(self, sides: list[int]) -> None:
         """``sides[i]`` is 0 (left) or 1 (right) for input channel ``i``."""
@@ -532,78 +484,36 @@ class WindowedJoinOperator(Operator):
         if msg.batch is not None and len(msg.batch) > 0:
             if not self._channel_sides:
                 raise RuntimeError("join operator used before set_channel_sides()")
-            side = self._channel_sides[msg.channel_index]
-            self._absorb(msg.batch, side)
+            self._side = self._channel_sides[msg.channel_index]
+            self._absorb(msg.batch)
         return self._emit_complete_windows()
 
-    def _absorb(self, batch: EventBatch, side: int) -> None:
-        """Per window replica: cut the on-time rows into one contiguous run
-        per window end, then count each run's int64 keys into its table."""
-        p = batch.logical_times
-        slide, size = self.window.slide, self.window.size
-        first_end = (np.floor(p / slide) + 1.0) * slide
-        for k in range(self._replicas):
-            ends, keys = first_end + k * slide, batch.keys
-            in_window = p >= ends - size
-            mask = in_window & (ends > self._emitted_through)
-            kept = np.count_nonzero(mask)
-            self.late_tuples += np.count_nonzero(in_window) - kept
-            if kept == 0:
-                continue
-            if kept < len(p):
-                ends, keys = ends[mask], keys[mask]
-            if not batch.times_sorted:
-                order = np.argsort(ends, kind="stable")
-                ends, keys = ends[order], keys[order]
-            # ends are non-decreasing now: a window is a run of equal ends
-            starts = _run_starts(ends).tolist()
-            for lo, hi in zip(starts, starts[1:] + [kept]):
-                self._count_keys(
-                    float(ends[lo]), keys[lo:hi], side, batch.arrival_time
-                )
-
-    def _count_keys(
-        self, window_end: float, keys: np.ndarray, side: int, arrival: float
-    ) -> None:
-        state = self._windows.get(window_end)
-        if state is None:
-            state = self._windows[window_end] = _JoinWindowState()
-        table = state.left if side == 0 else state.right
+    def _group(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """Per-key row counts ``(keys, counts)`` as lists, keys ascending
+        (int64 keys throughout: a float detour would merge keys past
+        2**53)."""
         if _dense_keys(keys):
             per_key = np.bincount(keys)
             groups = per_key.nonzero()[0]
             counts = per_key[groups]
         else:
             groups, counts = np.unique(keys, return_counts=True)
-        for key, count in zip(groups.tolist(), counts.tolist()):
+        return groups.tolist(), counts.tolist()
+
+    def _fold(self, window_end: float, partial: tuple, rows: int, arrival: float) -> None:
+        """Add per-key counts to the absorbed side's table of the window."""
+        state = self._windows.get(window_end)
+        if state is None:
+            state = self._windows[window_end] = _JoinWindowState()
+        table = state.right if self._side else state.left
+        for key, count in zip(*partial):
             table[key] = table.get(key, 0) + count
         if arrival > state.max_arrival:
             state.max_arrival = arrival
 
-    def _emit_complete_windows(self) -> list[Emission]:
-        if self.progress is None:
-            return []
-        frontier = self.progress.frontier
-        ready = sorted(end for end in self._windows if end <= frontier)
-        outputs = []
-        for window_end in ready:
-            state = self._windows.pop(window_end)
-            keys = sorted(set(state.left) & set(state.right))
-            values = [float(state.left[k] * state.right[k]) for k in keys]
-            arrival = state.max_arrival
-            batch = EventBatch(
-                [window_end - WINDOW_RESULT_EPS] * len(keys),
-                values,
-                keys,
-                arrival_time=arrival,
-                source_id=self.address.index,
-                times_sorted=True,  # constant logical times
-            )
-            outputs.append(Emission(batch, window_end, arrival))
-            self.triggers += 1
-            if window_end > self._emitted_through:
-                self._emitted_through = window_end
-        return outputs
+    def _result(self, state: _JoinWindowState) -> tuple[list, list]:
+        keys = sorted(set(state.left) & set(state.right))
+        return keys, [float(state.left[k] * state.right[k]) for k in keys]
 
 
 class WindowedTopKOperator(WindowedAggregateOperator):

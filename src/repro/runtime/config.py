@@ -177,6 +177,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # range checks are negated: NaN fails every comparison, so fails them
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}; expected {SCHEDULERS}")
         if self.backend not in BACKENDS:
@@ -187,19 +188,19 @@ class EngineConfig:
             )
         if not 0.0 <= self.mp_loss_rate < 1.0:
             raise ValueError("mp loss rate must be within [0, 1)")
-        if self.mp_wall_timeout is not None and self.mp_wall_timeout <= 0:
+        if self.mp_wall_timeout is not None and not self.mp_wall_timeout > 0:
             raise ValueError("mp wall timeout must be positive")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected {POLICIES}")
         if self.nodes < 1 or self.workers_per_node < 1:
             raise ValueError("cluster must have at least one node and one worker")
-        if self.quantum < 0:
+        if not self.quantum >= 0:
             raise ValueError("quantum must be non-negative")
-        if self.profile_noise_sigma < 0:
+        if not self.profile_noise_sigma >= 0:
             raise ValueError("profile noise sigma must be non-negative")
-        if self.switch_cost < 0:
+        if not self.switch_cost >= 0:
             raise ValueError("switch cost must be non-negative")
-        if self.starvation_aging < 0:
+        if not self.starvation_aging >= 0:
             raise ValueError("starvation aging must be non-negative")
         if self.source_mailbox_capacity is not None and self.source_mailbox_capacity < 1:
             raise ValueError("source mailbox capacity must be >= 1")
@@ -214,25 +215,25 @@ class EngineConfig:
                     "state recovery requires a non-empty fault schedule "
                     "(fault-free runs install no recovery machinery)"
                 )
-            if self.state_recovery == "checkpoint" and self.checkpoint_interval <= 0:
+            if self.state_recovery == "checkpoint" and not self.checkpoint_interval > 0:
                 raise ValueError(
                     "checkpoint mode requires a positive checkpoint interval"
                 )
-        if self.checkpoint_interval < 0:
+        if not self.checkpoint_interval >= 0:
             raise ValueError("checkpoint interval must be non-negative")
         if self.partition_failover not in PARTITION_FAILOVER_MODES:
             raise ValueError(
                 f"unknown partition fail-over mode {self.partition_failover!r}; "
                 f"expected {PARTITION_FAILOVER_MODES}"
             )
-        if self.link_capacity is not None and self.link_capacity <= 0:
+        if self.link_capacity is not None and not self.link_capacity > 0:
             raise ValueError("link capacity must be positive")
         if self.link_policy not in LINK_POLICIES:
             raise ValueError(
                 f"unknown link policy {self.link_policy!r}; "
                 f"expected {LINK_POLICIES}"
             )
-        if self.trace_sample_interval <= 0:
+        if not self.trace_sample_interval > 0:
             raise ValueError("trace sample interval must be positive")
         if self.fault_schedule is not None:
             self.fault_schedule.validate_cluster(self.nodes)

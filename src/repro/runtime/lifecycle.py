@@ -44,9 +44,35 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.dataflow.jobs import JobSpec
 from repro.dataflow.operators import OpAddress
 from repro.runtime.topology import OperatorRuntime
 from repro.runtime.workers import Worker
+
+
+def check_stage_rescale(
+    jobs: dict[str, JobSpec], job_name: str, stage_name: str, parallelism: int
+) -> None:
+    """Raise unless ``parallelism`` active instances is a valid rescale of
+    the job's stage: a known job (``KeyError``), a known stage, a count in
+    ``1..`` its built parallelism, and a key-partitioned stage when more
+    than one instance is built (``ValueError``).  The mp backend checks
+    when the rescale is scheduled, before any worker sees it."""
+    if job_name not in jobs:
+        raise KeyError(f"unknown job {job_name!r}")
+    job = jobs[job_name]
+    try:
+        stage = job.graph.stage(stage_name)
+    except KeyError:
+        raise ValueError(f"unknown stage {job.name}/{stage_name}") from None
+    built = stage.parallelism
+    if not 1 <= parallelism <= built:
+        raise ValueError(
+            f"active count must be in 1..{built} (built parallelism), "
+            f"got {parallelism}"
+        )
+    if built > 1 and not stage.key_partitioned:
+        raise ValueError(f"stage {job.name}/{stage_name} is not key-partitioned")
 
 
 def apply_stage_rescale(
@@ -59,6 +85,8 @@ def apply_stage_rescale(
     :class:`~repro.runtime.topology.TopologyBuilder`, so routes, stores
     and progress trackers have identical shapes).  Returns the number of
     keys whose state moved."""
+    jobs = {address.job: op_rt.job for address, op_rt in ops.items()}
+    check_stage_rescale(jobs, job_name, stage_name, parallelism)
     instances = sorted(
         (
             op_rt
@@ -67,17 +95,7 @@ def apply_stage_rescale(
         ),
         key=lambda op_rt: op_rt.address.index,
     )
-    if not instances:
-        raise ValueError(f"unknown stage {job_name}/{stage_name}")
-    built = len(instances)
-    if not 1 <= parallelism <= built:
-        raise ValueError(
-            f"active count must be in 1..{built} (built parallelism), "
-            f"got {parallelism}"
-        )
     stage = instances[0].stage
-    if built > 1 and not stage.key_partitioned:
-        raise ValueError(f"stage {job_name}/{stage_name} is not key-partitioned")
     # 1. flip every upstream route into the stage to the new active count
     for op_rt in ops.values():
         for route in op_rt.routes:

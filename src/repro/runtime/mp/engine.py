@@ -37,6 +37,7 @@ import numpy as np
 from repro.dataflow.jobs import JobSpec
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import EngineConfig
+from repro.runtime.lifecycle import check_stage_rescale
 from repro.runtime.mp.coordinator import MpCoordinator
 from repro.runtime.topology import client_key
 from repro.sim.kernel import Simulator
@@ -114,8 +115,7 @@ class MpStreamEngine:
                 "stage rescale on the mp backend needs nodes=1 (state "
                 "moves within one process)"
             )
-        if job_name not in self.jobs:
-            raise KeyError(f"unknown job {job_name!r}")
+        check_stage_rescale(self.jobs, job_name, stage_name, parallelism)
         self._rescales.append((when, job_name, stage_name, parallelism))
 
     def run(self, until: float) -> None:

@@ -235,13 +235,18 @@ class TestWindowedAggregate:
         for pair in got:
             assert got[pair] == pytest.approx(expected[pair])
 
-    @pytest.mark.parametrize("agg", ["sum", "count", "mean", "max", "min"])
+    @pytest.mark.parametrize("agg", ["sum", "count", "mean", "max", "min", "join"])
     @pytest.mark.parametrize("branch", ["bincount", "sort"])
     def test_update_window_matches_accumulator_loop(self, agg, branch):
-        """The vectorised per-window fold against one ``_Accumulator.add``
-        per event, over two calls into the same window."""
+        """``_group`` then ``_fold`` into one window, over two calls,
+        against one ``_Accumulator.add`` per event.  ``join`` is the join's
+        per-key count against one count per event; its ``sort`` branch is
+        the ``np.unique`` grouping of keys the bincount cannot take."""
         rng = np.random.default_rng(1)
-        op = self.make(agg=agg)
+        if agg == "join":
+            op = WindowedJoinOperator(ADDR, WindowSpec.tumbling(10.0))
+        else:
+            op = self.make(agg=agg)
         reference = {}
         for call in range(2):
             n = 3000
@@ -249,12 +254,19 @@ class TestWindowedAggregate:
             if branch == "sort":
                 keys = keys * (2**40 + 1) - 2**44  # negative and > 2**20
             values = rng.normal(size=n)
-            op._update_window(10.0, keys, values, arrival=float(call))
+            partial = op._group(keys, values)
+            assert partial[0] == sorted(set(keys.tolist()))
+            op._fold(10.0, partial, n, arrival=float(call))
             for key, value in zip(keys.tolist(), values.tolist()):
                 reference.setdefault(key, _Accumulator()).add(value)
         state = op._windows[10.0]
-        assert state.tuple_count == 6000
         assert state.max_arrival == 1.0
+        if agg == "join":
+            # the join folds into the side it absorbs (left by default)
+            assert state.left == {key: a.count for key, a in reference.items()}
+            assert state.right == {}
+            return
+        assert state.tuple_count == 6000
         assert sorted(state.accumulators) == sorted(reference)
         for key, expected in reference.items():
             accumulator = state.accumulators[key]

@@ -1,5 +1,7 @@
 """Unit tests for EngineConfig validation and derived properties."""
 
+import math
+
 import pytest
 
 from repro.core.profiler import PROFILER_ALPHA
@@ -39,6 +41,11 @@ class TestValidation:
         ("mp_cost_mode", "spin"),
         ("mp_loss_rate", 1.0),
         ("mp_wall_timeout", 0.0),
+        *((field, math.nan) for field in (
+            "quantum", "profile_noise_sigma", "switch_cost", "starvation_aging",
+            "checkpoint_interval", "link_capacity", "trace_sample_interval",
+            "mp_wall_timeout",
+        )),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):

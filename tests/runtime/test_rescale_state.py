@@ -11,6 +11,8 @@ and pins the data loss that motivated the refactor.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.runtime.config import EngineConfig
@@ -103,16 +105,21 @@ class TestSimRescaleExactness:
         assert sum(lost.output_values) < sum(base.output_values)
 
     def test_rescale_validation(self):
-        engine = run_sim(seed=3)
-        lifecycle = engine.lifecycle
-        with pytest.raises(ValueError, match="unknown stage"):
-            lifecycle.rescale_stage("job", "nope", 1)
-        with pytest.raises(ValueError, match="active count"):
-            lifecycle.rescale_stage("job", "agg0", 0)
-        with pytest.raises(ValueError, match="active count"):
-            lifecycle.rescale_stage("job", "agg0", 3)
-        with pytest.raises(ValueError, match="not key-partitioned"):
-            lifecycle.rescale_stage("job", "source", 1)
+        assert_rescale_validation(run_sim(seed=3).lifecycle.rescale_stage)
+
+
+def assert_rescale_validation(rescale):
+    """``rescale(job, stage, parallelism)`` rejects the four invalid
+    rescales of the LS job (agg0 is key-partitioned x2, the source x2
+    round-robin) with the messages of ``check_stage_rescale``."""
+    with pytest.raises(ValueError, match="unknown stage"):
+        rescale("job", "nope", 1)
+    with pytest.raises(ValueError, match="active count"):
+        rescale("job", "agg0", 0)
+    with pytest.raises(ValueError, match="active count"):
+        rescale("job", "agg0", 3)
+    with pytest.raises(ValueError, match="not key-partitioned"):
+        rescale("job", "source", 1)
 
 
 def run_mp(rescale=False, duration=4.0):
@@ -150,3 +157,13 @@ class TestMpRescaleParity:
         )
         with pytest.raises(ValueError, match="nodes=1"):
             engine.rescale_stage_at(1.0, "job", "agg0", 1)
+
+    def test_rescale_validation(self):
+        """Invalid rescales fail when scheduled, not in the worker at the
+        rescale instant (where they would kill the only worker)."""
+        job = make_latency_sensitive_job("job", source_count=2)
+        engine = MpStreamEngine(
+            EngineConfig(backend="mp", nodes=1, workers_per_node=2, seed=1),
+            [job],
+        )
+        assert_rescale_validation(functools.partial(engine.rescale_stage_at, 1.0))
