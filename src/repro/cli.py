@@ -285,8 +285,8 @@ def trace_main(argv: list[str]) -> int:
     parser.add_argument("--backend", default="sim", choices=["sim", "mp"],
                         help="sim = discrete-event simulation (default); mp "
                              "= real worker processes with wall-clock spans "
-                             "merged across process boundaries (supports "
-                             "mix, fig08a and ext_faults)")
+                             "merged across process boundaries (a scenario "
+                             "mp cannot realise exits 2)")
     parser.add_argument("--shed", action="store_true",
                         help="enable deadline-aware load shedding")
     parser.add_argument("--sample-interval", type=float, default=0.05,
@@ -297,14 +297,6 @@ def trace_main(argv: list[str]) -> int:
                         help="print the deadline-miss attribution table")
     parser.add_argument("--precision", type=int, default=3)
     args = parser.parse_args(argv)
-
-    if args.backend == "mp" and args.scenario in ("ext_checkpoint",
-                                                  "ext_partition"):
-        print(f"trace: scenario {args.scenario!r} has no mp realization "
-              "(checkpointed recovery and partitions are sim-only); "
-              "use mix, fig08a or ext_faults with --backend mp",
-              file=sys.stderr)
-        return 2
 
     overrides = {
         "record_trace": True,
@@ -317,7 +309,12 @@ def trace_main(argv: list[str]) -> int:
     # the Fig. 8a operating point: 4 LS + 4 BA tenants, BA driven hard
     mix = ({"ls_count": 4, "ba_count": 4, "ba_msg_rate": 20.0}
            if args.scenario == "fig08a" else {})
-    engine = _build(parser, args, mix, args.scenario, **overrides)
+    try:
+        engine = _build(parser, args, mix, args.scenario, **overrides)
+    except ValueError as exc:  # the config rejects what mp cannot realise
+        print(f"trace: scenario {args.scenario!r} on {args.backend}: {exc}",
+              file=sys.stderr)
+        return 2
     engine.run(until=args.duration + 5.0)
 
     directory = pathlib.Path(args.out)

@@ -13,7 +13,7 @@ from repro.dataflow.jobs import (
     GROUP_LATENCY_SENSITIVE,
     JobSpec,
 )
-from repro.dataflow.messages import Message, MessageKind, reset_message_ids
+from repro.dataflow.messages import Message, reset_message_ids
 from repro.dataflow.operators import (
     FilterOperator,
     MapOperator,
@@ -40,7 +40,6 @@ __all__ = [
     "JobSpec",
     "MapOperator",
     "Message",
-    "MessageKind",
     "OpAddress",
     "Operator",
     "ProgressTracker",

@@ -20,23 +20,15 @@ cheap to construct and small in memory.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.context import PriorityContext, ReplyContext
+    from repro.core.context import PriorityContext
     from repro.dataflow.events import EventBatch
 
 _message_ids = itertools.count()
 
 _NAN = float("nan")
-
-
-class MessageKind(Enum):
-    """DATA messages invoke operator logic; ACK messages carry reply contexts."""
-
-    DATA = "data"
-    ACK = "ack"
 
 
 class Message:
@@ -53,9 +45,7 @@ class Message:
         "t",
         "deps_arrival",
         "sender",
-        "kind",
         "pc",
-        "rc",
         "channel_index",
         "msg_id",
         "enqueue_time",
@@ -70,9 +60,7 @@ class Message:
         t: float = 0.0,
         deps_arrival: float = 0.0,
         sender: Any = None,
-        kind: MessageKind = MessageKind.DATA,
         pc: Optional["PriorityContext"] = None,
-        rc: Optional["ReplyContext"] = None,
         channel_index: int = 0,
         msg_id: Optional[int] = None,
         enqueue_time: float = _NAN,
@@ -83,9 +71,7 @@ class Message:
         self.t = t
         self.deps_arrival = deps_arrival
         self.sender = sender
-        self.kind = kind
         self.pc = pc
-        self.rc = rc
         self.channel_index = channel_index
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.enqueue_time = enqueue_time
@@ -115,12 +101,12 @@ class Message:
 
     @property
     def tuple_count(self) -> int:
-        """Number of event tuples carried (ACKs carry none)."""
+        """Number of event tuples carried (0 without a batch)."""
         return 0 if self.batch is None else len(self.batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Message(id={self.msg_id}, kind={self.kind.value}, target={self.target}, "
+            f"Message(id={self.msg_id}, target={self.target}, "
             f"p={self.p:.3f}, t={self.t:.3f}, n={self.tuple_count})"
         )
 

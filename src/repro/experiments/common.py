@@ -130,36 +130,18 @@ def build_tenant_mix(
 ) -> StreamEngine:
     """Build one multi-tenant configuration — config, jobs, source drivers
     (``drivers`` goes to :meth:`TenantMix.install_drivers`) — without
-    running it, for callers that must touch the engine first.
-
-    A ``fault_schedule`` override on ``backend="mp"`` is realised with *real*
-    faults: crash windows become hard SIGKILLs of the worker process at the
-    window start (the mp backend has no rejoin — kills are permanent,
-    strictly harsher than the sim's bounded outage) and channel loss becomes
-    ``mp_loss_rate`` (the receiver drops cross-pipe frames; go-back-N
-    retransmits).  Delay spikes have no mp analogue and are skipped."""
-    overrides = dict(config_overrides or {})
-    kills = ()
-    schedule = overrides.get("fault_schedule")
-    if overrides.get("backend") == "mp" and schedule is not None:
-        del overrides["fault_schedule"]
-        overrides["mp_loss_rate"] = max(
-            (entry.rate for entry in schedule.losses), default=0.0
-        )
-        kills = schedule.crashes
+    running it, for callers that must touch the engine first."""
     config = EngineConfig(
         scheduler=scheduler,
         nodes=nodes,
         workers_per_node=workers_per_node,
         seed=seed,
-        **overrides,
+        **(config_overrides or {}),
     )
     jobs = mix.build_jobs()
     # backend="mp" (via config_overrides) swaps in the process-backed engine;
     # the sim default goes through the same factory and stays bit-identical
     engine = make_engine(config, jobs)
-    for crash in kills:
-        engine.kill_at(crash.node, crash.start)
     mix.install_drivers(engine, jobs, duration, **drivers)
     return engine
 

@@ -37,11 +37,13 @@ workers on doomed messages, stretching tail latency and recovery; FIFO
 degrades (head-of-line blocking behind the replayed+backlogged coarse BA
 messages); Orleans collapses.
 
-``backend="mp"`` replays the same schedule against real worker processes:
-crash windows become hard SIGKILLs at the window start (permanent — the
-mp backend has no rejoin), channel loss becomes ``mp_loss_rate`` with
-go-back-N retransmission, and delay spikes are skipped (no mp analogue).
-Success/recovery metrics read identically off the merged hub.
+``backend="mp"`` runs the same schedule on real worker processes: each
+crash window SIGKILLs its worker at the window start (permanently — the
+mp backend has no rejoin, strictly harsher than the sim's bounded
+outage), each worker drops incoming cross-pipe data entries under the
+same loss windows and go-back-N retransmits them, and the delay spike is
+not realised.  Success/recovery metrics read identically off the merged
+hub.
 """
 
 from __future__ import annotations

@@ -25,15 +25,6 @@ class TimelinePoint:
     operator_index: int
     progress: float
 
-    # slots dataclasses only pickle under protocol >= 2 on Python 3.11;
-    # timeline points cross process boundaries when workers report their
-    # schedule timelines, so every protocol must work
-    def __getstate__(self) -> tuple:
-        return (self.time, self.job, self.stage, self.operator_index, self.progress)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.time, self.job, self.stage, self.operator_index, self.progress) = state
-
 
 def _fold(into, other) -> None:
     """Apply the ``_MERGE_EXTEND`` / ``_MERGE_SUM`` / ``_MERGE_MAX`` rules

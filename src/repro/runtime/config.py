@@ -63,13 +63,21 @@ class EngineConfig:
             source operator.  When full, further client messages wait in an
             order-preserving blocked queue (ingestion back-pressure) instead
             of growing the mailbox without bound.  None = unbounded.
-        fault_schedule: optional :class:`~repro.sim.faults.FaultSchedule`.
-            ``None`` or an empty schedule installs no fault machinery at
-            all, keeping fault-free runs bit-identical; a non-empty schedule
+        fault_schedule: optional :class:`~repro.sim.faults.FaultSchedule`,
+            the one way to inject a fault on either backend.  ``None`` or
+            an empty schedule installs no fault machinery at all, keeping
+            fault-free runs bit-identical; on sim a non-empty schedule
             enables reliable delivery (ack/retransmit), heartbeat failure
             detection and crash fail-over (see ``runtime/recovery.py``).
+            On mp a crash window SIGKILLs its node's worker at the window
+            start (permanently: no mp worker rejoins), a loss window drops
+            incoming cross-pipe data entries before the channel protocol
+            sees them (go-back-N recovers them), and delay spikes are not
+            realised; partitions, and crash windows that between them name
+            every node, are rejected.
         state_recovery: what happens to operator *state* on a crash
-            (requires a non-empty fault schedule; ``"none"`` otherwise).
+            (requires a non-empty fault schedule and the sim backend;
+            ``"none"`` otherwise).
             ``"none"`` keeps the legacy fail-over semantics — evacuated
             operators carry their in-memory state with them, bit-identical
             to earlier revisions.  ``"replay"`` models honest state loss:
@@ -134,10 +142,6 @@ class EngineConfig:
             sampled duration (costs overlap across processes, so N workers
             give ~N× throughput even on few cores), ``"none"`` skips cost
             realization (pure runtime-overhead measurement).
-        mp_loss_rate: probability that the mp backend's receiver drops an
-            incoming data entry before admission (simulated lossy network
-            over the real pipes) — exercises the go-back-N retransmit
-            path end to end.  0 disables loss.
         mp_realtime: pace the ingest replay on the wall clock (trace time
             = wall time), making wall-clock latencies comparable to the
             job latency constraints.  Off = replay as fast as the workers
@@ -171,7 +175,6 @@ class EngineConfig:
     shed_expired: bool = False
     backend: str = "sim"
     mp_cost_mode: str = "sleep"
-    mp_loss_rate: float = 0.0
     mp_realtime: bool = True
     mp_wall_timeout: Optional[float] = None
     seed: int = 0
@@ -186,8 +189,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown mp cost mode {self.mp_cost_mode!r}; expected {MP_COST_MODES}"
             )
-        if not 0.0 <= self.mp_loss_rate < 1.0:
-            raise ValueError("mp loss rate must be within [0, 1)")
         if self.mp_wall_timeout is not None and not self.mp_wall_timeout > 0:
             raise ValueError("mp wall timeout must be positive")
         if self.policy not in POLICIES:
@@ -237,6 +238,28 @@ class EngineConfig:
             raise ValueError("trace sample interval must be positive")
         if self.fault_schedule is not None:
             self.fault_schedule.validate_cluster(self.nodes)
+        if self.backend == "mp":
+            self._check_mp_faults()
+
+    def _check_mp_faults(self) -> None:
+        """Reject what the process backend cannot realise: it has no
+        network fabric to cut, no state recovery, and its kills are
+        permanent."""
+        schedule = self.fault_schedule
+        if schedule is not None and schedule.partitions:
+            raise ValueError(
+                "partitions have no mp realization (worker pipes cannot be cut)"
+            )
+        if self.state_recovery != "none":
+            raise ValueError(
+                f"state recovery {self.state_recovery!r} has no mp realization "
+                "(mp fail-over rebuilds moved operators from scratch)"
+            )
+        if schedule is not None and len({c.node for c in schedule.crashes}) >= self.nodes:
+            raise ValueError(
+                "crash windows kill every node, which has no mp realization "
+                "(mp kills are permanent, so one node must never crash)"
+            )
 
     @property
     def contexts_enabled(self) -> bool:

@@ -42,12 +42,7 @@ from repro.runtime.recovery import (
     RecoveryManager,
     ReliableDelivery,
 )
-from repro.runtime.topology import (  # noqa: F401  (compat re-exports)
-    OperatorRuntime,
-    Route,
-    TopologyBuilder,
-    WiringPlan,
-)
+from repro.runtime.topology import OperatorRuntime, TopologyBuilder, WiringPlan
 from repro.runtime.transport import Transport
 from repro.runtime.workers import Worker
 from repro.sim.faults import FaultInjector, FaultTimeline

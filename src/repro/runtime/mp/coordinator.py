@@ -10,6 +10,11 @@ Each worker inherits its shard of the sequenced trace — and the whole
 trace beside it — through fork and replays its sources locally, so the
 coordinator is **pure control plane**: no data flows through the parent.
 
+Crashes are the config's ``fault_schedule``: the coordinator SIGKILLs
+each crash window's node at the window's start, and the worker stays dead
+(the mp backend has no rejoin; channel loss is the workers' own, see
+:mod:`repro.runtime.mp.transport`).
+
 Ingest durability: every trace entry carries a per-source sequence
 number, and the coordinator keeps the highest processed watermark the
 owners' heartbeats report per source.  When a worker dies, the dead
@@ -159,13 +164,17 @@ class MpCoordinator:
     """Parent-process orchestration of one mp-backend run."""
 
     def __init__(self, config, jobs: list, policy, trace: list,
-                 kills: list | None = None, rescales: list | None = None,
-                 until: float = 0.0):
+                 rescales: list | None = None, until: float = 0.0):
         self._config = config
         self._jobs = jobs
         self._policy = policy
         self._trace = trace
-        self._kills = sorted(kills or [])
+        #: (when, node) of every worker kill, in time order: a node dies at
+        #: the start of its first crash window (no mp worker rejoins)
+        first: dict[int, float] = {}
+        for crash in config.fault_schedule.crashes if config.fault_schedule else ():
+            first[crash.node] = min(crash.start, first.get(crash.node, crash.start))
+        self.kills = sorted((when, node) for node, when in first.items())
         self._rescales = sorted(rescales or [])
         self._until = until
         self._n = config.nodes
@@ -288,7 +297,7 @@ class MpCoordinator:
         exited: set[int] = set()
         last_hb = {i: 0.0 for i in alive}
         end = EndOfRun()
-        kills = deque(self._kills)
+        kills = deque(self.kills)
         rescales = deque(self._rescales)
         crash_time: dict[int, float] = {}
         fault_log: list[tuple[int, float, float]] = []

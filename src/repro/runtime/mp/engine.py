@@ -67,7 +67,6 @@ class MpStreamEngine:
         self.process_map: dict | None = None
         self.fault_timeline = None
         self._trace: list[tuple] = []
-        self._kills: list[tuple[float, int]] = []
         self._rescales: list[tuple[float, str, str, int]] = []
         self._ran = False
 
@@ -92,12 +91,6 @@ class MpStreamEngine:
             None if keys is None else np.asarray(keys),
             sorted_times,
         ))
-
-    def kill_at(self, node_id: int, when: float) -> None:
-        """Schedule a hard kill of a worker process (fail-over tests)."""
-        if not 0 <= node_id < self.config.nodes:
-            raise ValueError(f"node {node_id} out of range")
-        self._kills.append((when, node_id))
 
     def rescale_stage_at(self, when: float, job_name: str, stage_name: str,
                          parallelism: int) -> None:
@@ -126,7 +119,7 @@ class MpStreamEngine:
         self.sim.run(until=until)
         coordinator = MpCoordinator(
             self.config, self._job_list, self._policy, self._trace,
-            kills=self._kills, rescales=self._rescales, until=until,
+            rescales=self._rescales, until=until,
         )
         self.metrics = coordinator.run()
         self.info = coordinator.info
@@ -136,11 +129,11 @@ class MpStreamEngine:
                 node: {"pid": pid, "name": f"worker {node} (pid {pid})"}
                 for node, pid in coordinator.pids.items()
             }
-        if self._kills:
+        if coordinator.kills:
             from repro.sim.faults import FaultTimeline
 
             timeline = FaultTimeline()
-            for when, node_id in sorted(self._kills):
+            for when, node_id in coordinator.kills:
                 timeline.record(when, "crash", f"node {node_id} killed")
             for node_id, crash, detect in self.metrics.failure_detections:
                 timeline.record(

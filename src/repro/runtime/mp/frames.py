@@ -22,8 +22,8 @@ encodings share a pipe and are discriminated by the body's first byte:
   stage-name strings) *interned per connection direction* so each address
   crosses the pipe once (a pickled ``DEF`` record) and is a 4-byte id
   ever after.  Pipes are FIFO, so a definition always precedes its uses;
-  entries that do not match the fast shape (a message carrying a reply
-  context, an exotic priority-context subclass) degrade to a per-entry
+  entries that do not match the fast shape (a message without a batch,
+  an exotic priority- or reply-context subclass) degrade to a per-entry
   pickle record inside the same frame — the fast path is an encoding
   choice, never a semantic constraint.
 
@@ -99,7 +99,7 @@ import numpy as np
 
 from repro.core.context import PriorityContext, ReplyContext
 from repro.dataflow.events import EventBatch
-from repro.dataflow.messages import Message, MessageKind
+from repro.dataflow.messages import Message
 from repro.dataflow.operators import OpAddress
 
 READY = "ready"
@@ -334,12 +334,7 @@ class DataCodec:
                 msg = entry[1]
                 batch = msg.batch
                 pc = msg.pc
-                if (
-                    msg.kind is not MessageKind.DATA
-                    or msg.rc is not None
-                    or batch is None
-                    or (pc is not None and type(pc) is not PriorityContext)
-                ):
+                if batch is None or (pc is not None and type(pc) is not PriorityContext):
                     self._raw(entry, parts)
                     continue
                 sender_id = intern(msg.sender, parts)
@@ -445,9 +440,7 @@ class DataCodec:
                 msg.t = t
                 msg.deps_arrival = deps_arrival
                 msg.sender = objs[sender_id]
-                msg.kind = MessageKind.DATA
                 msg.pc = pc
-                msg.rc = None
                 msg.channel_index = channel_index
                 msg.msg_id = msg_id
                 msg.enqueue_time = _NAN

@@ -17,10 +17,7 @@ flushes (:meth:`drain_acks`); fail-over re-keys channels when the
 coordinator announces a re-placement.  In-order admission is structural
 in the receiver half; the run-time check that it held end to end is the
 transport's admission audit (``ProcessTransport.fifo_violations``).
-
-Loss injection (``mp_loss_rate``) drops incoming data entries *before*
-the receiver half sees them — a lossy network over the real (reliable,
-FIFO) pipes, so tests can prove go-back-N across process boundaries.
+Loss injection happens in the transport, before :meth:`on_data`.
 """
 
 from __future__ import annotations
@@ -42,14 +39,12 @@ class MpReliableDelivery:
     """Both halves of every reliable channel one worker participates in."""
 
     def __init__(self, clock: Callable[[], float], rto: float, rto_cap: float,
-                 metrics, loss_rate: float = 0.0, loss_rng=None):
+                 metrics):
         check_rto(rto, rto_cap)
         self._clock = clock
         self._rto = rto
         self._rto_cap = rto_cap
         self._metrics = metrics
-        self._loss_rate = loss_rate
-        self._loss_rng = loss_rng
         self._senders: dict[tuple, SenderHalf] = {}
         self._receivers: dict[tuple, ReceiverHalf] = {}
         #: channels whose cumulative ack changed since the last drain
@@ -144,9 +139,6 @@ class MpReliableDelivery:
     def on_data(self, msg: Message) -> list[Message]:
         """One incoming data entry (after loss injection); returns the
         messages admitted *in order*."""
-        if self._loss_rate > 0 and self._loss_rng.random() < self._loss_rate:
-            self._metrics.messages_lost_network += 1
-            return []
         key = (msg.sender, msg.target)
         receiver = self._receivers.get(key)
         if receiver is None:

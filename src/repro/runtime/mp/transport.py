@@ -14,6 +14,12 @@ peer's :class:`~repro.runtime.mp.frames.PipeEnd` only once the previous
 one has left it, so at most one frame per peer waits on a full pipe; the
 worker loop writes it and holds dispatch until it has.
 
+Loss windows of the config's fault schedule act here, receiver-side: the
+worker's :class:`~repro.sim.faults.FaultInjector` draws each incoming
+``DATA`` entry's fate on the link from its sender's node before the
+channel protocol sees it.  Every pipe is a remote link, so a ``"local"``
+loss drops nothing, and in-process ingest is never lost.
+
 Ingestion entries carry a per-source sequence number and always arrive
 from the worker's own :class:`~repro.runtime.mp.ingest.IngestDriver`
 (after a fail-over, an adopted source starts past the watermark it
@@ -40,7 +46,7 @@ class ProcessTransport(Transport):
     """Routes messages for one worker process of the mp backend."""
 
     def __init__(self, node_id: int, clock, nodes: list, plan, metrics,
-                 profiler, config, delivery):
+                 profiler, config, delivery, faults=None):
         # no channel table, delay model or link builder: pipes carry what
         # leaves the process, and :meth:`rewire` re-places by node id
         super().__init__(clock, nodes, plan, None, None,
@@ -51,6 +57,8 @@ class ProcessTransport(Transport):
         #: its remote half is the :class:`MpReliableDelivery` beside it
         self._reliable = self
         self._delivery = delivery
+        #: the fault schedule's loss windows (a FaultInjector; None: no loss)
+        self._faults = faults
         #: node_id -> pending wire entries (flushed as one frame each)
         self._outboxes: dict[int, list] = {}
         #: node_id -> PipeEnd of every live peer
@@ -147,9 +155,16 @@ class ProcessTransport(Transport):
     def on_entries(self, entries: list) -> None:
         """Handle one incoming ``DATA`` frame's entries."""
         reliable = self._delivery
+        faults = self._faults
         for entry in entries:
             tag = entry[0]
             if tag == "msg":
+                # loss injection: the entry's fate on the link from its
+                # sender's node, drawn before the receiver half sees it
+                if faults is not None and faults.drops_message(
+                        self._ops[entry[1].sender].node_id, self._node_id):
+                    self.metrics.messages_lost_network += 1
+                    continue
                 for msg in reliable.on_data(entry[1]):
                     self.deliver(self._ops[msg.target], msg)
             elif tag == "ack":

@@ -91,6 +91,7 @@ from repro.runtime.mp.transport import ProcessTransport
 from repro.runtime.node import NodeRuntime, make_run_queue
 from repro.runtime.topology import TopologyBuilder
 from repro.runtime.workers import Worker
+from repro.sim.faults import FaultInjector
 from repro.sim.network import ChannelTable, ConstantDelay
 from repro.sim.rng import RngRegistry
 
@@ -171,14 +172,19 @@ class MpWorker(NodeRuntime):
         for op_rt in self._ops.values():
             op_rt.job_metrics = metrics.job(op_rt.job.name)
 
-        loss_rng = rng.stream(f"mp/loss/{node_id}") if config.mp_loss_rate > 0 else None
         self._delivery = MpReliableDelivery(
-            clock.read, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP,
-            metrics, loss_rate=config.mp_loss_rate, loss_rng=loss_rng,
+            clock.read, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP, metrics,
         )
+        # the schedule's loss windows, on this worker's clock (None without
+        # loss: the receive path then asks nothing per entry)
+        schedule = config.fault_schedule
+        faults = None
+        if schedule is not None and schedule.losses:
+            faults = FaultInjector(schedule, rng.stream(f"mp/loss/{node_id}"),
+                                   clock.read)
         self.transport = ProcessTransport(
             node_id, clock, nodes, self._plan, metrics,
-            profiler, config, self._delivery,
+            profiler, config, self._delivery, faults,
         )
         self.transport.attach_pipes(self._peers)
         self._sleep_cost = config.mp_cost_mode == "sleep"

@@ -264,9 +264,7 @@ class NodeRuntime:
                     if self._reliable is not None:
                         self._reliable.on_processed(op_rt, msg)
                     if len(mailbox) == 0:
-                        op_rt.busy = False
-                        if op_rt.pending_migration is not None:
-                            self._lifecycle.finish_migration(op_rt)
+                        self._release(op_rt, worker, requeue=False)
                         return True
                     continue
             # the wait is measured exactly once and feeds both the per-stage
@@ -301,9 +299,7 @@ class NodeRuntime:
             # the clock stands at the completion instant: complete inline
             self._finish_message(worker, op_rt, msg, cost)
             if len(mailbox) == 0:
-                op_rt.busy = False
-                if op_rt.pending_migration is not None:
-                    self._lifecycle.finish_migration(op_rt)
+                self._release(op_rt, worker, requeue=False)
                 return True
             if (sim.now - worker.quantum_start >= quantum
                     and self._quantum_expired(worker, op_rt)):
@@ -335,9 +331,7 @@ class NodeRuntime:
             return
         self._finish_message(worker, op_rt, msg, cost)
         if len(op_rt.mailbox) == 0:
-            op_rt.busy = False
-            if op_rt.pending_migration is not None:
-                self._lifecycle.finish_migration(op_rt)
+            self._release(op_rt, worker, requeue=False)
             self._worker_next(worker)
             return
         if (self.sim.now - worker.quantum_start >= self._quantum

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.context import PriorityContext
 from repro.core.converter import ContextConverter
 from repro.dataflow.events import EventBatch
-from repro.dataflow.messages import Message, MessageKind
+from repro.dataflow.messages import Message
 from repro.dataflow.operators import Emission
 from repro.runtime.topology import OperatorRuntime, client_key
 from repro.runtime.workers import Worker
@@ -354,9 +354,7 @@ class Transport:
         """PREPAREREPLY: the RC ``op_rt`` acknowledges ``msg`` with, or None
         when the message earns no reply.  How the RC travels back is the
         backend's (a kernel event here, an outbox entry on mp)."""
-        if msg.kind is not MessageKind.DATA or msg.sender is None:
-            return None
-        if op_rt.converter is None:
+        if msg.sender is None or op_rt.converter is None:
             return None
         rc = op_rt.converter.prepare_reply(self._profiler.estimate(op_rt.address))
         rc.mailbox_size = len(op_rt.mailbox)

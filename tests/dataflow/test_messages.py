@@ -3,7 +3,7 @@
 import math
 
 from repro.dataflow.events import EventBatch
-from repro.dataflow.messages import Message, MessageKind, reset_message_ids
+from repro.dataflow.messages import Message, reset_message_ids
 
 
 class TestMessage:
@@ -19,9 +19,6 @@ class TestMessage:
     def test_tuple_count(self):
         assert Message(target="x").tuple_count == 0
         assert Message(target="x", batch=EventBatch([1.0, 2.0])).tuple_count == 2
-
-    def test_default_kind_is_data(self):
-        assert Message(target="x").kind is MessageKind.DATA
 
     def test_enqueue_time_starts_nan(self):
         assert math.isnan(Message(target="x").enqueue_time)
@@ -80,7 +77,6 @@ class TestPickleRoundTrip:
             assert clone.msg_id == msg.msg_id  # same message, not a new id
             assert clone.target == msg.target
             assert clone.sender == msg.sender
-            assert clone.kind is MessageKind.DATA
             assert clone.seq == 11
             assert clone.channel_index == 4
             assert (clone.p, clone.t, clone.deps_arrival) == (msg.p, msg.t, msg.deps_arrival)
@@ -110,16 +106,14 @@ class TestPickleRoundTrip:
             assert clone.source_id == batch.source_id
             assert clone.times_sorted is True
 
-    def test_contexts_and_timeline_point_round_trip(self):
+    def test_contexts_round_trip(self):
         import pickle
 
         from repro.core.context import PriorityContext, ReplyContext
-        from repro.metrics.collectors import TimelinePoint
 
         samples = [
             PriorityContext(msg_id=1, pri_local=2.0, pri_global=3.0),
             ReplyContext(c_m=0.1, c_path=0.2, queueing_delay=0.3, mailbox_size=4),
-            TimelinePoint(1.0, "job", "stage", 2, 3.0),
         ]
         for obj in samples:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

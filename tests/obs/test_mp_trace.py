@@ -30,6 +30,7 @@ from repro.obs.export import jsonl_events
 from repro.obs.merge import PART_FIELDS, SpanMerger
 from repro.obs.recorder import MpSpanRecorder
 from repro.obs.spans import EXECUTED, LOST_CRASH, PENDING, MessageSpan, span_to_part
+from repro.sim.faults import ChannelLoss, FaultSchedule
 
 _NAN = float("nan")
 
@@ -98,7 +99,7 @@ def traced_mp_engine():
             "mp_cost_mode": "none",
             "mp_realtime": False,
             "record_trace": True,
-            "mp_loss_rate": 0.2,
+            "fault_schedule": FaultSchedule(losses=[ChannelLoss(rate=0.2, scope="all")]),
         },
     )
 

@@ -13,6 +13,7 @@ from repro.runtime.config import (
     EngineConfig,
 )
 from repro.runtime.delivery import RETRANSMIT_BACKOFF_CAP, RETRANSMIT_TIMEOUT
+from repro.sim.faults import CrashWindow, FaultSchedule, Partition
 from repro.sim.network import (
     LINK_BYTES_PER_TUPLE,
     LOCAL_DELAY,
@@ -21,35 +22,59 @@ from repro.sim.network import (
 )
 
 
+INVALID_VALUES = [
+    ("scheduler", "spark"),
+    ("policy", "psychic"),
+    ("nodes", 0),
+    ("workers_per_node", 0),
+    ("quantum", -1.0),
+    ("profile_noise_sigma", -0.1),
+    ("switch_cost", -0.1),
+    ("starvation_aging", -0.1),
+    ("backend", "threads"),
+    ("mp_cost_mode", "burn"),
+    ("mp_cost_mode", "spin"),
+    ("mp_wall_timeout", 0.0),
+    *((field, math.nan) for field in (
+        "quantum", "profile_noise_sigma", "switch_cost", "starvation_aging",
+        "checkpoint_interval", "link_capacity", "trace_sample_interval",
+        "mp_wall_timeout",
+    )),
+]
+
+#: two-node sim configs the mp backend cannot realise
+MP_UNREALISABLE = {
+    "partition": {"nodes": 2, "fault_schedule": FaultSchedule(
+        partitions=[Partition(start=1.0, end=2.0, groups=((1,),))])},
+    "state_recovery": {"nodes": 2, "state_recovery": "replay",
+                       "fault_schedule": FaultSchedule(
+                           crashes=[CrashWindow(node=1, start=1.0, end=2.0)])},
+    # never both down on sim, both dead for good on mp
+    "every_node_killed": {"nodes": 2, "fault_schedule": FaultSchedule(crashes=[
+        CrashWindow(node=0, start=1.0, end=2.0), CrashWindow(node=1, start=3.0)])},
+}
+
+
 class TestValidation:
     def test_defaults_are_valid(self):
         config = EngineConfig()
         assert config.scheduler == "cameo"
         assert config.policy == "llf"
 
-    @pytest.mark.parametrize("field,value", [
-        ("scheduler", "spark"),
-        ("policy", "psychic"),
-        ("nodes", 0),
-        ("workers_per_node", 0),
-        ("quantum", -1.0),
-        ("profile_noise_sigma", -0.1),
-        ("switch_cost", -0.1),
-        ("starvation_aging", -0.1),
-        ("backend", "threads"),
-        ("mp_cost_mode", "burn"),
-        ("mp_cost_mode", "spin"),
-        ("mp_loss_rate", 1.0),
-        ("mp_wall_timeout", 0.0),
-        *((field, math.nan) for field in (
-            "quantum", "profile_noise_sigma", "switch_cost", "starvation_aging",
-            "checkpoint_interval", "link_capacity", "trace_sample_interval",
-            "mp_wall_timeout",
-        )),
+    @pytest.mark.parametrize("overrides", [
+        *(pytest.param({field: value}, id=f"{field}-{value}")
+          for field, value in INVALID_VALUES),
+        *(pytest.param({"backend": "mp", **overrides}, id=f"mp-{name}")
+          for name, overrides in MP_UNREALISABLE.items()),
     ])
-    def test_invalid_values_rejected(self, field, value):
+    def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
-            EngineConfig(**{field: value})
+            EngineConfig(**overrides)
+
+    @pytest.mark.parametrize("name", list(MP_UNREALISABLE))
+    def test_mp_rejections_are_valid_on_sim(self, name):
+        """The backend alone fails each ``mp-`` row above."""
+        EngineConfig(**MP_UNREALISABLE[name])
 
     def test_mp_knob_defaults(self):
         config = EngineConfig()

@@ -6,16 +6,19 @@ logical times and per-channel FIFO order — so the completion aggregates
 (messages per stage, sink outputs, ingested tuples) must match the sim
 backend exactly, for every scheduler.
 
-Reliability: with receiver-side loss injected over the real pipes, the
-go-back-N layer must retransmit until every message is admitted exactly
-once, in order (FIFO audit stays zero) — same aggregates as the loss-free
-sim run.  The audit itself is shown to be live: re-ordered admissions trip
-it.
+Reliability: with the fault schedule's loss windows injected on the
+receiving side of the real pipes, the go-back-N layer must retransmit
+until every message is admitted exactly once, in order (FIFO audit stays
+zero) — same aggregates as the loss-free sim run.  A loss window means
+what it means on sim: a ``"local"`` scope drops nothing (every pipe is a
+remote link), and a window that closes stops dropping.  The audit itself
+is shown to be live: re-ordered admissions trip it.
 
 Full pipes: two workers flooding each other with frames far larger than a
 socket buffer must drain each other and quiesce, not both block in a write.
 
-Fail-over: killing a worker process mid-run must be detected by heartbeat
+Fail-over: killing a worker process mid-run (a crash window of the fault
+schedule: its node is killed at the window start, for good) must be detected by heartbeat
 staleness, its operators reassigned to the survivors, each moved source
 resumed by its new owner past its processed watermark (twice over, when
 the new owner dies too), and the run must still quiesce cleanly with
@@ -56,6 +59,7 @@ from repro.runtime.mp.worker import MpWorker
 from repro.runtime.node import NodeRuntime
 from repro.runtime.topology import client_key
 from repro.runtime.transport import Transport
+from repro.sim.faults import ChannelLoss, CrashWindow, FaultSchedule
 from repro.workloads.tenants import (
     make_bulk_analytics_job,
     make_latency_sensitive_job,
@@ -193,19 +197,46 @@ class TestOneMessagePath:
         assert _aggregates(mp)["ba0"] == _sim_aggregates("cameo")["ba0"]
 
 
+def _lossy_mp(*losses):
+    """The small mix on two workers under a schedule of ``losses``."""
+    return run_tenant_mix(
+        "cameo", _small_mix(), duration=2.0, drain=1.0, nodes=2, seed=3,
+        config_overrides={"backend": "mp",
+                          "fault_schedule": FaultSchedule(losses=losses)},
+    )
+
+
 class TestLossyChannels:
     def test_go_back_n_recovers_under_loss(self):
         mix = _small_mix()
         sim = run_tenant_mix("cameo", mix, duration=2.0, drain=1.0, nodes=2, seed=3)
-        mp = run_tenant_mix(
-            "cameo", mix, duration=2.0, drain=1.0, nodes=2, seed=3,
-            config_overrides={"backend": "mp", "mp_loss_rate": 0.15},
-        )
+        mp = _lossy_mp(ChannelLoss(rate=0.15, scope="all"))
         assert mp.metrics.messages_lost_network > 0
         assert mp.metrics.retransmissions >= mp.metrics.messages_lost_network
         assert mp.info["fifo_violations"] == 0
         assert not mp.info["forced_stop"]
         # loss is fully masked: same completion aggregates as the clean sim
+        assert _aggregates(mp) == _aggregates(sim)
+
+    def test_local_loss_drops_nothing(self):
+        """Every pipe links two nodes, so a same-node loss has no link to
+        act on."""
+        mp = _lossy_mp(ChannelLoss(rate=0.5, scope="local"))
+        assert mp.metrics.messages_lost_network == 0
+        assert mp.metrics.retransmissions == 0
+        assert not mp.info["forced_stop"]
+
+    def test_loss_closes_with_its_window(self):
+        """Every remote entry of the first half second is lost; once the
+        window closes, go-back-N gets everything through and the run
+        quiesces with the clean sim's aggregates.  A window that never
+        closed would hold the run until its wall limit."""
+        mix = _small_mix()
+        sim = run_tenant_mix("cameo", mix, duration=2.0, drain=1.0, nodes=2, seed=3)
+        mp = _lossy_mp(ChannelLoss(rate=1.0, scope="remote", end=0.5))
+        assert mp.metrics.messages_lost_network > 0
+        assert mp.info["fifo_violations"] == 0
+        assert not mp.info["forced_stop"]
         assert _aggregates(mp) == _aggregates(sim)
 
 
@@ -514,12 +545,12 @@ class TestFailOver:
     def test_worker_crash_converges_on_survivor(self):
         mix = _small_mix()
         config = EngineConfig(
-            scheduler="cameo", nodes=2, workers_per_node=1, seed=3, backend="mp"
+            scheduler="cameo", nodes=2, workers_per_node=1, seed=3, backend="mp",
+            fault_schedule=FaultSchedule(crashes=[CrashWindow(node=1, start=1.5)]),
         )
         jobs = mix.build_jobs()
         engine = make_engine(config, jobs)
         mix.install_drivers(engine, jobs, 4.0)
-        engine.kill_at(1, 1.5)
         engine.run(until=5.0)
 
         assert engine.metrics.crashes == 1
@@ -550,12 +581,12 @@ class TestFailOver:
         on the dead end's EOF until the run ends (~2.4 s)."""
         mix = _small_mix()
         config = EngineConfig(
-            scheduler="cameo", nodes=2, workers_per_node=1, seed=3, backend="mp"
+            scheduler="cameo", nodes=2, workers_per_node=1, seed=3, backend="mp",
+            fault_schedule=FaultSchedule(crashes=[CrashWindow(node=1, start=1.5)]),
         )
         jobs = mix.build_jobs()
         engine = make_engine(config, jobs)
         mix.install_drivers(engine, jobs, 4.0)
-        engine.kill_at(1, 1.5)
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         engine.run(until=5.0)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -583,13 +614,13 @@ class TestFailOver:
         config = EngineConfig(
             scheduler="cameo", nodes=2, workers_per_node=1, seed=3,
             backend="mp", mp_realtime=False,
+            fault_schedule=FaultSchedule(crashes=[CrashWindow(node=1, start=0.1)]),
         )
         jobs = mix.build_jobs()
         engine = make_engine(config, jobs)
         # a 20 s trace floods in ~0.45 s of wall time on a 2-core Xeon, so
         # a kill at 0.1 s lands mid-replay with much of node 1's shard left
         mix.install_drivers(engine, jobs, 20.0)
-        engine.kill_at(1, 0.1)
         engine.run(until=25.0)
 
         assert engine.metrics.crashes == 1
@@ -618,13 +649,13 @@ class TestFailOver:
         mix = TenantMix(ls_count=1, ba_count=1, ls_sources=4, ba_sources=4,
                         tuples_per_msg=200)
         config = EngineConfig(
-            scheduler="cameo", nodes=3, workers_per_node=1, seed=3, backend="mp"
+            scheduler="cameo", nodes=3, workers_per_node=1, seed=3, backend="mp",
+            fault_schedule=FaultSchedule(crashes=[
+                CrashWindow(node=1, start=1.0), CrashWindow(node=2, start=2.0)]),
         )
         jobs = mix.build_jobs()
         engine = make_engine(config, jobs)
         mix.install_drivers(engine, jobs, 4.0)
-        engine.kill_at(1, 1.0)
-        engine.kill_at(2, 2.0)
         engine.run(until=5.0)
 
         assert not engine.info["forced_stop"]

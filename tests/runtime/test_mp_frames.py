@@ -3,8 +3,9 @@
 Frames round-trip over a *real* socket pair wrapped in pipe ends (the
 exact transport the workers use), and the wall-clock driver of the
 channel protocol is driven directly with a fake clock: per-channel
-keying, deadline polling, ack coalescing, loss injection, and channel
-reset after fail-over.
+keying, deadline polling, ack coalescing and channel reset after
+fail-over.  Loss injection, which sits in front of the driver, is driven
+through an in-process worker.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pickle
 import selectors
 import socket
+import time
 from selectors import EVENT_READ, EVENT_WRITE
 
 import numpy as np
@@ -23,7 +25,7 @@ from repro.dataflow.messages import Message
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
 from repro.core.context import ReplyContext
-from repro.dataflow.messages import MessageKind
+from repro.runtime.config import EngineConfig
 from repro.runtime.mp.frames import (
     DATA_MAGIC,
     START,
@@ -34,6 +36,9 @@ from repro.runtime.mp.frames import (
     send_frame,
 )
 from repro.runtime.mp.reliable import MpReliableDelivery
+from repro.runtime.mp.worker import MpWorker
+from repro.sim.faults import ChannelLoss, FaultSchedule
+from repro.workloads.tenants import make_bulk_analytics_job
 
 
 def _message(sender="a", target="b", seq=-1, tuples=4) -> Message:
@@ -52,6 +57,11 @@ def _message(sender="a", target="b", seq=-1, tuples=4) -> Message:
     )
     msg.seq = seq
     return msg
+
+
+class _TaggedContext(PriorityContext):
+    """A priority-context subclass: the codec's fast path takes only the
+    exact class, so a message carrying one goes the RAW way."""
 
 
 def _pipe() -> tuple[PipeEnd, PipeEnd]:
@@ -177,8 +187,6 @@ class TestDataCodec:
         assert msg.sender == original.sender
         assert (msg.seq, msg.channel_index, msg.msg_id) == (7, 0, original.msg_id)
         assert (msg.p, msg.t, msg.deps_arrival) == (3.0, 0.5, 0.5)
-        assert msg.kind is MessageKind.DATA
-        assert msg.rc is None
         assert msg.pc.pri_local == 1.0 and msg.pc.pri_global == 2.0
         np.testing.assert_array_equal(
             msg.batch.logical_times, original.batch.logical_times
@@ -208,10 +216,11 @@ class TestDataCodec:
 
     def test_slow_path_falls_back_to_pickle(self):
         sender, receiver = DataCodec(), DataCodec()
-        rc_msg = _message(seq=3)
-        rc_msg.rc = ReplyContext(c_m=1.0)  # piggybacked rc: not fast-path
-        got = receiver.decode_data(sender.encode_data([("msg", rc_msg)]))
-        assert got[0][1].rc.c_m == 1.0
+        odd_msg = _message(seq=3)
+        odd_msg.pc = _TaggedContext(pri_local=1.0)  # subclass: not fast-path
+        got = receiver.decode_data(sender.encode_data([("msg", odd_msg)]))
+        assert type(got[0][1].pc) is _TaggedContext
+        assert got[0][1].pc.pri_local == 1.0
         assert got[0][1].seq == 3
         # Unknown tags take the RAW pickle path and round-trip verbatim.
         exotic = ("weird", {"payload": 1})
@@ -240,8 +249,8 @@ def channel():
 
 class TestMpDriver:
     """What is wall-clock in :class:`MpReliableDelivery`: channel keying,
-    deadline polling, ack coalescing, loss injection and the fail-over
-    re-keying.  The protocol state machine it drives is tested in
+    deadline polling, ack coalescing and the fail-over re-keying, plus
+    the loss injection in front of it.  The protocol state machine it drives is tested in
     ``test_delivery.py``."""
 
     def test_sequences_are_per_channel(self, channel):
@@ -315,20 +324,28 @@ class TestMpDriver:
         assert [m.seq for m in reliable.on_data(_message("a", "b", seq=0))] == [0]
 
     def test_loss_injection_counts_and_triggers_gap(self):
-        clock = _FakeClock()
-        metrics = MetricsHub()
-
-        class _AlwaysLose:
-            def random(self):
-                return 0.0
-
-        reliable = MpReliableDelivery(
-            clock, rto=0.1, rto_cap=0.8, metrics=metrics,
-            loss_rate=0.5, loss_rng=_AlwaysLose(),
+        """A loss window of the config's schedule drops an incoming data
+        entry in the worker's transport, before the receiver half sees it,
+        and only while the window is open on the worker's clock."""
+        config = EngineConfig(
+            backend="mp", nodes=2, workers_per_node=1, placement="round_robin",
+            seed=3, fault_schedule=FaultSchedule(
+                losses=[ChannelLoss(rate=1.0, scope="remote", end=1.0)]),
         )
-        assert list(reliable.on_data(_message("a", "b", seq=0))) == []
-        assert metrics.messages_lost_network == 1
-        assert reliable.drain_acks() == []  # the receiver half never saw it
+        jobs = [make_bulk_analytics_job("ba", source_count=1, agg_parallelism=1)]
+        worker = MpWorker(1, config, jobs)
+        source, agg = OpAddress("ba", "source", 0), OpAddress("ba", "agg0", 0)
+        source, agg = worker._ops[source], worker._ops[agg]
+        assert (source.node_id, agg.node_id) == (0, 1)
+        worker.sim.epoch = time.monotonic()  # t = 0: the window is open
+        worker.transport.on_entries([("msg", _message(source.address, agg.address, 0))])
+        assert worker.metrics.messages_lost_network == 1
+        assert worker._delivery.drain_acks() == []  # the receiver half never saw it
+        assert len(agg.mailbox) == 0
+        worker.sim.epoch -= 2.0  # t = 2: the window closed at 1 s
+        worker.transport.on_entries([("msg", _message(source.address, agg.address, 0))])
+        assert worker.metrics.messages_lost_network == 1
+        assert len(agg.mailbox) == 1
 
     def test_idle_accounting(self, channel):
         _, _, reliable = channel
