@@ -1,4 +1,5 @@
-"""The reliable-channel protocol: one sans-IO core for both backends.
+"""The reliable-channel protocol: one sans-IO core and one driver for both
+backends.
 
 A channel carries messages from one sender to one receiver in per-channel
 FIFO order (§4.3) over a medium that may lose, duplicate, delay or
@@ -6,21 +7,27 @@ re-order them: go-back-N with cumulative ``(admitted, processed)`` acks
 and capped exponential backoff.  :class:`SenderHalf` and
 :class:`ReceiverHalf` are its only implementation — pure state machines
 that take ``now`` and an input and return what to do, and never touch a
-kernel, a pipe, a metrics hub or an RNG.  Those belong to the drivers:
-:class:`repro.runtime.recovery.ReliableDelivery` (kernel events) and
-:class:`repro.runtime.mp.reliable.MpReliableDelivery` (polled wall clock).
+kernel, a pipe, a metrics hub or an RNG.
 
-A half never schedules a timer.  After anything that may leave unadmitted
-messages behind (send, ack, expiry, roll-back) the driver puts its frames
-on the wire, calls :meth:`SenderHalf.arm` and, when that returns True,
-waits ``rto`` seconds in whatever way its clock allows.
+:class:`ReliableDriver` is the only code that runs them: one channel
+table, and the one copy of send, timer expiry, ack arrival, data arrival
+and the counting (retransmissions, backoff time, duplicates, the tracer's
+retransmit hooks).  What differs per backend is the medium, so a backend
+subclasses the driver as a **port** of three methods — ``transmit(ch,
+msg)`` puts a frame on the wire, ``ack(ch)`` sends the receiver's
+cumulative ack back, ``arm(ch)`` waits ``rto`` seconds and then calls
+:meth:`ReliableDriver.on_timer` — and resolves channels in its own entry
+points.  The ports are :class:`repro.runtime.recovery.ReliableDelivery`
+(kernel events) and :class:`repro.runtime.mp.reliable.MpReliableDelivery`
+(a polled wall clock); the driver never asks which one it serves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.dataflow.messages import Message
+from repro.runtime.topology import _format_address
 
 #: :meth:`ReceiverHalf.on_data` verdict bits
 ACK = 1        #: the sender's cumulative view is stale: acknowledge
@@ -258,3 +265,174 @@ class ReceiverHalf:
         self.processed = set(processed)
         self.pending.clear()
         self.next_admit = base_seq
+
+
+class Channel:
+    """One reliable channel: both protocol halves and the port's endpoint
+    data — the runtimes at either end (``src_rt`` None: an ingestion client,
+    or unused) and the sim's per-channel order clamp (``link``).  The sim
+    runs both halves; an mp worker the half of its own end."""
+
+    __slots__ = ("key", "sender", "receiver", "src_rt", "dst_rt", "link")
+
+    def __init__(self, key: tuple, sender: SenderHalf, src_rt, dst_rt, link):
+        self.key = key
+        self.sender = sender
+        self.receiver = ReceiverHalf()
+        self.src_rt = src_rt
+        self.dst_rt = dst_rt
+        self.link = link
+
+    @property
+    def src_node(self) -> int:
+        # clients are remote machines (node id -1 never matches a node)
+        return self.src_rt.node_id if self.src_rt is not None else -1
+
+
+class ReliableDriver:
+    """Every channel of one driver, keyed ``(sender, target)``.
+
+    ``clock`` is read as ``clock.now``.  A subclass is the port:
+    ``transmit(ch, msg)`` puts one frame of ``msg`` on the wire (it may be
+    lost there), ``ack(ch)`` sends ``ch.receiver``'s cumulative ack back,
+    ``arm(ch)`` calls :meth:`on_timer` with ``ch.sender.generation`` once
+    ``ch.sender.deadline`` has passed; and its entry points resolve a
+    channel and call :meth:`_send`, :meth:`_on_ack` and :meth:`_receive`."""
+
+    def __init__(self, clock, metrics, rto: float, rto_cap: float):
+        check_rto(rto, rto_cap)
+        self._clock = clock
+        self._metrics = metrics
+        self._rto = rto
+        self._rto_cap = rto_cap
+        self._channels: dict[tuple, Channel] = {}
+        self._admit: Optional[Callable] = None
+        #: span recorder (None = tracing off: zero hot-path residue)
+        self._tracer = None
+        self._retain = False
+        self._unacked_count = 0
+        #: high-water mark of retransmit-buffer occupancy across the run
+        self.unacked_peak = 0
+
+    # -- wiring --------------------------------------------------------
+
+    def attach(self, admit: Callable) -> None:
+        """Bind the admission callback ``admit(dst_rt, msg, None)`` (the
+        transport's delivery body)."""
+        self._admit = admit
+
+    def attach_tracer(self, tracer) -> None:
+        """Install the span recorder (``record_trace`` runs only)."""
+        self._tracer = tracer
+
+    def _open(self, key: tuple, src_rt, dst_rt, link=None) -> Channel:
+        ch = self._channels[key] = Channel(
+            key, SenderHalf(self._rto, self._rto_cap, self._retain),
+            src_rt, dst_rt, link)
+        return ch
+
+    # -- the protocol, once --------------------------------------------
+
+    def _send(self, ch: Channel, msg: Message) -> None:
+        """A freshly built message: number, retain, transmit, arm."""
+        if ch.sender.assign(msg):
+            self._unacked_count += 1
+            if self._unacked_count > self.unacked_peak:
+                self.unacked_peak = self._unacked_count
+        if self._tracer is not None:
+            # a wire attempt regardless of loss: the span's next
+            # retransmit gap is measured from this instant
+            self._tracer.on_transmit(msg, self._clock.now)
+        self.transmit(ch, msg)
+        self._arm(ch)
+
+    def _arm(self, ch: Channel) -> None:
+        """Arm the timer if idle and needed — after the frames are on the
+        wire, so on sim it follows their arrivals in same-instant order.
+        An armed timer costs no clock read (a wall-clock read on mp)."""
+        sender = ch.sender
+        if sender.deadline is None and sender.arm(self._clock.now):
+            self.arm(ch)
+
+    def on_timer(self, ch: Channel, generation: int) -> None:
+        """The timer armed under ``generation`` ran out: go back N."""
+        sender = ch.sender
+        if generation != sender.generation:
+            return  # superseded by an ack or a roll-back
+        now = self._clock.now
+        replays, stall = sender.expire(now)
+        # the channel sat on this timer the whole arming-to-expiry stall:
+        # charge the backoff *time* (not just a count) so attribution can
+        # blame recovery delay on the right channel
+        metrics = self._metrics
+        metrics.retransmit_backoff_time += stall
+        tracer = self._tracer
+        for msg in replays:
+            metrics.retransmissions += 1
+            if tracer is not None:
+                # stall since the last wire attempt, then the replay
+                # itself becomes the new last attempt
+                tracer.on_retransmit(msg, now)
+                tracer.on_transmit(msg, now)
+            self.transmit(ch, msg)
+        self._arm(ch)
+
+    def _on_ack(self, ch: Channel, admitted: int, processed: int) -> None:
+        """The sender learns of receiver progress."""
+        self._unacked_count -= ch.sender.on_ack(admitted, processed)
+        self._arm(ch)
+
+    def _receive(self, ch: Channel, msg: Message) -> None:
+        """One data frame reached the receiver: drop, buffer or admit in
+        order through the admission callback, then ack if due."""
+        receiver = ch.receiver
+        verdict = receiver.on_data(msg)
+        if verdict & DUPLICATE:
+            self._metrics.duplicates_dropped += 1
+        if verdict & ADMIT:
+            admit, dst_rt = self._admit, ch.dst_rt
+            while msg is not None:
+                admit(dst_rt, msg, None)
+                msg = receiver.advance()
+        if verdict & ACK:
+            self.ack(ch)
+
+    def on_processed(self, op_rt, msg: Message) -> None:
+        """Final disposition of a message (executed or shed)."""
+        ch = self._channels.get((msg.sender, op_rt.address))
+        if ch is not None:
+            ch.receiver.on_processed(msg.seq)
+            self.ack(ch)
+
+    # -- introspection -------------------------------------------------
+
+    def unacked_total(self) -> int:
+        """Messages retained in retransmit buffers (replay sources under a
+        retention mode included)."""
+        return sum(len(ch.sender.unacked) for ch in self._channels.values())
+
+    def outstanding_total(self, src_node: Optional[int] = None) -> int:
+        """Σ :attr:`SenderHalf.outstanding` — the live backlog, zero at
+        quiescence even when retention keeps replay copies — over every
+        channel, or over those sending from ``src_node``."""
+        return sum(ch.sender.outstanding for ch in self._channels.values()
+                   if src_node is None or ch.src_node == src_node)
+
+    def backoff_by_channel(self) -> dict[str, dict]:
+        """Per-channel retransmit accounting, for channels that backed off.
+
+        Keys are ``"sender -> receiver"`` labels; values carry the total
+        seconds spent stalled on retransmit timers (``backoff_time``) and
+        the go-back-N replay count — the per-channel decomposition of
+        ``MetricsHub.retransmit_backoff_time``."""
+        report: dict[str, dict] = {}
+        for (sender_key, dst), ch in self._channels.items():
+            sender = ch.sender
+            if sender.backoff_time == 0.0 and sender.retransmit_count == 0:
+                continue
+            label = f"{_format_address(sender_key)} -> {_format_address(dst)}"
+            report[label] = {
+                "backoff_time": sender.backoff_time,
+                "retransmissions": sender.retransmit_count,
+            }
+        return report

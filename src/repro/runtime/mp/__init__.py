@@ -8,7 +8,7 @@ exchange framed, batched messages over multiprocessing pipes through a
 :class:`~repro.runtime.transport.Transport` with pipes and outboxes as
 its delivery layer.  The reliability layer over
 those channels is :mod:`repro.runtime.delivery` — the one go-back-N core
-both backends run — under a wall-clock driver
+and driver both backends run — through a wall-clock port
 (:class:`~repro.runtime.mp.reliable.MpReliableDelivery`) where the sim has
 a kernel-timed one.  See ``docs/architecture.md`` ("Process
 backend") for the frame format, the ack flow, the FIFO-order argument and

@@ -6,9 +6,12 @@ preparation are the inherited code.  What is the pipe's lives here.  The
 transport is its own delivery layer behind the inherited ``_reliable``
 hook: local destinations are delivered by direct function call
 (in-process order *is* per-channel FIFO), remote destinations go through
-the wall-clock reliable layer into per-destination **outboxes** that
-:meth:`flush` encodes as one ``DATA`` frame per destination per dispatch
-quantum — the amortized batching that keeps the hot send path at one
+the channel driver's wall-clock port (:class:`~repro.runtime.mp.reliable.
+MpReliableDelivery`, which also admits what arrives through
+:meth:`deliver`).  Its ``transmit`` — first sends and go-back-N replays
+alike — appends to per-destination **outboxes** that :meth:`flush`
+encodes, with the coalesced acks, as one ``DATA`` frame per destination
+per dispatch quantum — the amortized batching that keeps the hot send path at one
 write per quantum instead of one per message.  A frame goes onto the
 peer's :class:`~repro.runtime.mp.frames.PipeEnd` only once the previous
 one has left it, so at most one frame per peer waits on a full pipe; the
@@ -57,6 +60,7 @@ class ProcessTransport(Transport):
         #: its remote half is the :class:`MpReliableDelivery` beside it
         self._reliable = self
         self._delivery = delivery
+        delivery.bind(self._ops, self._outbox, self.deliver)
         #: the fault schedule's loss windows (a FaultInjector; None: no loss)
         self._faults = faults
         #: node_id -> pending wire entries (flushed as one frame each)
@@ -128,7 +132,7 @@ class ProcessTransport(Transport):
         channel the message arrived on (local edges carry no seq)."""
         if not op_rt.is_source:
             if msg.seq != -1:
-                self._delivery.on_processed(msg)
+                self._delivery.on_processed(op_rt, msg)
             return
         state = self._ingest_state.get(msg.sender)
         if state is not None:
@@ -165,8 +169,7 @@ class ProcessTransport(Transport):
                         self._ops[entry[1].sender].node_id, self._node_id):
                     self.metrics.messages_lost_network += 1
                     continue
-                for msg in reliable.on_data(entry[1]):
-                    self.deliver(self._ops[msg.target], msg)
+                reliable.on_data(entry[1])
             elif tag == "ack":
                 reliable.on_ack(entry[1], entry[2], entry[3])
             elif tag == "reply":
@@ -188,8 +191,7 @@ class ProcessTransport(Transport):
             # in-process call order preserves per-channel FIFO directly
             self.deliver(dst_rt, msg)
             return
-        self._delivery.send(msg)
-        self._outbox(dst_rt.node_id).append(("msg", msg))
+        self._delivery.send(msg)  # onto the destination node's outbox
 
     def outstanding_total(self, src_node: int) -> int:
         """The sampler's unacked-sends reading: every sender channel of
@@ -230,10 +232,6 @@ class ProcessTransport(Transport):
             outbox = []
             self._outboxes[node_id] = outbox
         return outbox
-
-    def enqueue_retransmits(self, replays: list[Message]) -> None:
-        for msg in replays:
-            self._outbox(self._ops[msg.target].node_id).append(("msg", msg))
 
     def flush(self) -> None:
         """Encode pending entries: one ``DATA`` frame per destination whose

@@ -173,7 +173,7 @@ class MpWorker(NodeRuntime):
             op_rt.job_metrics = metrics.job(op_rt.job.name)
 
         self._delivery = MpReliableDelivery(
-            clock.read, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP, metrics,
+            clock, RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP, metrics,
         )
         # the schedule's loss windows, on this worker's clock (None without
         # loss: the receive path then asks nothing per entry)
@@ -248,9 +248,7 @@ class MpWorker(NodeRuntime):
             if self._pending_rescales:
                 self._apply_pending_rescales()
             now = clock.now
-            replays = delivery.due_retransmits(now)
-            if replays:
-                transport.enqueue_retransmits(replays)
+            delivery.due(now)
             # while a frame waits on a full peer pipe no new work starts,
             # so each peer has at most one frame queued
             worked = False

@@ -5,11 +5,12 @@ This module turns the fault *model* of :mod:`repro.sim.faults` into a
 runs at a simulation instant through the kernel's ordinary scheduling
 primitives, and all randomness comes from the injector's named stream):
 
-* :class:`ReliableDelivery` — the kernel-timed driver of the channel
-  protocol in :mod:`repro.runtime.delivery` (go-back-N with in-order
+* :class:`ReliableDelivery` — the kernel-timed port of the one channel
+  driver in :mod:`repro.runtime.delivery` (go-back-N with in-order
   admission: the per-channel FIFO guarantee the PROGRESSMAP regression
-  depends on, §4.3).  The state machine lives there, once, for both
-  backends; this class supplies the lossy simulated network under it.
+  depends on, §4.3).  The protocol and its driver live there, once, for
+  both backends; this class supplies the lossy simulated network under
+  it (transmit, ack, kernel timers) and the crash and checkpoint hooks.
 * :class:`FailureDetector` — heartbeat-based: every node deposits a
   heartbeat each ``interval`` into the membership view of every peer
   that can hear it; a monitor sweep declares a node failed after
@@ -54,43 +55,14 @@ from typing import Callable, Optional
 
 from repro.dataflow.messages import Message
 from repro.runtime.config import FAILURE_TIMEOUT, HEARTBEAT_INTERVAL
-from repro.runtime.delivery import (
-    ACK,
-    ADMIT,
-    DUPLICATE,
-    ReceiverHalf,
-    SenderHalf,
-    check_rto,
-)
+from repro.runtime.delivery import Channel, ReliableDriver
 from repro.runtime.topology import OperatorRuntime, _format_address
 
 INF = float("inf")
 
 
-class _Channel:
-    """One reliable channel as the simulation hosts it: the endpoints'
-    runtimes, the order clamp and both protocol halves.  One process
-    simulates both ends, but the halves exchange information only through
-    delayed, lossy ack events and the control-plane roll-backs."""
-
-    __slots__ = ("src_rt", "dst_rt", "channel", "sender", "receiver")
-
-    def __init__(self, src_rt: Optional[OperatorRuntime],
-                 dst_rt: OperatorRuntime, channel, sender: SenderHalf):
-        self.src_rt = src_rt          # None = ingestion client (remote)
-        self.dst_rt = dst_rt
-        self.channel = channel        # FifoChannel: per-channel order clamp
-        self.sender = sender
-        self.receiver = ReceiverHalf()
-
-    @property
-    def src_node(self) -> int:
-        # clients are remote machines (node id -1 never matches a node)
-        return self.src_rt.node_id if self.src_rt is not None else -1
-
-
-class ReliableDelivery:
-    """Kernel-timed driver of the channel protocol (:mod:`.delivery`).
+class ReliableDelivery(ReliableDriver):
+    """The kernel-timed port of the channel driver (:mod:`.delivery`).
 
     Everything here is simulation: loss, partition and bandwidth draws,
     the ``FifoChannel`` clamp, retransmit timers and acks as kernel events.
@@ -102,26 +74,12 @@ class ReliableDelivery:
     def __init__(self, sim, metrics, injector, delay_model,
                  node_down: Callable[[int], bool],
                  rto: float, rto_cap: float):
-        check_rto(rto, rto_cap)
+        super().__init__(sim, metrics, rto, rto_cap)
         self._sim = sim
-        self._metrics = metrics
         self._injector = injector
         self._delay_model = delay_model
         self._node_down = node_down
-        self._rto = rto
-        self._rto_cap = rto_cap
-        self._channels: dict[tuple, _Channel] = {}
-        self._admit: Optional[Callable] = None
-        self._tracer = None
         self._bandwidth = None
-        self._retain = False
-        self._unacked_count = 0
-        #: high-water mark of retransmit-buffer occupancy across the run
-        self.unacked_peak = 0
-
-    def attach_tracer(self, tracer) -> None:
-        """Install the span recorder (``record_trace`` runs only)."""
-        self._tracer = tracer
 
     def attach_bandwidth(self, bandwidth) -> None:
         """Install the shared-link model (``link_capacity`` runs only)."""
@@ -142,39 +100,22 @@ class ReliableDelivery:
         """Whether buffer release is gated on checkpoint stability."""
         return self._retain
 
-    def attach(
-        self, admit: Callable[[OperatorRuntime, Message, Optional[object]], None]
-    ) -> None:
-        """Bind the admission callback (the transport's delivery body)."""
-        self._admit = admit
-
-    # ------------------------------------------------------------------
-    # sender side
-    # ------------------------------------------------------------------
-
     def send(self, src_rt: Optional[OperatorRuntime], dst_rt: OperatorRuntime,
              channel, msg: Message) -> None:
-        """Hand one freshly-built message to the reliable channel."""
+        """Hand one freshly-built message to the reliable channel
+        (``src_rt`` None: an ingestion client; ``channel``: the hop's
+        ``FifoChannel`` order clamp)."""
         key = (msg.sender, dst_rt.address)
         ch = self._channels.get(key)
         if ch is None:
-            ch = self._channels[key] = _Channel(
-                src_rt, dst_rt, channel,
-                SenderHalf(self._rto, self._rto_cap, self._retain))
-        if ch.sender.assign(msg):
-            self._unacked_count += 1
-            if self._unacked_count > self.unacked_peak:
-                self.unacked_peak = self._unacked_count
-        self._transmit(ch, msg)
-        self._arm(ch)
+            ch = self._open(key, src_rt, dst_rt, channel)
+        self._send(ch, msg)
 
-    def _transmit(self, ch: _Channel, msg: Message) -> None:
-        """One attempt to push ``msg`` over the wire (may be lost)."""
+    # -- the port ------------------------------------------------------
+
+    def transmit(self, ch: Channel, msg: Message) -> None:
+        """One attempt to push ``msg`` over the simulated wire."""
         sim = self._sim
-        if self._tracer is not None:
-            # a wire attempt regardless of loss: the span's next retransmit
-            # gap is measured from this instant
-            self._tracer.on_transmit(msg, sim.now)
         src_node, dst_node = ch.src_node, ch.dst_rt.node_id
         if self._injector.severs(src_node, dst_node):
             # partition: there is no wire — the frame vanishes before any
@@ -193,71 +134,20 @@ class ReliableDelivery:
                 sim.now, src_node, dst_node, msg.tuple_count,
                 INF if pc is None else pc.deadline,
             )
-        arrival = ch.channel.deliver_time(sim.now, transit)
+        arrival = ch.link.deliver_time(sim.now, transit)
         sim.schedule_at_fast(arrival, self._arrive, ch, msg)
 
-    def _arm(self, ch: _Channel) -> None:
-        """Arm the retransmit timer as a kernel event — after the frames
-        are on the wire, so it follows their arrivals in same-instant order."""
-        sender = ch.sender
-        if sender.arm(self._sim.now):
-            self._sim.schedule_fast(sender.rto, self._on_timer, ch,
-                                    sender.generation)
-
-    def _on_timer(self, ch: _Channel, generation: int) -> None:
-        sender = ch.sender
-        if generation != sender.generation:
-            return  # superseded by an ack or a roll-back
-        now = self._sim.now
-        replays, stall = sender.expire(now)
-        # the channel sat on this timer the whole arming-to-expiry stall:
-        # charge the backoff *time* (not just a count) so attribution can
-        # blame recovery delay on the right channel
-        self._metrics.retransmit_backoff_time += stall
-        tracer = self._tracer
-        for msg in replays:
-            self._metrics.retransmissions += 1
-            if tracer is not None:
-                tracer.on_retransmit(msg, now)
-            self._transmit(ch, msg)
-        self._arm(ch)
-
-    def _on_ack(self, ch: _Channel, admitted: int, processed: int) -> None:
-        """Sender learns of receiver progress (fires after the ack delay)."""
-        self._unacked_count -= ch.sender.on_ack(admitted, processed)
-        self._arm(ch)
-
-    # ------------------------------------------------------------------
-    # receiver side
-    # ------------------------------------------------------------------
-
-    def _arrive(self, ch: _Channel, msg: Message) -> None:
-        dst_rt = ch.dst_rt
-        if self._node_down(dst_rt.node_id):
+    def _arrive(self, ch: Channel, msg: Message) -> None:
+        if self._node_down(ch.dst_rt.node_id):
             # fail-stop target: the transmission evaporates, no ack — the
             # sender's timer keeps the message alive until fail-over
             self._metrics.messages_dropped_down += 1
             return
-        receiver = ch.receiver
-        verdict = receiver.on_data(msg)
-        if verdict & DUPLICATE:
-            self._metrics.duplicates_dropped += 1
-        if verdict & ADMIT:
-            while msg is not None:
-                self._admit(dst_rt, msg, None)
-                msg = receiver.advance()
-        if verdict & ACK:
-            self._send_ack(ch)
+        self._receive(ch, msg)
 
-    def on_processed(self, op_rt: OperatorRuntime, msg: Message) -> None:
-        """Final disposition of a message (executed or shed)."""
-        ch = self._channels.get((msg.sender, op_rt.address))
-        if ch is not None:
-            ch.receiver.on_processed(msg.seq)
-            self._send_ack(ch)
-
-    def _send_ack(self, ch: _Channel) -> None:
-        """Cumulative (admitted, processed) ack back to the sender."""
+    def ack(self, ch: Channel) -> None:
+        """Cumulative (admitted, processed) ack back to the sender, as a
+        kernel event after the reverse hop's delay (it may be lost)."""
         src_node, dst_node = ch.src_node, ch.dst_rt.node_id
         if self._injector.severs(dst_node, src_node):
             self._metrics.acks_dropped_partition += 1
@@ -270,6 +160,11 @@ class ReliableDelivery:
         )
         admitted, processed = ch.receiver.cumulative_ack()
         self._sim.schedule_fast(delay, self._on_ack, ch, admitted, processed)
+
+    def arm(self, ch: Channel) -> None:
+        """The timer is a kernel event under the generation it was armed in."""
+        sender = ch.sender
+        self._sim.schedule_fast(sender.rto, self.on_timer, ch, sender.generation)
 
     # ------------------------------------------------------------------
     # crash hooks (driven by the RecoveryManager)
@@ -346,39 +241,6 @@ class ReliableDelivery:
         supersedes them."""
         for dst, ch in self.channels_from(op_rt):
             self._unacked_count -= ch.sender.rewind(out_seqs.get(dst, 0))
-
-    # -- introspection -------------------------------------------------
-
-    def unacked_total(self) -> int:
-        """Messages retained in retransmit buffers (replay sources under a
-        retention mode included)."""
-        return sum(len(ch.sender.unacked) for ch in self._channels.values())
-
-    def outstanding_total(self, src_node: Optional[int] = None) -> int:
-        """Σ :attr:`SenderHalf.outstanding` — the live backlog, zero at
-        quiescence even under ``state_recovery="replay"`` — over every
-        channel, or over those sending from ``src_node``."""
-        return sum(ch.sender.outstanding for ch in self._channels.values()
-                   if src_node is None or ch.src_node == src_node)
-
-    def backoff_by_channel(self) -> dict[str, dict]:
-        """Per-channel retransmit accounting, for channels that backed off.
-
-        Keys are ``"sender -> receiver"`` labels; values carry the total
-        seconds spent stalled on retransmit timers (``backoff_time``) and
-        the go-back-N replay count — the per-channel decomposition of
-        ``MetricsHub.retransmit_backoff_time``."""
-        report: dict[str, dict] = {}
-        for (sender_key, dst), ch in self._channels.items():
-            sender = ch.sender
-            if sender.backoff_time == 0.0 and sender.retransmit_count == 0:
-                continue
-            label = f"{_format_address(sender_key)} -> {_format_address(dst)}"
-            report[label] = {
-                "backoff_time": sender.backoff_time,
-                "retransmissions": sender.retransmit_count,
-            }
-        return report
 
 
 class _OperatorCheckpoint:

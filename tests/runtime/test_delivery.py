@@ -4,11 +4,12 @@ Two layers:
 
 * the state machine on its own — :class:`SenderHalf` and
   :class:`ReceiverHalf` driven by hand, no clock but the ``now`` passed in;
-* one property, two drivers — a hypothesis schedule of sends, loss, delay
+* one property, two ports — a hypothesis schedule of sends, loss, delay
   (hence re-ordering and duplicates), ack loss and one mid-run roll-back
-  runs through the kernel-timed sim driver and the fake-clock polled mp
-  driver; both must admit ``0..n-1`` in order exactly once, drain their
-  buffers, and agree on every admission and on the retransmission count.
+  runs the one driver through the kernel-timed sim port and the
+  fake-clock polled mp port; both must admit ``0..n-1`` in order exactly
+  once, drain their buffers, and agree on every admission, on the
+  retransmission count and on the backoff time, per channel too.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ class TestReceiverHalf:
 
 
 # ---------------------------------------------------------------------------
-# one property, two drivers
+# one property, one driver, two ports
 # ---------------------------------------------------------------------------
 
 #: every instant of a schedule is a dyadic rational, so both drivers compute
@@ -354,6 +355,8 @@ class _Run:
         self.state: list[int] = []     # effects alive in the receiver's state
         self.admissions: list[int] = []  # every admission, in order
         self.retransmissions = 0
+        self.backoff_time = 0.0
+        self.backoff_by_channel: dict = {}
         self.drained = False
 
     def admit(self, seq: int) -> None:
@@ -363,6 +366,12 @@ class _Run:
     def roll_back(self, frontier: int) -> None:
         """The receiver lost every effect beyond ``frontier``."""
         self.state = [seq for seq in self.state if seq <= frontier]
+
+    def count(self, metrics, sender_driver) -> None:
+        """What the driver counted: once, whichever port it served."""
+        self.retransmissions = metrics.retransmissions
+        self.backoff_time = metrics.retransmit_backoff_time
+        self.backoff_by_channel = sender_driver.backoff_by_channel()
 
 
 def _run_sim(schedule: _Schedule) -> _Run:
@@ -402,29 +411,40 @@ def _run_sim(schedule: _Schedule) -> _Run:
     if schedule.rollback_at is not None:
         sim.schedule_at(schedule.rollback_at, roll_back)
     sim.run(until=4096 * G)
-    run.retransmissions = metrics.retransmissions
+    run.count(metrics, reliable)
     run.drained = reliable.unacked_total() == 0 == reliable.outstanding_total()
     return run
 
 
 def _run_mp(schedule: _Schedule) -> _Run:
-    """The schedule through two :class:`MpReliableDelivery` instances (the
+    """The schedule through two :class:`MpReliableDelivery` ports (the
     producing and the consuming worker) on a fake clock, polled the way a
-    worker's dispatch loop polls: frames in, retransmit timers, acks out."""
+    worker's dispatch loop polls: frames in, due timers, outbox and acks
+    out."""
     clock = SimpleNamespace(now=0.0)
     metrics = MetricsHub()
-    producer = MpReliableDelivery(lambda: clock.now, RTO, RTO_CAP, metrics)
-    consumer = MpReliableDelivery(lambda: clock.now, RTO, RTO_CAP, metrics)
+    producer = MpReliableDelivery(clock, RTO, RTO_CAP, metrics)
+    consumer = MpReliableDelivery(clock, RTO, RTO_CAP, metrics)
     run = _Run()
+    ops = {TARGET: SimpleNamespace(node_id=1, address=TARGET)}
+    outbox: list[tuple] = []  # the producer's entries for node 1
+    producer.bind(ops, lambda node: outbox, None)
+
+    def admit(op_rt, msg, route):
+        run.admit(msg.seq)
+        consumer.on_processed(op_rt, msg)  # instant processing
+
+    consumer.bind(ops, None, admit)
     wire: list[tuple] = []  # (arrival, order, kind, payload)
     order = iter(range(10**9))
 
-    def transmit(msg):
-        if not schedule.loses_data(clock.now):
-            arrival = clock.now + (DATA_TRANSIT + schedule.extra(clock.now))
-            heapq.heappush(wire, (arrival, next(order), "data", msg))
-
-    def flush_acks():
+    def flush():
+        """Both workers' pending entries go on the wire now."""
+        for _tag, msg in outbox:
+            if not schedule.loses_data(clock.now):
+                arrival = clock.now + (DATA_TRANSIT + schedule.extra(clock.now))
+                heapq.heappush(wire, (arrival, next(order), "data", msg))
+        outbox.clear()
         for ack in consumer.drain_acks():
             if not schedule.loses_ack(clock.now):
                 arrival = clock.now + (ACK_TRANSIT + schedule.extra(clock.now))
@@ -448,28 +468,23 @@ def _run_mp(schedule: _Schedule) -> _Run:
                 reject()
             clock.now = at
             if kind == "send":
-                transmit(producer.send(Message(target=TARGET, sender=SENDER)))
+                producer.send(Message(target=TARGET, sender=SENDER))
             elif kind == "data":
-                for msg in consumer.on_data(payload):
-                    run.admit(msg.seq)
-                    consumer.on_processed(msg)
-                flush_acks()
+                consumer.on_data(payload)
             elif kind == "ack":
                 producer.on_ack(*payload)
             else:
                 base_seq, replays = producer.reset_sender(KEY)
                 run.roll_back(base_seq - 1)
                 consumer.install_reset(KEY, base_seq)
-                for msg in replays:
-                    transmit(msg)
-                flush_acks()
+                outbox.extend(("msg", msg) for msg in replays)
         else:
             clock.now = deadline
-            for msg in producer.due_retransmits(deadline):
-                transmit(msg)
+            producer.due(deadline)
+        flush()
     else:  # pragma: no cover - a schedule that never quiesces
         raise AssertionError("mp driver did not quiesce")
-    run.retransmissions = metrics.retransmissions
+    run.count(metrics, producer)
     run.drained = producer.idle() and consumer.idle()
     return run
 
@@ -478,7 +493,8 @@ def _run_mp(schedule: _Schedule) -> _Run:
 @given(schedule=_schedules)
 def test_one_schedule_two_drivers(schedule):
     """Per-channel FIFO and exactly-once (§4.3) on both backends, and the
-    two drivers of the one protocol core agree move for move."""
+    one driver agrees move for move through either port: admissions,
+    retransmissions and backoff time, in total and per channel."""
     expected = list(range(len(schedule.send_times)))
     mp = _run_mp(schedule)  # first: it is the one that can reject a tie
     sim = _run_sim(schedule)
@@ -487,3 +503,5 @@ def test_one_schedule_two_drivers(schedule):
         assert run.drained
     assert sim.admissions == mp.admissions
     assert sim.retransmissions == mp.retransmissions
+    assert sim.backoff_time == mp.backoff_time
+    assert sim.backoff_by_channel == mp.backoff_by_channel

@@ -218,6 +218,14 @@ class TestLossyChannels:
         # loss is fully masked: same completion aggregates as the clean sim
         assert _aggregates(mp) == _aggregates(sim)
 
+    def test_backoff_time_is_counted(self):
+        """A retransmission follows a stall on the channel's timer, and the
+        one driver counts that stall on this backend as on the sim."""
+        mp = _lossy_mp(ChannelLoss(rate=0.15, scope="all"))
+        assert mp.metrics.retransmissions > 0
+        assert mp.metrics.retransmit_backoff_time > 0
+        assert not mp.info["forced_stop"]
+
     def test_local_loss_drops_nothing(self):
         """Every pipe links two nodes, so a same-node loss has no link to
         act on."""
@@ -246,8 +254,8 @@ class TestFifoAudit:
         Reading every ``DATA`` frame back to front alone changes nothing:
         the receiver half buffers the early arrivals and admits the batch
         in sequence order.  A reliable layer that then hands that batch to
-        the transport back to front (the forked workers inherit both
-        patches) is caught by the admission audit and reported."""
+        the admission callback back to front (the forked workers inherit
+        both patches) is caught by the admission audit and reported."""
         on_entries = ProcessTransport.on_entries
         on_data = MpReliableDelivery.on_data
         monkeypatch.setattr(
@@ -259,10 +267,18 @@ class TestFifoAudit:
                             nodes=2, seed=3, config_overrides=config)
         assert not mp.info["forced_stop"]
         assert mp.info["fifo_violations"] == 0
-        monkeypatch.setattr(
-            MpReliableDelivery, "on_data",
-            lambda self, msg: list(on_data(self, msg))[::-1],
-        )
+
+        def reversed_admissions(self, msg):
+            admit, batch = self._admit, []
+            self._admit = lambda *args: batch.append(args)
+            try:
+                on_data(self, msg)
+            finally:
+                self._admit = admit
+            for args in reversed(batch):
+                admit(*args)
+
+        monkeypatch.setattr(MpReliableDelivery, "on_data", reversed_admissions)
         mp = run_tenant_mix("cameo", _small_mix(), duration=2.0, drain=1.0,
                             nodes=2, seed=3, config_overrides=config)
         assert not mp.info["forced_stop"]

@@ -1,9 +1,9 @@
 """Unit tests for the mp backend's wire layer.
 
 Frames round-trip over a *real* socket pair wrapped in pipe ends (the
-exact transport the workers use), and the wall-clock driver of the
-channel protocol is driven directly with a fake clock: per-channel
-keying, deadline polling, ack coalescing and channel reset after
+exact transport the workers use), and the wall-clock port of the
+channel driver is driven directly with a fake clock: per-channel keying,
+outboxes, deadline polling, ack coalescing and channel reset after
 fail-over.  Loss injection, which sits in front of the driver, is driven
 through an in-process worker.
 """
@@ -15,6 +15,7 @@ import selectors
 import socket
 import time
 from selectors import EVENT_READ, EVENT_WRITE
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,70 +232,107 @@ class TestDataCodec:
             DataCodec().decode_data(b"\x80\x05junk")
 
 
-class _FakeClock:
+class _Port:
+    """One :class:`MpReliableDelivery` on a fake clock (``now``), bound to
+    fake operators ``b``/``c``/``z`` on nodes 1/2/3, per-node outboxes and
+    an admission log — everything a worker's transport gives it."""
+
     def __init__(self):
         self.now = 0.0
+        self.metrics = MetricsHub()
+        self.outboxes: dict[int, list] = {}
+        self.admitted: list[int] = []
+        self.ops = {name: SimpleNamespace(address=name, node_id=node)
+                    for name, node in (("b", 1), ("c", 2), ("z", 3))}
+        self.reliable = MpReliableDelivery(self, rto=0.1, rto_cap=0.8,
+                                           metrics=self.metrics)
+        self.reliable.bind(
+            self.ops, lambda node: self.outboxes.setdefault(node, []),
+            lambda op_rt, msg, _route: self.admitted.append(msg.seq))
 
-    def __call__(self) -> float:
-        return self.now
+    def send(self, target: str) -> Message:
+        msg = _message("a", target)
+        self.reliable.send(msg)
+        return msg
+
+    def wire(self) -> list[tuple]:
+        """``(target, seq)`` of every data entry put on the wire since the
+        last call."""
+        sent = [(entry[1].target, entry[1].seq)
+                for outbox in self.outboxes.values() for entry in outbox]
+        self.outboxes.clear()
+        return sent
+
+    def receive(self, seq: int) -> list[int]:
+        """Seqs admitted by one arriving ``a -> b`` entry."""
+        self.admitted.clear()
+        self.reliable.on_data(_message("a", "b", seq=seq))
+        return list(self.admitted)
 
 
 @pytest.fixture()
-def channel():
-    clock = _FakeClock()
-    metrics = MetricsHub()
-    reliable = MpReliableDelivery(clock, rto=0.1, rto_cap=0.8, metrics=metrics)
-    return clock, metrics, reliable
+def port():
+    return _Port()
 
 
 class TestMpDriver:
     """What is wall-clock in :class:`MpReliableDelivery`: channel keying,
     deadline polling, ack coalescing and the fail-over re-keying, plus
-    the loss injection in front of it.  The protocol state machine it drives is tested in
-    ``test_delivery.py``."""
+    the loss injection in front of it.  The protocol and the driver it
+    ports are tested in ``test_delivery.py``."""
 
-    def test_sequences_are_per_channel(self, channel):
-        _, _, reliable = channel
-        assert reliable.send(_message("a", "b")).seq == 0
-        assert reliable.send(_message("a", "b")).seq == 1
-        assert reliable.send(_message("a", "c")).seq == 0
+    def test_sequences_are_per_channel(self, port):
+        assert port.send("b").seq == 0
+        assert port.send("b").seq == 1
+        assert port.send("c").seq == 0
+        assert port.wire() == [("b", 0), ("b", 1), ("c", 0)]  # per node outbox
+        assert port.outboxes == {}
 
-    def test_timers_are_polled_per_channel(self, channel):
-        clock, metrics, reliable = channel
-        reliable.send(_message("a", "b"))
-        clock.now = 0.04
-        reliable.send(_message("a", "c"))
+    def test_timers_are_polled_per_channel(self, port):
+        reliable, metrics = port.reliable, port.metrics
+        port.send("b")
+        port.now = 0.04
+        port.send("c")
+        port.wire()
         assert reliable.next_deadline() == 0.1  # the earliest armed channel
-        assert reliable.due_retransmits(0.05) == []  # nothing due yet
-        replays = reliable.due_retransmits(0.11)  # only a->b is due
-        assert [(m.target, m.seq) for m in replays] == [("b", 0)]
+        port.now = 0.05
+        reliable.due(0.05)
+        assert port.wire() == []  # nothing due yet
+        port.now = 0.11
+        reliable.due(0.11)
+        assert port.wire() == [("b", 0)]  # only a->b is due
         assert metrics.retransmissions == 1
+        assert metrics.retransmit_backoff_time == pytest.approx(0.11)
         # a->b backed off to 0.11 + 0.2; a->c still waits for 0.04 + 0.1
         assert reliable.next_deadline() == pytest.approx(0.14)
-        clock.now = 0.12
+        port.now = 0.12
         reliable.on_ack(("a", "b"), admitted=0, processed=0)
         reliable.on_ack(("a", "c"), admitted=0, processed=0)
         assert reliable.next_deadline() is None  # everything admitted
-        assert reliable.due_retransmits(5.0) == []
+        port.now = 5.0
+        reliable.due(5.0)
+        assert port.wire() == []
+        assert reliable.backoff_by_channel() == {
+            "a -> b": {"backoff_time": pytest.approx(0.11), "retransmissions": 1}}
 
-    def test_acks_are_coalesced_per_channel_between_drains(self, channel):
-        _, metrics, reliable = channel
+    def test_acks_are_coalesced_per_channel_between_drains(self, port):
+        reliable, metrics = port.reliable, port.metrics
         for seq in range(3):
-            assert [m.seq for m in reliable.on_data(_message("a", "b", seq=seq))] == [seq]
-        reliable.on_processed(_message("a", "b", seq=0))
-        reliable.on_processed(_message("a", "b", seq=1))
+            assert port.receive(seq) == [seq]
+        reliable.on_processed(port.ops["b"], _message("a", "b", seq=0))
+        reliable.on_processed(port.ops["b"], _message("a", "b", seq=1))
         assert reliable.drain_acks() == [(("a", "b"), 2, 1)]  # one, the latest
         assert reliable.drain_acks() == []  # nothing new
         # a duplicate of processed work re-dirties the channel so the
         # sender's view is refreshed
-        assert list(reliable.on_data(_message("a", "b", seq=0))) == []
+        assert port.receive(0) == []
         assert metrics.duplicates_dropped == 1
         assert reliable.drain_acks() == [(("a", "b"), 2, 1)]
 
-    def test_reset_sender_returns_unprocessed_suffix(self, channel):
-        _, _, reliable = channel
+    def test_reset_sender_returns_unprocessed_suffix(self, port):
+        reliable = port.reliable
         for _ in range(5):
-            reliable.send(_message("a", "b"))
+            port.send("b")
         reliable.on_ack(("a", "b"), admitted=4, processed=2)
         assert reliable.next_deadline() is None
         base_seq, replays = reliable.reset_sender(("a", "b"))
@@ -306,22 +344,22 @@ class TestMpDriver:
         reliable.forget_sender(("a", "b"))
         assert reliable.sender_channels_to({"b"}) == []
 
-    def test_install_reset_moves_admission_base_and_acks(self, channel):
-        _, _, reliable = channel
-        reliable.on_data(_message("a", "b", seq=0))
+    def test_install_reset_moves_admission_base_and_acks(self, port):
+        reliable = port.reliable
+        port.receive(0)
         reliable.drain_acks()
         reliable.install_reset(("a", "b"), base_seq=5)
         assert reliable.drain_acks() == [(("a", "b"), 4, 4)]
-        assert list(reliable.on_data(_message("a", "b", seq=4))) == []  # below base
-        assert [m.seq for m in reliable.on_data(_message("a", "b", seq=5))] == [5]
+        assert port.receive(4) == []  # below base
+        assert port.receive(5) == [5]
 
-    def test_drop_receivers_from_forgets_sender_side_state(self, channel):
-        _, _, reliable = channel
-        reliable.on_data(_message("a", "b", seq=0))
+    def test_drop_receivers_from_forgets_sender_side_state(self, port):
+        reliable = port.reliable
+        port.receive(0)
         reliable.drop_receivers_from({"a"})
         assert reliable.drain_acks() == []  # no one left to ack
         # the reborn sender restarts its sequence space from zero
-        assert [m.seq for m in reliable.on_data(_message("a", "b", seq=0))] == [0]
+        assert port.receive(0) == [0]
 
     def test_loss_injection_counts_and_triggers_gap(self):
         """A loss window of the config's schedule drops an incoming data
@@ -347,21 +385,21 @@ class TestMpDriver:
         assert worker.metrics.messages_lost_network == 1
         assert len(agg.mailbox) == 1
 
-    def test_idle_accounting(self, channel):
-        _, _, reliable = channel
+    def test_idle_accounting(self, port):
+        reliable = port.reliable
         assert reliable.idle()
-        reliable.send(_message("a", "b"))
+        port.send("b")
         assert not reliable.idle() and reliable.outstanding_total() == 1
         reliable.on_ack(("a", "b"), admitted=0, processed=0)
         assert reliable.idle() and reliable.outstanding_total() == 0
-        reliable.on_data(_message("a", "b", seq=1))  # buffered behind a gap
+        port.receive(1)  # buffered behind a gap
         assert not reliable.idle()
-        reliable.on_data(_message("a", "b", seq=0))
+        port.receive(0)
         assert not reliable.idle()  # an ack is pending
         reliable.drain_acks()
         assert reliable.idle()
 
     def test_rejects_bad_rto(self):
         with pytest.raises(ValueError):
-            MpReliableDelivery(_FakeClock(), rto=0.5, rto_cap=0.1,
+            MpReliableDelivery(SimpleNamespace(now=0.0), rto=0.5, rto_cap=0.1,
                                metrics=MetricsHub())
