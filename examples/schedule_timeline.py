@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Visualize the operator schedule — the paper's Fig. 7(c), in the terminal.
 
-Runs IPQ1 under Orleans and under Cameo with schedule recording on, then
-draws which operator started messages when.  Under Cameo the marks form
+Runs IPQ1 under Orleans and under Cameo with the execution timeline
+recorded (``record_timeline``), then draws which operator started
+messages when.  Under Cameo the marks form
 clean bands separated at window boundaries — early-arriving messages from
 the *next* window are postponed until the current window's output is done.
 Under Orleans the stages smear across boundaries and outputs drift late.
@@ -22,7 +23,7 @@ MSG_RATE = 90.0
 def run(scheduler: str):
     job = ipq1()
     config = EngineConfig(scheduler=scheduler, nodes=1, workers_per_node=4,
-                          seed=2, record_schedule_timeline=True)
+                          seed=2, record_timeline=True)
     engine = StreamEngine(config, [job])
     drive_all_sources(engine, job, lambda s, i: PoissonArrivals(MSG_RATE),
                       sizer=FixedBatchSize(1000), until=DURATION)

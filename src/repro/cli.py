@@ -200,7 +200,7 @@ def faults_main(argv: list[str]) -> int:
     partitioned = args.scenario == "ext_partition"
     engine = _build(parser, args, WIDE_SOURCES, args.scenario,
                     shed_expired=args.shed, partition_failover=args.failover,
-                    record_completion_timeline=partitioned)
+                    record_timeline=partitioned)
     engine.run(until=args.duration + 5.0)
     report = {
         "scenario": args.scenario,
@@ -342,10 +342,8 @@ def trace_main(argv: list[str]) -> int:
         "jsonl_log": str(jsonl_path),
         "trace": engine.tracer.summary(),
         "retransmit_backoff_time": engine.metrics.retransmit_backoff_time,
+        "backoff_by_channel": engine.backoff_by_channel(),
     }
-    reliable = getattr(engine, "reliable", None)
-    if reliable is not None:
-        summary["backoff_by_channel"] = reliable.backoff_by_channel()
     if process_map is not None:
         summary["worker_pids"] = {node: entry["pid"]
                                   for node, entry in process_map.items()}

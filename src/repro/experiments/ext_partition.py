@@ -97,7 +97,7 @@ def run_ext_partition(
                 # the fault-free anchor installs no recovery machinery, and
                 # the config layer rejects a recovery mode without it
                 "state_recovery": "replay" if sched is not None else "none",
-                "record_completion_timeline": True,
+                "record_timeline": True,
             },
         )
         report = engine.metrics.fault_report()
@@ -110,7 +110,7 @@ def run_ext_partition(
         ])
         invariant = None
         if sched is not None and failover == "quorum":
-            # quorum's whole claim: the completion log shows no execution
+            # quorum's whole claim: the execution timeline shows no completion
             # on a fenced/dead owner — raise right here if it ever does
             invariant = check_single_instance(engine)
         result.extras[label] = {

@@ -4,7 +4,8 @@ One query at a time on a single node (4 workers, mirroring the DS12-v2's
 4 vCPUs), driven hard enough that operators contend for the worker pool.
 
 Panels: (a) median/tail latency per query and scheduler, (b) latency CDF
-(IPQ1), (c) operator schedule timeline for IPQ1 (stored in extras).
+(IPQ1), (c) operator schedule timeline for IPQ1 (stored in extras: the
+run's ``metrics.timeline``, which ``ascii_schedule`` draws).
 
 Paper shapes: Cameo improves median by up to ~2.7x and p99 by up to ~3.2x
 over Orleans; FIFO's median can be slightly below Cameo's but its tail is
@@ -45,7 +46,7 @@ def _run_query(
         nodes=1,
         workers_per_node=4,
         seed=seed,
-        record_schedule_timeline=record_timeline,
+        record_timeline=record_timeline,
     )
     engine = StreamEngine(config, [job])
     drive_all_sources(

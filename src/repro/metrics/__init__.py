@@ -1,6 +1,6 @@
 """Metrics: collection during runs, statistics, and report tables."""
 
-from repro.metrics.collectors import JobMetrics, MetricsHub, TimelinePoint
+from repro.metrics.collectors import JobMetrics, MetricsHub
 from repro.metrics.export import job_metrics_to_json, result_to_csv, result_to_json
 from repro.metrics.plots import ascii_cdf, ascii_heatmap, ascii_schedule, ascii_series
 from repro.metrics.report import format_latency_ms, format_table
@@ -18,7 +18,6 @@ __all__ = [
     "LatencySummary",
     "MetricsHub",
     "RunningStat",
-    "TimelinePoint",
     "ascii_cdf",
     "ascii_heatmap",
     "ascii_schedule",

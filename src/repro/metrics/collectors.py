@@ -3,27 +3,15 @@
 The hub records, per job: every sink output (time, end-to-end latency,
 tuples), start-deadline violations observed by the scheduler, and message
 counts; plus per-worker busy time for utilization (Fig. 1) and an optional
-operator schedule timeline (Fig. 7c).
+execution timeline, one record per completed execution (Fig. 7c, the
+split-brain sweep, the determinism tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.metrics.stats import LatencySummary, RunningStat, summarize
-
-
-@dataclass(slots=True)
-class TimelinePoint:
-    """One message start: when, which operator, at what stream progress."""
-
-    time: float
-    job: str
-    stage: str
-    operator_index: int
-    progress: float
 
 
 def _fold(into, other) -> None:
@@ -204,19 +192,12 @@ class JobMetrics:
 
 
 class MetricsHub:
-    """All metrics for one engine run.
-
-    The schedule timeline is buffered in parallel flat arrays (one append
-    per recorded message start, no per-point object); :attr:`timeline`
-    materializes :class:`TimelinePoint` objects on demand for analysis and
-    plotting."""
+    """All metrics for one engine run."""
 
     # fold rules of :meth:`merge` (see :class:`JobMetrics`); not merged are
     # the coordinator's own counters and those only the sim's recovery,
     # partition and bandwidth machinery ever moves
-    _MERGE_EXTEND = ("_timeline_times", "_timeline_jobs", "_timeline_stages",
-                     "_timeline_indices", "_timeline_progress",
-                     "completion_log")
+    _MERGE_EXTEND = ("timeline",)
     _MERGE_SUM = ("total_messages", "total_acks", "messages_lost_network",
                   "messages_lost_crash", "messages_dropped_down",
                   "retransmissions", "retransmit_backoff_time",
@@ -235,14 +216,9 @@ class MetricsHub:
 
     def __init__(self):
         self._jobs: dict[str, JobMetrics] = {}
-        self._timeline_times: list[float] = []
-        self._timeline_jobs: list[str] = []
-        self._timeline_stages: list[str] = []
-        self._timeline_indices: list[int] = []
-        self._timeline_progress: list[float] = []
-        #: (time, job, stage, operator_index, msg_id) per completed message,
-        #: recorded only when ``record_completion_timeline`` is enabled
-        self.completion_log: list[tuple] = []
+        #: (finished, job, stage, operator_index, msg_id, started) per
+        #: completed execution, recorded only when ``record_timeline`` is on
+        self.timeline: list[tuple] = []
         self.worker_busy: dict[tuple[int, int], float] = {}
         self.total_messages = 0
         self.total_acks = 0
@@ -291,28 +267,13 @@ class MetricsHub:
         self.worker_busy.update(other.worker_busy)
 
     def record_timeline_point(
-        self, time: float, job: str, stage: str, operator_index: int, progress: float
+        self, finished: float, job: str, stage: str, operator_index: int,
+        msg_id: int, started: float,
     ) -> None:
-        """Buffer one message start (hot path: five list appends)."""
-        self._timeline_times.append(time)
-        self._timeline_jobs.append(job)
-        self._timeline_stages.append(stage)
-        self._timeline_indices.append(operator_index)
-        self._timeline_progress.append(progress)
-
-    @property
-    def timeline(self) -> list[TimelinePoint]:
-        """Recorded message starts, materialized as timeline points."""
-        return [
-            TimelinePoint(time, job, stage, index, progress)
-            for time, job, stage, index, progress in zip(
-                self._timeline_times,
-                self._timeline_jobs,
-                self._timeline_stages,
-                self._timeline_indices,
-                self._timeline_progress,
-            )
-        ]
+        """Record one completed execution (one tuple append)."""
+        self.timeline.append(
+            (finished, job, stage, operator_index, msg_id, started)
+        )
 
     def register_job(self, name: str, group: str, latency_constraint: float) -> JobMetrics:
         if name in self._jobs:

@@ -14,8 +14,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.collectors import TimelinePoint
-
 _SHADES = " .:-=+*#%@"
 
 
@@ -94,7 +92,7 @@ def ascii_heatmap(matrix, title: str = "", shades: str = _SHADES) -> str:
 
 
 def ascii_schedule(
-    timeline: Iterable[TimelinePoint],
+    timeline: Iterable[tuple],
     start: float,
     end: float,
     width: int = 80,
@@ -103,25 +101,28 @@ def ascii_schedule(
 ) -> str:
     """Operator schedule timeline in the style of Fig. 7(c).
 
-    One row per (stage, operator index); columns are time buckets; a stage
-    mark is drawn at every bucket in which the operator started a message.
-    With ``window`` given, columns at window boundaries are drawn as ``|``
-    when empty, mirroring the red separators of the paper's figure.
+    ``timeline`` holds ``MetricsHub.timeline`` records, ``(finished, job,
+    stage, index, msg_id, started)``.  One row per (stage, operator index);
+    columns are time buckets; a stage mark is drawn at every bucket in
+    which the operator started a message.  With ``window`` given, columns
+    at window boundaries are drawn as ``|`` when empty, mirroring the red
+    separators of the paper's figure.
     """
-    points = [p for p in timeline if start <= p.time < end]
+    points = [(entry[5], entry[2], entry[3]) for entry in timeline
+              if start <= entry[5] < end]
     if not points:
         return "(no schedule points in range)"
-    stages = list(stage_order) if stage_order else sorted({p.stage for p in points})
+    stages = (list(stage_order) if stage_order
+              else sorted({stage for _, stage, _ in points}))
     stage_mark = {stage: str(i) for i, stage in enumerate(stages)}
     rows: dict[tuple[int, int], list[str]] = {}
     span = end - start
-    for point in points:
-        if point.stage not in stage_mark:
+    for started, stage, index in points:
+        if stage not in stage_mark:
             continue
-        key = (stages.index(point.stage), point.operator_index)
-        row = rows.setdefault(key, [" "] * width)
-        column = min(width - 1, int((point.time - start) / span * width))
-        row[column] = stage_mark[point.stage]
+        row = rows.setdefault((stages.index(stage), index), [" "] * width)
+        column = min(width - 1, int((started - start) / span * width))
+        row[column] = stage_mark[stage]
     boundary_columns = set()
     if window:
         boundary = math.ceil(start / window) * window

@@ -20,7 +20,7 @@ order, so the pop order of live entries is unchanged.  Sampler events can
 make the kernel refuse a quantum-batched inline advance, but the
 documented fallback (heap-scheduled completion) yields an identical
 observable event order.  Net effect: tracing-on runs produce bit-identical
-completion logs to tracing-off runs (pinned by
+execution timelines to tracing-off runs (pinned by
 ``tests/obs/test_trace_determinism.py``).
 
 The sim sampler re-arms itself forever; it is only installed on engines

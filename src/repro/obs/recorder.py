@@ -8,7 +8,7 @@ it on they hold a :class:`TraceRecorder`, which allocates one
 :class:`~repro.obs.spans.MessageSpan` per message hop and appends
 scheduler samples.  It is **passive**: it never schedules events,
 touches an RNG stream, or mutates runtime state, which is what makes
-tracing-on runs produce bit-identical completion logs to tracing-off
+tracing-on runs produce bit-identical execution timelines to tracing-off
 runs (pinned by ``tests/obs/test_trace_determinism.py``).
 :class:`MpSpanRecorder` is its worker-local variant on the mp backend.
 

@@ -47,11 +47,10 @@ class EngineConfig:
             profiled costs (Fig. 16).
         placement: ``"round_robin"`` (collocates tenants, the multi-tenant
             setting) or ``"pack_by_job"``.
-        record_schedule_timeline: keep (time, operator, progress) tuples for
-            every message start (Fig. 7c); off by default to save memory.
-        record_completion_timeline: keep one (time, job, stage, index,
-            msg_id) tuple per *completed* message — the full per-message
-            completion timeline, used by determinism regression tests; off
+        record_timeline: keep one ``(finished, job, stage, index, msg_id,
+            started)`` tuple per completed execution in
+            ``MetricsHub.timeline`` — the schedule of Fig. 7(c), the
+            split-brain sweep's input and the determinism tests' pin; off
             by default to save memory.
         switch_cost: worker-side cost (seconds) of switching to a different
             operator activation — models the cache/context-switch penalty
@@ -159,8 +158,7 @@ class EngineConfig:
     use_query_semantics: bool = True
     profile_noise_sigma: float = 0.0
     placement: str = "round_robin"
-    record_schedule_timeline: bool = False
-    record_completion_timeline: bool = False
+    record_timeline: bool = False
     switch_cost: float = 0.0
     starvation_aging: float = 0.0
     source_mailbox_capacity: Optional[int] = None

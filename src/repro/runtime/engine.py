@@ -213,6 +213,14 @@ class StreamEngine:
     def operator_runtimes(self) -> list[OperatorRuntime]:
         return list(self._ops.values())
 
+    def backoff_by_channel(self) -> dict[str, dict]:
+        """Per-channel retransmit accounting (see
+        :meth:`~repro.runtime.delivery.ReliableDriver.backoff_by_channel`);
+        empty without reliable delivery."""
+        if self.reliable is None:
+            return {}
+        return self.reliable.backoff_by_channel()
+
     def describe_topology(self) -> dict:
         """JSON-able dump of the live wiring: operators, placements,
         channels and reply routes (the ``repro topology`` subcommand)."""

@@ -12,20 +12,20 @@ records anyway:
   log** — ``(time, address, from_node, to_node, reason)`` per completed
   migration, anchored by the initial placement;
 * its **fence log** — ``(time, node_id, "fence"|"unfence")``;
-* the **completion log** — ``(time, job, stage, index, msg_id)`` per
-  executed message (``record_completion_timeline`` runs).
+* the **execution timeline** — ``(finished, job, stage, index, msg_id,
+  started)`` per completed execution (``record_timeline`` runs).
 
 ``check_single_instance`` reconstructs each operator's single-owner
 interval chain (the chain itself proves at most one owner at any sim
 time — a break in it means two nodes both believed they hosted the
-operator) and then sweeps the completion log: no message may complete
+operator) and then sweeps the timeline: no message may complete
 under an owner that was fenced or fail-stopped at that instant, except
 at the fence boundary itself (an event already firing at the fence
 instant ran before the sweep that fenced the node).
 
 Note the invariant is deliberately *not* "msg_ids are unique": replay-
 mode recovery legitimately re-executes messages after a rollback, so
-duplicate msg_ids in the completion log are correct behaviour.  What
+duplicate msg_ids in the timeline are correct behaviour.  What
 must never happen is execution on a host that has lost ownership.
 """
 
@@ -101,19 +101,21 @@ def _owner_at(chain, time: float) -> int:
 def check_single_instance(engine) -> dict:
     """Assert the split-brain invariant over one finished engine run.
 
-    Requires a partition-aware run with ``record_completion_timeline``
-    on.  Returns a summary dict; raises ``AssertionError`` on the first
-    violation found.
+    Requires a partition-aware run with ``record_timeline`` on.  Returns
+    a summary dict; raises ``AssertionError`` on the first violation
+    found, and ``ValueError`` when there is nothing to check.
     """
     recovery = engine.recovery
     if recovery is None:
         raise ValueError("no recovery layer installed; nothing to check")
+    if not engine.config.record_timeline:
+        raise ValueError("run without record_timeline; no executions to check")
     until = engine.sim.now
     chains = ownership_intervals(recovery, until)
     fences = fence_intervals(recovery.fence_log, until)
     downs = down_intervals(engine.config.fault_schedule)
     checked = 0
-    for time, job, stage, index, _msg_id in engine.metrics.completion_log:
+    for time, job, stage, index, *_ in engine.metrics.timeline:
         chain = chains.get((job, stage, index))
         if chain is None:
             continue  # operator outside the recovery layer's bookkeeping

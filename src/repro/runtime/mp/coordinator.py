@@ -503,5 +503,5 @@ class MpCoordinator:
             metrics.merge(hub)
         for name in metrics.job_names:
             _sort_outputs(metrics.job(name))
-        metrics.completion_log.sort(key=lambda entry: entry[0])
+        metrics.timeline.sort(key=lambda entry: entry[0])
         return metrics

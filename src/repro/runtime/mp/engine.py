@@ -141,3 +141,15 @@ class MpStreamEngine:
                     f"node {node_id} declared dead (crashed ~{crash:.3f}s)",
                 )
             self.fault_timeline = timeline
+
+    def backoff_by_channel(self) -> dict[str, dict]:
+        """Per-channel retransmit accounting, summed per channel label
+        over every worker's report (a channel's sender half lives in its
+        producing worker; after a fail-over two workers may name it)."""
+        merged: dict[str, dict] = {}
+        for stats in self.info.get("reports", {}).values():
+            for label, entry in stats["backoff_by_channel"].items():
+                into = merged.setdefault(label, dict.fromkeys(entry, 0))
+                for key, value in entry.items():
+                    into[key] += value
+        return merged

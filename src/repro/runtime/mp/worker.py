@@ -429,6 +429,7 @@ class MpWorker(NodeRuntime):
             "fifo_violations": self.transport.fifo_violations,
             "stage_rescales": self._stage_rescales,
             "keys_moved": self._keys_moved,
+            "backoff_by_channel": self._delivery.backoff_by_channel(),
         }
         try:
             send_frame(self._coord, REPORT, (self._node_id, self.metrics, stats))

@@ -69,7 +69,6 @@ class NodeRuntime:
         "_switch_cost",
         "_capacity",
         "_record_timeline",
-        "_record_completions",
         "_reliable",
         "_shedder",
         "_tracer",
@@ -104,8 +103,7 @@ class NodeRuntime:
         self._quantum = config.quantum
         self._switch_cost = config.switch_cost
         self._capacity = config.source_mailbox_capacity
-        self._record_timeline = config.record_schedule_timeline
-        self._record_completions = config.record_completion_timeline
+        self._record_timeline = config.record_timeline
         self._reliable = reliable
         self._shedder = shedder
         self._tracer = tracer
@@ -281,10 +279,6 @@ class NodeRuntime:
             pc = msg.pc
             if pc is not None and now > pc.deadline:
                 job_metrics.start_violations += 1
-            if self._record_timeline:
-                self.metrics.record_timeline_point(
-                    now, op_rt.job.name, stage_name, op_rt.address.index, msg.p
-                )
             cost = cost_model.sample(msg.tuple_count, cost_rng)
             exec_stat = op_rt.exec_stat
             if exec_stat is None:
@@ -297,7 +291,7 @@ class NodeRuntime:
             if not self._execute(worker, op_rt, msg, now, cost):
                 return False
             # the clock stands at the completion instant: complete inline
-            self._finish_message(worker, op_rt, msg, cost)
+            self._finish_message(worker, op_rt, msg, cost, now)
             if len(mailbox) == 0:
                 self._release(op_rt, worker, requeue=False)
                 return True
@@ -314,11 +308,13 @@ class NodeRuntime:
         sim = self.sim
         if sim.try_advance(now + cost):
             return True
-        sim.schedule_fast(cost, self._complete_message, worker, op_rt, msg, cost)
+        sim.schedule_fast(cost, self._complete_message, worker, op_rt, msg,
+                          cost, now)
         return False
 
     def _complete_message(
-        self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float
+        self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float,
+        started: float,
     ) -> None:
         """Kernel-event completion path (when inline advance was refused)."""
         if worker.current_op is not op_rt:
@@ -329,7 +325,7 @@ class NodeRuntime:
             if self._tracer is not None:
                 self._tracer.on_lost_crash(msg, self.sim.now)
             return
-        self._finish_message(worker, op_rt, msg, cost)
+        self._finish_message(worker, op_rt, msg, cost, started)
         if len(op_rt.mailbox) == 0:
             self._release(op_rt, worker, requeue=False)
             self._worker_next(worker)
@@ -354,9 +350,11 @@ class NodeRuntime:
         return False
 
     def _finish_message(
-        self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float
+        self, worker: Worker, op_rt: OperatorRuntime, msg: Message, cost: float,
+        started: float,
     ) -> None:
-        """Everything that happens at a message's completion instant."""
+        """Everything that happens at a message's completion instant
+        (``started`` is the instant its execution began)."""
         now = self.sim.now
         worker.busy_time += cost
         tracer = self._tracer
@@ -385,9 +383,10 @@ class NodeRuntime:
         if self._contexts:
             self._profiler.record(op_rt.address, cost)
             transport.send_reply(op_rt, msg)
-        if self._record_completions:
-            self.metrics.completion_log.append(
-                (now, op_rt.job.name, op_rt.stage_name, op_rt.address.index, msg.msg_id)
+        if self._record_timeline:
+            self.metrics.record_timeline_point(
+                now, op_rt.job.name, op_rt.stage_name, op_rt.address.index,
+                msg.msg_id, started,
             )
         if self._reliable is not None:
             # ack on processing completion, not delivery: a crash can then

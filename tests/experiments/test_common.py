@@ -62,15 +62,15 @@ class TestRunTenantMix:
         mix = TenantMix(ls_count=1, ba_count=1, ls_sources=2, ba_sources=2,
                         ba_msg_rate=5.0)
         kwargs = dict(duration=4.0, nodes=2, seed=3,
-                      config_overrides={"record_completion_timeline": True})
+                      config_overrides={"record_timeline": True})
         reset_message_ids()
         ran = run_tenant_mix("cameo", mix, drain=1.0, **kwargs)
         reset_message_ids()
         built = build_tenant_mix("cameo", mix, **kwargs)
-        assert built.sim.now == 0.0 and not built.metrics.completion_log
+        assert built.sim.now == 0.0 and not built.metrics.timeline
         built.run(until=5.0)
-        assert built.metrics.completion_log == ran.metrics.completion_log
-        assert len(ran.metrics.completion_log) > 0
+        assert built.metrics.timeline == ran.metrics.timeline
+        assert len(ran.metrics.timeline) > 0
 
 
 class TestExperimentResult:

@@ -156,7 +156,7 @@ class TestMerge:
         job.max_source_mailbox = 3
         job.record_queueing("map", 0.75)
         job.record_execution("sink", 0.125)
-        other.record_timeline_point(2.0, "job", "map", 0, 1.0)
+        other.record_timeline_point(2.0, "job", "map", 0, 17, 1.5)
         other.record_worker_busy(1, 0, 2.5)
         other.total_messages = 9
         other.retransmit_backoff_time = 0.25
@@ -168,7 +168,7 @@ class TestMerge:
         assert merged.queueing["map"].count == 2
         assert merged.queueing["map"].mean == pytest.approx(0.5)
         assert merged.execution["sink"].count == 1
-        assert len(into.timeline) == 1
+        assert into.timeline == [(2.0, "job", "map", 0, 17, 1.5)]
         assert into.worker_busy == {(0, 0): 1.5, (1, 0): 2.5}
         assert into.total_messages == 9
         assert into.retransmit_backoff_time == 0.75

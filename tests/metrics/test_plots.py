@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.metrics.collectors import TimelinePoint
 from repro.metrics.plots import ascii_cdf, ascii_heatmap, ascii_schedule, ascii_series
 
 
@@ -54,10 +53,11 @@ class TestAsciiHeatmap:
 
 class TestAsciiSchedule:
     def points(self):
+        # (finished, job, stage, index, msg_id, started): drawn at started
         return [
-            TimelinePoint(time=0.1, job="j", stage="source", operator_index=0, progress=0.0),
-            TimelinePoint(time=0.5, job="j", stage="agg", operator_index=0, progress=0.0),
-            TimelinePoint(time=0.9, job="j", stage="sink", operator_index=0, progress=0.0),
+            (0.15, "j", "source", 0, 1, 0.1),
+            (0.55, "j", "agg", 0, 2, 0.5),
+            (0.95, "j", "sink", 0, 3, 0.9),
         ]
 
     def test_empty_range(self):
@@ -77,6 +77,12 @@ class TestAsciiSchedule:
         plot = ascii_schedule(self.points(), 0.0, 1.0, width=20,
                               stage_order=["source", "agg", "sink"], window=0.5)
         assert "|" in plot
+
+    def test_marks_at_the_start_instant(self):
+        """A message is drawn where it started, not where it finished."""
+        plot = ascii_schedule([(0.95, "j", "source", 0, 1, 0.15)], 0.0, 1.0,
+                              width=10)
+        assert plot.splitlines()[1][15:] == " 0        "
 
     def test_out_of_range_points_ignored(self):
         plot = ascii_schedule(self.points(), 0.0, 0.3, width=10,

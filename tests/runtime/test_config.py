@@ -117,6 +117,8 @@ class TestConstants:
         "heartbeat_interval", "failure_timeout", "retransmit_timeout",
         "retransmit_backoff_cap", "link_bytes_per_tuple", "mp_poll_interval",
         "shed_slack", "network_jitter_sigma",
+        # the two execution logs that ``record_timeline`` replaced
+        *(f"record_{log}_timeline" for log in ("schedule", "completion")),
     ])
     def test_removed_fields_are_not_accepted(self, field):
         with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ The paper's claims are about scheduling order, and the hot-path fast paths
 delay caching) are only admissible because they provably never change a
 scheduling decision.  This test pins that: a fig08-style multi-tenant mix,
 run twice with the same seed, must produce *identical* per-message
-completion timelines under every scheduler.
+execution timelines under every scheduler.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.workloads.tenants import (
 )
 
 
-def _completion_log(scheduler: str):
+def _timeline(scheduler: str):
     # message ids come from a process-global counter: reset it so both runs
     # label messages identically
     reset_message_ids()
@@ -37,21 +37,21 @@ def _completion_log(scheduler: str):
         nodes=2,
         workers_per_node=2,
         seed=7,
-        config_overrides={"record_completion_timeline": True},
+        config_overrides={"record_timeline": True},
     )
-    return engine.metrics.completion_log
+    return engine.metrics.timeline
 
 
 @pytest.mark.parametrize("scheduler", ["cameo", "fifo", "orleans"])
 def test_same_seed_reruns_are_bit_identical(scheduler):
-    first = _completion_log(scheduler)
-    second = _completion_log(scheduler)
+    first = _timeline(scheduler)
+    second = _timeline(scheduler)
     assert len(first) > 100, "workload should actually process messages"
     assert first == second
 
 
 def _reconfigured_log(scheduler: str):
-    """Completion log of a run that migrates and rescales mid-flight.
+    """Execution timeline of a run that migrates and rescales mid-flight.
 
     Dynamic reconfiguration goes through the public lifecycle API and must
     be exactly as deterministic as a static run: migration drains mailboxes
@@ -64,7 +64,7 @@ def _reconfigured_log(scheduler: str):
     engine = StreamEngine(
         EngineConfig(scheduler=scheduler, nodes=2, workers_per_node=2,
                      placement="single_node", seed=7,
-                     record_completion_timeline=True),
+                     record_timeline=True),
         [ls, ba],
     )
     for job, period in ((ls, 1 / 120.0), (ba, 1 / 40.0)):
@@ -77,7 +77,7 @@ def _reconfigured_log(scheduler: str):
     engine.sim.schedule_at(2.5, engine.lifecycle.rescale, 1, 2)
     engine.run(until=4.0)
     assert engine.operator_runtime(agg).node_id == 1
-    return engine.metrics.completion_log
+    return engine.metrics.timeline
 
 
 @pytest.mark.parametrize("scheduler", ["cameo", "fifo", "orleans"])
@@ -90,7 +90,7 @@ def test_reconfigured_runs_are_bit_identical(scheduler):
 
 
 def _faulted_log(scheduler: str):
-    """Completion log of a run under a crash + loss + delay-spike schedule.
+    """Execution timeline of a run under a crash + loss + delay-spike schedule.
 
     Fault injection draws from its own named RNG substream and every
     crash/detection/fail-over step runs through the kernel's ordinary event
@@ -108,7 +108,7 @@ def _faulted_log(scheduler: str):
     engine = StreamEngine(
         EngineConfig(scheduler=scheduler, nodes=2, workers_per_node=2,
                      seed=7, fault_schedule=schedule,
-                     record_completion_timeline=True),
+                     record_timeline=True),
         [ls, ba],
     )
     for job, period in ((ls, 1 / 40.0), (ba, 1 / 15.0)):
@@ -116,12 +116,12 @@ def _faulted_log(scheduler: str):
                           sizer=FixedBatchSize(200), until=3.0)
     engine.run(until=5.0)
     assert engine.metrics.crashes == 1, "the schedule should actually fire"
-    return engine.metrics.completion_log
+    return engine.metrics.timeline
 
 
 @pytest.mark.parametrize("scheduler", ["cameo", "fifo", "orleans"])
 def test_faulted_runs_are_bit_identical(scheduler):
-    """Same seed + same fault schedule => identical completion timelines."""
+    """Same seed + same fault schedule => identical execution timelines."""
     first = _faulted_log(scheduler)
     second = _faulted_log(scheduler)
     assert len(first) > 100, "workload should actually process messages"
@@ -134,23 +134,23 @@ def _zero_fault_log(scheduler: str, schedule):
     engine = run_tenant_mix(
         scheduler, mix, duration=3.0, drain=1.0, nodes=2, workers_per_node=2,
         seed=7,
-        config_overrides={"record_completion_timeline": True,
+        config_overrides={"record_timeline": True,
                           "fault_schedule": schedule},
     )
-    return engine.metrics.completion_log
+    return engine.metrics.timeline
 
 
 @pytest.mark.parametrize("scheduler", ["cameo", "fifo", "orleans"])
 def test_empty_fault_schedule_is_bit_identical_to_none(scheduler):
     """An empty FaultSchedule must be *inert*: no machinery installed, so
-    the completion timeline matches a run with no schedule at all."""
+    the execution timeline matches a run with no schedule at all."""
     assert _zero_fault_log(scheduler, None) == \
         _zero_fault_log(scheduler, FaultSchedule())
 
 
 def test_schedulers_actually_differ():
-    """Sanity check that the completion log is a discriminating signal: the
+    """Sanity check that the execution timeline is a discriminating signal: the
     schedulers order work differently, so their logs should not collide."""
-    logs = {s: _completion_log(s) for s in ("cameo", "fifo", "orleans")}
+    logs = {s: _timeline(s) for s in ("cameo", "fifo", "orleans")}
     assert logs["cameo"] != logs["fifo"]
     assert logs["cameo"] != logs["orleans"]

@@ -5,6 +5,7 @@ import pytest
 from repro.dataflow.graph import CostModel, DataflowGraph, StageSpec
 from repro.dataflow.jobs import JobSpec
 from repro.dataflow.windows import WindowSpec
+from repro.metrics.plots import ascii_schedule
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine
 from repro.workloads.arrivals import FixedBatchSize, PeriodicArrivals, drive_all_sources
@@ -205,16 +206,18 @@ class TestAccountingAndContexts:
     def test_schedule_timeline_recorded(self):
         job = simple_job()
         engine = StreamEngine(
-            EngineConfig(scheduler="cameo", record_schedule_timeline=True), [job]
+            EngineConfig(scheduler="cameo", record_timeline=True), [job]
         )
         ingest_window_data(engine, job)
         engine.run(until=10.0)
         timeline = engine.metrics.timeline
-        assert timeline
-        stages = {point.stage for point in timeline}
+        assert len(timeline) == engine.metrics.total_messages > 0
+        stages = {stage for _, _, stage, *_ in timeline}
         assert {"source", "agg", "sink"} <= stages
-        times = [point.time for point in timeline]
-        assert times == sorted(times)
+        finished = [entry[0] for entry in timeline]
+        assert finished == sorted(finished)
+        # every stage has a positive base cost: each start precedes its end
+        assert all(entry[5] < entry[0] for entry in timeline)
 
     def test_worker_busy_time_bounded(self):
         job = make_latency_sensitive_job("job", source_count=4)
@@ -237,6 +240,65 @@ class TestAccountingAndContexts:
         engine.run(until=8.0)
         switches = sum(w.switches for n in engine.nodes for w in n.workers)
         assert switches > 0
+
+
+class TestAsciiScheduleOfARun:
+    """Fig. 7(c)'s renderer over a recorded sim run's timeline."""
+
+    STAGES = ["source", "agg", "sink"]
+    #: simple_job()'s operators in row order: stage order, then index
+    OPERATORS = [("source", 0), ("source", 1), ("agg", 0), ("sink", 0)]
+    START, END, WIDTH, WINDOW = 0.0, 4.0, 40, 1.0
+
+    @pytest.fixture(scope="class")
+    def timeline(self):
+        job = simple_job()
+        engine = StreamEngine(
+            EngineConfig(scheduler="cameo", record_timeline=True), [job]
+        )
+        ingest_window_data(engine, job)
+        engine.run(until=10.0)
+        return engine.metrics.timeline
+
+    def render(self, timeline, stages):
+        plot = ascii_schedule(timeline, self.START, self.END, width=self.WIDTH,
+                              stage_order=stages, window=self.WINDOW)
+        return plot.splitlines()[1:]
+
+    def test_one_row_per_operator(self, timeline):
+        rows = self.render(timeline, self.STAGES)
+        assert [row[:15] for row in rows] == [
+            f"{stage:>10}[{index:02d}] " for stage, index in self.OPERATORS]
+        assert {entry[2:4] for entry in timeline} == set(self.OPERATORS)
+
+    def test_marks_only_for_ordered_stages(self, timeline):
+        rows = self.render(timeline, ["source", "sink"])
+        assert [row[:15].strip() for row in rows] == [
+            "source[00]", "source[01]", "sink[00]"]
+        assert set(rows[0][15:] + rows[1][15:]) <= {"0", " ", "|"}
+        assert set(rows[2][15:]) <= {"1", " ", "|"}
+        assert "1" in rows[2]
+
+    def test_window_boundaries_drawn_where_empty(self, timeline):
+        rows = self.render(timeline, self.STAGES)
+        bucket = (self.END - self.START) / self.WIDTH
+        boundaries = {round(w * self.WINDOW / bucket)
+                      for w in range(int(self.END / self.WINDOW))}
+        for row, key in zip(rows, self.OPERATORS, strict=True):
+            used = {int((entry[5] - self.START) / bucket)
+                    for entry in timeline if entry[2:4] == key}
+            cells = row[15:]
+            for column, cell in enumerate(cells):
+                if column in used:
+                    assert cell == str(self.STAGES.index(key[0]))
+                elif column in boundaries:
+                    assert cell == "|"
+                else:
+                    assert cell == " "
+
+    def test_empty_range(self, timeline):
+        assert (ascii_schedule(timeline, 100.0, 200.0)
+                == "(no schedule points in range)")
 
 
 class TestTimeDomains:

@@ -156,13 +156,12 @@ class TestOneMessagePath:
         for backend, overrides in (("sim", {}), ("mp", _FLOODED)):
             engine = run_tenant_mix(
                 "cameo", _small_mix(), duration=2.0, drain=1.0, nodes=1, seed=3,
-                config_overrides={"record_schedule_timeline": True, **overrides},
+                config_overrides={"record_timeline": True, **overrides},
             )
             timeline = engine.metrics.timeline
             assert len(timeline) == engine.metrics.total_messages > 0
-            placed[backend] = Counter(
-                (point.job, point.stage, point.operator_index) for point in timeline
-            )
+            assert all(entry[5] <= entry[0] for entry in timeline)
+            placed[backend] = Counter(entry[1:4] for entry in timeline)
         assert placed["mp"] == placed["sim"]
 
     def test_source_back_pressure_delays_and_never_drops(self):
@@ -225,6 +224,18 @@ class TestLossyChannels:
         assert mp.metrics.retransmissions > 0
         assert mp.metrics.retransmit_backoff_time > 0
         assert not mp.info["forced_stop"]
+
+    def test_backoff_is_reported_per_channel(self):
+        """Every worker reports its driver's per-channel table, and the
+        merged table decomposes the hub total, as on the sim."""
+        mp = _lossy_mp(ChannelLoss(rate=0.15, scope="all"))
+        table = mp.backoff_by_channel()
+        assert table
+        total = sum(entry["backoff_time"] for entry in table.values())
+        assert total == pytest.approx(mp.metrics.retransmit_backoff_time,
+                                      rel=0, abs=1e-9)
+        assert (sum(entry["retransmissions"] for entry in table.values())
+                == mp.metrics.retransmissions)
 
     def test_local_loss_drops_nothing(self):
         """Every pipe links two nodes, so a same-node loss has no link to
@@ -549,11 +560,11 @@ class TestEndOfRun:
             "cameo", mix, duration=10.0, drain=0.0, nodes=2, workers_per_node=1,
             seed=3, config_overrides={
                 **_FLOODED, "placement": "round_robin",
-                "record_completion_timeline": True,
+                "record_timeline": True,
             },
         )
         assert not mp.info["forced_stop"]
-        last = max(entry[0] for entry in mp.metrics.completion_log)
+        last = max(entry[0] for entry in mp.metrics.timeline)
         assert mp.info["wall_time"] - last < HEARTBEAT_INTERVAL
 
 

@@ -172,17 +172,16 @@ def run_engine(schedule=None, scheduler="cameo", duration=4.0, seed=3,
 @pytest.mark.parametrize("scheduler", ["cameo", "orleans", "fifo"])
 def test_empty_partition_list_is_bit_identical_to_no_schedule(scheduler):
     """``FaultSchedule(partitions=[])`` is disabled: same-seed runs must
-    produce identical completion logs for every scheduler."""
-    base = run_engine(schedule=None, scheduler=scheduler,
-                      record_completion_timeline=True)
+    produce identical execution timelines for every scheduler."""
+    base = run_engine(schedule=None, scheduler=scheduler, record_timeline=True)
     empty = run_engine(schedule=FaultSchedule(partitions=[]),
-                       scheduler=scheduler, record_completion_timeline=True)
+                       scheduler=scheduler, record_timeline=True)
     assert empty.recovery is None  # no machinery installed at all
     # msg_ids are process-global allocation counters, so strip them: the
     # comparison pins times, operators and order, which is what the
     # scheduler and fault machinery could perturb
-    strip = [entry[:4] for entry in base.metrics.completion_log]
-    assert [e[:4] for e in empty.metrics.completion_log] == strip
+    strip = [entry[:4] for entry in base.metrics.timeline]
+    assert [e[:4] for e in empty.metrics.timeline] == strip
     for name in ("ls0", "ba0"):
         assert (empty.metrics.job(name).output_times
                 == base.metrics.job(name).output_times)
@@ -254,11 +253,17 @@ class TestQuorumFailover:
 
     def test_quorum_run_passes_split_brain_invariant(self):
         engine = run_engine(schedule=CUT, state_recovery="replay",
-                            record_completion_timeline=True)
+                            record_timeline=True)
         summary = check_single_instance(engine)
         assert summary["completions_checked"] > 0
         assert summary["fence_windows"] == 1
         assert summary["moves"] >= 2  # evacuation out plus migration home
+
+    def test_invariant_refuses_a_run_without_a_timeline(self):
+        """Without recorded executions the sweep would pass vacuously."""
+        engine = run_engine(schedule=CUT, state_recovery="replay")
+        with pytest.raises(ValueError, match="record_timeline"):
+            check_single_instance(engine)
 
 
 class TestNaiveFailover:
