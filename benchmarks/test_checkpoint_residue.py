@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import time
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.sim.faults import CrashWindow, FaultSchedule
 
 
 def _timed_mix(**overrides):
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=4)
     start = time.perf_counter()
     engine = run_tenant_mix(

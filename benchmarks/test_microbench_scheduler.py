@@ -21,14 +21,12 @@ N = 2_000
 
 
 class _OpStub:
-    __slots__ = ("mailbox", "busy", "queue_token", "queued_key", "queued_seq", "in_queue")
+    __slots__ = ("mailbox", "busy", "queue_token", "in_queue")
 
     def __init__(self, mailbox):
         self.mailbox = mailbox
         self.busy = False
         self.queue_token = -1
-        self.queued_key = 0.0
-        self.queued_seq = 0
         self.in_queue = False
 
 

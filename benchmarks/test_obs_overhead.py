@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import time
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 
 
 def _timed_mix(trace: bool, sample_interval: float = 0.05):
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=4)
     overrides = {"record_trace": trace,
                  "trace_sample_interval": sample_interval}

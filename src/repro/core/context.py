@@ -17,7 +17,7 @@ respect to jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 #: Global priority assigned to messages that must never outrank tokened
@@ -31,7 +31,6 @@ class PriorityContext:
     """Priority context attached to a message before it is sent.
 
     Attributes:
-        msg_id: id of the message the PC belongs to.
         pri_local: orders messages *within* an operator (``p_MF`` under the
             deadline policies; interval id under the token policy).
         pri_global: orders operators against each other (the start deadline
@@ -45,7 +44,6 @@ class PriorityContext:
         token_interval: interval id for the token policy (optional).
     """
 
-    msg_id: int = -1
     pri_local: float = 0.0
     pri_global: float = 0.0
     p_mf: float = 0.0
@@ -54,25 +52,19 @@ class PriorityContext:
     deadline: float = float("inf")
     token_interval: int = -1
 
-    def copy(self) -> "PriorityContext":
-        """PCs are inherited (copied, then modified) by downstream messages."""
-        return replace(self)
-
     # slots dataclasses only pickle under protocol >= 2 on Python 3.11;
     # PCs travel inside messages over the process backend's pipes, so
     # explicit state methods make every protocol work
     def __getstate__(self) -> tuple:
         return (
-            self.msg_id, self.pri_local, self.pri_global, self.p_mf,
-            self.t_mf, self.latency_constraint, self.deadline,
-            self.token_interval,
+            self.pri_local, self.pri_global, self.p_mf, self.t_mf,
+            self.latency_constraint, self.deadline, self.token_interval,
         )
 
     def __setstate__(self, state: tuple) -> None:
         (
-            self.msg_id, self.pri_local, self.pri_global, self.p_mf,
-            self.t_mf, self.latency_constraint, self.deadline,
-            self.token_interval,
+            self.pri_local, self.pri_global, self.p_mf, self.t_mf,
+            self.latency_constraint, self.deadline, self.token_interval,
         ) = state
 
     @property

@@ -9,16 +9,13 @@ context converters — which is what lets it scale with message volume.
 This module defines the mailbox types, the run-queue interface shared with
 the baseline schedulers (:mod:`repro.runtime.baselines`), and Cameo's
 priority run queue.  Operators are duck-typed: a run queue only touches
-``mailbox``, ``busy``, ``queue_token``, ``queued_key``, ``queued_seq``
-and ``in_queue`` (``queued_key``/``queued_seq`` cache the head-priority
-key and tie-break sequence the operator was queued under; slotted
-operator stubs must declare them).
+``mailbox``, ``busy``, ``queue_token`` and ``in_queue``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from typing import Any, Optional
 
 from repro.dataflow.messages import Message
@@ -149,26 +146,15 @@ class RunQueue:
 
 class CameoRunQueue(RunQueue):
     """Cameo's priority run queue: operators keyed by the global priority of
-    their head message; lazy invalidation via per-operator tokens.
+    their head message, with lazy decrease-key through per-operator tokens.
 
-    When a new message *changes* an already-queued operator's head priority,
-    a fresh entry is pushed and the old one is skipped at pop time — the
-    classic lazy-decrease-key pattern, keeping every operation O(log n).
-    When the head priority key is unchanged (the common case under fan-in:
-    more messages for an operator whose head message stays the same), the
-    heap push is skipped — the cached ``op.queued_key`` makes that check
-    O(1).  Ties between equal keys break by the sequence number of the
-    operator's *latest* notify (each notify re-pushed under the original
-    scheme, sending the operator to the back of its tie class), so a
-    skipped notify still consumes a sequence number and records it in
-    ``op.queued_seq``; when the entry surfaces at the heap top with an
-    outdated sequence number, a single ``heapreplace`` rotates it to its
-    logical position.  K skipped notifies therefore cost one deferred heap
-    rotation instead of K pushes plus K stale pops, and the pop order is
-    bit-identical to the always-re-push scheme.  Stale superseded entries
-    are dropped lazily at the heap top, plus eagerly in bulk once they
-    exceed half the heap (the (key, seq) order is total, so compaction
-    never reorders live entries).
+    Every notify of an idle operator pushes a fresh ``(key, seq, op)``
+    entry and stores ``seq`` on the operator as its ``queue_token``; the
+    earlier entry, whose sequence number no longer matches, is superseded
+    and dropped when it reaches the heap top, so every operation stays
+    O(log n).  Equal keys break by ``seq``: among operators with the same
+    head priority the one notified longest ago runs first, and a notify
+    sends the operator to the back of its tie class.
 
     ``aging`` enables the starvation-prevention extension (§6.3): each
     second a message has waited discounts the operator's effective priority
@@ -183,20 +169,15 @@ class CameoRunQueue(RunQueue):
             raise ValueError("aging must be non-negative")
         if aging > 0 and clock is None:
             raise ValueError("aging requires a clock callable")
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
-        self._token = 0
         self._clock = clock
         self._aging = aging
-        #: superseded (token-mismatch) entries still sitting in the heap
-        self._stale = 0
-        #: number of (possibly stale) heap entries, for introspection
+        #: operators with a live entry (superseded entries not counted)
+        self._queued = 0
+        #: lifetime counters, for introspection
         self.pushes = 0
         self.pops = 0
-        #: notify calls skipped because the queued head key was unchanged
-        self.notify_skips = 0
-        #: bulk compactions of superseded entries
-        self.compactions = 0
 
     def create_mailbox(self) -> Mailbox:
         return PriorityMailbox()
@@ -221,12 +202,12 @@ class CameoRunQueue(RunQueue):
     def _push(self, op: Any, key: Optional[float] = None) -> None:
         if key is None:
             key = self._priority_key(op)
-        self._token += 1
-        op.queue_token = self._token
-        op.queued_key = key
-        op.queued_seq = self._seq
-        heappush(self._heap, (key, self._seq, self._token, op))
-        self._seq += 1
+        if op.queue_token == -1:
+            self._queued += 1
+        seq = self._seq
+        op.queue_token = seq
+        heappush(self._heap, (key, seq, op))
+        self._seq = seq + 1
         self.pushes += 1
 
     def notify(self, op: Any, now: float, worker_hint: Optional[int] = None) -> None:
@@ -234,84 +215,52 @@ class CameoRunQueue(RunQueue):
             return
         # inline the no-aging priority key (one attribute chain on the hot
         # path); the aging extension goes through _priority_key
-        key = (
+        self._push(
+            op,
             op.mailbox.head_global_priority()
             if self._aging == 0.0
-            else self._priority_key(op)
+            else self._priority_key(op),
         )
-        if op.queue_token != -1:
-            # Already queued.  If the head priority key is unchanged the
-            # existing entry is still heap-positioned correctly — skip the
-            # re-push (the common case under fan-in) but still consume a
-            # sequence number into ``queued_seq``: among exactly-equal keys
-            # the historical tie-break is the seq of the *latest* notify, so
-            # the entry is lazily re-sequenced in ``_clean_top`` when it
-            # surfaces.  Otherwise supersede the entry (lazy decrease-key).
-            if key == op.queued_key:
-                op.queued_seq = self._seq
-                self._seq += 1
-                self.notify_skips += 1
-                return
-            stale = self._stale + 1
-            self._stale = stale
-            self._push(op, key)
-            if stale >= 32:  # cheap guard before the compaction check
-                self._maybe_compact()
-            return
-        self._push(op, key)
 
     def requeue(self, op: Any, worker_id: int) -> None:
         self._push(op)
 
     def _clean_top(self) -> None:
-        while self._heap:
-            key, seq, token, op = self._heap[0]
-            if token == op.queue_token:
+        heap = self._heap
+        while heap:
+            _, seq, op = heap[0]
+            if seq == op.queue_token:
                 if not op.busy and len(op.mailbox) > 0:
-                    if seq != op.queued_seq:
-                        # Deferred re-sequencing: skipped notifies advanced
-                        # ``queued_seq`` without touching the heap.  One
-                        # rotation puts the entry exactly where an eager
-                        # re-push would have left it among equal keys.
-                        heapreplace(self._heap, (key, op.queued_seq, token, op))
-                        continue
                     return
-                # Defensive: a current entry whose operator became busy or
+                # Defensive: a live entry whose operator became busy or
                 # drained without being popped.  Reset the token so a later
-                # notify re-queues the operator instead of skipping.
+                # notify counts the operator as queued again.
                 op.queue_token = -1
-            else:
-                self._stale -= 1
-            heappop(self._heap)
-
-    def _maybe_compact(self) -> None:
-        """Drop superseded entries in bulk once they dominate the heap.
-
-        Entries are ordered by a total ``(key, seq)`` order, so filtering
-        and re-heapifying never changes the relative order of live entries.
-        """
-        if self._stale >= 32 and self._stale * 2 > len(self._heap):
-            self._heap = [e for e in self._heap if e[2] == e[3].queue_token]
-            heapify(self._heap)
-            self._stale = 0
-            self.compactions += 1
+                self._queued -= 1
+            heappop(heap)
 
     def pop(self, worker_id: int) -> Optional[Any]:
         self._clean_top()
         if not self._heap:
             return None
-        _, _, _, op = heappop(self._heap)
+        op = heappop(self._heap)[2]
         op.queue_token = -1
+        self._queued -= 1
         self.pops += 1
         return op
 
     def discard(self, op: Any) -> None:
-        """Lazy removal: invalidating the token turns the live heap entry
-        into an ordinary superseded (stale) one, dropped at the top or by
-        the next bulk compaction."""
+        """Eager removal of every entry of ``op``.  The operator is leaving
+        this queue (migration, crash), and the next queue numbers its
+        token afresh: an entry left behind here could match that token
+        and hand ``op`` to a worker of the wrong node.  Filtering keeps
+        the total ``(key, seq)`` order, so pop order is unchanged."""
         if op.queue_token != -1:
             op.queue_token = -1
-            self._stale += 1
+            self._queued -= 1
+        heap = [entry for entry in self._heap if entry[2] is not op]
+        heapify(heap)
+        self._heap = heap
 
     def peek_best_priority(self) -> Optional[float]:
         self._clean_top()
@@ -327,5 +276,4 @@ class CameoRunQueue(RunQueue):
         return best < op.mailbox.head_global_priority()
 
     def pending_operator_count(self) -> int:
-        self._clean_top()
-        return len(self._heap)
+        return self._queued

@@ -13,7 +13,7 @@ from repro.dataflow.jobs import (
     GROUP_LATENCY_SENSITIVE,
     JobSpec,
 )
-from repro.dataflow.messages import Message, reset_message_ids
+from repro.dataflow.messages import Message
 from repro.dataflow.operators import (
     FilterOperator,
     MapOperator,
@@ -52,5 +52,4 @@ __all__ = [
     "WindowedTopKOperator",
     "linear_graph",
     "merged_frontier",
-    "reset_message_ids",
 ]

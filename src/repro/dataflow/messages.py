@@ -19,14 +19,11 @@ cheap to construct and small in memory.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.context import PriorityContext
     from repro.dataflow.events import EventBatch
-
-_message_ids = itertools.count()
 
 _NAN = float("nan")
 
@@ -36,6 +33,8 @@ class Message:
 
     ``target`` / ``sender`` are opaque operator addresses assigned by the
     runtime (``(job_name, stage_name, index)`` tuples in practice).
+    ``msg_id`` is numbered by the engine's transport, which mints every
+    message of a run; a direct construction without one carries -1.
     """
 
     __slots__ = (
@@ -62,7 +61,7 @@ class Message:
         sender: Any = None,
         pc: Optional["PriorityContext"] = None,
         channel_index: int = 0,
-        msg_id: Optional[int] = None,
+        msg_id: int = -1,
         enqueue_time: float = _NAN,
     ):
         self.target = target
@@ -73,7 +72,7 @@ class Message:
         self.sender = sender
         self.pc = pc
         self.channel_index = channel_index
-        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.msg_id = msg_id
         self.enqueue_time = enqueue_time
         # reliable-delivery field, assigned (not a constructor arg) to keep
         # the fault-free construction path unchanged: per-channel sequence
@@ -86,8 +85,7 @@ class Message:
     # process backend ships messages over pipes, and snapshots may choose
     # their own protocol) and skip the per-slot dict the default slot
     # reduction would build.  ``msg_id`` travels with the state: an
-    # unpickled message is the *same* message, not a new one, so the
-    # global id counter is never consulted on the receiving side.
+    # unpickled message is the *same* message, not a new one.
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, slot) for slot in Message.__slots__)
@@ -112,26 +110,7 @@ class Message:
 
 
 def _rebuild_message(state: tuple) -> Message:
-    """Pickle reconstructor: bypasses ``__init__`` (no id allocation)."""
+    """Pickle reconstructor: bypasses ``__init__``."""
     msg = Message.__new__(Message)
     msg.__setstate__(state)
     return msg
-
-
-def reset_message_ids() -> None:
-    """Restart the global message-id counter (test isolation helper)."""
-    global _message_ids
-    _message_ids = itertools.count()
-
-
-def stride_message_ids(node_id: int) -> None:
-    """Move this process's id counter into a per-node block.
-
-    Forked mp workers inherit the parent's counter position, so without
-    this two workers would mint colliding ``msg_id`` values for distinct
-    messages — harmless to delivery (channels dedupe by ``seq``), fatal
-    to anything keyed on message identity across processes (the span
-    merger).  A 2^40 stride leaves each worker a trillion ids and stays
-    comfortably inside the wire format's i64."""
-    global _message_ids
-    _message_ids = itertools.count((node_id + 1) << 40)

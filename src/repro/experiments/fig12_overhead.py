@@ -34,14 +34,12 @@ LOCAL_AGG_COST = CostModel(base=0.0005, per_tuple=1e-6)
 class _OpStub:
     """Minimal operator-shaped object for driving run queues directly."""
 
-    __slots__ = ("mailbox", "busy", "queue_token", "queued_key", "queued_seq", "in_queue")
+    __slots__ = ("mailbox", "busy", "queue_token", "in_queue")
 
     def __init__(self, mailbox):
         self.mailbox = mailbox
         self.busy = False
         self.queue_token = -1
-        self.queued_key = 0.0
-        self.queued_seq = 0
         self.in_queue = False
 
 

@@ -1,8 +1,8 @@
 """Node introspection: one sampler, one record, two clocks.
 
 :func:`sample` reads one :class:`~repro.runtime.node.NodeRuntime` into one
-:class:`~repro.obs.spans.SchedSample`: run-queue depth, head priority and
-lifetime counters (``pushes`` / ``pops`` / ``notify_skips``), worker
+:class:`~repro.obs.spans.SchedSample`: run-queue depth (queued operators),
+head priority and lifetime counters (``pushes`` / ``pops``), worker
 occupancy and utilization since the previous reading, the keyed-state
 footprint of the operators currently placed on the node, the unacked sends
 of its delivery layer, and cumulative messages executed.  Both backends
@@ -13,10 +13,11 @@ seconds, the mp worker on itself from its pipe loop on the wall clock
 span parts, see :mod:`repro.obs.merge`).
 
 Determinism: the sampler schedules kernel events, but its callbacks are
-*observationally inert* — ``peek_best_priority()`` / ``pending_operator_
-count()`` only perform the lazy heap maintenance (`_clean_top`) that the
-next ``pop`` would perform anyway, under the same total ``(key, seq)``
-order, so the pop order of live entries is unchanged.  Sampler events can
+*observationally inert* — ``peek_best_priority()`` only performs the lazy
+heap maintenance (`_clean_top`) that the next ``pop`` would perform
+anyway, under the same total ``(key, seq)`` order, so the pop order of
+live entries is unchanged, and ``pending_operator_count()`` reads a
+counter.  Sampler events can
 make the kernel refuse a quantum-batched inline advance, but the
 documented fallback (heap-scheduled completion) yields an identical
 observable event order.  Net effect: tracing-on runs produce bit-identical
@@ -82,7 +83,6 @@ def sample(node, now: float, elapsed: float, ops, busy_seen: dict,
         busy, active, utilization,
         getattr(run_queue, "pushes", 0),
         getattr(run_queue, "pops", 0),
-        getattr(run_queue, "notify_skips", 0),
         state_bytes, pending_windows,
         0 if reliable is None else reliable.outstanding_total(node_id),
         ingest_backlog, executed,

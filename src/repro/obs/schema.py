@@ -92,7 +92,7 @@ _REQUIRED_BY_TYPE = {
              "node", "worker", "wait", "exec", "attempts", "tuples"),
     "sched_sample": ("time", "node", "depth", "head_priority",
                      "busy_workers", "active_workers", "quantum_utilization",
-                     "pushes", "pops", "notify_skips", "state_bytes",
+                     "pushes", "pops", "state_bytes",
                      "pending_windows", "outstanding_retransmits",
                      "ingest_backlog", "messages_processed"),
     "fault": ("time", "kind", "detail"),

@@ -132,14 +132,14 @@ class SchedSample:
     __slots__ = (
         "time", "node_id", "depth", "head_priority", "busy_workers",
         "active_workers", "quantum_utilization", "pushes", "pops",
-        "notify_skips", "state_bytes", "pending_windows",
+        "state_bytes", "pending_windows",
         "outstanding_retransmits", "ingest_backlog", "messages_processed",
     )
 
     def __init__(self, time: float, node_id: int, depth: int,
                  head_priority: float, busy_workers: int, active_workers: int,
                  quantum_utilization: float, pushes: int, pops: int,
-                 notify_skips: int, state_bytes: int = 0,
+                 state_bytes: int = 0,
                  pending_windows: int = 0, outstanding_retransmits: int = 0,
                  ingest_backlog: int = 0, messages_processed: int = 0):
         self.time = time
@@ -151,7 +151,6 @@ class SchedSample:
         self.quantum_utilization = quantum_utilization
         self.pushes = pushes
         self.pops = pops
-        self.notify_skips = notify_skips
         # keyed-state footprint of the node's operators (approx bytes and
         # open windows), sampled from the state layer's approx_size()
         self.state_bytes = state_bytes
@@ -176,7 +175,6 @@ class SchedSample:
             "quantum_utilization": self.quantum_utilization,
             "pushes": self.pushes,
             "pops": self.pops,
-            "notify_skips": self.notify_skips,
             "state_bytes": self.state_bytes,
             "pending_windows": self.pending_windows,
             "outstanding_retransmits": self.outstanding_retransmits,

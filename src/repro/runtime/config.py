@@ -147,6 +147,8 @@ class EngineConfig:
             absorb (throughput benchmarking).
         mp_wall_timeout: hard wall-clock cap (seconds) on an mp run;
             ``None`` derives a generous default from the run duration.
+        seed: root of every named random substream of the run
+            (:class:`~repro.sim.rng.RngRegistry`); same seed, same run.
     """
 
     scheduler: str = "cameo"

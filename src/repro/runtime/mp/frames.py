@@ -73,8 +73,8 @@ tag      layout
          f64 deps_arrival, f64 batch.arrival_time, u32 n,
          i32 source_id, u8 times_sorted, then n×f64 logical times,
          n×f64 values, n×i64 keys, then (flags bit0) the PC record:
-         i64 msg_id, f64 ×6 (pri_local, pri_global, p_mf, t_mf,
-         latency_constraint, deadline), i64 token_interval
+         f64 ×6 (pri_local, pri_global, p_mf, t_mf, latency_constraint,
+         deadline), i64 token_interval
 3 ACK    u32 sender_id, u32 target_id, i64 admitted, i64 processed
 4 REPLY  u32 sender_id, u32 stage_id, f64 c_m, f64 c_path,
          f64 queueing_delay, i64 mailbox_size
@@ -84,8 +84,7 @@ tag      layout
 
 Sequence numbers and msg ids travel unchanged (``enqueue_time`` is
 receiver-local and is rebuilt as NaN); decoded messages are the *same*
-messages — the global id counter is never consulted on the receiving
-side.
+messages, numbered by the transport that minted them.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ _ACK = struct.Struct("<BIIqq")
 _REPLY = struct.Struct("<BIIdddq")
 _RESET = struct.Struct("<BIIq")
 _RAW = struct.Struct("<BI")
-_PC = struct.Struct("<q6dq")
+_PC = struct.Struct("<6dq")
 
 _LEN = struct.Struct("<I")  # frame header: body length
 
@@ -355,9 +354,8 @@ class DataCodec:
                 parts.append(keys.tobytes())
                 if pc is not None:
                     parts.append(_PC.pack(
-                        pc.msg_id, pc.pri_local, pc.pri_global, pc.p_mf,
-                        pc.t_mf, pc.latency_constraint, pc.deadline,
-                        pc.token_interval,
+                        pc.pri_local, pc.pri_global, pc.p_mf, pc.t_mf,
+                        pc.latency_constraint, pc.deadline, pc.token_interval,
                     ))
             elif tag == "ack":
                 _, key, admitted, processed = entry
@@ -420,13 +418,13 @@ class DataCodec:
                 pc = None
                 if flags & 1:
                     (
-                        pc_msg_id, pri_local, pri_global, p_mf, t_mf,
+                        pri_local, pri_global, p_mf, t_mf,
                         latency_constraint, deadline, token_interval,
                     ) = _PC.unpack_from(buf, offset)
                     offset += _PC.size
                     pc = PriorityContext(
-                        msg_id=pc_msg_id, pri_local=pri_local,
-                        pri_global=pri_global, p_mf=p_mf, t_mf=t_mf,
+                        pri_local=pri_local, pri_global=pri_global,
+                        p_mf=p_mf, t_mf=t_mf,
                         latency_constraint=latency_constraint,
                         deadline=deadline, token_interval=token_interval,
                     )

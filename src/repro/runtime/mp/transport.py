@@ -51,9 +51,13 @@ class ProcessTransport(Transport):
     def __init__(self, node_id: int, clock, nodes: list, plan, metrics,
                  profiler, config, delivery, faults=None):
         # no channel table, delay model or link builder: pipes carry what
-        # leaves the process, and :meth:`rewire` re-places by node id
+        # leaves the process, and :meth:`rewire` re-places by node id.
+        # Each worker numbers its messages in its own 2^40 block, so ids
+        # stay unique across processes (the span merger keys on them)
+        # and inside the wire format's i64.
         super().__init__(clock, nodes, plan, None, None,
-                         metrics, profiler, config, None)
+                         metrics, profiler, config, None,
+                         first_id=(node_id + 1) << 40)
         self._node_id = node_id
         #: the delivery layer behind the inherited hook is this transport
         #: (:meth:`send` / :meth:`on_processed`); the channel protocol of

@@ -523,10 +523,6 @@ def worker_main(node_id: int, config, jobs: list, policy,
     surfacing the failure."""
     for sock in unused_socks or ():
         sock.close()
-    # forked processes inherit the parent's message-id counter position;
-    # stride into a per-node block so cross-process identity is unambiguous
-    from repro.dataflow.messages import stride_message_ids
-    stride_message_ids(node_id)
     peers = {peer: PipeEnd(sock, peer) for peer, sock in peer_socks.items()}
     worker = MpWorker(node_id, config, jobs, policy=policy,
                       coord_pipe=PipeEnd(coord_sock), peer_pipes=peers,

@@ -99,8 +99,6 @@ class OperatorRuntime:
         "routes",
         "busy",
         "queue_token",
-        "queued_key",
-        "queued_seq",
         "in_queue",
         "blocked",
         "job_metrics",
@@ -135,8 +133,6 @@ class OperatorRuntime:
         self.routes: list[Route] = []
         self.busy = False
         self.queue_token = -1
-        self.queued_key = 0.0
-        self.queued_seq = 0
         self.in_queue = False
         #: client messages held back by ingestion back-pressure (FIFO)
         self.blocked: deque = deque()

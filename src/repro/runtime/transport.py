@@ -15,6 +15,7 @@ the lifecycle controller migrates an operator to a different node.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -72,6 +73,7 @@ class Transport:
         "_reliable",
         "_tracer",
         "_bandwidth",
+        "_msg_ids",
     )
 
     def __init__(
@@ -85,6 +87,7 @@ class Transport:
         profiler,
         config,
         builder,
+        first_id: int = 0,
     ):
         self.sim = sim
         self.channels = channels
@@ -108,6 +111,8 @@ class Transport:
         self._reliable = None
         self._tracer = None
         self._bandwidth = None
+        #: ``msg_id`` of every message this transport mints, from ``first_id``
+        self._msg_ids = count(first_id)
 
     def attach_bandwidth(self, bandwidth) -> None:
         """Install the shared-link model (``link_capacity`` runs only).
@@ -206,7 +211,7 @@ class Transport:
         msg = Message(
             target=src_rt.address, batch=batch, p=progress, t=now,
             deps_arrival=now, sender=route.key, pc=pc,
-            channel_index=route.channel_index,
+            channel_index=route.channel_index, msg_id=next(self._msg_ids),
         )
         src_rt.job_metrics.tuples_ingested += count
         if self._tracer is not None:
@@ -305,6 +310,7 @@ class Transport:
             sender=src_rt.address,
             pc=pc,
             channel_index=channel_index,
+            msg_id=next(self._msg_ids),
         )
         if self._tracer is not None:
             # child span: its ``sent`` equals the trigger's completion

@@ -17,13 +17,6 @@ class TestPriorityContext:
         assert pc.deadline == float("inf")
         assert pc.token_interval == -1
 
-    def test_copy_is_independent(self):
-        pc = PriorityContext(pri_local=1.0, pri_global=2.0, p_mf=3.0)
-        clone = pc.copy()
-        clone.pri_local = 9.0
-        assert pc.pri_local == 1.0
-        assert clone.p_mf == 3.0
-
     def test_priority_pair(self):
         pc = PriorityContext(pri_local=1.5, pri_global=2.5)
         assert pc.priority_pair == (1.5, 2.5)

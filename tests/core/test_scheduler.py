@@ -159,6 +159,72 @@ class TestCameoRunQueue:
         assert queue.pop(0) is op
         assert queue.peek_best_priority() is None
 
+    def test_changed_head_key_supersedes_old_entry(self):
+        queue = CameoRunQueue()
+        urgent = FakeOp(queue.create_mailbox())
+        lax = FakeOp(queue.create_mailbox())
+        lax.mailbox.push(priced_message(1.0, 5.0))
+        queue.notify(lax, now=0.0)
+        urgent.mailbox.push(priced_message(1.0, 7.0))
+        queue.notify(urgent, now=0.0)
+        # a more urgent head arrives for `urgent`: must jump ahead of `lax`
+        urgent.mailbox.push(priced_message(0.0, 1.0))
+        queue.notify(urgent, now=0.0)
+        assert queue.pending_operator_count() == 2
+        assert queue.pop(0) is urgent
+        assert queue.pop(0) is lax
+        assert queue.pop(0) is None  # superseded entry dropped lazily
+
+    def test_equal_keys_pop_in_latest_notify_order(self):
+        queue = CameoRunQueue()
+        first = FakeOp(queue.create_mailbox())
+        second = FakeOp(queue.create_mailbox())
+        for op in (first, second):
+            op.mailbox.push(priced_message(1.0, 5.0))
+            queue.notify(op, now=0.0)
+        # fan-in behind an unchanged head: `first` moves to the back of
+        # its tie class
+        first.mailbox.push(priced_message(2.0, 9.0))
+        queue.notify(first, now=0.0)
+        assert queue.pop(0) is second
+        assert queue.pop(0) is first
+        assert queue.pop(0) is None
+
+    def test_renotify_after_external_drain(self):
+        # an operator whose mailbox was drained without a pop (defensive
+        # token reset in _clean_top) must still be poppable after re-notify
+        queue = CameoRunQueue()
+        op = FakeOp(queue.create_mailbox())
+        op.mailbox.push(priced_message(1.0, 5.0))
+        queue.notify(op, now=0.0)
+        op.mailbox.pop()  # drained out-of-band
+        assert queue.pop(0) is None  # entry invalidated, token reset
+        assert queue.pending_operator_count() == 0
+        op.mailbox.push(priced_message(1.0, 5.0))
+        queue.notify(op, now=0.0)
+        assert queue.pop(0) is op
+
+    def test_discarded_operator_stays_gone_after_moving(self):
+        # migration: `op` leaves queue `a` for queue `b`, whose fresh token
+        # for it equals the sequence number of the entry `a` held
+        a, b = CameoRunQueue(), CameoRunQueue()
+        first = FakeOp(a.create_mailbox())
+        first.mailbox.push(priced_message(0.0, 5.0))
+        a.notify(first, now=0.0)
+        op = FakeOp(a.create_mailbox())
+        op.mailbox.push(priced_message(0.0, 9.0))
+        a.notify(op, now=0.0)
+        a.discard(op)
+        assert a.pending_operator_count() == 1
+        other = FakeOp(b.create_mailbox())
+        other.mailbox.push(priced_message(0.0, 1.0))
+        b.notify(other, now=0.0)
+        b.notify(op, now=0.0)
+        assert a.pop(0) is first
+        assert a.pop(0) is None  # never hand `op` to a worker of `a`
+        assert b.pop(0) is other
+        assert b.pop(0) is op
+
     def test_peek_matches_pop(self):
         queue = CameoRunQueue()
         for priority in (4.0, 2.0, 6.0):
@@ -239,69 +305,3 @@ class TestHeadMessage:
 
         with _pytest.raises(IndexError):
             PriorityMailbox().head_message()
-
-
-class TestNotifyFastPaths:
-    """The notify skip and bulk-compaction fast paths (hot-path overhaul)."""
-
-    def test_unchanged_head_key_skips_repush(self):
-        queue = CameoRunQueue()
-        op = FakeOp(queue.create_mailbox())
-        op.mailbox.push(priced_message(1.0, 5.0))
-        queue.notify(op, now=0.0)
-        pushes = queue.pushes
-        # fan-in: more messages behind the same head -> key unchanged
-        for _ in range(10):
-            op.mailbox.push(priced_message(2.0, 9.0))
-            queue.notify(op, now=0.0)
-        assert queue.pushes == pushes
-        assert queue.notify_skips == 10
-        assert queue.pop(0) is op
-        assert queue.pop(0) is None
-
-    def test_changed_head_key_supersedes_old_entry(self):
-        queue = CameoRunQueue()
-        urgent = FakeOp(queue.create_mailbox())
-        lax = FakeOp(queue.create_mailbox())
-        lax.mailbox.push(priced_message(1.0, 5.0))
-        queue.notify(lax, now=0.0)
-        urgent.mailbox.push(priced_message(1.0, 7.0))
-        queue.notify(urgent, now=0.0)
-        # a more urgent head arrives for `urgent`: must jump ahead of `lax`
-        urgent.mailbox.push(priced_message(0.0, 1.0))
-        queue.notify(urgent, now=0.0)
-        assert queue.pop(0) is urgent
-        assert queue.pop(0) is lax
-        assert queue.pop(0) is None  # superseded entry dropped lazily
-
-    def test_skip_never_stalls_after_external_drain(self):
-        # an operator whose mailbox was drained without a pop (defensive
-        # token reset in _clean_top) must still be poppable after re-notify
-        queue = CameoRunQueue()
-        op = FakeOp(queue.create_mailbox())
-        op.mailbox.push(priced_message(1.0, 5.0))
-        queue.notify(op, now=0.0)
-        op.mailbox.pop()  # drained out-of-band
-        assert queue.pop(0) is None  # entry invalidated, token reset
-        op.mailbox.push(priced_message(1.0, 5.0))
-        queue.notify(op, now=0.0)
-        assert queue.pop(0) is op
-
-    def test_bulk_compaction_drops_superseded_entries(self):
-        queue = CameoRunQueue()
-        ops = [FakeOp(queue.create_mailbox()) for _ in range(4)]
-        # repeatedly improve each op's head priority so every notify
-        # supersedes the previous entry
-        priority = 1000.0
-        for round_ in range(40):
-            for op in ops:
-                priority -= 1.0
-                # lower local priority too, so the new message becomes the
-                # mailbox head and the queued key actually changes
-                op.mailbox.push(priced_message(priority, priority))
-                queue.notify(op, now=0.0)
-        assert queue.compactions > 0
-        # live entries survive compaction in priority order
-        popped = [queue.pop(0) for _ in range(4)]
-        assert set(popped) == set(ops)
-        assert queue.pop(0) is None

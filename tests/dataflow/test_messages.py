@@ -3,18 +3,25 @@
 import math
 
 from repro.dataflow.events import EventBatch
-from repro.dataflow.messages import Message, reset_message_ids
+from repro.dataflow.messages import Message
 
 
 class TestMessage:
     def test_unique_ids(self):
-        a = Message(target="x")
-        b = Message(target="x")
-        assert a.msg_id != b.msg_id
+        """The engine's transport gives every message it mints its own id."""
+        from repro.experiments.common import TenantMix, run_tenant_mix
 
-    def test_reset_message_ids(self):
-        reset_message_ids()
-        assert Message(target="x").msg_id == 0
+        engine = run_tenant_mix(
+            "cameo", TenantMix(ls_count=1, ba_count=1), duration=1.0,
+            drain=0.5, seed=1, config_overrides={"record_timeline": True},
+        )
+        ids = [entry[4] for entry in engine.metrics.timeline]
+        assert ids and len(set(ids)) == len(ids)
+        assert min(ids) >= 0
+
+    def test_direct_construction_has_no_id(self):
+        assert Message(target="x").msg_id == -1
+        assert Message(target="x", msg_id=5).msg_id == 5
 
     def test_tuple_count(self):
         assert Message(target="x").tuple_count == 0
@@ -51,7 +58,7 @@ class TestPickleRoundTrip:
             times_sorted=True,
         )
         pc = PriorityContext(
-            msg_id=7, pri_local=1.5, pri_global=2.5, p_mf=1.0,
+            pri_local=1.5, pri_global=2.5, p_mf=1.0,
             t_mf=2.0, latency_constraint=0.8, deadline=2.8,
         )
         msg = Message(
@@ -63,6 +70,7 @@ class TestPickleRoundTrip:
             sender=OpAddress("job", "source", 0),
             pc=pc,
             channel_index=4,
+            msg_id=7,
             enqueue_time=2.5,
         )
         msg.seq = 11
@@ -82,14 +90,6 @@ class TestPickleRoundTrip:
             assert (clone.p, clone.t, clone.deps_arrival) == (msg.p, msg.t, msg.deps_arrival)
             assert clone.enqueue_time == msg.enqueue_time
             assert clone.pc == msg.pc
-
-    def test_unpickling_never_advances_the_id_counter(self):
-        import pickle
-
-        reset_message_ids()
-        msg = Message(target="x")
-        pickle.loads(pickle.dumps(msg))
-        assert Message(target="x").msg_id == msg.msg_id + 1
 
     def test_batch_round_trip_every_protocol(self):
         import pickle
@@ -112,7 +112,7 @@ class TestPickleRoundTrip:
         from repro.core.context import PriorityContext, ReplyContext
 
         samples = [
-            PriorityContext(msg_id=1, pri_local=2.0, pri_global=3.0),
+            PriorityContext(pri_local=2.0, pri_global=3.0),
             ReplyContext(c_m=0.1, c_path=0.2, queueing_delay=0.3, mailbox_size=4),
         ]
         for obj in samples:

@@ -1,6 +1,5 @@
 """Tests for the shared experiment harness."""
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import (
     ExperimentResult,
     TenantMix,
@@ -63,9 +62,7 @@ class TestRunTenantMix:
                         ba_msg_rate=5.0)
         kwargs = dict(duration=4.0, nodes=2, seed=3,
                       config_overrides={"record_timeline": True})
-        reset_message_ids()
         ran = run_tenant_mix("cameo", mix, drain=1.0, **kwargs)
-        reset_message_ids()
         built = build_tenant_mix("cameo", mix, **kwargs)
         assert built.sim.now == 0.0 and not built.metrics.timeline
         built.run(until=5.0)

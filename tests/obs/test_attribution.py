@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.attribution import (
     attribute,
@@ -89,7 +88,6 @@ def test_chain_walk_recovers_the_synthetic_chain(hops):
 
 @pytest.fixture(scope="module")
 def faulted_engine():
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=2)
     return run_tenant_mix(
         "cameo", mix, duration=6.0, nodes=3, workers_per_node=2, seed=11,
@@ -124,7 +122,6 @@ def test_re_executed_spans_telescope(state_recovery):
     """A rolled-back message is admitted and executed again; the first
     attempt lies inside ``recovery``, so ``wait``/``exec`` must be the
     last admission's alone."""
-    reset_message_ids()
     overrides = {
         "record_trace": True,
         "state_recovery": state_recovery,
@@ -183,7 +180,6 @@ def test_attribution_counts_match_recorded_miss_rate(faulted_engine):
 
 
 def test_shed_messages_are_attributed_separately():
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=2)
     engine = run_tenant_mix(
         "cameo", mix, duration=6.0, nodes=2, workers_per_node=1, seed=11,

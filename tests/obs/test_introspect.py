@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.introspect import SchedulerSampler
 
 
 def _traced(scheduler: str, interval: float = 0.05, duration: float = 4.0):
-    reset_message_ids()
     # loaded on purpose: one worker per node with a heavy BA push, so the
     # periodic samples actually catch backlog and busy workers
     mix = TenantMix(ls_count=2, ba_count=4, ba_msg_rate=40.0)

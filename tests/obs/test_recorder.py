@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.metrics.stats import RunningStat
 from repro.obs.recorder import TraceRecorder
@@ -19,7 +18,6 @@ from repro.obs.spans import EXECUTED, OUTPUT, PENDING
 
 @pytest.fixture(scope="module")
 def traced_engine():
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=1)
     return run_tenant_mix(
         "cameo", mix, duration=5.0, nodes=2, workers_per_node=2, seed=3,
@@ -121,7 +119,6 @@ def test_summary_counts_are_consistent(traced_engine):
 def test_inversion_counter_only_via_priority_queues():
     """FIFO run queues expose no head priority, so the inversion counter
     must stay zero there."""
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=1)
     engine = run_tenant_mix(
         "fifo", mix, duration=2.0, nodes=2, workers_per_node=2, seed=3,

@@ -27,7 +27,7 @@ _NAN = float("nan")
 
 def _sample(time=1.0, node_id=0, depth=3, head=0.25, busy=0.5, rtx=2,
             backlog=7, state=4096, windows=5, processed=42):
-    return SchedSample(time, node_id, depth, head, 1, 1, busy, 11, 9, 2,
+    return SchedSample(time, node_id, depth, head, 1, 1, busy, 11, 9,
                        state, windows, rtx, backlog, processed)
 
 

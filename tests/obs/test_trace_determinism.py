@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.export import chrome_trace, jsonl_events
 from repro.sim.faults import ChannelLoss, CrashWindow, DelaySpike, FaultSchedule
@@ -21,7 +20,6 @@ SCHEDULERS = ["cameo", "fifo", "orleans"]
 
 
 def _timeline(scheduler: str, trace: bool, fault: bool):
-    reset_message_ids()
     overrides = {"record_timeline": True, "record_trace": trace}
     if fault:
         overrides["fault_schedule"] = FaultSchedule(
@@ -69,12 +67,10 @@ def test_trace_output_is_byte_stable():
 def test_sampler_cadence_scales_with_interval():
     """Halving the sample interval must not change the simulation either,
     only the number of samples."""
-    reset_message_ids()
     mix = TenantMix(ls_count=1, ba_count=1)
     logs = []
     counts = []
     for interval in (0.1, 0.05):
-        reset_message_ids()
         engine = run_tenant_mix(
             "cameo", mix, duration=3.0, nodes=2, workers_per_node=2, seed=5,
             config_overrides={

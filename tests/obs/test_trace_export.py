@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.obs.export import chrome_trace, jsonl_events, write_chrome_trace
 from repro.obs.schema import validate_chrome_trace
@@ -16,7 +15,6 @@ from repro.sim.faults import ChannelLoss, CrashWindow, FaultSchedule
 
 @pytest.fixture(scope="module")
 def traced_engine():
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=1)
     return run_tenant_mix(
         "cameo", mix, duration=4.0, nodes=2, workers_per_node=2, seed=9,

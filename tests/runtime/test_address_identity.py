@@ -23,7 +23,6 @@ import socket
 import numpy as np
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.dataflow.operators import OpAddress
 from repro.experiments.common import TenantMix
 from repro.runtime.config import EngineConfig
@@ -202,7 +201,6 @@ class TestSourceMessageParity:
 
         def ingest_all():
             for _, (src_key, _, _, times, values, keys, sorted_times) in timed:
-                reset_message_ids()
                 engine.transport.ingest(*src_key[1:], times, values=values,
                                         keys=keys, sorted_times=sorted_times)
 
@@ -221,7 +219,6 @@ class TestSourceMessageParity:
 
     def _admit(self, transport, entries: list) -> None:
         for entry in entries:
-            reset_message_ids()
             transport.on_ingest([entry])
 
     def test_owned_sources_build_the_sim_message(self):

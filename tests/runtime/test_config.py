@@ -1,6 +1,9 @@
 """Unit tests for EngineConfig validation and derived properties."""
 
+import dataclasses
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -123,3 +126,32 @@ class TestConstants:
     def test_removed_fields_are_not_accepted(self, field):
         with pytest.raises(TypeError):
             EngineConfig(**{field: 1.0})
+
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+#: names the code no longer has, which no document may still teach
+REMOVED_NAMES = (
+    "generate_contexts", "mp_loss_rate", "kill_at", "record_schedule_timeline",
+    "record_completion_timeline", "notify_skips", "reset_message_ids",
+)
+
+
+class TestDocumentation:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(EngineConfig)])
+    def test_every_field_is_in_the_docstring(self, name):
+        assert re.search(rf"\b{name}\b", EngineConfig.__doc__)
+
+    def test_removed_names_are_not_documented(self):
+        documents = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
+        skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+        if skill.exists():
+            documents.append(skill)
+        stale = [
+            (path.relative_to(REPO).as_posix(), name)
+            for path in documents
+            for name in REMOVED_NAMES
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert stale == []

@@ -1,18 +1,17 @@
 """Same-seed reruns must produce bit-identical schedules.
 
 The paper's claims are about scheduling order, and the hot-path fast paths
-(quantum-batched inline execution, notify skipping, heap compaction, static
-delay caching) are only admissible because they provably never change a
-scheduling decision.  This test pins that: a fig08-style multi-tenant mix,
-run twice with the same seed, must produce *identical* per-message
-execution timelines under every scheduler.
+(quantum-batched inline execution, static delay caching) are only
+admissible because they provably never change a scheduling decision.  This
+test pins that: a fig08-style multi-tenant mix, run twice with the same
+seed, must produce *identical* per-message execution timelines under every
+scheduler, message ids included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.messages import reset_message_ids
 from repro.experiments.common import TenantMix, run_tenant_mix
 from repro.runtime.config import EngineConfig
 from repro.runtime.engine import StreamEngine
@@ -25,9 +24,6 @@ from repro.workloads.tenants import (
 
 
 def _timeline(scheduler: str):
-    # message ids come from a process-global counter: reset it so both runs
-    # label messages identically
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=2, ba_msg_rate=30.0)
     engine = run_tenant_mix(
         scheduler,
@@ -58,7 +54,6 @@ def _reconfigured_log(scheduler: str):
     in pop order and rescaling spawns/retires workers at a fixed simulation
     instant, so none of it may depend on wall clock or hash order.
     """
-    reset_message_ids()
     ls = make_latency_sensitive_job("ls0", source_count=2, latency_constraint=0.4)
     ba = make_bulk_analytics_job("ba0", source_count=2)
     engine = StreamEngine(
@@ -97,7 +92,6 @@ def _faulted_log(scheduler: str):
     scheduling, so a seeded faulted run must replay bit-identically —
     retransmissions, duplicate drops, evacuations and all.
     """
-    reset_message_ids()
     schedule = FaultSchedule(
         crashes=[CrashWindow(node=1, start=1.0, end=2.0)],
         losses=[ChannelLoss(rate=0.05, scope="remote")],
@@ -129,7 +123,6 @@ def test_faulted_runs_are_bit_identical(scheduler):
 
 
 def _zero_fault_log(scheduler: str, schedule):
-    reset_message_ids()
     mix = TenantMix(ls_count=2, ba_count=2, ba_msg_rate=30.0)
     engine = run_tenant_mix(
         scheduler, mix, duration=3.0, drain=1.0, nodes=2, workers_per_node=2,
@@ -154,3 +147,20 @@ def test_schedulers_actually_differ():
     logs = {s: _timeline(s) for s in ("cameo", "fifo", "orleans")}
     assert logs["cameo"] != logs["fifo"]
     assert logs["cameo"] != logs["orleans"]
+
+
+def test_back_to_back_engines_number_messages_alike():
+    """Message ids belong to the engine: a second engine built in the same
+    process numbers its messages from 0 again, so equal runs give equal
+    timeline tuples, ``msg_id`` included."""
+
+    def timeline():
+        mix = TenantMix(ls_count=1, ba_count=1)
+        engine = run_tenant_mix("cameo", mix, duration=1.0, drain=0.5,
+                                seed=3,
+                                config_overrides={"record_timeline": True})
+        return engine.metrics.timeline
+
+    first, second = timeline(), timeline()
+    assert first and min(entry[4] for entry in first) == 0
+    assert first == second

@@ -177,8 +177,6 @@ class TestDiscard:
                 self.mailbox = mailbox
                 self.busy = False
                 self.queue_token = -1
-                self.queued_key = 0.0
-                self.queued_seq = 0
                 self.in_queue = False
 
         kept, dropped = Stub(queue.create_mailbox()), Stub(queue.create_mailbox())
