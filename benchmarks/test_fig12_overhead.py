@@ -8,6 +8,7 @@ from repro.experiments import run_fig12
 def test_fig12_overhead(benchmark, archive):
     result = run_once(benchmark, lambda: run_fig12(message_count=30_000))
     archive(result)
+    # every figure is a median over interleaved reps (the IQR is archived)
     fifo_ns = result.extras["fifo_ns"]
     sched_ns = result.extras["sched_ns"]
     full_ns = result.extras["full_ns"]

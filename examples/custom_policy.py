@@ -3,8 +3,8 @@
 
 Cameo separates priority *generation* from priority *scheduling* (§5): a
 policy is just a function from the context converter's view of a message
-(frontier time, latency budget, profiled costs, job identity) to a
-``(PRI_local, PRI_global)`` pair.  This example implements a
+(frontier progress and time, profiled costs, the Eq. 3 start deadline, job
+identity) to a ``(PRI_local, PRI_global)`` pair.  This example implements a
 **strict-class** policy: jobs declare a class, higher classes always win,
 and within a class messages fall back to least-laxity order.  It then
 shows the policy protecting a "gold" tenant from an identical "bronze"
@@ -14,7 +14,7 @@ Run:  python examples/custom_policy.py
 """
 
 from repro import EngineConfig, StreamEngine
-from repro.core.policies import PriorityRequest, SchedulingPolicy
+from repro.core.policies import SchedulingPolicy
 from repro.metrics import format_table
 from repro.workloads import (
     FixedBatchSize,
@@ -38,10 +38,10 @@ class StrictClassPolicy(SchedulingPolicy):
     def __init__(self, classes: dict[str, int]):
         self._classes = dict(classes)
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        laxity_deadline = request.llf_deadline
-        job_class = self._classes.get(request.job_name, 0)
-        return (request.p_mf, laxity_deadline - job_class * self.CLASS_OFFSET)
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
+        job_class = self._classes.get(converter.job_name, 0)
+        return (p_mf, deadline - job_class * self.CLASS_OFFSET)
 
 
 def run(policy_kwargs):

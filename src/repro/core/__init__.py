@@ -2,12 +2,11 @@
 
 from repro.core.context import MIN_PRIORITY, PriorityContext, ReplyContext, ReplyState
 from repro.core.converter import ContextConverter
-from repro.core.deadline import is_violated, laxity, start_deadline
+from repro.core.deadline import start_deadline
 from repro.core.policies import (
     ConstantPolicy,
     EarliestDeadlineFirstPolicy,
     LeastLaxityFirstPolicy,
-    PriorityRequest,
     SchedulingPolicy,
     ShortestJobFirstPolicy,
     make_policy,
@@ -44,7 +43,6 @@ __all__ = [
     "MIN_PRIORITY",
     "PriorityContext",
     "PriorityMailbox",
-    "PriorityRequest",
     "ProgressMap",
     "REGULAR_SLIDE",
     "ReplyContext",
@@ -54,8 +52,6 @@ __all__ = [
     "ShortestJobFirstPolicy",
     "TokenFairPolicy",
     "frontier_progress",
-    "is_violated",
-    "laxity",
     "make_policy",
     "make_progress_map",
     "stage_slide",

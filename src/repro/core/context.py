@@ -4,8 +4,9 @@ Two kinds of contexts travel with messages:
 
 * :class:`PriorityContext` (PC) flows *downstream*, attached to data
   messages.  It carries the local/global priority pair the scheduler orders
-  by, plus the dataflow-defined fields the pluggable policy needs
-  (``p_MF``, ``t_MF``, ``L`` — §5.3).
+  by and the message's start deadline.  The dataflow-defined values the
+  pluggable policy consults (``p_MF``, ``t_MF``, ``L`` — §5.3) live in the
+  sending operator's context converter.
 * :class:`ReplyContext` (RC) flows *upstream*, attached to acknowledgement
   messages.  It carries profiled costs: ``C_m`` of the replying operator and
   ``C_path``, the critical-path cost of everything downstream of it.
@@ -36,40 +37,22 @@ class PriorityContext:
         pri_global: orders operators against each other (the start deadline
             ``ddl_M`` under LLF/EDF; cost under SJF; token tag under the
             token policy).
-        p_mf: frontier progress — logical time that triggers the target.
-        t_mf: frontier time — wall-clock estimate of when the frontier
-            progress is fully observed.
-        latency_constraint: the job's end-to-end target ``L``.
-        deadline: the computed start deadline (kept for violation metrics).
-        token_interval: interval id for the token policy (optional).
+        deadline: the Eq. 3 start deadline under every policy — start
+            violations and deadline-aware shedding read it.
     """
 
     pri_local: float = 0.0
     pri_global: float = 0.0
-    p_mf: float = 0.0
-    t_mf: float = 0.0
-    latency_constraint: float = float("inf")
     deadline: float = float("inf")
-    token_interval: int = -1
 
     # slots dataclasses only pickle under protocol >= 2 on Python 3.11;
     # PCs travel inside messages over the process backend's pipes, so
     # explicit state methods make every protocol work
     def __getstate__(self) -> tuple:
-        return (
-            self.pri_local, self.pri_global, self.p_mf, self.t_mf,
-            self.latency_constraint, self.deadline, self.token_interval,
-        )
+        return (self.pri_local, self.pri_global, self.deadline)
 
     def __setstate__(self, state: tuple) -> None:
-        (
-            self.pri_local, self.pri_global, self.p_mf, self.t_mf,
-            self.latency_constraint, self.deadline, self.token_interval,
-        ) = state
-
-    @property
-    def priority_pair(self) -> tuple[float, float]:
-        return (self.pri_local, self.pri_global)
+        self.pri_local, self.pri_global, self.deadline = state
 
 
 @dataclass(slots=True)
@@ -97,11 +80,6 @@ class ReplyContext:
 
     def __setstate__(self, state: tuple) -> None:
         (self.c_m, self.c_path, self.queueing_delay, self.mailbox_size) = state
-
-    @property
-    def downstream_cost(self) -> float:
-        """Total cost from (and including) the replying operator to a sink."""
-        return self.c_m + self.c_path
 
 
 @dataclass(slots=True)

@@ -29,12 +29,7 @@ from typing import Optional
 
 from repro.core.context import PriorityContext, ReplyContext, ReplyState
 from repro.core.deadline import start_deadline
-from repro.core.policies import (
-    EarliestDeadlineFirstPolicy,
-    LeastLaxityFirstPolicy,
-    PriorityRequest,
-    SchedulingPolicy,
-)
+from repro.core.policies import SchedulingPolicy
 from repro.core.progress_map import ProgressMap
 from repro.core.transform import stage_slide, transform
 from repro.dataflow.windows import WindowSpec
@@ -87,7 +82,6 @@ class ContextConverter:
         now: float,
         target_stage: str,
         target_window: Optional[WindowSpec],
-        tuple_count: int = 0,
         inherited: Optional[PriorityContext] = None,
         at_source: bool = False,
     ) -> PriorityContext:
@@ -95,60 +89,34 @@ class ContextConverter:
 
         ``p``/``t`` are the outgoing message's stream progress and physical
         anchor; ``inherited`` is the PC of the upstream message that
-        triggered this send (None at the ingestion point).
+        triggered this send (None at the ingestion point).  The PC's
+        deadline is Eq. 3 under every policy; the policy picks the pair.
         """
         p_mf, t_mf = self._frontier(p, t, target_window, target_stage)
         rc = self.reply_state.get(target_stage)
-        c_m = rc.c_m if rc is not None else 0.0
-        c_path = rc.c_path if rc is not None else 0.0
-        policy = self.policy
-        if type(policy) is LeastLaxityFirstPolicy:
-            # the default policy's priority pair is the Eq. 3 deadline the
-            # PC records anyway — skip the request object round-trip
-            deadline = start_deadline(
-                t_mf, self.latency_constraint, c_m, c_path
-            )
-            pri_local, pri_global = p_mf, deadline
+        if rc is None:
+            c_m = c_path = 0.0
         else:
-            request = PriorityRequest(
-                now=now,
-                p_mf=p_mf,
-                t_mf=t_mf,
-                t_m=t,
-                latency_constraint=self.latency_constraint,
-                c_m=c_m,
-                c_path=c_path,
-                at_source=at_source,
-                job_name=self.job_name,
-                source_index=self.source_index,
-                tuple_count=tuple_count,
-                inherited=inherited,
-            )
-            pri_local, pri_global = policy.assign(request)
-            deadline = request.llf_deadline
-        pc = PriorityContext(
-            pri_local=pri_local,
-            pri_global=pri_global,
-            p_mf=p_mf,
-            t_mf=t_mf,
-            latency_constraint=self.latency_constraint,
-            deadline=deadline,
+            c_m, c_path = rc.c_m, rc.c_path
+        deadline = start_deadline(t_mf, self.latency_constraint, c_m, c_path)
+        pri_local, pri_global = self.policy.assign(
+            self, now, p_mf, t_mf, c_m, c_path, deadline, inherited, at_source
         )
-        if inherited is not None:
-            pc.token_interval = inherited.token_interval
-        return pc
+        return PriorityContext(pri_local, pri_global, deadline)
 
     def admission_priority(self, now: float, target_stage: str) -> float:
         """The ``pri_global`` a batch sent to ``target_stage`` at ``now``
-        would carry under LLF (Eq. 3 with ``t_MF = now``; EDF drops
-        ``C_oM``), read without side effects: the progress map is not fed,
-        no window frontier extends it and the policy is not asked.  The mp
-        ingest gate compares it with the run queue before admitting."""
+        would carry under LLF or EDF (the policy's start deadline with
+        ``t_MF = now``), read without side effects: the progress map is
+        not fed, no window frontier extends it and ``assign`` is not
+        called.  The mp ingest gate compares it with the run queue before
+        admitting."""
         rc = self.reply_state.get(target_stage)
         if rc is None:
             return now + self.latency_constraint
-        c_m = 0.0 if type(self.policy) is EarliestDeadlineFirstPolicy else rc.c_m
-        return start_deadline(now, self.latency_constraint, c_m, rc.c_path)
+        return self.policy.start_deadline(
+            now, self.latency_constraint, rc.c_m, rc.c_path
+        )
 
     def _frontier(
         self, p: float, t: float, target_window: Optional[WindowSpec],

@@ -21,12 +21,3 @@ def start_deadline(t_mf: float, latency_constraint: float, c_m: float, c_path: f
         raise ValueError("costs must be non-negative")
     return t_mf + latency_constraint - c_m - c_path
 
-
-def laxity(deadline: float, now: float) -> float:
-    """Remaining slack before the start deadline; negative = already late."""
-    return deadline - now
-
-
-def is_violated(deadline: float, actual_start: float) -> bool:
-    """True when execution began after the start deadline."""
-    return actual_start > deadline

@@ -15,36 +15,13 @@ The token-based proportional-fair policy lives in :mod:`repro.core.tokens`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.context import PriorityContext
 from repro.core.deadline import start_deadline
 
-
-@dataclass(slots=True)
-class PriorityRequest:
-    """Everything a policy may consult when assigning a priority.
-
-    One is allocated per context conversion (per hop), hence ``slots``."""
-
-    now: float
-    p_mf: float
-    t_mf: float
-    t_m: float
-    latency_constraint: float
-    c_m: float
-    c_path: float
-    at_source: bool
-    job_name: str
-    source_index: int = 0
-    tuple_count: int = 0
-    inherited: Optional[PriorityContext] = None
-
-    @property
-    def llf_deadline(self) -> float:
-        """Eq. 3 deadline (used by metrics regardless of active policy)."""
-        return start_deadline(self.t_mf, self.latency_constraint, self.c_m, self.c_path)
+if TYPE_CHECKING:
+    from repro.core.converter import ContextConverter
 
 
 class SchedulingPolicy:
@@ -52,8 +29,34 @@ class SchedulingPolicy:
 
     name = "abstract"
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        """Return ``(pri_local, pri_global)`` for the message."""
+    def start_deadline(
+        self, t_mf: float, latency_constraint: float, c_m: float, c_path: float
+    ) -> float:
+        """The policy's form of the start deadline: Eq. 3 here.  The mp
+        ingest gate orders admissions by it
+        (:meth:`ContextConverter.admission_priority`)."""
+        return start_deadline(t_mf, latency_constraint, c_m, c_path)
+
+    def assign(
+        self,
+        converter: ContextConverter,
+        now: float,
+        p_mf: float,
+        t_mf: float,
+        c_m: float,
+        c_path: float,
+        deadline: float,
+        inherited: Optional[PriorityContext],
+        at_source: bool,
+    ) -> tuple[float, float]:
+        """Return ``(pri_local, pri_global)`` for a message sent at ``now``.
+
+        ``p_mf``/``t_mf`` are its frontier progress and time, ``c_m`` and
+        ``c_path`` the target's profiled costs, ``deadline`` their Eq. 3
+        start deadline, ``inherited`` the PC of the message that triggered
+        the send (None at the ingestion point, where ``at_source`` is
+        True).  ``converter`` names the job (``job_name``,
+        ``latency_constraint``) and the source (``source_index``)."""
         raise NotImplementedError
 
 
@@ -63,11 +66,9 @@ class LeastLaxityFirstPolicy(SchedulingPolicy):
 
     name = "llf"
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        deadline = start_deadline(
-            request.t_mf, request.latency_constraint, request.c_m, request.c_path
-        )
-        return (request.p_mf, deadline)
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
+        return (p_mf, deadline)
 
 
 class EarliestDeadlineFirstPolicy(SchedulingPolicy):
@@ -76,9 +77,13 @@ class EarliestDeadlineFirstPolicy(SchedulingPolicy):
 
     name = "edf"
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        deadline = start_deadline(request.t_mf, request.latency_constraint, 0.0, request.c_path)
-        return (request.p_mf, deadline)
+    def start_deadline(self, t_mf, latency_constraint, c_m, c_path):
+        return start_deadline(t_mf, latency_constraint, 0.0, c_path)
+
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
+        return (p_mf, self.start_deadline(
+            t_mf, converter.latency_constraint, c_m, c_path))
 
 
 class ShortestJobFirstPolicy(SchedulingPolicy):
@@ -86,8 +91,9 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
 
     name = "sjf"
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        return (request.p_mf, request.c_m)
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
+        return (p_mf, c_m)
 
 
 class ConstantPolicy(SchedulingPolicy):
@@ -103,7 +109,8 @@ class ConstantPolicy(SchedulingPolicy):
     def __init__(self, pri_local: float = 0.0, pri_global: float = 0.0):
         self._pair = (pri_local, pri_global)
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
         return self._pair
 
 

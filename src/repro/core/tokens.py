@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.context import MIN_PRIORITY
-from repro.core.policies import PriorityRequest, SchedulingPolicy
+from repro.core.policies import SchedulingPolicy
 
 
 @dataclass
@@ -54,21 +54,23 @@ class TokenFairPolicy(SchedulingPolicy):
     def rate_for(self, job_name: str) -> float | None:
         return self._rates.get(job_name)
 
-    def assign(self, request: PriorityRequest) -> tuple[float, float]:
-        if not request.at_source:
+    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
+               inherited, at_source):
+        if not at_source:
             # Downstream messages inherit the source's token tag: "through PC
             # propagation, all downstream messages are processed when no
             # tokened traffic is present".
-            if request.inherited is not None:
-                return (request.inherited.pri_local, request.inherited.pri_global)
+            if inherited is not None:
+                return (inherited.pri_local, inherited.pri_global)
             return (0.0, MIN_PRIORITY)
-        rate = self._rates.get(request.job_name)
+        job_name = converter.job_name
+        rate = self._rates.get(job_name)
         if rate is None:
             # job not under rate control: schedule by arrival time
-            return (0.0, request.now)
-        interval_id = int(math.floor(request.now / self._interval))
+            return (0.0, now)
+        interval_id = int(math.floor(now / self._interval))
         bucket = self._buckets.setdefault(
-            (request.job_name, request.source_index), _Bucket()
+            (job_name, converter.source_index), _Bucket()
         )
         if bucket.interval != interval_id:
             bucket.interval = interval_id

@@ -27,7 +27,6 @@ from typing import Optional
 
 from repro.core.policies import make_policy
 from repro.core.profiler import CostProfiler, GaussianNoiseInjector
-from repro.core.shedding import DeadlineShedder
 from repro.dataflow.jobs import JobSpec
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
@@ -154,13 +153,12 @@ class StreamEngine:
             self.transport.attach_bandwidth(self.bandwidth)
             if self.reliable is not None:
                 self.reliable.attach_bandwidth(self.bandwidth)
-        shedder = DeadlineShedder() if config.shed_expired else None
 
         cost_rng = self.rng.stream("exec-cost")
         for node in self.nodes:
             node.bind(self.sim, self.metrics, self.profiler, cost_rng,
                       config, self.transport, reliable=self.reliable,
-                      shedder=shedder, tracer=self.tracer)
+                      tracer=self.tracer)
         self.lifecycle = OperatorLifecycle(
             self.sim, self.nodes, self._ops, self.transport
         )

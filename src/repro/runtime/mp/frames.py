@@ -73,8 +73,7 @@ tag      layout
          f64 deps_arrival, f64 batch.arrival_time, u32 n,
          i32 source_id, u8 times_sorted, then n×f64 logical times,
          n×f64 values, n×i64 keys, then (flags bit0) the PC record:
-         f64 ×6 (pri_local, pri_global, p_mf, t_mf, latency_constraint,
-         deadline), i64 token_interval
+         f64 ×3 (pri_local, pri_global, deadline)
 3 ACK    u32 sender_id, u32 target_id, i64 admitted, i64 processed
 4 REPLY  u32 sender_id, u32 stage_id, f64 c_m, f64 c_path,
          f64 queueing_delay, i64 mailbox_size
@@ -130,7 +129,7 @@ _ACK = struct.Struct("<BIIqq")
 _REPLY = struct.Struct("<BIIdddq")
 _RESET = struct.Struct("<BIIq")
 _RAW = struct.Struct("<BI")
-_PC = struct.Struct("<6dq")
+_PC = struct.Struct("<3d")
 
 _LEN = struct.Struct("<I")  # frame header: body length
 
@@ -333,7 +332,7 @@ class DataCodec:
                 msg = entry[1]
                 batch = msg.batch
                 pc = msg.pc
-                if batch is None or (pc is not None and type(pc) is not PriorityContext):
+                if batch is None:
                     self._raw(entry, parts)
                     continue
                 sender_id = intern(msg.sender, parts)
@@ -353,10 +352,7 @@ class DataCodec:
                 parts.append(values.tobytes())
                 parts.append(keys.tobytes())
                 if pc is not None:
-                    parts.append(_PC.pack(
-                        pc.pri_local, pc.pri_global, pc.p_mf, pc.t_mf,
-                        pc.latency_constraint, pc.deadline, pc.token_interval,
-                    ))
+                    parts.append(_PC.pack(pc.pri_local, pc.pri_global, pc.deadline))
             elif tag == "ack":
                 _, key, admitted, processed = entry
                 parts.append(_ACK.pack(
@@ -417,17 +413,8 @@ class DataCodec:
                 offset += n * 8
                 pc = None
                 if flags & 1:
-                    (
-                        pri_local, pri_global, p_mf, t_mf,
-                        latency_constraint, deadline, token_interval,
-                    ) = _PC.unpack_from(buf, offset)
+                    pc = PriorityContext(*_PC.unpack_from(buf, offset))
                     offset += _PC.size
-                    pc = PriorityContext(
-                        pri_local=pri_local, pri_global=pri_global,
-                        p_mf=p_mf, t_mf=t_mf,
-                        latency_constraint=latency_constraint,
-                        deadline=deadline, token_interval=token_interval,
-                    )
                 msg = Message.__new__(Message)
                 msg.target = objs[target_id]
                 msg.batch = EventBatch._raw(

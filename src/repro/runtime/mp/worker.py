@@ -63,7 +63,6 @@ from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.core.policies import make_policy
 from repro.core.profiler import CostProfiler, GaussianNoiseInjector
-from repro.core.shedding import DeadlineShedder
 from repro.dataflow.operators import OpAddress
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import HEARTBEAT_INTERVAL
@@ -218,7 +217,6 @@ class MpWorker(NodeRuntime):
         self.bind(
             clock, metrics, profiler, rng.stream(f"mp/exec-cost/{node_id}"),
             config, self.transport, reliable=self.transport,
-            shedder=DeadlineShedder() if config.shed_expired else None,
             tracer=tracer,
         )
 

@@ -70,7 +70,7 @@ class NodeRuntime:
         "_capacity",
         "_record_timeline",
         "_reliable",
-        "_shedder",
+        "_shed",
         "_tracer",
     )
 
@@ -88,12 +88,11 @@ class NodeRuntime:
         self._lifecycle = None
 
     def bind(self, sim, metrics, profiler, cost_rng, config, transport,
-             reliable=None, shedder=None, tracer=None) -> None:
+             reliable=None, tracer=None) -> None:
         """Attach execution-time collaborators and hot-path config caches.
 
-        ``reliable`` / ``shedder`` / ``tracer`` stay None on fault-free
-        runs with shedding and tracing off, keeping the dispatch loop's
-        extra branches dead."""
+        ``reliable`` / ``tracer`` stay None on fault-free runs with
+        tracing off, keeping the dispatch loop's extra branches dead."""
         self.sim = sim
         self.metrics = metrics
         self._profiler = profiler
@@ -105,7 +104,7 @@ class NodeRuntime:
         self._capacity = config.source_mailbox_capacity
         self._record_timeline = config.record_timeline
         self._reliable = reliable
-        self._shedder = shedder
+        self._shed = config.shed_expired
         self._tracer = tracer
 
     def attach_lifecycle(self, lifecycle) -> None:
@@ -248,23 +247,23 @@ class NodeRuntime:
                     mailbox.push(released)
                     if self._tracer is not None:
                         self._tracer.on_admit(released, now)
-            shedder = self._shedder
-            if shedder is not None:
-                pc_shed = msg.pc
-                if pc_shed is not None and shedder.should_shed(pc_shed, now):
-                    # deadline-aware load shedding: the start deadline is
-                    # already unmeetable, so executing would only delay
-                    # messages that can still make it (see core/shedding.py)
-                    job_metrics.messages_shed += 1
-                    job_metrics.tuples_shed += msg.tuple_count
-                    if self._tracer is not None:
-                        self._tracer.on_shed(msg, op_rt, now)
-                    if self._reliable is not None:
-                        self._reliable.on_processed(op_rt, msg)
-                    if len(mailbox) == 0:
-                        self._release(op_rt, worker, requeue=False)
-                        return True
-                    continue
+            pc = msg.pc
+            late = pc is not None and now > pc.deadline
+            if late and self._shed:
+                # deadline-aware load shedding: the start deadline is
+                # already unmeetable, so executing would only delay
+                # messages that can still make it.  A +inf deadline (no
+                # constraint) or a NaN one never compares as passed.
+                job_metrics.messages_shed += 1
+                job_metrics.tuples_shed += msg.tuple_count
+                if self._tracer is not None:
+                    self._tracer.on_shed(msg, op_rt, now)
+                if self._reliable is not None:
+                    self._reliable.on_processed(op_rt, msg)
+                if len(mailbox) == 0:
+                    self._release(op_rt, worker, requeue=False)
+                    return True
+                continue
             # the wait is measured exactly once and feeds both the per-stage
             # RunningStat and (when tracing) the span recorder — the single
             # source of truth that keeps stats and traces in exact agreement
@@ -276,8 +275,7 @@ class NodeRuntime:
                     queue_stat = job_metrics.queueing_stat(stage_name)
                     op_rt.queue_stat = queue_stat
                 queue_stat.add(wait)
-            pc = msg.pc
-            if pc is not None and now > pc.deadline:
+            if late:
                 job_metrics.start_violations += 1
             cost = cost_model.sample(msg.tuple_count, cost_rng)
             exec_stat = op_rt.exec_stat

@@ -65,7 +65,6 @@ class Transport:
         "_client_converters",
         "_builder",
         "_delay_model",
-        "_contexts",
         "_profiler",
         "_capacity",
         "_ingest_cache",
@@ -97,7 +96,6 @@ class Transport:
         self._client_converters = plan.client_converters
         self._builder = builder
         self._delay_model = delay_model
-        self._contexts = config.contexts_enabled
         self._profiler = profiler
         self._capacity = config.source_mailbox_capacity
         #: client key -> IngestRoute, resolved at the key's first batch
@@ -206,7 +204,7 @@ class Transport:
         if converter is not None:
             pc = converter.build(
                 p=progress, t=now, now=now, target_stage=route.stage_name,
-                target_window=route.window, tuple_count=count, at_source=True,
+                target_window=route.window, at_source=True,
             )
         msg = Message(
             target=src_rt.address, batch=batch, p=progress, t=now,
@@ -290,14 +288,13 @@ class Transport:
         now = self.sim.now
         pc: Optional[PriorityContext] = None
         converter = src_rt.converter
-        if self._contexts and converter is not None:
+        if converter is not None:
             pc = converter.build(
                 p=emission.progress,
                 t=emission.arrival,
                 now=now,
                 target_stage=dst_rt.stage_name,
                 target_window=dst_rt.stage.window,
-                tuple_count=len(batch),
                 inherited=trigger.pc,
                 at_source=False,
             )

@@ -13,13 +13,14 @@ from repro.core.context import (
 class TestPriorityContext:
     def test_defaults(self):
         pc = PriorityContext()
-        assert pc.latency_constraint == float("inf")
+        assert (pc.pri_local, pc.pri_global) == (0.0, 0.0)
         assert pc.deadline == float("inf")
-        assert pc.token_interval == -1
 
-    def test_priority_pair(self):
-        pc = PriorityContext(pri_local=1.5, pri_global=2.5)
-        assert pc.priority_pair == (1.5, 2.5)
+    def test_positional_fields(self):
+        # the converter and the mp codec build PCs positionally
+        pc = PriorityContext(1.5, 2.5, 3.5)
+        assert (pc.pri_local, pc.pri_global) == (1.5, 2.5)
+        assert pc.deadline == 3.5
 
     def test_min_priority_is_positive_infinity(self):
         # lower = higher priority everywhere, so MIN priority must sort last
@@ -27,13 +28,9 @@ class TestPriorityContext:
 
 
 class TestReplyContext:
-    def test_downstream_cost(self):
-        rc = ReplyContext(c_m=0.5, c_path=1.5)
-        assert rc.downstream_cost == 2.0
-
     def test_defaults_are_zero(self):
         rc = ReplyContext()
-        assert rc.downstream_cost == 0.0
+        assert (rc.c_m, rc.c_path) == (0.0, 0.0)
         assert rc.queueing_delay == 0.0
 
 

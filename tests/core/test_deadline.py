@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deadline import is_violated, laxity, start_deadline
+from repro.core.deadline import start_deadline
 
 
 class TestStartDeadline:
@@ -31,23 +31,6 @@ class TestStartDeadline:
     def test_negative_constraint_rejected(self):
         with pytest.raises(ValueError):
             start_deadline(0.0, -1.0, 0.0, 0.0)
-
-
-class TestLaxity:
-    def test_positive_slack(self):
-        assert laxity(10.0, 7.0) == 3.0
-
-    def test_negative_slack_means_late(self):
-        assert laxity(10.0, 12.0) == -2.0
-
-
-class TestViolation:
-    def test_on_time(self):
-        assert not is_violated(10.0, 10.0)
-        assert not is_violated(10.0, 9.99)
-
-    def test_late(self):
-        assert is_violated(10.0, 10.01)
 
 
 @given(

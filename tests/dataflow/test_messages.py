@@ -57,10 +57,7 @@ class TestPickleRoundTrip:
             source_id=3,
             times_sorted=True,
         )
-        pc = PriorityContext(
-            pri_local=1.5, pri_global=2.5, p_mf=1.0,
-            t_mf=2.0, latency_constraint=0.8, deadline=2.8,
-        )
+        pc = PriorityContext(pri_local=1.5, pri_global=2.5, deadline=2.8)
         msg = Message(
             target=OpAddress("job", "agg0", 1),
             batch=batch,

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.profiler import PROFILER_ALPHA
 from repro.core.progress_map import PROGRESS_WINDOW
-from repro.core.shedding import SHED_SLACK
 from repro.runtime.config import (
     FAILURE_TIMEOUT,
     HEARTBEAT_INTERVAL,
@@ -107,7 +106,6 @@ class TestConstants:
         assert (HEARTBEAT_INTERVAL, FAILURE_TIMEOUT) == (0.05, 0.2)
         assert (RETRANSMIT_TIMEOUT, RETRANSMIT_BACKOFF_CAP) == (0.05, 0.8)
         assert LINK_BYTES_PER_TUPLE == 64.0
-        assert SHED_SLACK == 0.0
 
     def test_delay_models_built_without_arguments_agree(self):
         # the one place three defaults disagreed (0.0 / 5e-5 / 2e-5 local)
@@ -134,6 +132,7 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 REMOVED_NAMES = (
     "generate_contexts", "mp_loss_rate", "kill_at", "record_schedule_timeline",
     "record_completion_timeline", "notify_skips", "reset_message_ids",
+    "PriorityRequest", "DeadlineShedder", "token_interval", "llf_deadline",
 )
 
 

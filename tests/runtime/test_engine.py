@@ -356,7 +356,8 @@ class TestCustomPolicyInjection:
         class EverythingEqual(SchedulingPolicy):
             name = "flat"
 
-            def assign(self, request):
+            def assign(self, converter, now, p_mf, t_mf, c_m, c_path,
+                       deadline, inherited, at_source):
                 return (0.0, 0.0)
 
         job = simple_job()

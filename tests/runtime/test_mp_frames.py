@@ -28,6 +28,7 @@ from repro.metrics.collectors import MetricsHub
 from repro.core.context import ReplyContext
 from repro.runtime.config import EngineConfig
 from repro.runtime.mp.frames import (
+    _PC,
     DATA_MAGIC,
     START,
     STOP,
@@ -53,16 +54,12 @@ def _message(sender="a", target="b", seq=-1, tuples=4) -> Message:
     )
     msg = Message(
         target=target, batch=batch, p=3.0, t=0.5, deps_arrival=0.5,
-        sender=sender, pc=PriorityContext(pri_local=1.0, pri_global=2.0),
+        sender=sender,
+        pc=PriorityContext(pri_local=1.0, pri_global=2.0, deadline=2.5),
         channel_index=0,
     )
     msg.seq = seq
     return msg
-
-
-class _TaggedContext(PriorityContext):
-    """A priority-context subclass: the codec's fast path takes only the
-    exact class, so a message carrying one goes the RAW way."""
 
 
 def _pipe() -> tuple[PipeEnd, PipeEnd]:
@@ -188,7 +185,8 @@ class TestDataCodec:
         assert msg.sender == original.sender
         assert (msg.seq, msg.channel_index, msg.msg_id) == (7, 0, original.msg_id)
         assert (msg.p, msg.t, msg.deps_arrival) == (3.0, 0.5, 0.5)
-        assert msg.pc.pri_local == 1.0 and msg.pc.pri_global == 2.0
+        assert msg.pc == original.pc  # the whole PC: three f64s
+        assert _PC.size == 24
         np.testing.assert_array_equal(
             msg.batch.logical_times, original.batch.logical_times
         )
@@ -218,10 +216,10 @@ class TestDataCodec:
     def test_slow_path_falls_back_to_pickle(self):
         sender, receiver = DataCodec(), DataCodec()
         odd_msg = _message(seq=3)
-        odd_msg.pc = _TaggedContext(pri_local=1.0)  # subclass: not fast-path
+        odd_msg.batch = None  # no batch: not fast-path
         got = receiver.decode_data(sender.encode_data([("msg", odd_msg)]))
-        assert type(got[0][1].pc) is _TaggedContext
-        assert got[0][1].pc.pri_local == 1.0
+        assert got[0][1].batch is None
+        assert got[0][1].pc == odd_msg.pc
         assert got[0][1].seq == 3
         # Unknown tags take the RAW pickle path and round-trip verbatim.
         exotic = ("weird", {"payload": 1})

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.shedding import DeadlineShedder
 from repro.dataflow.messages import Message
 from repro.metrics.collectors import MetricsHub
 from repro.runtime.config import EngineConfig
@@ -165,35 +164,14 @@ def test_failure_detector_declares_and_recovers():
 
 
 # ---------------------------------------------------------------------------
-# deadline shedder
-# ---------------------------------------------------------------------------
-
-
-class TestDeadlineShedder:
-    def test_rejects_negative_slack(self):
-        with pytest.raises(ValueError):
-            DeadlineShedder(-0.1)
-
-    def test_sheds_only_past_deadline_plus_slack(self):
-        shedder = DeadlineShedder(0.5)
-        pc = SimpleNamespace(deadline=10.0)
-        assert not shedder.should_shed(pc, 10.4)
-        assert not shedder.should_shed(pc, 10.5)
-        assert shedder.should_shed(pc, 10.6)
-
-    def test_nan_and_inf_deadlines_never_shed(self):
-        shedder = DeadlineShedder(0.0)
-        assert not shedder.should_shed(SimpleNamespace(deadline=float("nan")), 1e9)
-        assert not shedder.should_shed(SimpleNamespace(deadline=float("inf")), 1e9)
-
-
-# ---------------------------------------------------------------------------
 # engine-level fault scenarios
 # ---------------------------------------------------------------------------
 
 
-def _faulted_engine(schedule, scheduler="cameo", duration=4.0, **overrides):
-    ls = make_latency_sensitive_job("ls0", source_count=2)
+def _faulted_engine(schedule, scheduler="cameo", duration=4.0, ls_latency=0.8,
+                    **overrides):
+    ls = make_latency_sensitive_job("ls0", source_count=2,
+                                    latency_constraint=ls_latency)
     ba = make_bulk_analytics_job("ba0", source_count=2)
     engine = StreamEngine(
         EngineConfig(scheduler=scheduler, nodes=2, workers_per_node=2,
@@ -266,6 +244,21 @@ def test_deadline_shedding_drops_expired_work():
     shed = engine.metrics.job("ls0").messages_shed
     assert shed > 0
     assert engine.metrics.shed_totals()[0] >= shed
+    # the bulk job's lax constraint keeps every one of its deadlines ahead
+    assert engine.metrics.job("ba0").messages_shed == 0
+
+
+def test_unconstrained_deadlines_are_never_shed():
+    # no constraint is a +inf start deadline, which no delay makes pass
+    schedule = FaultSchedule(
+        delay_spikes=[DelaySpike(start=1.0, end=2.0, factor=1.0, extra=1.5)])
+    engine = _faulted_engine(schedule, ls_latency=float("inf"),
+                             shed_expired=True)
+    engine.run(until=6.0)
+    ls = engine.metrics.job("ls0")
+    assert ls.output_count > 0
+    assert engine.metrics.shed_totals()[0] == 0
+    assert ls.start_violations == 0
     # shed work still acks: nothing left stuck in retransmit buffers
     assert engine.reliable.unacked_total() == 0
 
