@@ -90,6 +90,9 @@ def run_fig12(
     )
     static_pc = PriorityContext()
 
+    def static_build():
+        return lambda i: static_pc
+
     def converter_build():
         converter = ContextConverter(
             job_name="noop", latency_constraint=1.0, own_window=None,
@@ -107,8 +110,8 @@ def run_fig12(
     # priorities, no generation); (iii) full Cameo: per-message context
     # conversion with the LLF policy
     schemes = {
-        "fifo": (FifoRunQueue, lambda: lambda i: static_pc),
-        "sched": (CameoRunQueue, lambda: lambda i: static_pc),
+        "fifo": (FifoRunQueue, static_build),
+        "sched": (CameoRunQueue, static_build),
         "full": (CameoRunQueue, converter_build),
     }
 
@@ -144,7 +147,7 @@ def run_fig12(
          f"{generation[0]:.0f}-{generation[2]:.0f}", generation[1] / fifo_ns],
     ]
     result.extras.update(fifo_ns=fifo_ns, sched_ns=sched_ns, full_ns=full_ns,
-                         full_minus_fifo_ns=generation[1], samples=samples)
+                         full_minus_fifo_ns=generation[1])
 
     # right panel: overhead vs execution cost of a local aggregation message
     cameo_overhead_s = generation[1] / 1e9

@@ -89,7 +89,7 @@ def test_token_tags_monotone_within_interval(rate, count):
     assert len(tags) == min(count, math.ceil(rate))
 
 
-# -- one policy call per hop: build against today's formulas ----------------
+# -- one policy call per hop: build against each policy's formula ------------
 
 finite = st.floats(min_value=-1e9, max_value=1e9)
 non_negative = st.floats(min_value=0.0, max_value=1e9)
