@@ -112,11 +112,8 @@ class ContextConverter:
         called.  The mp ingest gate compares it with the run queue before
         admitting."""
         rc = self.reply_state.get(target_stage)
-        if rc is None:
-            return now + self.latency_constraint
-        return self.policy.start_deadline(
-            now, self.latency_constraint, rc.c_m, rc.c_path
-        )
+        c_m, c_path = (0.0, 0.0) if rc is None else (rc.c_m, rc.c_path)
+        return self.policy.start_deadline(now, self.latency_constraint, c_m, c_path)
 
     def _frontier(
         self, p: float, t: float, target_window: Optional[WindowSpec],

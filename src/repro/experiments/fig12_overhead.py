@@ -13,7 +13,7 @@ for a local aggregation operator, by batch size — overhead falls as batches
 grow (paper: 6.4% at batch size 1).
 
 Wall-clock numbers on a shared host swing from run to run, so after one
-warm-up pass the three schemes run ``reps`` times, interleaved (fifo,
+warm-up pass the three schemes run ``REPS`` times, interleaved (fifo,
 sched, full, fifo, ...), each on fresh queues.  Every row is the median
 over the reps, with the interquartile range beside it; the overhead the
 right panel divides is the median over reps of ``full − fifo``.
@@ -37,6 +37,9 @@ from repro.runtime.baselines import FifoRunQueue
 
 #: the right panel's reference operator (local aggregation, §6.3)
 LOCAL_AGG_COST = CostModel(base=0.0005, per_tuple=1e-6)
+
+#: interleaved measurement reps per scheme, after one warm-up pass
+REPS = 5
 
 
 class _OpStub:
@@ -78,11 +81,10 @@ def run_fig12(
     message_count: int = 30_000,
     operator_count: int = 300,
     batch_sizes: tuple = (1, 1000, 5000, 20000, 80000),
-    reps: int = 5,
 ) -> ExperimentResult:
     result = ExperimentResult(
         name="fig12",
-        title=f"Scheduling overhead (wall-clock microbenchmark, median of {reps} reps)",
+        title=f"Scheduling overhead (wall-clock microbenchmark, median of {REPS} reps)",
         headers=["panel", "scheme / batch", "ns per message", "IQR (ns)",
                  "overhead fraction"],
         notes="expect: cameo adds bounded per-message cost over fifo; "
@@ -125,7 +127,7 @@ def run_fig12(
     for scheme in schemes:  # warm-up: first-touch allocation and caches
         measure(scheme, min(message_count, 5_000))
     samples: dict[str, list[float]] = {scheme: [] for scheme in schemes}
-    for _ in range(reps):
+    for _ in range(REPS):
         for scheme in schemes:
             samples[scheme].append(measure(scheme, message_count))
     stats = {scheme: _quartiles(values) for scheme, values in samples.items()}

@@ -62,7 +62,6 @@ class NodeRuntime:
         "fenced",
         "_transport",
         "_lifecycle",
-        "_contexts",
         "_profiler",
         "_cost_rng",
         "_quantum",
@@ -98,7 +97,6 @@ class NodeRuntime:
         self._profiler = profiler
         self._cost_rng = cost_rng
         self._transport = transport
-        self._contexts = config.contexts_enabled
         self._quantum = config.quantum
         self._switch_cost = config.switch_cost
         self._capacity = config.source_mailbox_capacity
@@ -253,7 +251,7 @@ class NodeRuntime:
                 # deadline-aware load shedding: the start deadline is
                 # already unmeetable, so executing would only delay
                 # messages that can still make it.  A +inf deadline (no
-                # constraint) or a NaN one never compares as passed.
+                # constraint) never compares as passed.
                 job_metrics.messages_shed += 1
                 job_metrics.tuples_shed += msg.tuple_count
                 if self._tracer is not None:
@@ -378,7 +376,7 @@ class NodeRuntime:
             job_metrics.tuples_processed += count
             job_metrics.source_events.append((now, count))
         transport = self._transport
-        if self._contexts:
+        if op_rt.converter is not None:
             self._profiler.record(op_rt.address, cost)
             transport.send_reply(op_rt, msg)
         if self._record_timeline:

@@ -158,6 +158,9 @@ def test_build_is_bit_equal_to_the_policy_formulas(
                          at_source)), name
         assert bits([converter.admission_priority(now, "next")]) == bits(
             [reference_start_deadline(name, now, latency, c_m, c_path)]), name
+        # no feedback from a stage yet: zero costs, i.e. now + L
+        assert bits([converter.admission_priority(now, "unseen")]) == bits(
+            [now + latency]), name
 
 
 @given(t=finite, latency=non_negative, c_m=non_negative, c_path=non_negative)

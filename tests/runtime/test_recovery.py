@@ -246,6 +246,8 @@ def test_deadline_shedding_drops_expired_work():
     assert engine.metrics.shed_totals()[0] >= shed
     # the bulk job's lax constraint keeps every one of its deadlines ahead
     assert engine.metrics.job("ba0").messages_shed == 0
+    # shed work still acks: nothing left stuck in retransmit buffers
+    assert engine.reliable.unacked_total() == 0
 
 
 def test_unconstrained_deadlines_are_never_shed():
@@ -259,7 +261,6 @@ def test_unconstrained_deadlines_are_never_shed():
     assert ls.output_count > 0
     assert engine.metrics.shed_totals()[0] == 0
     assert ls.start_violations == 0
-    # shed work still acks: nothing left stuck in retransmit buffers
     assert engine.reliable.unacked_total() == 0
 
 
