@@ -4,7 +4,6 @@ from repro.core.context import MIN_PRIORITY, PriorityContext, ReplyContext, Repl
 from repro.core.converter import ContextConverter
 from repro.core.deadline import start_deadline
 from repro.core.policies import (
-    ConstantPolicy,
     EarliestDeadlineFirstPolicy,
     LeastLaxityFirstPolicy,
     SchedulingPolicy,
@@ -30,7 +29,6 @@ from repro.core.transform import REGULAR_SLIDE, frontier_progress, stage_slide, 
 
 __all__ = [
     "CameoRunQueue",
-    "ConstantPolicy",
     "ContextConverter",
     "CostProfiler",
     "EarliestDeadlineFirstPolicy",

@@ -96,29 +96,10 @@ class ShortestJobFirstPolicy(SchedulingPolicy):
         return (p_mf, c_m)
 
 
-class ConstantPolicy(SchedulingPolicy):
-    """Assigns a fixed priority to every message.
-
-    Used by the overhead experiment (Fig. 12) to isolate the cost of
-    priority *scheduling* from the cost of priority *generation*: the
-    two-level queue machinery runs, but no deadline arithmetic does.
-    """
-
-    name = "constant"
-
-    def __init__(self, pri_local: float = 0.0, pri_global: float = 0.0):
-        self._pair = (pri_local, pri_global)
-
-    def assign(self, converter, now, p_mf, t_mf, c_m, c_path, deadline,
-               inherited, at_source):
-        return self._pair
-
-
 _POLICY_FACTORIES = {
     "llf": LeastLaxityFirstPolicy,
     "edf": EarliestDeadlineFirstPolicy,
     "sjf": ShortestJobFirstPolicy,
-    "constant": ConstantPolicy,
 }
 
 

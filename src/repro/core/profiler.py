@@ -52,7 +52,6 @@ class CostProfiler:
         self._alpha = alpha
         self._noise = noise
         self._estimates: dict[Hashable, float] = {}
-        self._samples: dict[Hashable, int] = {}
 
     def seed(self, key: Hashable, nominal_cost: float) -> None:
         """Warm-start an operator's estimate (offline-profiling equivalent).
@@ -71,11 +70,7 @@ class CostProfiler:
             self._estimates[key] = measured_cost
         else:
             self._estimates[key] = (1 - self._alpha) * current + self._alpha * measured_cost
-        self._samples[key] = self._samples.get(key, 0) + 1
 
     def estimate(self, key: Hashable, default: float = 0.0) -> float:
         """Current cost estimate for the operator (``C_oM``)."""
         return self._estimates.get(key, default)
-
-    def sample_count(self, key: Hashable) -> int:
-        return self._samples.get(key, 0)

@@ -23,7 +23,6 @@ from repro.dataflow.operators import (
     SourceOperator,
     WindowedAggregateOperator,
     WindowedJoinOperator,
-    WindowedTopKOperator,
 )
 from repro.dataflow.progress import ProgressTracker, merged_frontier
 from repro.dataflow.windows import WindowSpec
@@ -49,7 +48,6 @@ __all__ = [
     "WindowSpec",
     "WindowedAggregateOperator",
     "WindowedJoinOperator",
-    "WindowedTopKOperator",
     "linear_graph",
     "merged_frontier",
 ]

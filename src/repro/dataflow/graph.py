@@ -2,9 +2,10 @@
 
 A dataflow job is a DAG of *stages* (§4.1); each stage runs a user-defined
 function and is parallelised into ``parallelism`` operators.  The graph also
-carries each stage's execution-cost model — the paper obtains per-operator
-costs ``C_oM`` by profiling; we additionally use the nominal costs to
-warm-start profiles and to compute the static critical-path estimate
+carries each stage's execution-cost model, which stands in for real
+execution: a message spends its stage's nominal cost.  The paper obtains
+per-operator costs ``C_oM`` by profiling; the nominal costs also
+warm-start the profiles and give the static critical-path estimate
 ``C_path`` (Eq. 2) for comparison in tests.
 """
 
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from repro.dataflow.operators import (
     AGGREGATES,
@@ -25,11 +24,10 @@ from repro.dataflow.operators import (
     SourceOperator,
     WindowedAggregateOperator,
     WindowedJoinOperator,
-    WindowedTopKOperator,
 )
 from repro.dataflow.windows import WindowSpec
 
-STAGE_KINDS = ("source", "map", "filter", "window_agg", "window_join", "window_topk", "sink")
+STAGE_KINDS = ("source", "map", "filter", "window_agg", "window_join", "sink")
 
 
 class GraphValidationError(Exception):
@@ -38,30 +36,29 @@ class GraphValidationError(Exception):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-message execution cost: ``base + per_tuple * n``, with optional
-    lognormal noise of coefficient-of-variation ``noise_cv``."""
+    """Per-message execution cost: ``base + per_tuple * n``."""
 
     base: float = 0.0002
     per_tuple: float = 0.0000002
-    noise_cv: float = 0.0
 
     def __post_init__(self):
         if self.base < 0 or self.per_tuple < 0:
             raise ValueError("cost components must be non-negative")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be non-negative")
 
     def nominal(self, tuple_count: int) -> float:
-        """Expected execution time for a message of ``tuple_count`` tuples."""
+        """Execution time of a message of ``tuple_count`` tuples."""
         return self.base + self.per_tuple * tuple_count
 
-    def sample(self, tuple_count: int, rng: Optional[np.random.Generator]) -> float:
-        """Draw an execution time; deterministic when ``noise_cv`` is zero."""
-        mean = self.nominal(tuple_count)
-        if self.noise_cv == 0.0 or rng is None or mean == 0.0:
-            return mean
-        sigma = float(np.sqrt(np.log1p(self.noise_cv**2)))
-        return float(mean * rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+
+#: nominal per-stage cost models (seconds) of the tenant jobs and the
+#: query builder's defaults.  Calibrated so a 1000-event message takes
+#: ~0.7-1.5 ms — comfortably above the 1 ms re-scheduling grain, as in the
+#: paper ("this grain is generally shorter than a message's execution
+#: time", §6).
+SOURCE_COST = CostModel(base=0.0002, per_tuple=5e-7)
+AGG_COST = CostModel(base=0.0005, per_tuple=1e-6)
+SINK_COST = CostModel(base=0.0001, per_tuple=1e-7)
+JOIN_COST = CostModel(base=0.001, per_tuple=2e-6)
 
 
 @dataclass
@@ -71,7 +68,6 @@ class StageSpec:
     ``key_partitioned`` controls how upstream stages route to this stage:
     by key hash across the parallel operators (with empty progress
     heartbeats to the other partitions) or whole-batch round-robin.
-    ``top_k`` is only used by ``window_topk`` stages.
     """
 
     name: str
@@ -83,25 +79,22 @@ class StageSpec:
     by_key: bool = True
     fn: Optional[Callable] = None
     key_partitioned: bool = False
-    top_k: int = 10
 
     def __post_init__(self):
         if self.kind not in STAGE_KINDS:
             raise GraphValidationError(f"unknown stage kind {self.kind!r}")
         if self.parallelism < 1:
             raise GraphValidationError(f"stage {self.name!r}: parallelism must be >= 1")
-        if self.kind in ("window_agg", "window_join", "window_topk") and self.window is None:
+        if self.is_windowed and self.window is None:
             raise GraphValidationError(f"stage {self.name!r}: windowed stage needs a WindowSpec")
-        if self.kind in ("window_agg", "window_topk") and self.agg not in AGGREGATES:
+        if self.kind == "window_agg" and self.agg not in AGGREGATES:
             raise GraphValidationError(f"stage {self.name!r}: unknown aggregate {self.agg!r}")
-        if self.kind == "window_topk" and self.top_k < 1:
-            raise GraphValidationError(f"stage {self.name!r}: top_k must be >= 1")
         if self.kind in ("map", "filter") and self.fn is None:
             raise GraphValidationError(f"stage {self.name!r}: {self.kind} stage needs fn")
 
     @property
     def is_windowed(self) -> bool:
-        return self.kind in ("window_agg", "window_join", "window_topk")
+        return self.kind in ("window_agg", "window_join")
 
     def build_operator(self, address: OpAddress) -> Operator:
         """The operator instance at ``address`` (a job's instance of this
@@ -117,8 +110,6 @@ class StageSpec:
             return WindowedAggregateOperator(address, self.window, self.agg, self.by_key)
         if self.kind == "window_join":
             return WindowedJoinOperator(address, self.window)
-        if self.kind == "window_topk":
-            return WindowedTopKOperator(address, self.window, self.top_k, self.agg)
         if self.kind == "sink":
             return SinkOperator(address)
         raise GraphValidationError(f"unknown stage kind {self.kind!r}")  # pragma: no cover

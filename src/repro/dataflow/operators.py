@@ -516,39 +516,6 @@ class WindowedJoinOperator(WindowedOperator):
         return keys, [float(state.left[k] * state.right[k]) for k in keys]
 
 
-class WindowedTopKOperator(WindowedAggregateOperator):
-    """Windowed top-k: like a keyed windowed aggregate, but each trigger
-    emits only the ``k`` keys with the largest aggregate value, ordered
-    descending (dashboard-style "top advertisers per second")."""
-
-    def __init__(self, address: OpAddress, window: WindowSpec, k: int,
-                 agg: str = "sum"):
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        super().__init__(address, window, agg=agg, by_key=True)
-        self.k = k
-
-    def _emit_complete_windows(self) -> list[Emission]:
-        emissions = super()._emit_complete_windows()
-        trimmed = []
-        for emission in emissions:
-            batch = emission.batch
-            if len(batch) > self.k:
-                order = np.argsort(batch.values)[::-1][: self.k]
-                batch = EventBatch._raw(
-                    batch.logical_times[order],
-                    batch.values[order],
-                    batch.keys[order],
-                    arrival_time=batch.arrival_time,
-                    source_id=batch.source_id,
-                    # window-result times are constant, so any reordering
-                    # preserves sortedness
-                    times_sorted=batch.times_sorted,
-                )
-            trimmed.append(Emission(batch, emission.progress, emission.arrival))
-        return trimmed
-
-
 class SinkOperator(Operator):
     """Terminal operator: hands finished results to the runtime's recorder."""
 

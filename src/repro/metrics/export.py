@@ -1,22 +1,19 @@
-"""Export experiment results and job metrics to JSON / CSV.
+"""Export experiment results to JSON.
 
 The benchmark harness prints text tables; downstream users who want to plot
-with their own tooling can dump the same data structurally::
+with their own tooling can dump the same data structurally (the CLI's
+``--json``)::
 
-    from repro.metrics.export import result_to_json, result_to_csv
+    from repro.metrics.export import result_to_json
     result = run_fig09()
     pathlib.Path("fig09.json").write_text(result_to_json(result))
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Any
-
-from repro.metrics.collectors import JobMetrics
 
 
 def _jsonable(value: Any) -> Any:
@@ -55,53 +52,3 @@ def result_to_json(result, include_extras: bool = False, indent: int = 2) -> str
     if include_extras:
         payload["extras"] = {str(k): _jsonable(v) for k, v in result.extras.items()}
     return json.dumps(payload, indent=indent)
-
-
-def result_to_csv(result) -> str:
-    """Headers + rows as CSV (extras are not representable in CSV)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(result.headers)
-    for row in result.rows:
-        writer.writerow(["" if _is_nan(cell) else cell for cell in row])
-    return buffer.getvalue()
-
-
-def job_metrics_to_json(metrics: JobMetrics, indent: int = 2) -> str:
-    """Full dump of one job's recorded outputs and summary statistics."""
-    summary = metrics.summary()
-    payload = {
-        "name": metrics.name,
-        "group": metrics.group,
-        "latency_constraint": metrics.latency_constraint,
-        "outputs": {
-            "times": list(metrics.output_times),
-            "latencies": list(metrics.latencies),
-            "tuples": list(metrics.output_tuples),
-            "values": list(metrics.output_values),
-        },
-        "summary": {
-            "count": summary.count,
-            "mean": _jsonable(summary.mean),
-            "p50": _jsonable(summary.p50),
-            "p95": _jsonable(summary.p95),
-            "p99": _jsonable(summary.p99),
-            "max": _jsonable(summary.max),
-            "std": _jsonable(summary.std),
-        },
-        "success_rate": _jsonable(metrics.success_rate()),
-        "start_violations": metrics.start_violations,
-        "messages_processed": metrics.messages_processed,
-        "tuples_ingested": metrics.tuples_ingested,
-        "tuples_processed": metrics.tuples_processed,
-        "breakdown": [
-            {"stage": stage, "mean_queueing": _jsonable(mq),
-             "max_queueing": _jsonable(xq), "mean_execution": _jsonable(me)}
-            for stage, mq, xq, me in metrics.breakdown()
-        ],
-    }
-    return json.dumps(payload, indent=indent)
-
-
-def _is_nan(cell: Any) -> bool:
-    return isinstance(cell, float) and math.isnan(cell)

@@ -1,4 +1,4 @@
-"""Terminal plots: CDFs, time series, heat maps and schedule timelines.
+"""Terminal plots: CDFs and schedule timelines.
 
 Everything renders to plain monospace text so examples and benchmark logs
 can show the *shape* of a distribution or schedule without a plotting
@@ -13,8 +13,6 @@ import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-_SHADES = " .:-=+*#%@"
 
 
 def ascii_cdf(
@@ -44,50 +42,6 @@ def ascii_cdf(
         lines.append(f"{y:4.2f} |" + "".join(row))
     lines.append("     +" + "-" * width)
     lines.append(f"      {low:.4g}{unit}" + " " * max(1, width - 18) + f"{high:.4g}{unit}")
-    return "\n".join(lines)
-
-
-def ascii_series(
-    points: Sequence[tuple[float, float]],
-    width: int = 70,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """(x, y) series as a scatter plot (e.g. latency timelines, Fig. 9)."""
-    if not points:
-        return "(no points)"
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    x_span = (xs.max() - xs.min()) or 1.0
-    y_span = (ys.max() - ys.min()) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        column = min(width - 1, int((x - xs.min()) / x_span * (width - 1)))
-        row = min(height - 1, int((1.0 - (y - ys.min()) / y_span) * (height - 1)))
-        grid[row][column] = "*"
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{ys.max():10.4g} ┐")
-    for row in grid:
-        lines.append(" " * 10 + " |" + "".join(row))
-    lines.append(f"{ys.min():10.4g} +" + "-" * width)
-    lines.append(" " * 12 + f"{xs.min():.4g} .. {xs.max():.4g}")
-    return "\n".join(lines)
-
-
-def ascii_heatmap(matrix, title: str = "", shades: str = _SHADES) -> str:
-    """2D intensity map (e.g. the ingestion heat map of Fig. 2c)."""
-    array = np.asarray(matrix, dtype=np.float64)
-    if array.ndim != 2 or array.size == 0:
-        return "(empty heatmap)"
-    peak = array.max() or 1.0
-    lines = [title] if title else []
-    for row in array:
-        cells = [shades[min(len(shades) - 1, int(v / peak * (len(shades) - 1)))]
-                 for v in row]
-        lines.append("".join(cells))
-    lines.append(f"scale: ' '=0 .. '{shades[-1]}'={peak:.4g}")
     return "\n".join(lines)
 
 

@@ -214,7 +214,7 @@ class MpSpanRecorder(TraceRecorder):
       the sim recorder; the samples leave with the drain;
     * ``exec`` is the *realized* wall time from ``started`` to the read of
       the worker ``clock`` in :meth:`on_execute_end` (cost realization plus
-      the operator's actual work), not the sampled cost the stats book —
+      the operator's actual work), not the modelled cost the stats book —
       children are sent after ``finished``, so chains stay causal; see
       docs/observability.md "mp semantics".
     """

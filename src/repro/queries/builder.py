@@ -21,18 +21,25 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dataflow.graph import CostModel, DataflowGraph, StageSpec
+from repro.dataflow.graph import (
+    AGG_COST,
+    JOIN_COST,
+    SINK_COST,
+    SOURCE_COST,
+    CostModel,
+    DataflowGraph,
+    StageSpec,
+)
 from repro.dataflow.jobs import GROUP_LATENCY_SENSITIVE, JobSpec
 from repro.dataflow.windows import WindowSpec
 
 _DEFAULT_COSTS = {
-    "source": CostModel(base=0.0002, per_tuple=5e-7),
+    "source": SOURCE_COST,
     "map": CostModel(base=0.0002, per_tuple=5e-7),
     "filter": CostModel(base=0.0002, per_tuple=4e-7),
-    "window_agg": CostModel(base=0.0005, per_tuple=1e-6),
-    "window_join": CostModel(base=0.001, per_tuple=2e-6),
-    "window_topk": CostModel(base=0.0006, per_tuple=1.2e-6),
-    "sink": CostModel(base=0.0001, per_tuple=1e-7),
+    "window_agg": AGG_COST,
+    "window_join": JOIN_COST,
+    "sink": SINK_COST,
 }
 
 
@@ -128,26 +135,6 @@ class QueryBuilder:
 
     def tumbling_agg(self, size: float, **kwargs) -> "QueryBuilder":
         return self.window_agg(WindowSpec.tumbling(size), **kwargs)
-
-    def top_k(
-        self,
-        window: WindowSpec,
-        k: int,
-        agg: str = "sum",
-        cost: Optional[CostModel] = None,
-    ) -> "QueryBuilder":
-        """Windowed top-k keys by aggregate value."""
-        return self._append(
-            StageSpec(
-                name=self._next_name("topk"),
-                kind="window_topk",
-                parallelism=1,
-                window=window,
-                agg=agg,
-                top_k=k,
-                cost=cost or _DEFAULT_COSTS["window_topk"],
-            )
-        )
 
     def union(self) -> "QueryBuilder":
         """Merge all current tails into one stream (identity map stage).

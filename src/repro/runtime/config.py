@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (keep sim/ import lazy)
     from repro.sim.faults import FaultSchedule
 
 SCHEDULERS = ("cameo", "orleans", "fifo")
-POLICIES = ("llf", "edf", "sjf", "constant", "token")
+POLICIES = ("llf", "edf", "sjf", "token")
 STATE_RECOVERY_MODES = ("none", "replay", "checkpoint")
 PARTITION_FAILOVER_MODES = ("quorum", "naive")
 LINK_POLICIES = ("fair", "edf")
@@ -136,9 +136,9 @@ class EngineConfig:
             ``docs/architecture.md`` "Process backend").  ``nodes`` is the
             worker-process count in mp mode; each worker executes its
             node's operators serially.
-        mp_cost_mode: how the mp backend realizes sampled execution costs
-            in wall-clock time: ``"sleep"`` occupies the worker for the
-            sampled duration (costs overlap across processes, so N workers
+        mp_cost_mode: how the mp backend realizes execution costs in
+            wall-clock time: ``"sleep"`` occupies the worker for the
+            message's cost (costs overlap across processes, so N workers
             give ~N× throughput even on few cores), ``"none"`` skips cost
             realization (pure runtime-overhead measurement).
         mp_realtime: pace the ingest replay on the wall clock (trace time

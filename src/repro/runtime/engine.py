@@ -154,10 +154,9 @@ class StreamEngine:
             if self.reliable is not None:
                 self.reliable.attach_bandwidth(self.bandwidth)
 
-        cost_rng = self.rng.stream("exec-cost")
         for node in self.nodes:
-            node.bind(self.sim, self.metrics, self.profiler, cost_rng,
-                      config, self.transport, reliable=self.reliable,
+            node.bind(self.sim, self.metrics, self.profiler, config,
+                      self.transport, reliable=self.reliable,
                       tracer=self.tracer)
         self.lifecycle = OperatorLifecycle(
             self.sim, self.nodes, self._ops, self.transport
@@ -176,7 +175,7 @@ class StreamEngine:
                 self.fault_injector, tracer=self.tracer,
                 # the quorum gate exists only when the schedule can cut
                 # the fabric; without a cut every view trivially has quorum
-                quorum=(schedule.has_partitions
+                quorum=(bool(schedule.partitions)
                         and config.partition_failover == "quorum"),
             )
             if config.state_recovery != "none":
@@ -252,18 +251,6 @@ class StreamEngine:
                 )
         for job, late in self.plan.late_tuples().items():
             self.metrics.job(job).late_tuples = late
-
-    # ------------------------------------------------------------------
-    # elastic worker pools (compat shims over the lifecycle API)
-    # ------------------------------------------------------------------
-
-    def add_worker(self, node_id: int) -> Worker:
-        """Grow a node's worker pool (see :meth:`OperatorLifecycle.spawn`)."""
-        return self.lifecycle.spawn(node_id)
-
-    def retire_worker(self, node_id: int) -> Optional[Worker]:
-        """Shrink a node's pool (see :meth:`OperatorLifecycle.retire`)."""
-        return self.lifecycle.retire(node_id)
 
     def worker_seconds(self, horizon: float) -> float:
         """Total worker-seconds provisioned in [0, horizon] (cost proxy)."""

@@ -22,8 +22,8 @@ encodings share a pipe and are discriminated by the body's first byte:
   stage-name strings) *interned per connection direction* so each address
   crosses the pipe once (a pickled ``DEF`` record) and is a 4-byte id
   ever after.  Pipes are FIFO, so a definition always precedes its uses;
-  entries that do not match the fast shape (a message without a batch,
-  an exotic priority- or reply-context subclass) degrade to a per-entry
+  entries that do not match the fast shape (a message without a batch, a
+  ``ReplyContext`` subclass, an unknown entry tag) degrade to a per-entry
   pickle record inside the same frame — the fast path is an encoding
   choice, never a semantic constraint.
 
@@ -78,7 +78,8 @@ tag      layout
 4 REPLY  u32 sender_id, u32 stage_id, f64 c_m, f64 c_path,
          f64 queueing_delay, i64 mailbox_size
 5 RESET  u32 sender_id, u32 target_id, i64 base_seq
-6 RAW    u32 len, pickle(entry) — fallback for non-fast shapes
+6 RAW    u32 len, pickle(entry) — fallback for a batch-less message,
+         a ReplyContext subclass or an unknown entry tag
 =======  ==========================================================
 
 Sequence numbers and msg ids travel unchanged (``enqueue_time`` is

@@ -7,7 +7,7 @@ node's :class:`~repro.runtime.node.NodeRuntime`, run on a wall clock: the
 per-message path (back-pressure release, shedding, stats, spans,
 completion, RC replies, emission routing) is the inherited code, and the
 worker supplies the three things a backend owns — the clock
-(:class:`WallClock`), how a sampled cost is spent (:meth:`MpWorker.
+(:class:`WallClock`), how a message's cost is spent (:meth:`MpWorker.
 _execute`) and the delivery layer (:class:`~repro.runtime.mp.transport.
 ProcessTransport`).  Around it runs the pipe loop, one selector over
 every pipe end the worker owns.  Each turn pumps the local ingest (its
@@ -47,9 +47,11 @@ scales with worker count even on few cores); ``"none"`` skips realization
 (pure overhead measurement).
 
 Determinism: every worker derives its RNG substreams from the run seed by
-name (``mp/exec-cost/<node>``, ``mp/loss/<node>``) through the same
-order-independent registry the sim backend uses, so cost samples and loss
-decisions are reproducible per node regardless of message interleaving.
+name (``mp/loss/<node>``, ``mp/profile-noise/<node>``) through the same
+order-independent registry the sim backend uses, so loss decisions and
+profile noise are reproducible per node regardless of message
+interleaving.  A message's cost is its stage's affine model and draws
+nothing.
 """
 
 from __future__ import annotations
@@ -215,9 +217,8 @@ class MpWorker(NodeRuntime):
             self._delivery.attach_tracer(tracer)
             self._tm_interval = config.trace_sample_interval
         self.bind(
-            clock, metrics, profiler, rng.stream(f"mp/exec-cost/{node_id}"),
-            config, self.transport, reliable=self.transport,
-            tracer=tracer,
+            clock, metrics, profiler, config, self.transport,
+            reliable=self.transport, tracer=tracer,
         )
 
     # ------------------------------------------------------------------
@@ -493,7 +494,7 @@ class MpWorker(NodeRuntime):
         return True
 
     def _execute(self, worker, op_rt, msg, now: float, cost: float) -> bool:
-        """Spend exactly the sampled ``cost`` in wall time (sleep, unless
+        """Spend exactly the message's ``cost`` in wall time (sleep, unless
         costs are not realised); the message always completes inline."""
         if cost > 0 and self._sleep_cost:
             time.sleep(cost)

@@ -46,7 +46,7 @@ class NodeRuntime:
     operator with a pending migration is released.
 
     A backend overrides two steps of the loop: :meth:`_execute` (how a
-    sampled cost is spent) and :meth:`_quantum_expired` (what a quantum
+    message's cost is spent) and :meth:`_quantum_expired` (what a quantum
     boundary does with an operator that still has mail — here it runs on
     unless a strictly more urgent operator waits; the mp worker holds it
     and returns to its pipe loop first).
@@ -63,7 +63,6 @@ class NodeRuntime:
         "_transport",
         "_lifecycle",
         "_profiler",
-        "_cost_rng",
         "_quantum",
         "_switch_cost",
         "_capacity",
@@ -86,7 +85,7 @@ class NodeRuntime:
         self._transport = None
         self._lifecycle = None
 
-    def bind(self, sim, metrics, profiler, cost_rng, config, transport,
+    def bind(self, sim, metrics, profiler, config, transport,
              reliable=None, tracer=None) -> None:
         """Attach execution-time collaborators and hot-path config caches.
 
@@ -95,7 +94,6 @@ class NodeRuntime:
         self.sim = sim
         self.metrics = metrics
         self._profiler = profiler
-        self._cost_rng = cost_rng
         self._transport = transport
         self._quantum = config.quantum
         self._switch_cost = config.switch_cost
@@ -232,7 +230,6 @@ class NodeRuntime:
         job_metrics = op_rt.job_metrics
         stage_name = op_rt.stage_name
         cost_model = op_rt.cost_model
-        cost_rng = self._cost_rng
         quantum = self._quantum
         while True:
             now = sim.now
@@ -275,7 +272,7 @@ class NodeRuntime:
                 queue_stat.add(wait)
             if late:
                 job_metrics.start_violations += 1
-            cost = cost_model.sample(msg.tuple_count, cost_rng)
+            cost = cost_model.nominal(msg.tuple_count)
             exec_stat = op_rt.exec_stat
             if exec_stat is None:
                 exec_stat = job_metrics.execution_stat(stage_name)

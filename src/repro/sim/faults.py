@@ -219,10 +219,6 @@ class FaultSchedule:
         return bool(self.crashes or self.losses or self.delay_spikes
                     or self.partitions)
 
-    @property
-    def has_partitions(self) -> bool:
-        return bool(self.partitions)
-
     def describe(self) -> dict:
         """JSON-renderable summary of every fault window (``repro faults
         --describe``)."""
@@ -287,16 +283,12 @@ class FaultInjector:
     replays its fault pattern exactly.
     """
 
-    __slots__ = ("schedule", "_rng", "_clock", "loss_drops", "ack_drops")
+    __slots__ = ("schedule", "_rng", "_clock")
 
     def __init__(self, schedule: FaultSchedule, rng, clock):
         self.schedule = schedule
         self._rng = rng
         self._clock = clock
-        #: data transmissions dropped by the loss models
-        self.loss_drops = 0
-        #: acknowledgements dropped by the loss models
-        self.ack_drops = 0
 
     # -- channel queries ----------------------------------------------------
 
@@ -324,18 +316,12 @@ class FaultInjector:
     def drops_message(self, src_node: int, dst_node: int) -> bool:
         """Draw the fate of one data transmission starting now."""
         rate = self._loss_rate(self._clock(), src_node, dst_node)
-        if rate > 0.0 and self._rng.random() < rate:
-            self.loss_drops += 1
-            return True
-        return False
+        return rate > 0.0 and self._rng.random() < rate
 
     def drops_ack(self, src_node: int, dst_node: int) -> bool:
         """Draw the fate of one acknowledgement transmission starting now."""
         rate = self._loss_rate(self._clock(), src_node, dst_node)
-        if rate > 0.0 and self._rng.random() < rate:
-            self.ack_drops += 1
-            return True
-        return False
+        return rate > 0.0 and self._rng.random() < rate
 
     def inflate_transit(self, transit: float) -> float:
         """Apply any active delay spike to a sampled transit delay."""

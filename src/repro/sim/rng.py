@@ -1,6 +1,6 @@
 """Seeded random-number streams.
 
-Each component (arrival generator, cost model, network, perturbation
+Each component (arrival generator, network loss, profile-noise
 injector...) draws from its *own* named substream so that adding randomness
 to one component never shifts the numbers another component sees.  This is
 what makes A/B comparisons between schedulers meaningful: the workload is

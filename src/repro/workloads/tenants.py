@@ -15,22 +15,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.dataflow.graph import CostModel, DataflowGraph, StageSpec
+from repro.dataflow.graph import (
+    AGG_COST,
+    JOIN_COST,
+    SINK_COST,
+    SOURCE_COST,
+    CostModel,
+    DataflowGraph,
+    StageSpec,
+)
 from repro.dataflow.jobs import (
     GROUP_BULK_ANALYTICS,
     GROUP_LATENCY_SENSITIVE,
     JobSpec,
 )
 from repro.dataflow.windows import WindowSpec
-
-#: nominal per-stage cost models (seconds).  Calibrated so a 1000-event
-#: message takes ~0.7-1.5 ms — comfortably above the 1 ms re-scheduling
-#: grain, as in the paper ("this grain is generally shorter than a
-#: message's execution time", §6).
-SOURCE_COST = CostModel(base=0.0002, per_tuple=5e-7)
-AGG_COST = CostModel(base=0.0005, per_tuple=1e-6)
-SINK_COST = CostModel(base=0.0001, per_tuple=1e-7)
-JOIN_COST = CostModel(base=0.001, per_tuple=2e-6)
 
 
 def make_aggregation_job(
@@ -61,7 +60,7 @@ def make_aggregation_job(
     scale = cost_scale
 
     def scaled(cost: CostModel) -> CostModel:
-        return CostModel(cost.base * scale, cost.per_tuple * scale, cost.noise_cv)
+        return CostModel(cost.base * scale, cost.per_tuple * scale)
 
     stages = [
         StageSpec(

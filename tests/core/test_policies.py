@@ -5,7 +5,6 @@ import pytest
 from repro.core.context import PriorityContext
 from repro.core.converter import ContextConverter
 from repro.core.policies import (
-    ConstantPolicy,
     EarliestDeadlineFirstPolicy,
     LeastLaxityFirstPolicy,
     ShortestJobFirstPolicy,
@@ -70,19 +69,11 @@ class TestSJF:
         assert a == b
 
 
-class TestConstant:
-    def test_fixed_pair(self):
-        policy = ConstantPolicy(1.0, 2.0)
-        assert pair(policy) == (1.0, 2.0)
-        assert pair(policy, latency_constraint=9.0) == (1.0, 2.0)
-
-
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("llf", LeastLaxityFirstPolicy),
         ("edf", EarliestDeadlineFirstPolicy),
         ("sjf", ShortestJobFirstPolicy),
-        ("constant", ConstantPolicy),
     ])
     def test_known_policies(self, name, cls):
         assert isinstance(make_policy(name), cls)
@@ -99,7 +90,7 @@ class TestFactory:
 class TestLLFDeadlineField:
     @pytest.mark.parametrize("policy", [
         LeastLaxityFirstPolicy(), EarliestDeadlineFirstPolicy(),
-        ShortestJobFirstPolicy(), ConstantPolicy(),
+        ShortestJobFirstPolicy(),
     ], ids=lambda policy: policy.name)
     def test_pc_deadline_is_eq3_under_every_policy(self, policy):
         assert build(policy).deadline == 12.0 + 1.0 - 0.1 - 0.2

@@ -93,7 +93,7 @@ def test_token_tags_monotone_within_interval(rate, count):
 
 finite = st.floats(min_value=-1e9, max_value=1e9)
 non_negative = st.floats(min_value=0.0, max_value=1e9)
-POLICY_NAMES = ("llf", "edf", "sjf", "constant", "token", "token-free")
+POLICY_NAMES = ("llf", "edf", "sjf", "token", "token-free")
 
 
 def make_named_policy(name):
@@ -119,8 +119,6 @@ def reference_pc(name, p, t, latency, c_m, c_path, now, inherited, at_source):
         pair = (p, start_deadline(t, latency, 0.0, c_path))
     elif name == "sjf":
         pair = (p, c_m)
-    elif name == "constant":
-        pair = (0.0, 0.0)
     elif not at_source:
         pair = ((inherited.pri_local, inherited.pri_global)
                 if inherited is not None else (0.0, MIN_PRIORITY))

@@ -39,13 +39,6 @@ class TestCostProfiler:
         profiler.record("op", 0.0)
         assert profiler.estimate("op") == pytest.approx(0.5)
 
-    def test_sample_count(self):
-        profiler = CostProfiler()
-        assert profiler.sample_count("op") == 0
-        profiler.record("op", 0.1)
-        profiler.record("op", 0.1)
-        assert profiler.sample_count("op") == 2
-
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             CostProfiler().record("op", -0.1)

@@ -26,23 +26,11 @@ class TestCostModel:
         assert model.nominal(0) == 0.001
         assert model.nominal(10) == pytest.approx(0.002)
 
-    def test_sample_deterministic_without_noise(self):
-        model = CostModel(base=0.001, per_tuple=0.0)
-        assert model.sample(5, None) == 0.001
-
-    def test_sample_noise_preserves_mean(self):
-        import numpy as np
-
-        model = CostModel(base=0.001, per_tuple=0.0, noise_cv=0.3)
-        rng = np.random.default_rng(0)
-        samples = [model.sample(0, rng) for _ in range(5000)]
-        assert np.mean(samples) == pytest.approx(0.001, rel=0.05)
-
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             CostModel(base=-1.0)
         with pytest.raises(ValueError):
-            CostModel(noise_cv=-0.1)
+            CostModel(per_tuple=-1e-6)
 
 
 class TestStageValidation:

@@ -733,33 +733,3 @@ def test_property_no_tuple_lost_or_duplicated(times, slide, mult):
                              p=max(times) + 2 * window.size + slide), now=0.0)
     total = sum(e.batch.values.sum() for e in out if len(e.batch))
     assert total == len(times) * window.window_count_containing()
-
-
-class TestWindowedTopK:
-    def make(self, k=2):
-        from repro.dataflow.operators import WindowedTopKOperator
-
-        op = WindowedTopKOperator(ADDR, WindowSpec.tumbling(10.0), k=k)
-        return wired(op)
-
-    def test_emits_only_top_k_keys(self):
-        op = self.make(k=2)
-        batch = EventBatch([1.0, 2.0, 3.0, 4.0], values=[5.0, 1.0, 9.0, 3.0],
-                           keys=[0, 1, 2, 3])
-        op.on_message(msg(batch, p=4.0), now=0.0)
-        out = op.on_message(msg(EventBatch([10.5]), p=10.5), now=0.0)
-        result = out[0].batch
-        assert list(result.keys) == [2, 0]  # descending by value
-        assert list(result.values) == [9.0, 5.0]
-
-    def test_fewer_keys_than_k_kept_as_is(self):
-        op = self.make(k=5)
-        op.on_message(msg(EventBatch([1.0], values=[2.0], keys=[7]), p=1.0), now=0.0)
-        out = op.on_message(msg(EventBatch([10.5]), p=10.5), now=0.0)
-        assert list(out[0].batch.keys) == [7]
-
-    def test_invalid_k_rejected(self):
-        from repro.dataflow.operators import WindowedTopKOperator
-
-        with pytest.raises(ValueError):
-            WindowedTopKOperator(ADDR, WindowSpec.tumbling(10.0), k=0)

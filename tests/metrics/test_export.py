@@ -1,11 +1,9 @@
-"""Unit tests for JSON/CSV export."""
+"""Unit tests for JSON export."""
 
 import json
-import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.metrics.collectors import JobMetrics
-from repro.metrics.export import job_metrics_to_json, result_to_csv, result_to_json
+from repro.metrics.export import result_to_json
 
 
 def sample_result():
@@ -38,32 +36,3 @@ class TestResultJson:
         result.rows = [["inf", float("inf")]]
         payload = json.loads(result_to_json(result))
         assert payload["rows"][0][1] == "inf"
-
-
-class TestResultCsv:
-    def test_csv_shape(self):
-        lines = result_to_csv(sample_result()).strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "x,1.5"
-        assert lines[2] == "y,"  # NaN becomes empty cell
-
-
-class TestJobMetricsJson:
-    def test_full_dump(self):
-        metrics = JobMetrics("job", "LS", 0.8)
-        metrics.record_output(1.0, 0.1, 10, value=5.0)
-        metrics.record_queueing("source", 0.002)
-        metrics.record_execution("source", 0.001)
-        metrics.tuples_ingested = 10
-        payload = json.loads(job_metrics_to_json(metrics))
-        assert payload["name"] == "job"
-        assert payload["outputs"]["latencies"] == [0.1]
-        assert payload["summary"]["count"] == 1
-        assert payload["success_rate"] == 1.0
-        assert payload["breakdown"][0]["stage"] == "source"
-        assert payload["breakdown"][0]["mean_queueing"] == pytest.approx(0.002)
-
-    def test_empty_metrics_nan_safe(self):
-        payload = json.loads(job_metrics_to_json(JobMetrics("j", "BA", 1.0)))
-        assert payload["summary"]["p99"] is None
-        assert payload["success_rate"] is None

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.metrics.plots import ascii_cdf, ascii_heatmap, ascii_schedule, ascii_series
+from repro.metrics.plots import ascii_cdf, ascii_schedule
 
 
 class TestAsciiCdf:
@@ -23,32 +23,6 @@ class TestAsciiCdf:
         plot = ascii_cdf(np.random.default_rng(0).random(100), width=30, height=8)
         lines = plot.splitlines()
         assert len(lines) == 8 + 2  # rows + axis + labels
-
-
-class TestAsciiSeries:
-    def test_empty(self):
-        assert ascii_series([]) == "(no points)"
-
-    def test_monotone_series_renders(self):
-        plot = ascii_series([(0, 0.0), (1, 1.0), (2, 2.0)], width=12, height=5)
-        assert "*" in plot
-
-    def test_constant_series(self):
-        plot = ascii_series([(0, 1.0), (1, 1.0)], width=10, height=4)
-        assert "*" in plot
-
-
-class TestAsciiHeatmap:
-    def test_empty(self):
-        assert ascii_heatmap(np.empty((0, 0))) == "(empty heatmap)"
-
-    def test_intensity_scale(self):
-        plot = ascii_heatmap([[0.0, 10.0]], shades=" #")
-        assert " #" in plot.splitlines()[0]
-
-    def test_row_count(self):
-        plot = ascii_heatmap(np.ones((3, 5)), title="hm")
-        assert len(plot.splitlines()) == 3 + 2  # title + rows + scale
 
 
 class TestAsciiSchedule:

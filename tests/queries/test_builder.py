@@ -79,15 +79,6 @@ class TestBuilderErrors:
 
 
 class TestTopKAndUnion:
-    def test_top_k_stage(self):
-        job = (
-            QueryBuilder("q").source().top_k(WindowSpec.tumbling(1.0), k=3)
-            .sink().build(latency_constraint=1.0)
-        )
-        stage = job.graph.stage(job.graph.stage_names[1])
-        assert stage.kind == "window_topk"
-        assert stage.top_k == 3
-
     def test_union_merges_tails(self):
         job = (
             QueryBuilder("q")

@@ -37,6 +37,7 @@ INVALID_VALUES = [
     ("mp_cost_mode", "burn"),
     ("mp_cost_mode", "spin"),
     ("mp_wall_timeout", 0.0),
+    ("link_policy", "wfq"),
     *((field, math.nan) for field in (
         "quantum", "profile_noise_sigma", "switch_cost", "starvation_aging",
         "checkpoint_interval", "link_capacity", "trace_sample_interval",
@@ -133,7 +134,19 @@ REMOVED_NAMES = (
     "generate_contexts", "mp_loss_rate", "kill_at", "record_schedule_timeline",
     "record_completion_timeline", "notify_skips", "reset_message_ids",
     "PriorityRequest", "DeadlineShedder", "token_interval", "llf_deadline",
+    "ConstantPolicy", "WindowedTopKOperator", "window_topk", "noise_cv", "exec-cost",
+    "result_to_csv", "job_metrics_to_json", "ascii_series", "ascii_heatmap",
 )
+
+
+def prose_documents() -> list[pathlib.Path]:
+    """README, DESIGN, EXPERIMENTS, ``docs/`` and the verify skill."""
+    documents = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+                 *sorted((REPO / "docs").rglob("*.md"))]
+    skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+    if skill.exists():
+        documents.append(skill)
+    return documents
 
 
 class TestDocumentation:
@@ -142,15 +155,28 @@ class TestDocumentation:
     def test_every_field_is_in_the_docstring(self, name):
         assert re.search(rf"\b{name}\b", EngineConfig.__doc__)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(EngineConfig)])
+    def test_every_field_is_in_the_readme(self, name):
+        """Named as code in README's knob list (or its policy matrix)."""
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert re.search(rf"`(EngineConfig\()?{name}\b", readme)
+
     def test_removed_names_are_not_documented(self):
-        documents = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md"))]
-        skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
-        if skill.exists():
-            documents.append(skill)
         stale = [
             (path.relative_to(REPO).as_posix(), name)
-            for path in documents
+            for path in prose_documents()
             for name in REMOVED_NAMES
             if name in path.read_text(encoding="utf-8")
         ]
         assert stale == []
+
+    def test_roadmap_items_are_cited_by_name(self):
+        """ROADMAP renumbers its items, so a number in the prose goes stale."""
+        cited = [
+            (path.relative_to(REPO).as_posix(), match.group(0))
+            for path in prose_documents()
+            for match in re.finditer(r"ROADMAP item \d+",
+                                     path.read_text(encoding="utf-8"))
+        ]
+        assert cited == []

@@ -24,7 +24,7 @@ class TestAddWorker:
     def test_add_worker_mid_run(self):
         # a single overloaded worker guarantees the added one gets work
         engine = make_engine(workers=1, rate=700.0)
-        engine.sim.schedule_at(3.0, engine.add_worker, 0)
+        engine.sim.schedule_at(3.0, engine.lifecycle.spawn, 0)
         engine.run(until=12.0)
         node = engine.nodes[0]
         assert len(node.workers) == 2
@@ -36,7 +36,7 @@ class TestAddWorker:
         def throughput(extra_at):
             engine = make_engine(workers=1, rate=700.0, duration=6.0)
             if extra_at is not None:
-                engine.sim.schedule_at(extra_at, engine.add_worker, 0)
+                engine.sim.schedule_at(extra_at, engine.lifecycle.spawn, 0)
             engine.run(until=6.0)  # measure during pressure, before drain
             return engine.metrics.job("job").tuples_processed
 
@@ -45,7 +45,7 @@ class TestAddWorker:
     @pytest.mark.parametrize("scheduler", ["cameo", "fifo", "orleans"])
     def test_add_worker_under_each_scheduler(self, scheduler):
         engine = make_engine(scheduler=scheduler)
-        engine.sim.schedule_at(2.0, engine.add_worker, 0)
+        engine.sim.schedule_at(2.0, engine.lifecycle.spawn, 0)
         engine.run(until=12.0)
         metrics = engine.metrics.job("job")
         assert metrics.tuples_processed == metrics.tuples_ingested
@@ -57,7 +57,7 @@ class TestRetireWorker:
         retired_holder = {}
 
         def retire():
-            retired_holder["worker"] = engine.retire_worker(0)
+            retired_holder["worker"] = engine.lifecycle.retire(0)
 
         engine.sim.schedule_at(3.0, retire)
         engine.run(until=15.0)
@@ -71,12 +71,12 @@ class TestRetireWorker:
 
     def test_never_retires_the_last_worker(self):
         engine = make_engine(workers=1)
-        assert engine.retire_worker(0) is None
+        assert engine.lifecycle.retire(0) is None
 
     def test_lifetime_accounting(self):
         engine = make_engine(workers=2)
-        engine.sim.schedule_at(2.0, engine.add_worker, 0)
-        engine.sim.schedule_at(6.0, engine.retire_worker, 0)
+        engine.sim.schedule_at(2.0, engine.lifecycle.spawn, 0)
+        engine.sim.schedule_at(6.0, engine.lifecycle.retire, 0)
         engine.run(until=10.0)
         # base workers: 2 x 10s; the added worker retires at 6 (it is the
         # last active one at that point): 4s

@@ -431,3 +431,21 @@ class TestIngestionBackpressure:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(source_mailbox_capacity=0)
+
+
+class TestSharedLinks:
+    @pytest.mark.parametrize("policy", ["fair", "edf"])
+    def test_link_capacity_installs_uplinks_of_the_policy(self, policy):
+        job = simple_job()
+        engine = StreamEngine(EngineConfig(nodes=2, workers_per_node=1,
+                                           link_capacity=1e6, link_policy=policy),
+                              [job])
+        ingest_window_data(engine, job)
+        engine.run(until=10.0)
+        report = engine.bandwidth.report()
+        assert report["policy"] == policy
+        assert report["uplinks"]  # the run crossed nodes
+        for link in report["uplinks"].values():
+            assert link["policy"] == policy
+            assert link["transfers"] > 0
+        assert engine.metrics.job(job.name).output_values == [10.0, 10.0, 10.0]

@@ -134,7 +134,9 @@ def test_partition_drops_are_counted_not_randomized():
     admitted, reliable, injector = _drive_partitioned_channel(cut, 0.5, 1, 5)
     assert admitted == []  # nothing crosses a permanent cut
     assert reliable._metrics.messages_dropped_partition > 0
-    assert injector.loss_drops == 0  # the RNG stream was never touched
+    # the RNG stream was never touched
+    assert injector._rng.bit_generator.state == \
+        np.random.default_rng(1).bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ noise injection, semantics ablation, violation accounting."""
 
 import pytest
 
-from repro.dataflow.graph import CostModel, DataflowGraph, StageSpec
 from repro.dataflow.jobs import JobSpec
 from repro.dataflow.windows import WindowSpec
 from repro.queries.builder import QueryBuilder
@@ -65,25 +64,6 @@ class TestEventTimeRegression:
 
 
 class TestNoiseRobustness:
-    def test_cost_noise_preserves_results(self):
-        stages = [
-            StageSpec(name="source", kind="source", parallelism=1,
-                      cost=CostModel(base=0.0002, per_tuple=1e-7, noise_cv=0.5)),
-            StageSpec(name="agg", kind="window_agg", parallelism=1,
-                      window=WindowSpec.tumbling(1.0), agg="sum",
-                      cost=CostModel(base=0.0005, per_tuple=1e-6, noise_cv=0.5)),
-            StageSpec(name="sink", kind="sink", parallelism=1),
-        ]
-        job = JobSpec(name="noisy", latency_constraint=5.0,
-                      graph=DataflowGraph(stages, [("source", "agg"), ("agg", "sink")]))
-        engine = StreamEngine(EngineConfig(scheduler="cameo", seed=2), [job])
-        for t in range(6):
-            engine.sim.schedule_at(t + 0.5, engine.ingest, job.name, "source", 0,
-                                   [t + 0.4], [2.0], [0])
-        engine.run(until=15.0)
-        values = engine.metrics.job(job.name).output_values
-        assert values and all(v == pytest.approx(2.0) for v in values)
-
     def test_profile_noise_run_completes(self):
         job = make_latency_sensitive_job("job", source_count=2)
         engine = StreamEngine(
@@ -166,26 +146,6 @@ class TestUnionPipeline:
         # window [0,1) must contain BOTH sources' events (2), despite the
         # fast source reaching progress 5 long before the slow one
         assert values and values[0] == 2.0
-
-    def test_topk_pipeline_end_to_end(self):
-        job = (
-            QueryBuilder("topk")
-            .source(parallelism=1)
-            .top_k(WindowSpec.tumbling(1.0), k=1)
-            .sink()
-            .build(latency_constraint=10.0)
-        )
-        engine = StreamEngine(EngineConfig(scheduler="cameo"), [job])
-        src = job.graph.source_stages[0]
-        engine.sim.schedule_at(0.5, engine.ingest, job.name, src, 0,
-                               [0.1, 0.2, 0.3], [1.0, 5.0, 2.0], [0, 1, 2])
-        engine.sim.schedule_at(1.5, engine.ingest, job.name, src, 0,
-                               [1.4], [1.0], [0])
-        engine.run(until=5.0)
-        metrics = engine.metrics.job(job.name)
-        assert metrics.output_count >= 1
-        assert metrics.output_values[0] == 5.0  # only the winning key survives
-        assert metrics.output_tuples[0] == 1
 
 
 class TestDiamondDataflow:

@@ -126,7 +126,6 @@ class TestFaultInjector:
         schedule = FaultSchedule(losses=[ChannelLoss(rate=1.0, scope="all")])
         injector, _ = make_injector(schedule)
         assert all(injector.drops_message(0, 1) for _ in range(50))
-        assert injector.loss_drops == 50
 
     def test_no_loss_outside_window(self):
         schedule = FaultSchedule(
@@ -209,8 +208,6 @@ class TestPartitionSchedule:
         schedule = FaultSchedule(
             partitions=[Partition(start=1.0, end=2.0, groups=[(0,)])])
         assert schedule.enabled
-        assert schedule.has_partitions
-        assert not FaultSchedule().has_partitions
 
     def test_rejects_wrong_types(self):
         with pytest.raises(TypeError):
